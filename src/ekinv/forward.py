@@ -10,6 +10,21 @@ no-flux top and right edges, and a source that steps in the vertical
 coordinate (0 / 137 / 274).  An all-Dirichlet variant with overridable
 boundary data and source supports manufactured-solution testing.
 
+The Darcy system is symmetric positive definite and is never assembled on
+the solve path.  Its 5-point stencil is applied as array slices to a stack
+of coefficient fields at once, and conjugate gradients preconditioned by
+one symmetric multigrid V-cycle solve the stack (``ekinv.multigrid``):
+red-black Gauss-Seidel smoothing, 2:1 vertex coarsening whose coarse faces
+combine the fine ones in series along the flow and in parallel across it,
+bilinear prolongation with its transpose as restriction, and a dense solve
+on the coarsest grid.  Each member stops on its own at a relative residual
+of 1e-10.  The composite forward map hands the solver about 64 k unknowns
+of decoded coefficients at a time (one member per chunk on large grids,
+many on small ones), so a chunk amortises the per-call array overhead on
+small grids and keeps the working set small on large ones.  The assembled
+sparse matrix (:meth:`DarcyProblem.assemble`) remains as the reference that
+tests factorize directly.
+
 The 1D source model solves p'' + p = u with homogeneous Dirichlet conditions
 by second-order finite differences (algebraically equivalent to lumped
 piecewise-linear finite elements); the system is nonsingular because no
@@ -24,13 +39,13 @@ unit discrete mass.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 
+from . import multigrid
 from .grid import Domain, Field, discrete_eigenvalue
 
 
@@ -45,6 +60,16 @@ class DarcyProblem:
     module docstring.  ``bc="dirichlet"`` prescribes ``dirichlet_fn`` on the
     whole boundary and ``source_fn`` in the interior (manufactured-solution
     override); both callables take coordinate arrays.
+
+    :meth:`solve` takes one conductivity field or a list of them.  A list is
+    solved as one (B, n1 + 1, n2 + 1) node stack: face transmissibilities
+    are harmonic means of the node conductivities, the Dirichlet data enter
+    the right-hand side through the same stencil, and multigrid-preconditioned
+    conjugate gradients run on the stack until every member's residual is
+    below 1e-10 of its right-hand side (:func:`ekinv.multigrid.solve`, which
+    raises :class:`ekinv.multigrid.ConvergenceError` naming the member that
+    does not get there).  A member's pressure does not depend on what it is
+    batched with.  :meth:`assemble` builds the same system as a sparse matrix.
     """
 
     DIRICHLET_PRESSURE = 100.0
@@ -126,6 +151,12 @@ class DarcyProblem:
             rows = unk_id[0, j_left]
             self._flux_rhs[rows] += self.LEFT_FLUX * wy[0, j_left]
 
+        # the matrix-free system on the node grid: geometric face factors,
+        # Dirichlet values (zero at the unknowns), static right-hand side
+        self._face_x = wy[:-1] / h1
+        self._face_y = wx[:, :-1] / h2
+        self._boundary = np.where(unknown, 0.0, dirichlet)
+
         # source integral over each control volume
         iu, ju = np.nonzero(unknown)
         if self.bc == "paper" and self.source_fn is None:
@@ -139,6 +170,8 @@ class DarcyProblem:
             area = wx[iu, ju] * wy[iu, ju]
             self._source = area * np.asarray(
                 self.source_fn(self._x[iu, ju], self._y[iu, ju]), dtype=float)
+        self._rhs_nodes = np.zeros(unknown.shape)
+        self._rhs_nodes[unknown] = self._source + self._flux_rhs
 
     @staticmethod
     def _paper_source_antiderivative(y: np.ndarray) -> np.ndarray:
@@ -184,23 +217,29 @@ class DarcyProblem:
         A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
         return A, rhs
 
+    def _faces(self, knode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x- and y-face transmissibilities of a (B, n1+1, n2+1) conductivity stack."""
+        return (_harmonic(knode[:, :-1], knode[:, 1:]) * self._face_x,
+                _harmonic(knode[:, :, :-1], knode[:, :, 1:]) * self._face_y)
+
+    def _pressure(self, kappas: Sequence[Field]) -> np.ndarray:
+        """Full-node-grid pressures of a list of conductivities, (B, n1+1, n2+1)."""
+        knode = np.stack([self.node_kappa(kappa) for kappa in kappas])
+        tx, ty = self._faces(knode)
+        boundary = np.broadcast_to(self._boundary, knode.shape)
+        b = self._rhs_nodes - multigrid.apply(tx, ty, boundary) * self._unknown
+        return multigrid.solve(tx, ty, b, self._unknown) + self._boundary
+
     def solve_full(self, kappa: Field) -> np.ndarray:
         """Pressure on the full node grid, Dirichlet values filled in."""
-        A, rhs = self.assemble(kappa)
-        try:
-            p = scipy.sparse.linalg.splu(A).solve(rhs)
-        except RuntimeError as exc:
-            raise RuntimeError(f"Darcy factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(p)):
-            raise RuntimeError("Darcy solve produced non-finite pressure")
-        full = np.array(self._dirichlet)
-        full[self._unknown] = p
-        return full
+        return self._pressure([kappa])[0]
 
-    def solve(self, kappa: Field) -> Field:
-        """Pressure restricted to the interior nodes."""
-        full = self.solve_full(kappa)
-        return Field(self.domain, full[1:-1, 1:-1].ravel())
+    def solve(self, kappa: Field | Sequence[Field]) -> Field | list[Field]:
+        """Pressure restricted to the interior nodes, one field per conductivity."""
+        single = isinstance(kappa, Field)
+        fields = [Field(self.domain, full[1:-1, 1:-1])
+                  for full in self._pressure([kappa] if single else kappa)]
+        return fields[0] if single else fields
 
     def boundary_flux_balance(self, kappa: Field) -> tuple[float, float]:
         """(outflux through Dirichlet faces, total source + prescribed influx).
@@ -246,7 +285,13 @@ class SourceProblem1D:
         self._ab[1, :] = 1.0 - 2.0 / h**2
         self._ab[2, :-1] = 1.0 / h**2
 
-    def solve(self, u: Field) -> Field:
+    def solve(self, u: Field | Sequence[Field]) -> Field | list[Field]:
+        """Solution for one source field, or one per field of a list."""
+        if isinstance(u, Field):
+            return self._solve_one(u)
+        return [self._solve_one(member) for member in u]
+
+    def _solve_one(self, u: Field) -> Field:
         if u.domain != self.domain:
             raise ValueError("source field lives on a different domain")
         p = scipy.linalg.solve_banded((1, 1), self._ab, u.values)
@@ -381,25 +426,66 @@ def synthesize_data(model: ObservationModel, truth_output: np.ndarray,
 # composite forward map
 
 
+class ForwardError(RuntimeError):
+    """A forward evaluation failed; the message names the member(s) and the
+    phase (decode, solve or observe)."""
+
+
 class CompositeForward:
-    """G = observe . solve . decode for packed ensemble member vectors."""
+    """G = observe . solve . decode for packed ensemble member vectors.
+
+    The solver takes one decoded field or a list of them.  An ensemble is
+    decoded, solved and observed one chunk of members at a time, so no more
+    than one chunk of decoded coefficients is held at once.  A chunk holds
+    about ``CHUNK_UNKNOWNS`` grid values: many members on a small grid, one
+    member from about n = 256 on a 2D grid.
+    """
+
+    # On the darcy-channel (n=64) and darcy-exp (n=128) benchmark workloads
+    # 2^16 ran 10-25 % faster per iteration than 2^14.
+    CHUNK_UNKNOWNS = 1 << 16
 
     def __init__(self, decode: Callable[[np.ndarray], Field],
-                 solver: Callable[[Field], Field],
+                 solver: Callable[[Field | Sequence[Field]], Field | list[Field]],
                  obs: ObservationModel):
         self.decode = decode
         self.solver = solver
         self.obs = obs
+        self.chunk = max(1, self.CHUNK_UNKNOWNS // obs.matrix.shape[1])
 
     def member_output(self, member: np.ndarray) -> np.ndarray:
         return observe(self.solver(self.decode(member)), self.obs)
 
     def __call__(self, members: np.ndarray) -> np.ndarray:
-        """Outputs for a (state_dim, J) ensemble matrix, one column per member."""
-        out = np.empty((self.obs.n_obs, members.shape[1]))
-        for j in range(members.shape[1]):
-            out[:, j] = self.member_output(members[:, j])
+        """Outputs for a (state_dim, J) ensemble matrix, one column per member.
+
+        Raises :class:`ForwardError` naming the failing member and phase.
+        """
+        J = members.shape[1]
+        out = np.empty((self.obs.n_obs, J))
+        for start in range(0, J, self.chunk):
+            cols = range(start, min(start + self.chunk, J))
+            for j, output in zip(cols, self._chunk_outputs(members, cols)):
+                out[:, j] = output
         return out
+
+    def _chunk_outputs(self, members: np.ndarray, cols: range) -> list[np.ndarray]:
+        fields = [_in_phase("decode", j, self.decode, members[:, j]) for j in cols]
+        try:
+            solutions = self.solver(fields)
+        except multigrid.ConvergenceError as exc:
+            raise ForwardError(f"member {cols[exc.index]}, solve: {exc}") from exc
+        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+            raise ForwardError(f"members {cols[0]}-{cols[-1]}, solve: {exc}") from exc
+        return [_in_phase("observe", j, observe, p, self.obs)
+                for j, p in zip(cols, solutions)]
+
+
+def _in_phase(phase: str, member: int, fn, *args):
+    try:
+        return fn(*args)
+    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+        raise ForwardError(f"member {member}, {phase}: {exc}") from exc
 
 
 def forward_map(latent: np.ndarray, config: CompositeForward) -> np.ndarray:

@@ -786,36 +786,43 @@ def _snapshot_iterations(schedule: str, n_records: int) -> list[int]:
     return sorted({n for n in wanted if 0 <= n < n_records})
 
 
-def _run_single_initialization(config_dict: dict, index: int) -> dict:
-    """Worker: rebuild the problem from the resolved config and run one
-    initialization.  Deterministic given (config, index)."""
-    config = ExperimentConfig(config_dict)
-    setup = build_model_setup(config)
+def _prepare(config: ExperimentConfig):
+    """(model setup, truth, observations with data, per-initialization seeds):
+    everything the initializations of one experiment share."""
     exp = config["experiment"]
-    root = np.random.SeedSequence(exp["master_seed"])
-    seqs = root.spawn(2 + exp["n_initializations"])
+    setup = build_model_setup(config)
+    seqs = np.random.SeedSequence(exp["master_seed"]).spawn(2 + exp["n_initializations"])
     truth = make_truth(config, setup, np.random.default_rng(seqs[0]))
     obs = _attach_data(config, setup, truth, np.random.default_rng(seqs[1]))
+    return setup, truth, obs, seqs[2:]
+
+
+def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> dict:
+    """Run one initialization.  Deterministic given (config, index).
+
+    ``prepared`` is what :func:`_prepare` returns for this config; a worker
+    process passes none and builds its own."""
+    config = ExperimentConfig(config_dict)
+    exp = config["experiment"]
+    setup, truth, obs, seqs = prepared or _prepare(config)
     param = build_parameterization(config, setup, obs)
 
-    rng = np.random.default_rng(seqs[2 + index])
+    rng = np.random.default_rng(seqs[index])
     members = param.sample_initial(rng)
     ensemble = Ensemble(members, param.layout)
     controls = _controls_from(config)
 
-    def error_fn(members_now):
-        mean_field = param.mean_report_field(members_now)
-        return setup.domain.norm(mean_field - truth.field.values) / truth.field.norm()
-
+    # run_inversion asks for the error of every recorded iterate exactly
+    # once, so the mean field it decodes is also the one the files keep
     mean_history: list[np.ndarray] = []
 
-    def callback(iteration, members_now):
+    def error_fn(members_now):
         mean_history.append(param.mean_report_field(members_now))
+        return setup.domain.norm(mean_history[-1] - truth.field.values) / truth.field.norm()
 
     result = run_inversion(ensemble, param.forward, obs, controls, rng,
                            error_fn=error_fn, hyper_means_fn=param.hyper_means,
-                           record_walltime=exp["record_walltime"],
-                           callback=callback)
+                           record_walltime=exp["record_walltime"])
 
     out_dir = Path(exp["out_dir"]) / f"init_{index:02d}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -874,11 +881,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     out_dir = Path(exp["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    setup = build_model_setup(config)
-    root = np.random.SeedSequence(exp["master_seed"])
-    seqs = root.spawn(2 + exp["n_initializations"])
-    truth = make_truth(config, setup, np.random.default_rng(seqs[0]))
-    obs = _attach_data(config, setup, truth, np.random.default_rng(seqs[1]))
+    prepared = _prepare(config)
+    setup, truth, obs, _ = prepared
 
     write_field_file(out_dir / "truth_field.bin", setup.domain, truth.field.values)
     _write_observations_csv(out_dir / "observations.csv", obs)
@@ -889,7 +893,8 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
             results = list(pool.map(_run_single_initialization,
                                     [config.to_dict()] * len(indices), indices))
     else:
-        results = [_run_single_initialization(config.to_dict(), i) for i in indices]
+        results = [_run_single_initialization(config.to_dict(), i, prepared)
+                   for i in indices]
 
     inventory = {}
     for name in ("truth_field.bin", "observations.csv"):
@@ -1006,7 +1011,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
                              scaling=config["grid"]["coordinate_scaling"],
                              nonstationary_alpha=config["field_hyper"]["nonstationary_alpha"])
         for s in range(sp["n_samples"]):
-            theta_raw = rng.standard_normal(ncm.n_hyper)
+            theta_raw = ncm.sample_hyper_latents(rng)
             v = ncm.hyper_field(theta_raw)
             ell = ncm.length_scale(theta_raw)
             u = ncm.transform(white_noise(domain, rng), theta_raw)
