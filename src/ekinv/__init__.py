@@ -31,19 +31,15 @@ from .param_maps import (
     channel_map,
     exp_map,
     level_set_map,
-    noncentered_transform,
 )
 from .forward import (
     CompositeForward,
     DarcyProblem,
     ObservationModel,
     SourceProblem1D,
-    forward_map,
     mollified_observations,
     observe,
     point_observations,
-    solve_darcy,
-    solve_source_1d,
     synthesize_data,
 )
 from .eki import (

@@ -48,7 +48,6 @@ class PackingLayout:
     """Named contiguous blocks of the packed member vector."""
 
     blocks: tuple[tuple[str, int], ...]
-    hyper_block: str | None = None
 
     def __post_init__(self):
         names = [name for name, _ in self.blocks]
@@ -56,8 +55,6 @@ class PackingLayout:
             raise ValueError("block names must be unique")
         if any(size < 1 for _, size in self.blocks):
             raise ValueError("block sizes must be positive")
-        if self.hyper_block is not None and self.hyper_block not in names:
-            raise ValueError(f"unknown hyper block {self.hyper_block!r}")
 
     @property
     def dim(self) -> int:
@@ -69,10 +66,6 @@ class PackingLayout:
             out[name] = slice(start, start + size)
             start += size
         return out
-
-    @property
-    def hyper_slice(self) -> slice | None:
-        return self.slices()[self.hyper_block] if self.hyper_block else None
 
 
 @dataclass
@@ -278,13 +271,12 @@ def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
 
 def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
                   rng: np.random.Generator, error_fn=None, hyper_means_fn=None,
-                  record_walltime: bool = False, callback=None) -> InversionResult:
+                  record_walltime: bool = False) -> InversionResult:
     """Iterate :func:`eki_step` until the discrepancy principle is met.
 
     ``error_fn(members)`` and ``hyper_means_fn(members)`` are optional
     reporting hooks evaluated every iteration (relative error against a known
-    truth; decoded hyperparameter ensemble means); ``callback(n, members)``
-    observes every recorded iterate.
+    truth; decoded hyperparameter ensemble means).
     """
     if obs.y is None or obs.noise_level is None:
         raise ValueError("observation model carries no data; synthesize it first")
@@ -310,8 +302,6 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
             hyper_means={} if hyper_means_fn is None else dict(hyper_means_fn(current.members)),
         )
         records.append(record)
-        if callback is not None:
-            callback(n, current.members)
         if misfit <= threshold:
             stop_reason = "discrepancy"
             break

@@ -260,11 +260,6 @@ class DarcyProblem:
         return float(outflux), supplied
 
 
-def solve_darcy(kappa: Field, problem: DarcyProblem) -> Field:
-    """Solve the Darcy problem for the given conductivity."""
-    return problem.solve(kappa)
-
-
 class SourceProblem1D:
     """Two-point boundary value problem p'' + p = u, p(0) = p(L) = 0."""
 
@@ -298,11 +293,6 @@ class SourceProblem1D:
         if not np.all(np.isfinite(p)):
             raise RuntimeError("1D solve produced non-finite values")
         return Field(self.domain, p)
-
-
-def solve_source_1d(u: Field, problem: SourceProblem1D) -> Field:
-    """Solve p'' + p = u with homogeneous Dirichlet boundaries."""
-    return problem.solve(u)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +476,3 @@ def _in_phase(phase: str, member: int, fn, *args):
         return fn(*args)
     except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
         raise ForwardError(f"member {member}, {phase}: {exc}") from exc
-
-
-def forward_map(latent: np.ndarray, config: CompositeForward) -> np.ndarray:
-    """Composite forward map applied to one packed latent vector."""
-    return config.member_output(np.asarray(latent, dtype=float))

@@ -16,13 +16,13 @@ import configparser
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .eki import EkiControls, Ensemble, InversionResult, PackingLayout, run_inversion
+from .eki import EkiControls, Ensemble, PackingLayout, run_inversion
 from .forward import (
     CompositeForward,
     DarcyProblem,
@@ -41,14 +41,7 @@ from .param_maps import (
     exp_map,
     level_set_map,
 )
-from .priors import (
-    GMap,
-    HyperPrior,
-    MaternSpec,
-    apply_sqrt_cov,
-    hyper_to_unconstrained,
-    unconstrained_to_hyper,
-)
+from .priors import GMap, HyperPrior, MaternSpec, apply_sqrt_cov, unconstrained_to_hyper
 
 
 class ConfigError(ValueError):
@@ -96,9 +89,8 @@ def _float_or_auto(text: str):
     return "auto" if text.strip() == "auto" else float(text)
 
 
-PARAMETERIZATIONS = ("plain", "level-set", "channel", "centered-hier",
-                     "noncentered-hier", "noncentered-field-gauss",
-                     "noncentered-field-cauchy")
+PARAMETERIZATIONS = ("plain", "centered-hier", "noncentered-hier",
+                     "noncentered-field-gauss", "noncentered-field-cauchy")
 
 SCHEMA = {
     "experiment": {
@@ -220,27 +212,17 @@ def _resolve(sections: dict) -> dict:
     par = exp["parameterization"]
 
     if exp["coefficient_map"] == "auto":
-        if model == "source1d":
-            exp["coefficient_map"] = "identity"
-        elif par in ("level-set", "channel"):
-            exp["coefficient_map"] = par
-        else:
-            exp["coefficient_map"] = "exp"
+        exp["coefficient_map"] = "identity" if model == "source1d" else "exp"
     cmap = exp["coefficient_map"]
 
     if model == "source1d" and cmap != "identity":
         raise ConfigError("source1d supports coefficient_map = identity only")
     if model == "darcy" and cmap == "identity":
         raise ConfigError("darcy needs a positive coefficient map (exp, level-set, channel)")
-    if par in ("level-set", "channel") and cmap != par:
-        raise ConfigError(f"parameterization {par!r} fixes coefficient_map = {par!r}")
     if par in ("noncentered-field-gauss", "noncentered-field-cauchy") and model != "source1d":
         raise ConfigError("field-valued hyperparameter variants run on source1d only")
     if cmap in ("level-set", "channel") and model != "darcy":
         raise ConfigError(f"coefficient_map {cmap!r} requires the darcy model")
-    if cmap == "channel" and par not in ("channel", "centered-hier", "noncentered-hier"):
-        raise ConfigError("the channel map combines with plain, centered-hier or "
-                          "noncentered-hier parameterizations")
 
     if sections["grid"]["n_cells"] == "auto":
         sections["grid"]["n_cells"] = 1000 if model == "source1d" else 600
@@ -277,8 +259,31 @@ def _resolve(sections: dict) -> dict:
         }[cmap]
 
     if exp["out_dir"] == "auto":
-        exp["out_dir"] = f"runs/{model}-{par}"
+        exp["out_dir"] = f"runs/{model}-{par}-{cmap}"
     return sections
+
+
+def _parse_sections(raw: dict) -> ExperimentConfig:
+    """Parse ``{section: {key: text}}``, materialize the defaults and resolve."""
+    sections = {}
+    for sec, keys in SCHEMA.items():
+        sections[sec] = {key: default for key, (_, default) in keys.items()}
+    for sec, keys in raw.items():
+        if sec not in SCHEMA:
+            raise ConfigError(f"unknown section [{sec}]; expected one of "
+                              f"{sorted(SCHEMA)}")
+        for key, text in keys.items():
+            if key not in SCHEMA[sec]:
+                raise ConfigError(f"unknown key {key!r} in [{sec}]; expected one of "
+                                  f"{sorted(SCHEMA[sec])}")
+            parse_fn = SCHEMA[sec][key][0]
+            try:
+                sections[sec][key] = parse_fn(text)
+            except (ValueError, ConfigError) as exc:
+                raise ConfigError(f"[{sec}] {key}: {exc}") from exc
+    if sections["experiment"]["model_problem"] is None:
+        raise ConfigError("experiment.model_problem is required")
+    return ExperimentConfig(_resolve(sections))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -292,40 +297,33 @@ def load_config(path) -> ExperimentConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"config parse error in {path}: {exc}") from exc
+    return _parse_sections({sec: dict(parser.items(sec)) for sec in parser.sections()})
 
-    sections = {}
-    for sec, keys in SCHEMA.items():
-        sections[sec] = {key: default for key, (_, default) in keys.items()}
-    for sec in parser.sections():
-        if sec not in SCHEMA:
-            raise ConfigError(f"unknown section [{sec}]; expected one of "
-                              f"{sorted(SCHEMA)}")
-        for key, raw in parser.items(sec):
-            if key not in SCHEMA[sec]:
-                raise ConfigError(f"unknown key {key!r} in [{sec}]; expected one of "
-                                  f"{sorted(SCHEMA[sec])}")
-            parse_fn = SCHEMA[sec][key][0]
-            try:
-                sections[sec][key] = parse_fn(raw)
-            except (ValueError, ConfigError) as exc:
-                raise ConfigError(f"[{sec}] {key}: {exc}") from exc
-    if sections["experiment"]["model_problem"] is None:
-        raise ConfigError("experiment.model_problem is required")
-    return ExperimentConfig(_resolve(sections))
+
+def _as_text(value) -> str:
+    """A resolved value spelled as a configuration file spells it; floats
+    keep every digit."""
+    if isinstance(value, list):
+        return ", ".join(map(repr, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def config_from_manifest(path) -> ExperimentConfig:
-    """Rebuild the resolved configuration stored in a run manifest."""
+    """Rebuild the resolved configuration stored in a run manifest.
+
+    The stored values go through the same parsing and validation as a
+    configuration file, so a manifest written under another schema fails
+    with :class:`ConfigError` instead of running something else."""
     with open(path, encoding="utf-8") as handle:
-        manifest = json.load(handle)
-    sections = manifest["config"]
-    restored = {}
-    for sec, keys in SCHEMA.items():
-        restored[sec] = {}
-        for key, (_, default) in keys.items():
-            value = sections[sec][key]
-            restored[sec][key] = tuple(value) if isinstance(value, list) else value
-    return ExperimentConfig(restored)
+        stored = json.load(handle)["config"]
+    missing = [f"[{sec}] {key}" for sec, keys in SCHEMA.items() for key in keys
+               if key not in stored.get(sec, {})]
+    if missing:
+        raise ConfigError(f"manifest {path} lacks {', '.join(missing)}")
+    return _parse_sections({sec: {key: _as_text(value) for key, value in keys.items()}
+                            for sec, keys in stored.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -433,26 +431,31 @@ def _level_set_spec(config: ExperimentConfig) -> LevelSetSpec:
                         threshold=ls["threshold"])
 
 
-def _field_hyper_prior(config: ExperimentConfig, kind: str,
-                       domain: Domain) -> HyperPrior:
+def _noncentered_map(config: ExperimentConfig, basis: SpectralBasis,
+                     kind: str) -> NoncenteredMap:
+    """The non-centered transform T for a "scalar" (alpha, tau), a
+    "field-gauss" or a "field-cauchy" hyperprior."""
+    scaling = config["grid"]["coordinate_scaling"]
+    if kind == "scalar":
+        p = config["prior"]
+        hyper = HyperPrior(kind="uniform-scalar", bounds=(p["alpha_bounds"], p["tau_bounds"]),
+                           names=("alpha", "tau"))
+        return NoncenteredMap(basis=basis, hyper=hyper, scaling=scaling,
+                              base_sigma2=p["sigma2"], base_mean=p["mean"])
     fh = config["field_hyper"]
-    floor = fh["g_floor_frac"] * max(domain.extents)
-    cap = fh["g_cap_frac"] * max(domain.extents)
-    if kind == "gauss":
-        return HyperPrior(kind="gaussian-field",
-                          field_spec=MaternSpec(alpha=fh["v_alpha"], tau=fh["v_tau"],
-                                                sigma2=fh["v_sigma2"], mean=fh["v_mean"]),
-                          g=GMap("exp", floor=floor, cap=cap))
-    return HyperPrior(kind="cauchy-process", cauchy_delta=fh["cauchy_delta"],
-                      g=GMap("rational", tuple(fh["g_rational_params"]),
-                             floor=floor, cap=cap))
-
-
-def _scalar_hyper_prior(config: ExperimentConfig) -> HyperPrior:
-    p = config["prior"]
-    return HyperPrior(kind="uniform-scalar",
-                      bounds=(p["alpha_bounds"], p["tau_bounds"]),
-                      names=("alpha", "tau"))
+    floor = fh["g_floor_frac"] * max(basis.domain.extents)
+    cap = fh["g_cap_frac"] * max(basis.domain.extents)
+    if kind == "field-gauss":
+        hyper = HyperPrior(kind="gaussian-field",
+                           field_spec=MaternSpec(alpha=fh["v_alpha"], tau=fh["v_tau"],
+                                                 sigma2=fh["v_sigma2"], mean=fh["v_mean"]),
+                           g=GMap("exp", floor=floor, cap=cap))
+    else:
+        hyper = HyperPrior(kind="cauchy-process", cauchy_delta=fh["cauchy_delta"],
+                           g=GMap("rational", tuple(fh["g_rational_params"]),
+                                  floor=floor, cap=cap))
+    return NoncenteredMap(basis=basis, hyper=hyper, scaling=scaling,
+                          nonstationary_alpha=fh["nonstationary_alpha"])
 
 
 # ---------------------------------------------------------------------------
@@ -475,222 +478,151 @@ class Parameterization:
         return fields.mean(axis=0)
 
 
-def _coefficient_maps(config: ExperimentConfig, setup: ModelSetup):
-    """(solver-scale map, reporting-scale map) from the latent field u."""
-    cmap = config["experiment"]["coefficient_map"]
-    if cmap == "identity":
-        return (lambda u: u), (lambda u: u.values)
-    if cmap == "exp":
-        return exp_map, (lambda u: u.values)
-    spec = _level_set_spec(config)
-    return (lambda u: level_set_map(u, spec)), \
-           (lambda u: np.log(level_set_map(u, spec).values))
+@dataclass(frozen=True)
+class LatentField:
+    """A Matern field a member packs: its block name, prior mean and
+    variance, and the bounds and names of its (alpha, tau)."""
+
+    name: str
+    mean: float
+    sigma2: float
+    bounds: tuple
+    hyper_names: tuple
+
+
+def _latent_fields(config: ExperimentConfig) -> list[LatentField]:
+    if config["experiment"]["coefficient_map"] != "channel":
+        p = config["prior"]
+        return [LatentField("u", p["mean"], p["sigma2"],
+                            (p["alpha_bounds"], p["tau_bounds"]), ("alpha", "tau"))]
+    ch = config["channel"]
+    return [LatentField("log_kappa_out", ch["log_kappa_out_mean"], 1.0,
+                        (ch["alpha1_bounds"], ch["tau1_bounds"]), ("alpha1", "tau1")),
+            LatentField("log_kappa_in", ch["log_kappa_in_mean"], 1.0,
+                        (ch["alpha2_bounds"], ch["tau2_bounds"]), ("alpha2", "tau2"))]
 
 
 def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
                            obs: ObservationModel) -> Parameterization:
+    """The configured parameterization, followed by its coefficient map.
+
+    A member packs its latent fields (one, or the outside and inside fields
+    of the channel), the five channel geometry scalars under the channel
+    map, and each field's (alpha, tau) unless the parameterization is plain.
+    Plain and centered members hold these in natural units.  Non-centered
+    members hold N(0, 1) latents, which the Matern square root and the
+    normal-quantile bijection map to natural units.  The field-valued
+    variants hold white noise and the latents of their NoncenteredMap.
+    """
     par = config["experiment"]["parameterization"]
     cmap = config["experiment"]["coefficient_map"]
-    if cmap == "channel":
-        return _build_channel(config, setup, obs, par)
-    to_coef, to_report = _coefficient_maps(config, setup)
-    basis = setup.basis
-    domain = setup.domain
-    n_grid = domain.n_interior
-    n_modes = basis.n_modes
+    domain, basis, scaling = setup.domain, setup.basis, setup.scaling
     J = config["experiment"]["n_ensemble"]
-    p = config["prior"]
-    base = dict(base_sigma2=p["sigma2"], base_mean=p["mean"])
-    scalar_prior = _scalar_hyper_prior(config)
-    solve = setup.solver.solve
+    fields = _latent_fields(config)
+    bounds = np.array([b for f in fields for b in f.bounds])
+    geometry = (np.array([config["channel"][f"d{i}_bounds"] for i in range(1, 6)])
+                if cmap == "channel" else None)
+    noncentered = par == "noncentered-hier"
+    bounded = par in ("centered-hier", "noncentered-hier")   # packs (alpha, tau)
+    field_valued = par.startswith("noncentered-field")
 
-    if par == "plain" or par == "level-set":
-        # non-hierarchical: hyperparameters are drawn once per initialization
-        # and frozen, so the ensemble spans a single smoothness class
-        layout = PackingLayout(blocks=(("state", n_grid),))
-        decode = lambda m: to_coef(Field(domain, m))
-        fwd = CompositeForward(decode=decode, solver=solve, obs=obs)
-        plain_kind = p["plain_prior"]
+    if field_valued:
+        ncm = _noncentered_map(config, basis, par.removeprefix("noncentered-"))
+        blocks = [("xi", basis.n_modes), ("hyper", ncm.n_hyper)]
+    else:
+        size = basis.n_modes if noncentered else domain.n_interior
+        blocks = [(f.name, size) for f in fields]
+        blocks += [("geom", 5)] if geometry is not None else []
+        blocks += [("hyper", len(bounds))] if bounded else []
+    layout = PackingLayout(blocks=tuple(blocks))
+    sl = layout.slices()
 
-        def sample_initial(rng):
-            if plain_kind == "scalar":
-                ncm = NoncenteredMap(basis=basis, hyper=scalar_prior,
-                                     scaling=setup.scaling, **base)
-            else:
-                hkind = "gauss" if plain_kind == "field-gauss" else "cauchy"
-                ncm = NoncenteredMap(
-                    basis=basis, hyper=_field_hyper_prior(config, hkind, domain),
-                    scaling=setup.scaling,
-                    nonstationary_alpha=config["field_hyper"]["nonstationary_alpha"])
-            theta_raw = ncm.sample_hyper_latents(rng)
-            return np.stack([ncm.transform(white_noise(domain, rng), theta_raw).values
-                             for _ in range(J)], axis=1)
+    def matern(f: LatentField, theta, xi) -> Field:
+        return apply_sqrt_cov(MaternSpec(theta[0], theta[1], f.sigma2, f.mean),
+                              basis, xi, scaling)
 
-        return Parameterization(layout=layout, forward=fwd,
-                                sample_initial=sample_initial,
-                                decode_report=lambda m: to_report(Field(domain, m)),
-                                hyper_means=None)
+    def scalars(packed, packed_bounds):
+        """Bounded scalars of one member in natural units."""
+        return unconstrained_to_hyper(packed, packed_bounds) if noncentered else packed
 
-    if par == "centered-hier":
-        layout = PackingLayout(blocks=(("state", n_grid), ("hyper", 2)),
-                               hyper_block="hyper")
-        decode = lambda m: to_coef(Field(domain, m[:n_grid]))
-        fwd = CompositeForward(decode=decode, solver=solve, obs=obs)
-        bounds = np.array(scalar_prior.bounds)
+    def unmapped(member) -> Field:
+        """The member's field before the coefficient map: u, or log kappa
+        inside and outside the channel."""
+        if field_valued:
+            return ncm.transform(member[sl["xi"]], member[sl["hyper"]])
+        if noncentered:
+            theta = scalars(member[sl["hyper"]], bounds)
+            us = [matern(f, theta[2 * i:2 * i + 2], member[sl[f.name]])
+                  for i, f in enumerate(fields)]
+        else:
+            us = [Field(domain, member[sl[f.name]]) for f in fields]
+        if geometry is None:
+            return us[0]
+        d = scalars(member[sl["geom"]], geometry)
+        return channel_map(ChannelSpec(*d, log_kappa_inside=us[1], log_kappa_outside=us[0]),
+                           domain)
 
-        def sample_initial(rng):
-            members = np.empty((n_grid + 2, J))
-            for j in range(J):
-                theta = rng.uniform(bounds[:, 0], bounds[:, 1])
-                spec = MaternSpec(alpha=theta[0], tau=theta[1],
-                                  sigma2=p["sigma2"], mean=p["mean"])
-                members[:n_grid, j] = apply_sqrt_cov(
-                    spec, basis, white_noise(domain, rng), setup.scaling).values
-                members[n_grid:, j] = theta
-            return members
+    if cmap == "level-set":
+        spec = _level_set_spec(config)
+        decode = lambda m: level_set_map(unmapped(m), spec)
+        decode_report = lambda m: np.log(decode(m).values)
+    else:
+        positive = (lambda u: u) if cmap == "identity" else exp_map
+        decode = lambda m: positive(unmapped(m))
+        decode_report = lambda m: unmapped(m).values
 
-        def hyper_means(members):
-            return {"alpha": float(members[n_grid].mean()),
-                    "tau": float(members[n_grid + 1].mean())}
-
-        return Parameterization(layout=layout, forward=fwd,
-                                sample_initial=sample_initial,
-                                decode_report=lambda m: to_report(Field(domain, m[:n_grid])),
-                                hyper_means=hyper_means)
-
-    if par == "noncentered-hier":
-        ncm = NoncenteredMap(basis=basis, hyper=scalar_prior,
-                             scaling=setup.scaling, **base)
-        layout = PackingLayout(blocks=(("xi", n_modes), ("hyper", 2)),
-                               hyper_block="hyper")
-        decode = lambda m: to_coef(ncm.transform(m[:n_modes], m[n_modes:]))
-        fwd = CompositeForward(decode=decode, solver=solve, obs=obs)
-
-        def sample_initial(rng):
-            return rng.standard_normal((n_modes + 2, J))
-
-        def hyper_means(members):
-            theta = unconstrained_to_hyper(members[n_modes:].T, scalar_prior.bounds)
-            means = theta.mean(axis=0)
-            return {"alpha": float(means[0]), "tau": float(means[1])}
-
-        return Parameterization(
-            layout=layout, forward=fwd, sample_initial=sample_initial,
-            decode_report=lambda m: to_report(ncm.transform(m[:n_modes], m[n_modes:])),
-            hyper_means=hyper_means)
-
-    # field-valued hyperparameters (source1d only; coefficient map is identity)
-    hkind = "gauss" if par == "noncentered-field-gauss" else "cauchy"
-    ncm = NoncenteredMap(basis=basis, hyper=_field_hyper_prior(config, hkind, domain),
-                         scaling=setup.scaling,
-                         nonstationary_alpha=config["field_hyper"]["nonstationary_alpha"])
-    n_hyper = ncm.n_hyper
-    layout = PackingLayout(blocks=(("xi", n_modes), ("hyper", n_hyper)),
-                           hyper_block="hyper")
-    decode = lambda m: to_coef(ncm.transform(m[:n_modes], m[n_modes:]))
-    fwd = CompositeForward(decode=decode, solver=solve, obs=obs)
-
-    def sample_initial(rng):
-        members = np.empty((n_modes + n_hyper, J))
-        for j in range(J):
-            members[:n_modes, j] = white_noise(domain, rng)
-            members[n_modes:, j] = ncm.sample_hyper_latents(rng)
-        return members
-
-    return Parameterization(
-        layout=layout, forward=fwd, sample_initial=sample_initial,
-        decode_report=lambda m: to_report(ncm.transform(m[:n_modes], m[n_modes:])),
-        hyper_means=None)
-
-
-def _build_channel(config: ExperimentConfig, setup: ModelSetup,
-                   obs: ObservationModel, par: str) -> Parameterization:
-    domain, basis = setup.domain, setup.basis
-    n_grid, n_modes = domain.n_interior, basis.n_modes
-    J = config["experiment"]["n_ensemble"]
-    ch = config["channel"]
-    d_bounds = np.array([ch[f"d{i}_bounds"] for i in range(1, 6)])
-    hyper_bounds = np.array([ch["alpha1_bounds"], ch["tau1_bounds"],
-                             ch["alpha2_bounds"], ch["tau2_bounds"]])
-    hyper_names = ("alpha1", "tau1", "alpha2", "tau2")
-    means = (ch["log_kappa_out_mean"], ch["log_kappa_in_mean"])
-    solve = setup.solver.solve
-
-    def kappa_from(log_out_values, log_in_values, d):
-        spec = ChannelSpec(*d,
-                           log_kappa_inside=Field(domain, log_in_values),
-                           log_kappa_outside=Field(domain, log_out_values))
-        return channel_map(spec, domain)
-
-    if par == "noncentered-hier":
-        layout = PackingLayout(
-            blocks=(("xi_out", n_modes), ("xi_in", n_modes),
-                    ("geom", 5), ("hyper", 4)),
-            hyper_block="hyper")
-
-        def decode_log(member):
-            a1, t1, a2, t2 = unconstrained_to_hyper(member[-4:], hyper_bounds)
-            d = unconstrained_to_hyper(member[2 * n_modes:2 * n_modes + 5], d_bounds)
-            log_out = apply_sqrt_cov(MaternSpec(a1, t1, mean=means[0]), basis,
-                                     member[:n_modes], setup.scaling)
-            log_in = apply_sqrt_cov(MaternSpec(a2, t2, mean=means[1]), basis,
-                                    member[n_modes:2 * n_modes], setup.scaling)
-            return kappa_from(log_out.values, log_in.values, d)
-
+    if noncentered:
         def sample_initial(rng):
             return rng.standard_normal((layout.dim, J))
-
-        def hyper_means(members):
-            theta = unconstrained_to_hyper(members[-4:].T, hyper_bounds).mean(axis=0)
-            d = unconstrained_to_hyper(members[2 * n_modes:2 * n_modes + 5].T,
-                                       d_bounds).mean(axis=0)
-            out = dict(zip(hyper_names, map(float, theta)))
-            out.update({f"d{i}": float(v) for i, v in enumerate(d, start=1)})
-            return out
-
-    else:  # plain or centered-hier: fields and geometry carried directly
-        blocks = [("log_kappa_out", n_grid), ("log_kappa_in", n_grid), ("geom", 5)]
-        if par == "centered-hier":
-            blocks.append(("hyper", 4))
-        layout = PackingLayout(blocks=tuple(blocks),
-                               hyper_block="hyper" if par == "centered-hier" else None)
-
-        def decode_log(member):
-            d = member[2 * n_grid:2 * n_grid + 5]
-            return kappa_from(member[:n_grid], member[n_grid:2 * n_grid], d)
-
+    elif field_valued:
         def sample_initial(rng):
             members = np.empty((layout.dim, J))
             for j in range(J):
-                theta = rng.uniform(hyper_bounds[:, 0], hyper_bounds[:, 1])
-                members[:n_grid, j] = apply_sqrt_cov(
-                    MaternSpec(theta[0], theta[1], mean=means[0]), basis,
-                    white_noise(domain, rng), setup.scaling).values
-                members[n_grid:2 * n_grid, j] = apply_sqrt_cov(
-                    MaternSpec(theta[2], theta[3], mean=means[1]), basis,
-                    white_noise(domain, rng), setup.scaling).values
-                members[2 * n_grid:2 * n_grid + 5, j] = rng.uniform(
-                    d_bounds[:, 0], d_bounds[:, 1])
-                if par == "centered-hier":
-                    members[2 * n_grid + 5:, j] = theta
+                members[sl["xi"], j] = white_noise(domain, rng)
+                members[sl["hyper"], j] = ncm.sample_hyper_latents(rng)
+            return members
+    elif par == "plain" and geometry is None:
+        # hyperparameters are drawn once per initialization and frozen, so
+        # the ensemble spans a single smoothness class
+        ncm = _noncentered_map(config, basis, config["prior"]["plain_prior"])
+
+        def sample_initial(rng):
+            theta_raw = ncm.sample_hyper_latents(rng)
+            return np.stack([ncm.transform(white_noise(domain, rng), theta_raw).values
+                             for _ in range(J)], axis=1)
+    else:
+        def sample_initial(rng):
+            members = np.empty((layout.dim, J))
+            for j in range(J):
+                theta = rng.uniform(bounds[:, 0], bounds[:, 1])
+                for i, f in enumerate(fields):
+                    members[sl[f.name], j] = matern(f, theta[2 * i:2 * i + 2],
+                                                    white_noise(domain, rng)).values
+                if geometry is not None:
+                    members[sl["geom"], j] = rng.uniform(geometry[:, 0], geometry[:, 1])
+                if bounded:
+                    members[sl["hyper"], j] = theta
             return members
 
-        if par == "centered-hier":
-            def hyper_means(members):
-                theta = members[2 * n_grid + 5:].mean(axis=1)
-                d = members[2 * n_grid:2 * n_grid + 5].mean(axis=1)
-                out = dict(zip(hyper_names, map(float, theta)))
-                out.update({f"d{i}": float(v) for i, v in enumerate(d, start=1)})
-                return out
-        else:
-            hyper_means = None
+    def ensemble_mean(block, block_bounds):
+        """Ensemble mean of packed bounded scalars, in natural units."""
+        if noncentered:
+            return unconstrained_to_hyper(block.T, block_bounds).mean(axis=0)
+        return block.mean(axis=1)
 
-    fwd = CompositeForward(decode=lambda m: exp_map(decode_log(m)),
-                           solver=solve, obs=obs)
-    return Parameterization(layout=layout, forward=fwd,
-                            sample_initial=sample_initial,
-                            decode_report=lambda m: decode_log(m).values,
-                            hyper_means=hyper_means)
+    def hyper_means(members):
+        theta = ensemble_mean(members[sl["hyper"]], bounds)
+        out = dict(zip([n for f in fields for n in f.hyper_names], map(float, theta)))
+        if geometry is not None:
+            d = ensemble_mean(members[sl["geom"]], geometry)
+            out.update({f"d{i}": float(v) for i, v in enumerate(d, start=1)})
+        return out
+
+    return Parameterization(
+        layout=layout, forward=CompositeForward(decode=decode, solver=setup.solver.solve,
+                                                obs=obs),
+        sample_initial=sample_initial, decode_report=decode_report,
+        hyper_means=hyper_means if bounded else None)
 
 
 # ---------------------------------------------------------------------------
@@ -857,7 +789,6 @@ def _attach_data(config: ExperimentConfig, setup: ModelSetup, truth: TruthBundle
     obs = synthesize_data(setup.obs_template, clean, rng,
                           noise_free=config["observations"]["noise_free"])
     if config["eki"]["noise_level_convention"] == "expected":
-        from dataclasses import replace
         obs = replace(obs, noise_level=float(np.sqrt(obs.n_obs)))
     return obs
 
@@ -946,7 +877,7 @@ def summarize_run(run_dir) -> dict:
         rows.append({
             "index": init["index"],
             "stop_reason": init["stop_reason"],
-            "iterations": init["n_records"] - 1,
+            "iterations": max(init["n_records"] - 1, 0),
             "final_misfit": init["final_misfit"],
             "final_rel_error": init["final_rel_error"],
         })
@@ -1005,11 +936,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
     else:
         domain = build_domain(1, [10.0], config["grid"]["n_cells"])
         basis = dirichlet_spectrum(domain)
-        hkind = "gauss" if mode == "field-gauss" else "cauchy"
-        ncm = NoncenteredMap(basis=basis,
-                             hyper=_field_hyper_prior(config, hkind, domain),
-                             scaling=config["grid"]["coordinate_scaling"],
-                             nonstationary_alpha=config["field_hyper"]["nonstationary_alpha"])
+        ncm = _noncentered_map(config, basis, mode)
         for s in range(sp["n_samples"]):
             theta_raw = ncm.sample_hyper_latents(rng)
             v = ncm.hyper_field(theta_raw)

@@ -26,7 +26,6 @@ from .priors import (
     MaternSpec,
     apply_nonstationary_sqrt,
     apply_sqrt_cov,
-    cauchy_increments_from_normal,
     cauchy_knot_count,
     cauchy_path_from_increments,
     g_map,
@@ -129,6 +128,12 @@ class NoncenteredMap:
     driving noise: sine-basis white noise for the Gaussian case, the raw walk
     increments for the Cauchy case.  u then solves the nonstationary operator
     equation with length scale ell = g(v).
+
+    The Cauchy walk is stored as its raw Cauchy(0, delta) increments, not as
+    N(0, 1) latents mapped through the Cauchy quantile function.  This keeps
+    earlier runs reproducible byte for byte; the price is that the heavy
+    tails enter EKI's empirical covariances directly, so one large increment
+    can dominate the spread of the hyperparameter block.
     """
 
     basis: SpectralBasis
@@ -192,9 +197,3 @@ class NoncenteredMap:
             return apply_sqrt_cov(spec, self.basis, xi, self.scaling)
         ell = self.length_scale(theta_raw)
         return apply_nonstationary_sqrt(self.nonstationary_alpha, ell, xi, self.basis)
-
-
-def noncentered_transform(xi: np.ndarray, theta_raw: np.ndarray,
-                          config: NoncenteredMap) -> Field:
-    """Apply the non-centered transform T for the given prior configuration."""
-    return config.transform(xi, theta_raw)

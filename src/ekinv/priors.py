@@ -253,12 +253,6 @@ def cauchy_path_from_increments(domain: Domain, delta: float,
     return Field(domain, cum[idx])
 
 
-def cauchy_increments_from_normal(raw: np.ndarray, delta: float) -> np.ndarray:
-    """Quantile transform: standard normal latents to Cauchy(0, delta) increments."""
-    u = scipy.special.ndtr(np.asarray(raw, dtype=float))
-    return delta * np.tan(np.pi * (u - 0.5))
-
-
 def sample_cauchy_process(domain: Domain, delta: float,
                           rng: np.random.Generator) -> Field:
     """Draw a Cauchy random walk: i.i.d. Cauchy(0, delta) increments at spacing delta."""

@@ -338,8 +338,7 @@ def test_centered_hierarchy_u_block_is_bitwise_identical_to_plain():
 
     plain = plain_ensemble(U0.copy())
     packed = Ensemble(np.vstack([U0, theta0]),
-                      PackingLayout(blocks=(("state", dim_u), ("hyper", 2)),
-                                    hyper_block="hyper"))
+                      PackingLayout(blocks=(("state", dim_u), ("hyper", 2))))
     controls = EkiControls(max_outer_iterations=5)
 
     ens_a, ens_b = plain, packed
@@ -372,7 +371,7 @@ def test_noncentered_step_escapes_initial_field_span():
     fwd = CompositeForward(decode=decode, solver=problem.solve, obs=obs)
     rng = np.random.default_rng(30)
     X0 = np.vstack([rng.standard_normal((m, 6)), rng.standard_normal((2, 6))])
-    layout = PackingLayout(blocks=(("xi", m), ("hyper", 2)), hyper_block="hyper")
+    layout = PackingLayout(blocks=(("xi", m), ("hyper", 2)))
     truth = rng.standard_normal(m)
     data = synthesize_data(obs, fwd.member_output(np.concatenate([truth, [0.1, -0.3]])),
                            rng)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from ekinv import harness, multigrid
+from ekinv.cli import cli
 
 TINY_DARCY = """
 [experiment]
@@ -58,9 +61,48 @@ def test_solver_failure_reaches_the_manifest(tmp_path, monkeypatch):
     manifest = harness.run_experiment(tiny_darcy(tmp_path, "capped"))
     for init in manifest["initializations"]:
         assert init["stop_reason"] == "aborted"
+        assert init["n_records"] == 0
         assert init["message"].startswith(
             "forward evaluation failed: member 0, solve: MG-PCG did not converge "
             "within 1 iterations (relative residual ")
+
+    # an initialization that aborts before its first record made no iterations
+    assert cli(["report", str(tmp_path / "capped")]) == 0
+    summary = (tmp_path / "capped" / "summary.csv").read_text(encoding="utf-8")
+    assert summary.splitlines()[1:] == ["0,aborted,0,,", "1,aborted,0,,"]
+
+
+def test_cli_exit_codes(tmp_path, capsys):
+    tiny_darcy(tmp_path, "valid")
+    assert cli(["validate", str(tmp_path / "valid.ini")]) == 0
+    assert cli(["validate", str(tmp_path / "missing.ini")]) == 1
+    assert "cannot read config" in capsys.readouterr().err
+    (tmp_path / "bad.ini").write_text("[experiment]\nmodel_problem = darcy\n"
+                                      "parameterization = level-set\n", encoding="utf-8")
+    assert cli(["validate", str(tmp_path / "bad.ini")]) == 1
+    assert "[experiment] parameterization: must be one of" in capsys.readouterr().err
+    assert cli(["frobnicate"]) == 2
+
+
+def test_manifest_from_another_schema_fails_loudly(tmp_path):
+    config = tiny_darcy(tmp_path, "folded").to_dict()
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
+    assert harness.config_from_manifest(manifest).to_dict() == \
+        harness.ExperimentConfig(config).to_dict()
+
+    config["experiment"]["parameterization"] = "level-set"
+    manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
+    with pytest.raises(harness.ConfigError, match="parameterization"):
+        harness.config_from_manifest(manifest)
+    assert cli(["run", str(manifest), "--out-dir", str(tmp_path / "never")]) == 1
+    assert not (tmp_path / "never").exists()
+
+    config["experiment"]["parameterization"] = "plain"
+    del config["grid"]["n_cells"]
+    manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
+    with pytest.raises(harness.ConfigError, match=r"\[grid\] n_cells"):
+        harness.config_from_manifest(manifest)
 
 
 def test_field_cauchy_prior_samples_have_cauchy_increments(tmp_path):
@@ -95,7 +137,6 @@ n_samples = 120
     assert tail == pytest.approx(1 - 2 * np.arctan(10) / np.pi, abs=0.02)
 
 
-
 # Every valid model x parameterization x coefficient_map, plus each plain
 # prior, on tiny grids: (model_problem, parameterization, coefficient_map,
 # plain_prior or None for auto).
@@ -112,10 +153,9 @@ MATRIX = [
     ("darcy", "centered-hier", "exp", None),
     ("darcy", "noncentered-hier", "exp", None),
     ("darcy", "plain", "level-set", None),
-    ("darcy", "level-set", "level-set", None),
     ("darcy", "centered-hier", "level-set", None),
     ("darcy", "noncentered-hier", "level-set", None),
-    ("darcy", "channel", "channel", None),
+    ("darcy", "plain", "channel", None),
     ("darcy", "centered-hier", "channel", None),
     ("darcy", "noncentered-hier", "channel", None),
 ]
@@ -344,20 +384,6 @@ GOLDEN_FILES = {
         "observations.csv": "13aee8248fd3a0b3694ecd2c51dda1586584e306c51ea65eef0d04938ebb51d1",
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
-    "darcy-level-set-level-set": {
-        "init_00/mean_field.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
-        "init_00/records.csv": "6a237be6ef9795cfdffb3f32842e46dcfd44f76702660faf6eb46cad12adc339",
-        "init_00/snapshot_iter_000.bin": "f474d56b848c34dafbcfd181e41644a7f1fc97fc6c2aee30896e90e271126203",
-        "init_00/snapshot_iter_001.bin": "8a79fc02bc4c7a32909330d3aaee67b088329e65c95f733f86631e39b6dc63e7",
-        "init_00/snapshot_iter_002.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
-        "init_01/mean_field.bin": "e76fdfd68944913d7d37958adf76946681858c994ea3a8cb48bca1f78fb80482",
-        "init_01/records.csv": "4c4467540db13b82e24735c7df8d7c8c07379b8402aa1496379533936b683057",
-        "init_01/snapshot_iter_000.bin": "cff4202bc9c6fb9b4ac733e2343f0bb267a4155eaeedb253636bfdeebb5c81b1",
-        "init_01/snapshot_iter_001.bin": "a0c4a7b76d7df63decd4075b295d453db0d3cee49e900c0fc9e3caa13c6ddc8c",
-        "init_01/snapshot_iter_002.bin": "e76fdfd68944913d7d37958adf76946681858c994ea3a8cb48bca1f78fb80482",
-        "observations.csv": "13aee8248fd3a0b3694ecd2c51dda1586584e306c51ea65eef0d04938ebb51d1",
-        "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
-    },
     "darcy-centered-hier-level-set": {
         "init_00/hypers.csv": "e66a8335a1d5f1207239a341de9a9326fb8ae5752792186ce05ddbf52b8fab06",
         "init_00/mean_field.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
@@ -390,7 +416,7 @@ GOLDEN_FILES = {
         "observations.csv": "13aee8248fd3a0b3694ecd2c51dda1586584e306c51ea65eef0d04938ebb51d1",
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
-    "darcy-channel-channel": {
+    "darcy-plain-channel": {
         "init_00/mean_field.bin": "8be39186524571bdf5e8687ac196a104496fb51d28710b1b25d4f6276e5e1b9c",
         "init_00/records.csv": "dbc93e62647cd0d3345c174b367c42db5305ffcea0f963b5dfc7c1e6b72e12ce",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",

@@ -11,7 +11,6 @@ from ekinv.param_maps import (
     constant_channel_spec,
     exp_map,
     level_set_map,
-    noncentered_transform,
 )
 from ekinv.priors import GMap, HyperPrior, MaternSpec, apply_sqrt_cov
 
@@ -164,8 +163,8 @@ def test_noncentered_deterministic(scalar_map):
     rng = np.random.default_rng(3)
     xi = rng.standard_normal(scalar_map.basis.n_modes)
     theta = rng.standard_normal(2)
-    a = noncentered_transform(xi, theta, scalar_map)
-    b = noncentered_transform(xi, theta, scalar_map)
+    a = scalar_map.transform(xi, theta)
+    b = scalar_map.transform(xi, theta)
     np.testing.assert_array_equal(a.values, b.values)
 
 

@@ -9,7 +9,6 @@ from ekinv.priors import (
     MaternSpec,
     apply_nonstationary_sqrt,
     apply_sqrt_cov,
-    cauchy_increments_from_normal,
     cauchy_knot_count,
     cauchy_path_from_increments,
     coefficient_scale,
@@ -297,14 +296,6 @@ def test_cauchy_heavy_tail(cauchy_increments):
     p = 2 * np.arctan(0.1) / np.pi  # P(|X| > 10 delta)
     p_hat = np.mean(np.abs(incs) > 10 * delta)
     assert abs(p_hat - p) < 4 * np.sqrt(p * (1 - p) / len(incs))
-
-
-def test_cauchy_quantile_transform_matches_distribution():
-    rng = np.random.default_rng(4)
-    incs = cauchy_increments_from_normal(rng.standard_normal(10**5), 0.5)
-    result = scipy.stats.kstest(incs, scipy.stats.cauchy(scale=0.5).cdf)
-    assert result.pvalue > 0.01
-    assert np.all(np.isfinite(cauchy_increments_from_normal(np.array([-40.0, 40.0]), 0.5)))
 
 
 # ---------------------------------------------------------------------------
