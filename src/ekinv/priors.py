@@ -117,28 +117,26 @@ def matern_covariance(r, alpha: float, tau: float, dim: int, sigma2: float | Non
 
 def assemble_shifted_operator(ell: Field) -> scipy.sparse.csr_matrix:
     """A = I + diag(ell^2) L_h, the discrete (I - ell(x)^2 Laplace)."""
-    if np.any(ell.values <= 0):
-        raise ValueError("length-scale field must be strictly positive")
     L = neg_laplacian(ell.domain)
     return (scipy.sparse.identity(ell.domain.n_interior, format="csr")
             + scipy.sparse.diags(ell.values**2) @ L).tocsr()
 
 
-def _solve_operator_power(A: scipy.sparse.csr_matrix, rhs: np.ndarray, power: int,
-                          domain: Domain) -> np.ndarray:
-    if domain.dim == 1:
-        # tridiagonal; solve in banded form
-        n = domain.n_interior
-        ab = np.zeros((3, n))
-        ab[0, 1:] = A.diagonal(1)
-        ab[1, :] = A.diagonal(0)
-        ab[2, :-1] = A.diagonal(-1)
-        u = rhs
+def _solve_operator_power(ell: Field, rhs: np.ndarray, power: int) -> np.ndarray:
+    u = rhs
+    if ell.domain.dim == 1:
+        # tridiagonal: row i of A is ell_i^2 times row i of L_h plus one on
+        # the diagonal.  Its band takes the same products and sums as the
+        # sparse assembly, without building sparse matrices for every call.
+        ell2, h = ell.values**2, ell.domain.h[0]
+        ab = np.zeros((3, ell2.size))
+        ab[0, 1:] = ell2[:-1] * (-1.0 / h**2)
+        ab[1, :] = 1.0 + ell2 * (2.0 / h**2)
+        ab[2, :-1] = ell2[1:] * (-1.0 / h**2)
         for _ in range(power):
             u = scipy.linalg.solve_banded((1, 1), ab, u)
         return u
-    lu = scipy.sparse.linalg.splu(A.tocsc())
-    u = rhs
+    lu = scipy.sparse.linalg.splu(assemble_shifted_operator(ell).tocsc())
     for _ in range(power):
         u = lu.solve(u)
     return u
@@ -159,10 +157,11 @@ def apply_nonstationary_sqrt(alpha: float, ell: Field, xi: np.ndarray,
     domain = basis.domain
     if ell.domain is not domain and ell.domain != domain:
         raise ValueError("length-scale field and basis live on different domains")
+    if np.any(ell.values <= 0):
+        raise ValueError("length-scale field must be strictly positive")
     xi_grid = basis.synthesis(xi).values
     rhs = ell.values ** (domain.dim / 2) * xi_grid
-    A = assemble_shifted_operator(ell)
-    u = _solve_operator_power(A, rhs, int(round(half)), domain)
+    u = _solve_operator_power(ell, rhs, int(round(half)))
     if not np.all(np.isfinite(u)):
         raise RuntimeError("nonstationary solve produced non-finite values")
     return Field(domain, u)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.sparse.linalg
 import scipy.stats
 
 from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
@@ -9,6 +10,7 @@ from ekinv.priors import (
     MaternSpec,
     apply_nonstationary_sqrt,
     apply_sqrt_cov,
+    assemble_shifted_operator,
     cauchy_knot_count,
     cauchy_path_from_increments,
     coefficient_scale,
@@ -189,6 +191,24 @@ def test_nonstationary_constant_ell_matches_stationary_convention():
         MaternSpec(alpha=alpha, tau=tau), basis, scaling="physical")
     rel = np.abs(coeffs.var(axis=0)[:10] - stationary[:10] ** 2) / stationary[:10] ** 2
     assert np.max(rel) < 0.05
+
+
+def test_nonstationary_1d_band_solve_matches_sparse_operator():
+    # the 1D path builds the band of A directly; it must solve the operator
+    # that assemble_shifted_operator assembles
+    domain = build_domain(1, [3.0], 50)
+    basis = dirichlet_spectrum(domain)
+    rng = np.random.default_rng(5)
+    ell = Field(domain, np.exp(rng.standard_normal(domain.n_interior)))
+    xi = white_noise(domain, rng)
+    A = assemble_shifted_operator(ell).tocsc()
+    expected = ell.values**0.5 * basis.synthesis(xi).values
+    for _ in range(2):
+        expected = scipy.sparse.linalg.spsolve(A, expected)
+    u = apply_nonstationary_sqrt(4.0, ell, xi, basis)
+    np.testing.assert_allclose(u.values, expected, rtol=1e-12, atol=1e-14)
+    with pytest.raises(ValueError):
+        apply_nonstationary_sqrt(2.0, Field(domain, np.zeros(domain.n_interior)), xi, basis)
 
 
 def test_nonstationary_zero_noise():
