@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 from .grid import (
     Domain,
     Field,
+    MemberError,
     SpectralBasis,
     build_domain,
     dirichlet_spectrum,
@@ -35,6 +36,7 @@ from .param_maps import (
 from .forward import (
     CompositeForward,
     DarcyProblem,
+    DecodedBlock,
     ObservationModel,
     SourceProblem1D,
     mollified_observations,

@@ -18,17 +18,24 @@ red-black Gauss-Seidel smoothing, 2:1 vertex coarsening whose coarse faces
 combine the fine ones in series along the flow and in parallel across it,
 bilinear prolongation with its transpose as restriction, and a dense solve
 on the coarsest grid.  Each member stops on its own at a relative residual
-of 1e-10.  The composite forward map hands the solver about 64 k unknowns
-of decoded coefficients at a time (one member per chunk on large grids,
-many on small ones), so a chunk amortises the per-call array overhead on
-small grids and keeps the working set small on large ones.  The assembled
-sparse matrix (:meth:`DarcyProblem.assemble`) remains as the reference that
-tests factorize directly.
+of 1e-10.  The assembled sparse matrix (:meth:`DarcyProblem.assemble`)
+remains as the reference that tests factorize directly.
 
 The 1D source model solves p'' + p = u with homogeneous Dirichlet conditions
 by second-order finite differences (algebraically equivalent to lumped
 piecewise-linear finite elements); the system is nonsingular because no
-Dirichlet sine eigenvalue of -d^2/dx^2 on [0, 10] equals one.
+Dirichlet sine eigenvalue of -d^2/dx^2 on [0, 10] equals one.  A list of
+sources is solved in one banded solve with one right-hand side per source.
+
+The composite forward map works one chunk of about 64 k grid values at a
+time (one member per chunk on large grids, many on small ones).  It decodes
+a chunk of packed members in one batched pass, hands the decoded
+coefficients to the solver together, and observes each solution.  A chunk
+amortises the per-call array overhead on small grids and keeps the working
+set small on large ones.  The decoding pass also yields each member's
+report-scale field; the map sums these in member order, so one evaluation
+also gives the ensemble mean that reporting needs, and each member is
+decoded once per evaluation.
 
 Observations are linear functionals assembled once into a matrix: either
 pointwise evaluations (multilinear interpolation, exact at grid nodes) or
@@ -46,7 +53,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import multigrid
-from .grid import Domain, Field, discrete_eigenvalue
+from .grid import Domain, Field, MemberError, discrete_eigenvalue
 
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -281,18 +288,21 @@ class SourceProblem1D:
         self._ab[2, :-1] = 1.0 / h**2
 
     def solve(self, u: Field | Sequence[Field]) -> Field | list[Field]:
-        """Solution for one source field, or one per field of a list."""
-        if isinstance(u, Field):
-            return self._solve_one(u)
-        return [self._solve_one(member) for member in u]
+        """Solution for one source field, or one per field of a list.
 
-    def _solve_one(self, u: Field) -> Field:
-        if u.domain != self.domain:
+        A list is solved in one banded solve with one right-hand side per
+        field; each column gives the same values as a solve on its own.
+        """
+        single = isinstance(u, Field)
+        fields = [u] if single else u
+        if any(f.domain != self.domain for f in fields):
             raise ValueError("source field lives on a different domain")
-        p = scipy.linalg.solve_banded((1, 1), self._ab, u.values)
+        p = scipy.linalg.solve_banded((1, 1), self._ab,
+                                      np.stack([f.values for f in fields], axis=1))
         if not np.all(np.isfinite(p)):
             raise RuntimeError("1D solve produced non-finite values")
-        return Field(self.domain, p)
+        solutions = [Field(self.domain, column) for column in p.T]
+        return solutions[0] if single else solutions
 
 
 # ---------------------------------------------------------------------------
@@ -421,30 +431,79 @@ class ForwardError(RuntimeError):
     phase (decode, solve or observe)."""
 
 
+@dataclass
+class DecodedBlock:
+    """Decoded members, one row each: the coefficients the solver consumes
+    and the report-scale fields (u, or log kappa) errors are measured on."""
+
+    domain: Domain
+    coefficients: np.ndarray   # (B, n_interior)
+    report: np.ndarray         # (B, n_interior)
+
+
 class CompositeForward:
     """G = observe . solve . decode for packed ensemble member vectors.
 
-    The solver takes one decoded field or a list of them.  An ensemble is
+    ``decode_block`` decodes a (state_dim, B) block of packed members, one
+    column each, into a :class:`DecodedBlock` in one batched pass.  The
+    solver takes one decoded field or a list of them.  An ensemble is
     decoded, solved and observed one chunk of members at a time, so no more
     than one chunk of decoded coefficients is held at once.  A chunk holds
     about ``CHUNK_UNKNOWNS`` grid values: many members on a small grid, one
-    member from about n = 256 on a 2D grid.
+    member from about n = 256 on a 2D grid.  The same pass sums the members'
+    report fields in member order, so an evaluation leaves the ensemble mean
+    of the report fields in ``report_mean`` and reporting decodes nothing
+    again.  Observation stays one matrix-vector product per member: one
+    product over the whole chunk rounds differently.
     """
 
     # On the darcy-channel (n=64) and darcy-exp (n=128) benchmark workloads
     # 2^16 ran 10-25 % faster per iteration than 2^14.
     CHUNK_UNKNOWNS = 1 << 16
 
-    def __init__(self, decode: Callable[[np.ndarray], Field],
+    def __init__(self, decode_block: Callable[[np.ndarray], DecodedBlock],
                  solver: Callable[[Field | Sequence[Field]], Field | list[Field]],
                  obs: ObservationModel):
-        self.decode = decode
+        self.decode_block = decode_block
         self.solver = solver
         self.obs = obs
         self.chunk = max(1, self.CHUNK_UNKNOWNS // obs.matrix.shape[1])
+        self.report_mean: np.ndarray | None = None
+
+    def decode(self, members: np.ndarray) -> DecodedBlock | Field:
+        """The :class:`DecodedBlock` of a (state_dim, B) block; a single
+        member decodes as the one-column block and gives its coefficient
+        field."""
+        if members.ndim == 2:
+            return self.decode_block(members)
+        block = self.decode_block(members[:, None])
+        return Field(block.domain, block.coefficients[0])
 
     def member_output(self, member: np.ndarray) -> np.ndarray:
         return observe(self.solver(self.decode(member)), self.obs)
+
+    def decoded_chunks(self, members: np.ndarray):
+        """(member indices, decoded block) of each chunk of a (state_dim, J)
+        ensemble, in member order.
+
+        Raises :class:`ForwardError` naming the first member that fails to
+        decode."""
+        J = members.shape[1]
+        for start in range(0, J, self.chunk):
+            cols = range(start, min(start + self.chunk, J))
+            yield cols, self._decode_chunk(members, cols)
+
+    def _decode_chunk(self, members: np.ndarray, cols: range) -> DecodedBlock:
+        try:
+            return self.decode(members[:, cols.start:cols.stop])
+        except MemberError as exc:
+            # the block ran each check over all members before the next, so
+            # a member ahead of this one may still fail a later check
+            if exc.index:
+                self._decode_chunk(members, cols[:exc.index])
+            raise ForwardError(f"member {cols[exc.index]}, decode: {exc}") from exc
+        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
+            raise ForwardError(f"members {cols[0]}-{cols[-1]}, decode: {exc}") from exc
 
     def __call__(self, members: np.ndarray) -> np.ndarray:
         """Outputs for a (state_dim, J) ensemble matrix, one column per member.
@@ -453,14 +512,17 @@ class CompositeForward:
         """
         J = members.shape[1]
         out = np.empty((self.obs.n_obs, J))
-        for start in range(0, J, self.chunk):
-            cols = range(start, min(start + self.chunk, J))
-            for j, output in zip(cols, self._chunk_outputs(members, cols)):
+        self.report_mean = None
+        report_sum = np.zeros(self.obs.matrix.shape[1])
+        for cols, block in self.decoded_chunks(members):
+            add_rows(report_sum, block.report)
+            for j, output in zip(cols, self._chunk_outputs(block, cols)):
                 out[:, j] = output
+        self.report_mean = report_sum / J
         return out
 
-    def _chunk_outputs(self, members: np.ndarray, cols: range) -> list[np.ndarray]:
-        fields = [_in_phase("decode", j, self.decode, members[:, j]) for j in cols]
+    def _chunk_outputs(self, block: DecodedBlock, cols: range) -> list[np.ndarray]:
+        fields = [Field(block.domain, row) for row in block.coefficients]
         try:
             solutions = self.solver(fields)
         except multigrid.ConvergenceError as exc:
@@ -469,6 +531,13 @@ class CompositeForward:
             raise ForwardError(f"members {cols[0]}-{cols[-1]}, solve: {exc}") from exc
         return [_in_phase("observe", j, observe, p, self.obs)
                 for j, p in zip(cols, solutions)]
+
+
+def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
+    """Add the rows of a stack into ``total`` one after another: the order in
+    which ``np.mean(axis=0)`` sums a stack of fields."""
+    for row in rows:
+        total += row
 
 
 def _in_phase(phase: str, member: int, fn, *args):

@@ -101,6 +101,29 @@ def build_domain(dim: int, extents, n_cells) -> Domain:
                   n_cells=tuple(int(n) for n in n_cells))
 
 
+class MemberError(ValueError):
+    """A check failed for one member of a stack; ``index`` is its position
+    (0 for a single field)."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
+def check_members(ok, message: str, got=None) -> None:
+    """Raise :class:`MemberError` for the first member whose ``ok`` is False.
+
+    ``ok``, and ``got`` (the values checked, quoted in the message), hold one
+    entry for a single field or one per member of a stack.
+    """
+    bad = np.flatnonzero(~np.atleast_1d(ok))
+    if bad.size:
+        index = int(bad[0])
+        if got is not None:
+            message += f", got {np.atleast_1d(got)[index]}"
+        raise MemberError(index, message)
+
+
 @dataclass
 class Field:
     """Real-valued grid function stored on the interior nodes of a domain."""
@@ -176,10 +199,27 @@ class SpectralBasis:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.size != self.n_modes:
             raise ValueError(f"expected {self.n_modes} coefficients, got {coeffs.size}")
-        kgrid = np.empty(self.n_modes)
-        kgrid[self._order] = coeffs
-        values = self._c_syn * scipy.fft.dstn(kgrid.reshape(self._kgrid_shape), type=1)
-        return Field(self.domain, values.ravel())
+        return Field(self.domain, self.synthesize(coeffs))
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Grid values of one coefficient vector, or of a (B, n_modes) stack
+        with one member per row, in one transform over the member axis.
+
+        A member's values do not depend on what it is stacked with.  Raises
+        :class:`MemberError` for the first member whose values overflow.
+        """
+        coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs.shape[-1] != self.n_modes:
+            raise ValueError(f"expected {self.n_modes} coefficients, got {coeffs.shape[-1]}")
+        kgrid = np.empty(coeffs.shape)
+        kgrid[..., self._order] = coeffs
+        members = coeffs.shape[:-1]
+        axes = tuple(range(-self.domain.dim, 0))
+        values = self._c_syn * scipy.fft.dstn(kgrid.reshape(members + self._kgrid_shape),
+                                              type=1, axes=axes)
+        values = values.reshape(coeffs.shape)
+        check_members(np.all(np.isfinite(values), axis=-1), "field values must all be finite")
+        return values
 
     def analysis(self, field: Field | np.ndarray) -> np.ndarray:
         """Coefficients of a field in the sorted mode order."""

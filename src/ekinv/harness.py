@@ -26,8 +26,10 @@ from .eki import EkiControls, Ensemble, PackingLayout, run_inversion
 from .forward import (
     CompositeForward,
     DarcyProblem,
+    DecodedBlock,
     ObservationModel,
     SourceProblem1D,
+    add_rows,
     mollified_observations,
     point_observations,
     synthesize_data,
@@ -38,10 +40,20 @@ from .param_maps import (
     LevelSetSpec,
     NoncenteredMap,
     channel_map,
+    channel_values,
     exp_map,
+    exp_values,
     level_set_map,
+    level_set_values,
 )
-from .priors import GMap, HyperPrior, MaternSpec, apply_sqrt_cov, unconstrained_to_hyper
+from .priors import (
+    GMap,
+    HyperPrior,
+    MaternSpec,
+    apply_sqrt_cov,
+    sqrt_cov,
+    unconstrained_to_hyper,
+)
 
 
 class ConfigError(ValueError):
@@ -464,7 +476,13 @@ def _noncentered_map(config: ExperimentConfig, basis: SpectralBasis,
 
 @dataclass
 class Parameterization:
-    """Packed-state layout plus all maps the runner needs."""
+    """Packed-state layout plus all maps the runner needs.
+
+    The forward map decodes a chunk of members in one batched pass and
+    leaves the ensemble mean of their report-scale fields in
+    ``forward.report_mean``, so the runner's reporting decodes no member a
+    second time.  ``decode_report`` is the one-member case of that pass.
+    """
 
     layout: PackingLayout
     forward: CompositeForward
@@ -473,9 +491,13 @@ class Parameterization:
     hyper_means: object | None  # members -> dict of ensemble means
 
     def mean_report_field(self, members: np.ndarray) -> np.ndarray:
-        fields = np.stack([self.decode_report(members[:, j])
-                           for j in range(members.shape[1])])
-        return fields.mean(axis=0)
+        """Ensemble mean of the members' report-scale fields, decoded afresh
+        chunk by chunk: what a forward evaluation leaves in
+        ``forward.report_mean``."""
+        total = np.zeros(self.forward.obs.matrix.shape[1])
+        for _, block in self.forward.decoded_chunks(members):
+            add_rows(total, block.report)
+        return total / members.shape[1]
 
 
 @dataclass(frozen=True)
@@ -513,6 +535,12 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     members hold N(0, 1) latents, which the Matern square root and the
     normal-quantile bijection map to natural units.  The field-valued
     variants hold white noise and the latents of their NoncenteredMap.
+
+    The decoder works on a (dim, B) block of members: one sine transform
+    over the member axis per synthesis, each member's (alpha, tau) and
+    geometry as arrays broadcast over its row, and the coefficient map over
+    the whole block.  Only the nonstationary solve, whose operator differs
+    per member, loops over members.
     """
     par = config["experiment"]["parameterization"]
     cmap = config["experiment"]["coefficient_map"]
@@ -542,34 +570,37 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
                               basis, xi, scaling)
 
     def scalars(packed, packed_bounds):
-        """Bounded scalars of one member in natural units."""
+        """Bounded scalars in natural units, one row per member."""
         return unconstrained_to_hyper(packed, packed_bounds) if noncentered else packed
 
-    def unmapped(member) -> Field:
-        """The member's field before the coefficient map: u, or log kappa
-        inside and outside the channel."""
+    def unmapped(block) -> np.ndarray:
+        """The block's fields before the coefficient map, one row per
+        member: u, or log kappa inside and outside the channel."""
         if field_valued:
-            return ncm.transform(member[sl["xi"]], member[sl["hyper"]])
+            return ncm.realize(block[sl["xi"]].T, block[sl["hyper"]].T)
         if noncentered:
-            theta = scalars(member[sl["hyper"]], bounds)
-            us = [matern(f, theta[2 * i:2 * i + 2], member[sl[f.name]])
+            theta = scalars(block[sl["hyper"]].T, bounds)
+            us = [sqrt_cov(MaternSpec(theta[:, 2 * i], theta[:, 2 * i + 1], f.sigma2, f.mean),
+                           basis, block[sl[f.name]].T, scaling)
                   for i, f in enumerate(fields)]
         else:
-            us = [Field(domain, member[sl[f.name]]) for f in fields]
+            us = [block[sl[f.name]].T for f in fields]
         if geometry is None:
             return us[0]
-        d = scalars(member[sl["geom"]], geometry)
-        return channel_map(ChannelSpec(*d, log_kappa_inside=us[1], log_kappa_outside=us[0]),
-                           domain)
+        return channel_values(scalars(block[sl["geom"]].T, geometry), us[1], us[0], domain)
 
     if cmap == "level-set":
         spec = _level_set_spec(config)
-        decode = lambda m: level_set_map(unmapped(m), spec)
-        decode_report = lambda m: np.log(decode(m).values)
+
+        def decode_block(block):
+            kappa = level_set_values(unmapped(block), spec)
+            return DecodedBlock(domain, kappa, np.log(kappa))
     else:
-        positive = (lambda u: u) if cmap == "identity" else exp_map
-        decode = lambda m: positive(unmapped(m))
-        decode_report = lambda m: unmapped(m).values
+        positive = (lambda u: u) if cmap == "identity" else exp_values
+
+        def decode_block(block):
+            u = unmapped(block)
+            return DecodedBlock(domain, positive(u), u)
 
     if noncentered:
         def sample_initial(rng):
@@ -619,9 +650,11 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
         return out
 
     return Parameterization(
-        layout=layout, forward=CompositeForward(decode=decode, solver=setup.solver.solve,
-                                                obs=obs),
-        sample_initial=sample_initial, decode_report=decode_report,
+        layout=layout,
+        forward=CompositeForward(decode_block=decode_block, solver=setup.solver.solve,
+                                 obs=obs),
+        sample_initial=sample_initial,
+        decode_report=lambda member: decode_block(member[:, None]).report[0],
         hyper_means=hyper_means if bounded else None)
 
 
@@ -745,11 +778,12 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
     controls = _controls_from(config)
 
     # run_inversion asks for the error of every recorded iterate exactly
-    # once, so the mean field it decodes is also the one the files keep
+    # once, right after evaluating the forward map on it; that evaluation
+    # left the mean report field, which the files also keep
     mean_history: list[np.ndarray] = []
 
     def error_fn(members_now):
-        mean_history.append(param.mean_report_field(members_now))
+        mean_history.append(param.forward.report_mean)
         return setup.domain.norm(mean_history[-1] - truth.field.values) / truth.field.norm()
 
     result = run_inversion(ensemble, param.forward, obs, controls, rng,
@@ -942,7 +976,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
             v = ncm.hyper_field(theta_raw)
             ell = ncm.length_scale(theta_raw)
             u = ncm.transform(white_noise(domain, rng), theta_raw)
-            write_grid_csv(f"{mode}_v_s{s}.csv", domain, v.values)
-            write_grid_csv(f"{mode}_ell_s{s}.csv", domain, ell.values)
+            write_grid_csv(f"{mode}_v_s{s}.csv", domain, v)
+            write_grid_csv(f"{mode}_ell_s{s}.csv", domain, ell)
             write_grid_csv(f"{mode}_u_s{s}.csv", domain, u.values)
     return written

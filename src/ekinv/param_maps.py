@@ -19,16 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Domain, Field, SpectralBasis
+from .grid import Domain, Field, SpectralBasis, check_members
 from .priors import (
     GMap,
     HyperPrior,
     MaternSpec,
-    apply_nonstationary_sqrt,
-    apply_sqrt_cov,
     cauchy_knot_count,
-    cauchy_path_from_increments,
-    g_map,
+    cauchy_path,
+    nonstationary_sqrt,
+    sqrt_cov,
     unconstrained_to_hyper,
 )
 
@@ -48,17 +47,30 @@ class LevelSetSpec:
             raise ValueError("conductivity levels must be distinct")
 
 
-def level_set_map(u: Field, spec: LevelSetSpec) -> Field:
+def level_set_values(u: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
     """kappa = kappa_plus where u > threshold, kappa_minus where u <= threshold."""
-    values = np.where(u.values > spec.threshold, spec.kappa_plus, spec.kappa_minus)
-    return Field(u.domain, values)
+    return np.where(u > spec.threshold, spec.kappa_plus, spec.kappa_minus)
+
+
+def level_set_map(u: Field, spec: LevelSetSpec) -> Field:
+    """:func:`level_set_values` of one field."""
+    return Field(u.domain, level_set_values(u.values, spec))
+
+
+def exp_values(u: np.ndarray) -> np.ndarray:
+    """Pointwise exponential of one field's values or a (B, n) stack.
+
+    Rejects arguments that would overflow, naming the first member of a
+    stack that has one (:class:`ekinv.grid.MemberError`).
+    """
+    check_members(np.max(np.abs(u), axis=-1) <= 700.0,
+                  "exp map argument exceeds the overflow guard |u| <= 700")
+    return np.exp(u)
 
 
 def exp_map(u: Field) -> Field:
-    """Pointwise exponential; rejects arguments that would overflow."""
-    if np.max(np.abs(u.values)) > 700.0:
-        raise ValueError("exp map argument exceeds the overflow guard |u| <= 700")
-    return Field(u.domain, np.exp(u.values))
+    """:func:`exp_values` of one field."""
+    return Field(u.domain, exp_values(u.values))
 
 
 @dataclass(frozen=True)
@@ -78,31 +90,45 @@ class ChannelSpec:
     log_kappa_inside: Field
     log_kappa_outside: Field
 
+    @property
+    def geometry(self) -> np.ndarray:
+        return np.array([self.d1, self.d2, self.d3, self.d4, self.d5])
 
-def channel_centerline(spec: ChannelSpec, s: np.ndarray) -> np.ndarray:
-    """Channel center t = d4 + s tan(d3) + d1 sin(d2 s) at normalized abscissa s."""
-    return spec.d4 + s * np.tan(spec.d3) + spec.d1 * np.sin(spec.d2 * s)
+
+def _channel_mask(d: np.ndarray, domain: Domain) -> np.ndarray:
+    """Interior-node mask of the channel region |t - h(s)| < d5, where the
+    center is t = d4 + s tan(d3) + d1 sin(d2 s) at normalized abscissa s.
+
+    ``d`` holds (d1, ..., d5) for one channel, or one row per member of a
+    stack; the mask has one row of n values per member."""
+    if domain.dim != 2:
+        raise ValueError("channel geometry is two-dimensional")
+    d1, d2, d3, d4, d5 = (p[..., None] for p in np.moveaxis(d, -1, 0))
+    x1, x2 = domain.interior_meshgrid()
+    s = x1.ravel() / domain.extents[0]
+    t = x2.ravel() / domain.extents[1]
+    return np.abs(t - (d4 + s * np.tan(d3) + d1 * np.sin(d2 * s))) < d5
 
 
 def channel_mask(spec: ChannelSpec, domain: Domain) -> np.ndarray:
-    """Boolean interior-grid mask of the channel region |t - h(s)| < d5."""
-    if domain.dim != 2:
-        raise ValueError("channel geometry is two-dimensional")
-    x1, x2 = domain.interior_meshgrid()
-    s = x1 / domain.extents[0]
-    t = x2 / domain.extents[1]
-    return np.abs(t - channel_centerline(spec, s)) < spec.d5
+    """Boolean interior-grid mask of the channel region."""
+    return _channel_mask(spec.geometry, domain).reshape(domain.interior_shape)
+
+
+def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
+                   domain: Domain) -> np.ndarray:
+    """Log-permeability: ``inside`` within the channel of geometry ``d``,
+    ``outside`` elsewhere, for one member or a stack (one member per row)."""
+    mask = _channel_mask(d, domain)
+    if not np.all(np.any(mask, axis=-1)):
+        warnings.warn("channel does not intersect the domain", stacklevel=2)
+    return np.where(mask, inside, outside)
 
 
 def channel_map(spec: ChannelSpec, domain: Domain) -> Field:
     """Log-permeability: log kappa_2 inside the channel, log kappa_1 outside."""
-    mask = channel_mask(spec, domain)
-    if not mask.any():
-        warnings.warn("channel does not intersect the domain", stacklevel=2)
-    values = np.where(mask,
-                      spec.log_kappa_inside.grid,
-                      spec.log_kappa_outside.grid)
-    return Field(domain, values.ravel())
+    return Field(domain, channel_values(spec.geometry, spec.log_kappa_inside.values,
+                                        spec.log_kappa_outside.values, domain))
 
 
 def constant_channel_spec(d: np.ndarray, kappa_inside: float, kappa_outside: float,
@@ -151,15 +177,14 @@ class NoncenteredMap:
             return self.basis.n_modes
         return cauchy_knot_count(self.basis.domain, self.hyper.cauchy_delta)
 
-    def hyper_field(self, theta_raw: np.ndarray) -> Field:
-        """Realized hyperparameter field v (field-valued kinds only)."""
+    def hyper_field(self, theta_raw: np.ndarray) -> np.ndarray:
+        """Values of the realized hyperparameter field v (field-valued kinds
+        only), for one member or a stack of latents (one member per row)."""
         theta_raw = np.asarray(theta_raw, dtype=float)
         if self.hyper.kind == "gaussian-field":
-            return apply_sqrt_cov(self.hyper.field_spec, self.basis, theta_raw,
-                                  self.scaling)
+            return sqrt_cov(self.hyper.field_spec, self.basis, theta_raw, self.scaling)
         if self.hyper.kind == "cauchy-process":
-            return cauchy_path_from_increments(self.basis.domain,
-                                               self.hyper.cauchy_delta, theta_raw)
+            return cauchy_path(self.basis.domain, self.hyper.cauchy_delta, theta_raw)
         raise ValueError("scalar hyperpriors do not define a hyperparameter field")
 
     def sample_hyper_latents(self, rng: np.random.Generator) -> np.ndarray:
@@ -172,10 +197,9 @@ class NoncenteredMap:
             return self.hyper.cauchy_delta * rng.standard_cauchy(self.n_hyper)
         return rng.standard_normal(self.n_hyper)
 
-    def length_scale(self, theta_raw: np.ndarray) -> Field:
-        g = self.hyper.g or GMap("exp")
-        v = self.hyper_field(theta_raw)
-        return g_map(g.kind, g.params, v, floor=g.floor, cap=g.cap)
+    def length_scale(self, theta_raw: np.ndarray) -> np.ndarray:
+        """Values of ell = g(v), shaped like :meth:`hyper_field`."""
+        return (self.hyper.g or GMap("exp"))(self.hyper_field(theta_raw), self.basis.domain)
 
     def decode_scalars(self, theta_raw: np.ndarray) -> np.ndarray:
         """Scalar hyperparameters in natural units (uniform-scalar kind)."""
@@ -184,16 +208,22 @@ class NoncenteredMap:
         return unconstrained_to_hyper(np.asarray(theta_raw, dtype=float),
                                       self.hyper.bounds)
 
-    def transform(self, xi: np.ndarray, theta_raw: np.ndarray) -> Field:
+    def realize(self, xi: np.ndarray, theta_raw: np.ndarray) -> np.ndarray:
+        """Grid values of T(xi, theta_raw) for one member, or for stacks of
+        xi and theta_raw with one member per row."""
         xi = np.asarray(xi, dtype=float)
         theta_raw = np.asarray(theta_raw, dtype=float)
-        if theta_raw.size != self.n_hyper:
+        if theta_raw.shape[-1] != self.n_hyper:
             raise ValueError(f"expected {self.n_hyper} hyperparameter latents, "
-                             f"got {theta_raw.size}")
+                             f"got {theta_raw.shape[-1]}")
         if self.hyper.kind == "uniform-scalar":
-            alpha, tau = self.decode_scalars(theta_raw)
+            alpha, tau = self.decode_scalars(theta_raw).T
             spec = MaternSpec(alpha=alpha, tau=tau, sigma2=self.base_sigma2,
                               mean=self.base_mean)
-            return apply_sqrt_cov(spec, self.basis, xi, self.scaling)
-        ell = self.length_scale(theta_raw)
-        return apply_nonstationary_sqrt(self.nonstationary_alpha, ell, xi, self.basis)
+            return sqrt_cov(spec, self.basis, xi, self.scaling)
+        return nonstationary_sqrt(self.nonstationary_alpha, self.length_scale(theta_raw),
+                                  xi, self.basis)
+
+    def transform(self, xi: np.ndarray, theta_raw: np.ndarray) -> Field:
+        """T(xi, theta_raw) of one member as a field."""
+        return Field(self.basis.domain, self.realize(xi, theta_raw))

@@ -33,32 +33,38 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from .grid import Domain, Field, SpectralBasis, neg_laplacian, white_noise
+from .grid import Domain, Field, SpectralBasis, check_members, neg_laplacian, white_noise
 
 SCALINGS = ("normalized", "physical")
 
 
 @dataclass(frozen=True)
 class MaternSpec:
-    """Shifted-Laplacian Gaussian field: regularity alpha, inverse length tau."""
+    """Shifted-Laplacian Gaussian field: regularity alpha, inverse length tau.
 
-    alpha: float
-    tau: float
+    alpha and tau are numbers, or arrays with one entry per member of a
+    stack of fields that share sigma2 and mean.
+    """
+
+    alpha: float | np.ndarray
+    tau: float | np.ndarray
     sigma2: float = 1.0
     mean: float = 0.0
 
     def validate(self, dim: int) -> None:
-        if not self.alpha > dim / 2:
-            raise ValueError(f"alpha must exceed d/2 = {dim / 2}, got {self.alpha}")
-        if not self.tau > 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
+        """Raise :class:`ekinv.grid.MemberError` for the first member whose
+        alpha or tau is out of range."""
+        check_members(np.greater(self.alpha, dim / 2), f"alpha must exceed d/2 = {dim / 2}",
+                      got=self.alpha)
+        check_members(np.greater(self.tau, 0), "tau must be positive", got=self.tau)
         if not self.sigma2 > 0:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
 
 def coefficient_scale(spec: MaternSpec, basis: SpectralBasis,
                       scaling: str = "normalized") -> np.ndarray:
-    """Per-mode standard deviation of the field's sine coefficients."""
+    """Per-mode standard deviation of the field's sine coefficients: one
+    vector, or one row per member when alpha and tau are per-member arrays."""
     spec.validate(basis.domain.dim)
     if scaling not in SCALINGS:
         raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
@@ -68,7 +74,22 @@ def coefficient_scale(spec: MaternSpec, basis: SpectralBasis,
     else:
         lam = basis.eigenvalues
         volume = 1.0
-    return np.sqrt(spec.sigma2 * volume) * (spec.tau**2 + lam) ** (-spec.alpha / 2)
+    if np.ndim(spec.alpha):
+        # tau^2 is squared one member at a time: the scalar power and the
+        # array square round differently in the last bit of a few values
+        alpha, tau2 = spec.alpha[:, None], np.array([t**2 for t in spec.tau])[:, None]
+    else:
+        alpha, tau2 = spec.alpha, spec.tau**2
+    return np.sqrt(spec.sigma2 * volume) * (tau2 + lam) ** (-alpha / 2)
+
+
+def sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray,
+             scaling: str = "normalized") -> np.ndarray:
+    """mean + C^(1/2) xi on the grid, for one coefficient vector or a
+    (B, n_modes) stack with one member per row (and, optionally, one
+    (alpha, tau) per member)."""
+    values = basis.synthesize(coefficient_scale(spec, basis, scaling) * np.asarray(xi, float))
+    return values + spec.mean if spec.mean != 0.0 else values
 
 
 def apply_sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray,
@@ -77,10 +98,7 @@ def apply_sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray,
     xi = np.asarray(xi, dtype=float)
     if xi.size != basis.n_modes:
         raise ValueError(f"expected {basis.n_modes} coefficients, got {xi.size}")
-    field = basis.synthesis(coefficient_scale(spec, basis, scaling) * xi)
-    if spec.mean != 0.0:
-        field = Field(basis.domain, field.values + spec.mean)
-    return field
+    return Field(basis.domain, sqrt_cov(spec, basis, xi, scaling))
 
 
 def sample_matern(spec: MaternSpec, basis: SpectralBasis, rng: np.random.Generator,
@@ -122,13 +140,14 @@ def assemble_shifted_operator(ell: Field) -> scipy.sparse.csr_matrix:
             + scipy.sparse.diags(ell.values**2) @ L).tocsr()
 
 
-def _solve_operator_power(ell: Field, rhs: np.ndarray, power: int) -> np.ndarray:
+def _solve_operator_power(ell: np.ndarray, rhs: np.ndarray, power: int,
+                          domain: Domain) -> np.ndarray:
     u = rhs
-    if ell.domain.dim == 1:
+    if domain.dim == 1:
         # tridiagonal: row i of A is ell_i^2 times row i of L_h plus one on
         # the diagonal.  Its band takes the same products and sums as the
         # sparse assembly, without building sparse matrices for every call.
-        ell2, h = ell.values**2, ell.domain.h[0]
+        ell2, h = ell**2, domain.h[0]
         ab = np.zeros((3, ell2.size))
         ab[0, 1:] = ell2[:-1] * (-1.0 / h**2)
         ab[1, :] = 1.0 + ell2 * (2.0 / h**2)
@@ -136,35 +155,44 @@ def _solve_operator_power(ell: Field, rhs: np.ndarray, power: int) -> np.ndarray
         for _ in range(power):
             u = scipy.linalg.solve_banded((1, 1), ab, u)
         return u
-    lu = scipy.sparse.linalg.splu(assemble_shifted_operator(ell).tocsc())
+    lu = scipy.sparse.linalg.splu(assemble_shifted_operator(Field(domain, ell)).tocsc())
     for _ in range(power):
         u = lu.solve(u)
     return u
 
 
-def apply_nonstationary_sqrt(alpha: float, ell: Field, xi: np.ndarray,
-                             basis: SpectralBasis) -> Field:
+def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
+                       basis: SpectralBasis) -> np.ndarray:
     """Solve (I - diag(ell^2) Laplace_h)^(alpha/2) u = ell^(d/2) xi.
 
-    ``xi`` holds white-noise coefficients in the sine basis; the right-hand
-    side is its grid realization weighted pointwise by ell^(d/2).  alpha/2
-    must be a positive integer (integer operator powers are applied by
-    repeated solves).
+    ``ell`` holds length-scale values and ``xi`` white-noise coefficients in
+    the sine basis, for one field or as (B, ·) stacks with one member per
+    row.  The right-hand sides are synthesized in one transform; the operator
+    differs per member, so each member is solved on its own.  alpha/2 must
+    be a positive integer (integer operator powers are applied by repeated
+    solves).  Raises :class:`ekinv.grid.MemberError` naming the first member
+    with a nonpositive length scale or a non-finite solution.
     """
     half = alpha / 2
     if abs(half - round(half)) > 1e-12 or round(half) < 1:
         raise ValueError(f"alpha/2 must be a positive integer, got alpha={alpha}")
     domain = basis.domain
-    if ell.domain is not domain and ell.domain != domain:
+    check_members(np.all(ell > 0, axis=-1), "length-scale field must be strictly positive")
+    rhs = ell ** (domain.dim / 2) * basis.synthesize(xi)
+    u = np.empty_like(rhs)
+    for index in np.ndindex(rhs.shape[:-1]):
+        u[index] = _solve_operator_power(ell[index], rhs[index], int(round(half)), domain)
+    check_members(np.all(np.isfinite(u), axis=-1),
+                  "nonstationary solve produced non-finite values")
+    return u
+
+
+def apply_nonstationary_sqrt(alpha: float, ell: Field, xi: np.ndarray,
+                             basis: SpectralBasis) -> Field:
+    """:func:`nonstationary_sqrt` of one field."""
+    if ell.domain is not basis.domain and ell.domain != basis.domain:
         raise ValueError("length-scale field and basis live on different domains")
-    if np.any(ell.values <= 0):
-        raise ValueError("length-scale field must be strictly positive")
-    xi_grid = basis.synthesis(xi).values
-    rhs = ell.values ** (domain.dim / 2) * xi_grid
-    u = _solve_operator_power(ell, rhs, int(round(half)))
-    if not np.all(np.isfinite(u)):
-        raise RuntimeError("nonstationary solve produced non-finite values")
-    return Field(domain, u)
+    return Field(basis.domain, nonstationary_sqrt(alpha, ell.values, xi, basis))
 
 
 def sample_nonstationary(alpha: float, v: Field, g: "GMap", basis: SpectralBasis,
@@ -193,6 +221,29 @@ class GMap:
     floor: float | None = None
     cap: float | None = None
 
+    def __call__(self, v: np.ndarray, domain: Domain) -> np.ndarray:
+        """ell = g(v) at every value of v: one field or a stack of them."""
+        scale = max(domain.extents)
+        floor = DEFAULT_G_FLOOR_FRAC * scale if self.floor is None else self.floor
+        cap = DEFAULT_G_CAP_FRAC * scale if self.cap is None else self.cap
+        if self.kind == "exp":
+            with np.errstate(over="ignore"):
+                raw = np.exp(v)
+        elif self.kind == "rational":
+            a, b, c, d = self.params
+            if a <= 0 or c <= 0 or b < 0 or d < 0:
+                raise ValueError("rational g requires a, c > 0 and b, d >= 0, "
+                                 f"got {self.params}")
+            denom = b + c * np.abs(v)
+            with np.errstate(divide="ignore"):
+                raw = a / denom + d
+        else:
+            raise ValueError(f"unknown g kind {self.kind!r}")
+        ell = np.clip(raw, floor, cap)
+        if np.any(ell <= 0):
+            raise ValueError("g map produced a nonpositive length scale")
+        return ell
+
 
 DEFAULT_G_FLOOR_FRAC = 1e-6
 DEFAULT_G_CAP_FRAC = 10.0
@@ -201,25 +252,7 @@ DEFAULT_G_CAP_FRAC = 10.0
 def g_map(kind: str, params, v: Field, floor: float | None = None,
           cap: float | None = None) -> Field:
     """Pointwise positive length-scale field ell = g(v)."""
-    scale = max(v.domain.extents)
-    floor = DEFAULT_G_FLOOR_FRAC * scale if floor is None else floor
-    cap = DEFAULT_G_CAP_FRAC * scale if cap is None else cap
-    if kind == "exp":
-        with np.errstate(over="ignore"):
-            raw = np.exp(v.values)
-    elif kind == "rational":
-        a, b, c, d = params
-        if a <= 0 or c <= 0 or b < 0 or d < 0:
-            raise ValueError(f"rational g requires a, c > 0 and b, d >= 0, got {params}")
-        denom = b + c * np.abs(v.values)
-        with np.errstate(divide="ignore"):
-            raw = a / denom + d
-    else:
-        raise ValueError(f"unknown g kind {kind!r}")
-    ell = np.clip(raw, floor, cap)
-    if np.any(ell <= 0):
-        raise ValueError("g map produced a nonpositive length scale")
-    return Field(v.domain, ell)
+    return Field(v.domain, GMap(kind, params, floor, cap)(v.values, v.domain))
 
 
 # ---------------------------------------------------------------------------
@@ -239,17 +272,24 @@ def cauchy_knot_count(domain: Domain, delta: float) -> int:
     return n
 
 
-def cauchy_path_from_increments(domain: Domain, delta: float,
-                                increments: np.ndarray) -> Field:
-    """Piecewise-constant path v(x) = sum of increments at knots <= x, v(0)=0."""
+def cauchy_path(domain: Domain, delta: float, increments: np.ndarray) -> np.ndarray:
+    """Piecewise-constant path v(x) = sum of increments at knots <= x, v(0)=0,
+    for one increment vector or a (B, n_knots) stack with one walk per row."""
     n_knots = cauchy_knot_count(domain, delta)
     increments = np.asarray(increments, dtype=float)
-    if increments.size != n_knots:
-        raise ValueError(f"expected {n_knots} increments, got {increments.size}")
-    cum = np.concatenate([[0.0], np.cumsum(increments)])
+    if increments.shape[-1] != n_knots:
+        raise ValueError(f"expected {n_knots} increments, got {increments.shape[-1]}")
+    cum = np.zeros(increments.shape[:-1] + (n_knots + 1,))
+    cum[..., 1:] = np.cumsum(increments, axis=-1)
     x = domain.interior_coords(0)
     idx = np.minimum(np.floor(x / delta).astype(int), n_knots)
-    return Field(domain, cum[idx])
+    return cum[..., idx]
+
+
+def cauchy_path_from_increments(domain: Domain, delta: float,
+                                increments: np.ndarray) -> Field:
+    """:func:`cauchy_path` of one walk."""
+    return Field(domain, cauchy_path(domain, delta, increments))
 
 
 def sample_cauchy_process(domain: Domain, delta: float,

@@ -353,7 +353,7 @@ def test_noncentered_step_escapes_initial_field_span():
     # after one update of (xi, theta), the realized fields T(xi, theta) leave
     # the span of the initial realized fields
     from ekinv.grid import build_domain, dirichlet_spectrum
-    from ekinv.forward import CompositeForward, SourceProblem1D, point_observations
+    from ekinv.forward import CompositeForward, DecodedBlock, SourceProblem1D, point_observations
     from ekinv.param_maps import NoncenteredMap
     from ekinv.priors import HyperPrior
 
@@ -364,11 +364,12 @@ def test_noncentered_step_escapes_initial_field_span():
     ncm = NoncenteredMap(basis=basis, hyper=hyper)
     m = basis.n_modes
 
-    def decode(member):
-        return ncm.transform(member[:m], member[m:])
+    def decode_block(block):
+        u = ncm.realize(block[:m].T, block[m:].T)
+        return DecodedBlock(domain, u, u)
 
     obs = point_observations(domain, 20)
-    fwd = CompositeForward(decode=decode, solver=problem.solve, obs=obs)
+    fwd = CompositeForward(decode_block=decode_block, solver=problem.solve, obs=obs)
     rng = np.random.default_rng(30)
     X0 = np.vstack([rng.standard_normal((m, 6)), rng.standard_normal((2, 6))])
     layout = PackingLayout(blocks=(("xi", m), ("hyper", 2)))
@@ -377,10 +378,10 @@ def test_noncentered_step_escapes_initial_field_span():
                            rng)
     ens = Ensemble(X0, layout)
 
-    fields0 = np.stack([decode(X0[:, j]).values for j in range(6)], axis=1)
+    fields0 = np.stack([fwd.decode(X0[:, j]).values for j in range(6)], axis=1)
     Q, _ = np.linalg.qr(fields0)
     ens1, _ = eki_step(ens, lambda M: fwd(M), data, EkiControls(), rng)
-    fields1 = np.stack([decode(ens1.members[:, j]).values for j in range(6)], axis=1)
+    fields1 = np.stack([fwd.decode(ens1.members[:, j]).values for j in range(6)], axis=1)
     residual = fields1 - Q @ (Q.T @ fields1)
     rel = np.linalg.norm(residual, axis=0) / np.linalg.norm(fields1, axis=0)
     assert np.max(rel) > 1e-6

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from ekinv.grid import Field, build_domain, dirichlet_spectrum
+from ekinv.grid import Field, build_domain, check_members, dirichlet_spectrum
 from ekinv.forward import (
     CompositeForward,
     DarcyProblem,
+    DecodedBlock,
+    ForwardError,
     ObservationModel,
     SourceProblem1D,
     mollified_observations,
@@ -12,7 +15,7 @@ from ekinv.forward import (
     point_observations,
     synthesize_data,
 )
-from ekinv.param_maps import NoncenteredMap, exp_map
+from ekinv.param_maps import NoncenteredMap, exp_values
 from ekinv.priors import HyperPrior
 
 
@@ -195,7 +198,7 @@ def source1d_setup():
     domain = build_domain(1, [10.0], 60)
     problem = SourceProblem1D(domain)
     obs = point_observations(domain, 12)
-    fwd = CompositeForward(decode=lambda m: Field(domain, m),
+    fwd = CompositeForward(decode_block=lambda M: DecodedBlock(domain, M.T, M.T),
                            solver=problem.solve, obs=obs)
     return domain, fwd
 
@@ -223,6 +226,40 @@ def test_forward_map_deterministic(source1d_setup):
     np.testing.assert_array_equal(W[:, 0], W[:, 1])
 
 
+def test_source_solve_of_a_list_equals_solves_one_by_one():
+    domain = build_domain(1, [10.0], 60)
+    problem = SourceProblem1D(domain)
+    rng = np.random.default_rng(12)
+    fields = [Field(domain, rng.standard_normal(domain.n_interior)) for _ in range(5)]
+    for u, p in zip(fields, problem.solve(fields)):
+        alone = scipy.linalg.solve_banded((1, 1), problem._ab, u.values)
+        assert p.values.tobytes() == alone.tobytes()
+        assert problem.solve(u).values.tobytes() == alone.tobytes()
+
+
+def test_decode_failure_names_the_first_failing_member():
+    # the block runs each check over all its members before the next
+    # check; member 2 fails only the later check, member 4 the earlier one
+    domain = build_domain(1, [10.0], 10)
+
+    def decode_block(block):
+        check_members(block[0] < 10, "early check")
+        check_members(block[1] < 10, "late check")
+        fields = np.repeat(block[:1].T, domain.n_interior, axis=1)
+        return DecodedBlock(domain, fields, fields)
+
+    fwd = CompositeForward(decode_block, SourceProblem1D(domain).solve,
+                           point_observations(domain, 3))
+    members = np.zeros((2, 7))
+    members[1, 2] = members[0, 4] = 99.0
+    with pytest.raises(ForwardError, match=r"^member 2, decode: late check$"):
+        fwd(members)
+    members[1, 2] = 0.0
+    with pytest.raises(ForwardError, match=r"^member 4, decode: early check$"):
+        fwd(members)
+    assert fwd.report_mean is None
+
+
 def test_forward_map_zero_latent_equals_mean_composition():
     # zero xi with an exp parameterization reduces to observe(solve(exp(mean)))
     domain = build_domain(2, [6.0, 6.0], [16, 16])
@@ -233,10 +270,11 @@ def test_forward_map_zero_latent_equals_mean_composition():
     ncm = NoncenteredMap(basis=basis, hyper=hyper, base_mean=0.5)
     n_modes = basis.n_modes
 
-    def decode(member):
-        return exp_map(ncm.transform(member[:n_modes], member[n_modes:]))
+    def decode_block(block):
+        u = ncm.realize(block[:n_modes].T, block[n_modes:].T)
+        return DecodedBlock(domain, exp_values(u), u)
 
-    fwd = CompositeForward(decode=decode, solver=problem.solve, obs=obs)
+    fwd = CompositeForward(decode_block=decode_block, solver=problem.solve, obs=obs)
     member = np.concatenate([np.zeros(n_modes), np.array([0.7, -0.2])])
     direct = observe(problem.solve(const_field(domain, np.exp(0.5))), obs)
     np.testing.assert_allclose(fwd.member_output(member), direct, atol=1e-12)

@@ -4,6 +4,7 @@ import scipy.sparse.linalg
 
 from ekinv.grid import (
     Field,
+    MemberError,
     build_domain,
     dirichlet_spectrum,
     discrete_eigenvalue,
@@ -119,3 +120,18 @@ def test_white_noise_moments():
     # CLT bound on the mean of the first coefficient
     assert abs(draws[:, 0].mean()) < 4 / np.sqrt(10**5)
     assert np.all(np.abs(draws.var(axis=0) - 1.0) < 0.05)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 40), (2, 12)])
+def test_synthesis_of_a_stack_equals_one_field_at_a_time(dim, n):
+    basis = dirichlet_spectrum(build_domain(dim, 3.0, n))
+    coeffs = np.random.default_rng(2).standard_normal((basis.n_modes, 6))
+    stack = basis.synthesize(coeffs.T)   # rows are strided views of the columns
+    assert stack.shape == (6, basis.domain.n_interior)
+    for b in range(6):
+        assert stack[b].tobytes() == basis.synthesis(coeffs[:, b]).values.tobytes()
+
+    coeffs[0, [3, 5]] = 1e308
+    with pytest.raises(MemberError, match="must all be finite") as info:
+        basis.synthesize(coeffs.T)
+    assert info.value.index == 3

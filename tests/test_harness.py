@@ -205,6 +205,38 @@ def test_every_configuration_writes_its_golden_files_also_when_rerun(tmp_path, c
     assert harness.run_experiment(rerun)["files"] == golden
 
 
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=case_name)
+def test_batched_decode_equals_one_column_decodes(tmp_path, case):
+    config = matrix_config(tmp_path, *case)
+    config["experiment"]["n_ensemble"] = J = 7
+    setup, _, obs, seqs = harness._prepare(config)
+    param = harness.build_parameterization(config, setup, obs)
+    fwd = param.forward
+    members = param.sample_initial(np.random.default_rng(seqs[0]))
+    alone = [fwd.decode_block(members[:, j:j + 1]) for j in range(J)]
+    mean = np.stack([param.decode_report(members[:, j]) for j in range(J)]).mean(axis=0)
+    outputs = []
+    for chunk in (1, 3, J):   # 3: the last chunk is short
+        fwd.chunk = chunk
+        chunks = list(fwd.decoded_chunks(members))
+        assert [len(cols) for cols, _ in chunks] == {1: [1] * J, 3: [3, 3, 1], J: [J]}[chunk]
+        for cols, block in chunks:
+            for row, j in enumerate(cols):
+                assert same_bits(block.coefficients[row], alone[j].coefficients[0])
+                assert same_bits(block.report[row], alone[j].report[0])
+                assert same_bits(fwd.decode(members[:, j]).values, alone[j].coefficients[0])
+        outputs.append(fwd(members))
+        assert same_bits(fwd.report_mean, mean)
+        assert same_bits(param.mean_report_field(members), mean)
+    assert same_bits(outputs[1], outputs[0]) and same_bits(outputs[2], outputs[0])
+
+
 # Manifest inventories (file -> SHA-256) of every matrix case, taken before
 # the parameterizations were built from one table.
 GOLDEN_FILES = {

@@ -3,13 +3,20 @@ import pytest
 import scipy.sparse.linalg
 
 from ekinv import multigrid
-from ekinv.forward import CompositeForward, DarcyProblem, ForwardError, mollified_observations
-from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
+from ekinv.forward import (
+    CompositeForward,
+    DarcyProblem,
+    DecodedBlock,
+    ForwardError,
+    mollified_observations,
+)
+from ekinv.grid import build_domain, dirichlet_spectrum, white_noise
 from ekinv.param_maps import (
     LevelSetSpec,
     channel_map,
     constant_channel_spec,
     exp_map,
+    exp_values,
     level_set_map,
 )
 from ekinv.priors import MaternSpec, apply_sqrt_cov
@@ -144,7 +151,10 @@ def test_forward_error_names_member_and_phase():
             raise multigrid.ConvergenceError(1, 100, 3e-7)
         return darcy.solve(fields)
 
-    fwd = CompositeForward(decode=lambda m: Field(domain, np.full(domain.n_interior, m[0])),
+    def constant(block):   # one constant field per member, its first entry
+        return np.repeat(block[:1].T, domain.n_interior, axis=1)
+
+    fwd = CompositeForward(decode_block=lambda M: DecodedBlock(domain, constant(M), constant(M)),
                            solver=failing_solver, obs=obs)
     fwd.chunk = 3
     members = np.arange(1.0, 9.0)[None, :]   # chunks {1, 2, 3}, {4, 5, 6}, {7, 8}
@@ -157,7 +167,7 @@ def test_forward_error_names_member_and_phase():
     with pytest.raises(ForwardError, match=r"^members 6-7, solve: conductivity"):
         fwd(members)
 
-    fwd.decode = lambda m: exp_map(Field(domain, np.full(domain.n_interior, m[0])))
+    fwd.decode_block = lambda M: DecodedBlock(domain, exp_values(constant(M)), constant(M))
     members[0, 6] = 701.0
     with pytest.raises(ForwardError, match=r"^member 6, decode: exp map"):
         fwd(members)

@@ -4,8 +4,9 @@ import scipy.integrate
 import scipy.sparse.linalg
 import scipy.stats
 
-from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
+from ekinv.grid import Field, MemberError, build_domain, dirichlet_spectrum, white_noise
 from ekinv.priors import (
+    GMap,
     GMap,
     MaternSpec,
     apply_nonstationary_sqrt,
@@ -16,6 +17,7 @@ from ekinv.priors import (
     coefficient_scale,
     g_map,
     hyper_to_unconstrained,
+    nonstationary_sqrt,
     matern_covariance,
     sample_cauchy_process,
     sample_matern,
@@ -36,6 +38,28 @@ def test_spec_validation(unit_1d):
                 MaternSpec(alpha=3.0, tau=-1.0)]:
         with pytest.raises(ValueError):
             coefficient_scale(bad, basis)
+
+
+def test_per_member_specs_scale_each_row_as_its_own_spec(unit_1d):
+    # the rows equal one spec at a time bit for bit; squaring tau as an
+    # array instead of one member at a time breaks this for a few members
+    _, basis = unit_1d
+    rng = np.random.default_rng(3)
+    alpha, tau = rng.uniform(1.3, 4.0, 3000), rng.uniform(5.0, 30.0, 3000)
+    rows = coefficient_scale(MaternSpec(alpha, tau, sigma2=2.0), basis)
+    assert rows.shape == (3000, basis.n_modes)
+    for b in range(3000):
+        alone = coefficient_scale(MaternSpec(alpha[b], tau[b], sigma2=2.0), basis)
+        assert rows[b].tobytes() == alone.tobytes()
+
+    alpha[[7, 9]] = 0.4
+    with pytest.raises(MemberError, match=r"^alpha must exceed d/2 = 0.5, got 0.4$") as info:
+        coefficient_scale(MaternSpec(alpha, tau), basis)
+    assert info.value.index == 7
+    alpha[[7, 9]], tau[[4, 8]] = 2.0, -1.0
+    with pytest.raises(MemberError, match=r"^tau must be positive, got -1.0$") as info:
+        coefficient_scale(MaternSpec(alpha, tau), basis)
+    assert info.value.index == 4
 
 
 def test_mode_variance_truth_values(unit_1d):
@@ -413,3 +437,30 @@ def test_path_from_increments_matches_sampler():
     expected = np.cumsum(incs)[np.minimum(np.floor(x / delta).astype(int), n) - 1]
     expected = np.where(x < delta, 0.0, expected)
     np.testing.assert_allclose(v.values, expected)
+
+
+@pytest.mark.parametrize("n_cells", [40, (12, 10)])
+def test_nonstationary_stack_solves_each_member_as_alone(n_cells):
+    domain = build_domain(np.ndim(n_cells) + 1, 10.0, n_cells)
+    basis = dirichlet_spectrum(domain)
+    rng = np.random.default_rng(6)
+    ell = np.exp(rng.uniform(-1.0, 0.5, (5, domain.n_interior)))
+    xi = rng.standard_normal((5, basis.n_modes))
+    stack = nonstationary_sqrt(2.0, ell, xi, basis)
+    for b in range(5):
+        alone = apply_nonstationary_sqrt(2.0, Field(domain, ell[b]), xi[b], basis)
+        assert stack[b].tobytes() == alone.values.tobytes()
+
+    ell[[2, 3], 0] = 0.0
+    with pytest.raises(MemberError, match="strictly positive") as info:
+        nonstationary_sqrt(2.0, ell, xi, basis)
+    assert info.value.index == 2
+
+
+def test_length_scales_of_a_stack_are_those_of_each_member():
+    domain = build_domain(1, [10.0], 30)
+    v = np.random.default_rng(9).normal(0.0, 3.0, (4, domain.n_interior))
+    for g in (GMap("exp"), GMap("rational", (4.0, 0.0, 1.0, 0.0))):
+        stack = g(v, domain)
+        for b in range(4):
+            assert stack[b].tobytes() == g_map(g.kind, g.params, Field(domain, v[b])).values.tobytes()
