@@ -233,8 +233,6 @@ def _resolve(sections: dict) -> dict:
         raise ConfigError("darcy needs a positive coefficient map (exp, level-set, channel)")
     if par in ("noncentered-field-gauss", "noncentered-field-cauchy") and model != "source1d":
         raise ConfigError("field-valued hyperparameter variants run on source1d only")
-    if cmap in ("level-set", "channel") and model != "darcy":
-        raise ConfigError(f"coefficient_map {cmap!r} requires the darcy model")
 
     if sections["grid"]["n_cells"] == "auto":
         sections["grid"]["n_cells"] = 1000 if model == "source1d" else 600
@@ -688,15 +686,24 @@ def write_field_file(path, domain: Domain, values: np.ndarray) -> None:
 
 
 def read_field_file(path) -> np.ndarray:
-    """Read a field file back to an array of its stored shape."""
+    """Read a field file back to an array of its stored shape.
+
+    Raises ValueError naming the file when the header is short or invalid,
+    or when the values do not fill the shape it gives."""
     with open(path, "rb") as handle:
-        header = np.frombuffer(handle.read(24), dtype=FIELD_MAGIC_DTYPE)
-        dim, n1, n2 = (int(v) for v in header)
-        data = np.frombuffer(handle.read(), dtype=FIELD_VALUE_DTYPE)
-    shape = (n1,) if dim == 1 else (n1, n2)
-    if data.size != n1 * n2:
-        raise ValueError(f"field file {path} is truncated")
-    return data.reshape(shape)
+        header = handle.read(24)
+        body = handle.read()
+    if len(header) < 24:
+        raise ValueError(f"field file {path} is shorter than its 24-byte header")
+    dim, n1, n2 = (int(v) for v in np.frombuffer(header, dtype=FIELD_MAGIC_DTYPE))
+    if dim not in (1, 2) or n1 < 1 or n2 < 1 or (dim == 1 and n2 != 1):
+        raise ValueError(f"field file {path} has an invalid header: dim {dim}, "
+                         f"shape {n1} x {n2}")
+    if len(body) != n1 * n2 * FIELD_VALUE_DTYPE.itemsize:
+        raise ValueError(f"field file {path} holds {len(body)} bytes of values, "
+                         f"expected {n1 * n2 * FIELD_VALUE_DTYPE.itemsize}")
+    data = np.frombuffer(body, dtype=FIELD_VALUE_DTYPE)
+    return data.reshape((n1,) if dim == 1 else (n1, n2))
 
 
 def _fmt(value) -> str:

@@ -1,10 +1,12 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ekinv import harness, multigrid
 from ekinv.cli import cli
+from ekinv.grid import build_domain
 
 TINY_DARCY = """
 [experiment]
@@ -135,6 +137,62 @@ n_samples = 120
     # standard normal draws exceed 5 with probability 6e-7
     tail = np.mean(np.abs(increments) > 10 * delta)
     assert tail == pytest.approx(1 - 2 * np.arctan(10) / np.pi, abs=0.02)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("model_problem = source1d\ncoefficient_map = exp", "source1d supports coefficient_map"),
+    ("model_problem = source1d\ncoefficient_map = level-set",
+     "source1d supports coefficient_map"),
+    ("model_problem = source1d\ncoefficient_map = channel", "source1d supports coefficient_map"),
+    ("model_problem = darcy\ncoefficient_map = identity", "darcy needs a positive"),
+    ("model_problem = darcy\nparameterization = noncentered-field-gauss",
+     "field-valued hyperparameter variants run on source1d only"),
+    ("model_problem = darcy\n[observations]\nn_obs = 10", "n_obs must be a perfect square"),
+    ("model_problem = darcy\n[eki]\nrho = 1.0", r"eki.rho must lie in \(0, 1\)"),
+    ("model_problem = darcy\n[eki]\nrho = 0.0", r"eki.rho must lie in \(0, 1\)"),
+    ("model_problem = darcy\n[eki]\nrho = 0.5\nzeta = 2.0", "eki.zeta must exceed 1/rho = 2"),
+    ("model_problem = darcy\nn_ensemble = 1", "n_ensemble must be at least 2"),
+    ("model_problem = darcy\nn_initializations = 0", "n_initializations must be at least 1"),
+    ("model_problem = darcy\n[bogus]\nkey = 1", r"unknown section \[bogus\]"),
+    ("model_problem = darcy\n[eki]\nfrobnicate = 1", r"unknown key 'frobnicate' in \[eki\]"),
+])
+def test_invalid_configurations_raise_config_errors(tmp_path, text, message):
+    path = tmp_path / "bad.ini"
+    path.write_text("[experiment]\n" + text + "\n", encoding="utf-8")
+    with pytest.raises(harness.ConfigError, match=message):
+        harness.load_config(path)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 9), (2, 5)])
+def test_field_files_round_trip(tmp_path, dim, n):
+    domain = build_domain(dim, 2.0, n)
+    values = np.random.default_rng(1).standard_normal(domain.n_interior)
+    path = tmp_path / "field.bin"
+    harness.write_field_file(path, domain, values)
+    back = harness.read_field_file(path)
+    assert back.shape == domain.interior_shape
+    assert back.ravel().tobytes() == values.tobytes()
+
+
+def test_malformed_field_files_raise_value_errors(tmp_path):
+    good = tmp_path / "good.bin"
+    harness.write_field_file(good, build_domain(2, 2.0, 5), np.zeros(16))
+    data = good.read_bytes()
+    header = lambda dim, n1, n2: np.array([dim, n1, n2], dtype="<i8").tobytes()
+    for name, content, message in [
+        ("empty", b"", "shorter than its 24-byte header"),
+        ("short_header", data[:20], "shorter than its 24-byte header"),
+        ("truncated_body", data[:-3], "holds 125 bytes of values, expected 128"),
+        ("long_body", data + bytes(8), "holds 136 bytes of values, expected 128"),
+        ("dim_3", header(3, 4, 4) + data[24:], "invalid header: dim 3"),
+        ("zero_size", header(2, 0, 4), "invalid header: dim 2, shape 0 x 4"),
+        ("negative_size", header(2, 4, -4), "invalid header"),
+        ("dim_1_two_columns", header(1, 8, 2) + data[24:], "invalid header"),
+    ]:
+        path = tmp_path / f"{name}.bin"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=f"field file {re.escape(str(path))} .*{message}"):
+            harness.read_field_file(path)
 
 
 # Every valid model x parameterization x coefficient_map, plus each plain
