@@ -640,8 +640,12 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
         return block.mean(axis=1)
 
     def hyper_means(members):
-        theta = ensemble_mean(members[sl["hyper"]], bounds)
-        out = dict(zip([n for f in fields for n in f.hyper_names], map(float, theta)))
+        """Ensemble means of every packed scalar: each field's (alpha, tau)
+        unless plain, and the channel geometry d1-d5."""
+        out = {}
+        if bounded:
+            theta = ensemble_mean(members[sl["hyper"]], bounds)
+            out.update(zip([n for f in fields for n in f.hyper_names], map(float, theta)))
         if geometry is not None:
             d = ensemble_mean(members[sl["geom"]], geometry)
             out.update({f"d{i}": float(v) for i, v in enumerate(d, start=1)})
@@ -653,7 +657,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
                                  obs=obs),
         sample_initial=sample_initial,
         decode_report=lambda member: decode_block(member[:, None]).report[0],
-        hyper_means=hyper_means if bounded else None)
+        hyper_means=hyper_means if bounded or geometry is not None else None)
 
 
 # ---------------------------------------------------------------------------

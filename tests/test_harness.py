@@ -296,7 +296,9 @@ def test_batched_decode_equals_one_column_decodes(tmp_path, case):
 
 
 # Manifest inventories (file -> SHA-256) of every matrix case, taken before
-# the parameterizations were built from one table.
+# the parameterizations were built from one table.  The two hypers.csv files
+# of darcy-plain-channel came later, when plain channel runs began to report
+# the ensemble means of their geometry d1-d5.
 GOLDEN_FILES = {
     "source1d-plain-identity-scalar": {
         "init_00/mean_field.bin": "7f82ee1f7f53eb26a8042c5e8216993f8a11751327e5f9fae7e39690b91d29d6",
@@ -507,11 +509,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-plain-channel": {
+        "init_00/hypers.csv": "9b3656af664b8907f1fe142df14d3a83fa1b988fac39c88970deb42174eb67c4",
         "init_00/mean_field.bin": "8be39186524571bdf5e8687ac196a104496fb51d28710b1b25d4f6276e5e1b9c",
         "init_00/records.csv": "dbc93e62647cd0d3345c174b367c42db5305ffcea0f963b5dfc7c1e6b72e12ce",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
         "init_00/snapshot_iter_001.bin": "b7369f1907817458a3fc36802a1a8ff6768145fa41b98bdf24241e1c67a8a7bb",
         "init_00/snapshot_iter_002.bin": "8be39186524571bdf5e8687ac196a104496fb51d28710b1b25d4f6276e5e1b9c",
+        "init_01/hypers.csv": "d971c4a8e2633be616f6ed84ed80a855baebefad826938c55163ce2c1e6e6298",
         "init_01/mean_field.bin": "3056ae828926382ffc4a10fdb8a01968c0c57faf94a073fcbf93c7300bf89d40",
         "init_01/records.csv": "653bd3c5c565f6c372894bc29835af9ca1213f4fb645746c8fc4d5bad659cdc9",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
