@@ -286,18 +286,12 @@ def cauchy_path(domain: Domain, delta: float, increments: np.ndarray) -> np.ndar
     return cum[..., idx]
 
 
-def cauchy_path_from_increments(domain: Domain, delta: float,
-                                increments: np.ndarray) -> Field:
-    """:func:`cauchy_path` of one walk."""
-    return Field(domain, cauchy_path(domain, delta, increments))
-
-
 def sample_cauchy_process(domain: Domain, delta: float,
                           rng: np.random.Generator) -> Field:
     """Draw a Cauchy random walk: i.i.d. Cauchy(0, delta) increments at spacing delta."""
     n_knots = cauchy_knot_count(domain, delta)
     increments = delta * rng.standard_cauchy(n_knots)
-    return cauchy_path_from_increments(domain, delta, increments)
+    return Field(domain, cauchy_path(domain, delta, increments))
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from ekinv.priors import (
     apply_sqrt_cov,
     assemble_shifted_operator,
     cauchy_knot_count,
-    cauchy_path_from_increments,
+    cauchy_path,
     coefficient_scale,
     g_map,
     hyper_to_unconstrained,
-    nonstationary_sqrt,
     matern_covariance,
+    nonstationary_sqrt,
     sample_cauchy_process,
     sample_matern,
     sample_nonstationary,
@@ -432,11 +432,11 @@ def test_path_from_increments_matches_sampler():
     delta = 0.7
     n = cauchy_knot_count(domain, delta)
     incs = np.arange(1.0, n + 1)
-    v = cauchy_path_from_increments(domain, delta, incs)
+    v = cauchy_path(domain, delta, incs)
     x = domain.interior_coords(0)
     expected = np.cumsum(incs)[np.minimum(np.floor(x / delta).astype(int), n) - 1]
     expected = np.where(x < delta, 0.0, expected)
-    np.testing.assert_allclose(v.values, expected)
+    np.testing.assert_allclose(v, expected)
 
 
 @pytest.mark.parametrize("n_cells", [40, (12, 10)])
