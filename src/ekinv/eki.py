@@ -213,8 +213,12 @@ def _block_update(members: np.ndarray, layout: PackingLayout, Ac: np.ndarray,
     updated = np.empty_like(members)
     for name, sl in layout.slices().items():
         Xb = members[sl]
-        Xc = Xb - Xb.mean(axis=1, keepdims=True)
-        updated[sl] = Xb + (Xc @ Ac.T / (J - 1)) @ S
+        # the centred block is built where its update will go, which saves
+        # two ensemble-sized temporaries
+        Xc = np.subtract(Xb, Xb.mean(axis=1, keepdims=True), out=updated[sl])
+        C_xw = Xc @ Ac.T
+        C_xw /= J - 1
+        np.add(Xb, C_xw @ S, out=updated[sl])
     return updated
 
 
