@@ -92,6 +92,7 @@ class ChannelSpec:
 
     @property
     def geometry(self) -> np.ndarray:
+        """(d1, ..., d5) as one array."""
         return np.array([self.d1, self.d2, self.d3, self.d4, self.d5])
 
 
