@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 
@@ -555,5 +556,67 @@ GOLDEN_FILES = {
         "init_01/snapshot_iter_002.bin": "8b649498a2f992525ff14bb0852368719638ddd1eab28712bebf42fcaef30a89",
         "observations.csv": "00f436ad5f1f46fd400b38271acf5d7bb6091d86575f532281f5d12306b065c5",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
+    },
+}
+
+
+SAMPLE_PRIOR = """
+[experiment]
+model_problem = source1d
+
+[grid]
+n_cells = 40
+
+[sample_prior]
+mode = {mode}
+taus = 10, 50
+alphas = 1.3, 1.9
+n_samples = 2
+n_cells = 8
+"""
+
+
+@pytest.mark.parametrize("mode", ["matern-tau-sweep", "matern-alpha-sweep",
+                                  "field-gauss", "field-cauchy"])
+def test_sample_prior_writes_its_golden_files(tmp_path, capsys, mode):
+    path = tmp_path / "prior.ini"
+    path.write_text(SAMPLE_PRIOR.format(mode=mode), encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli(["sample-prior", str(path), "--seed", "5", "--out-dir", str(out)]) == 0
+    written = capsys.readouterr().out.split()
+    assert sorted(written) == sorted(str(p) for p in out.iterdir())
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in out.iterdir()} == SAMPLE_PRIOR_FILES[mode]
+
+
+# File -> SHA-256 of what ``ekinv sample-prior`` writes in each mode.
+SAMPLE_PRIOR_FILES = {
+    "matern-tau-sweep": {
+        "matern_alpha1.6_tau10_s0.csv": "0175f9245886ba24c93a690462162874361a0435652fe6504a944037ce349bd2",
+        "matern_alpha1.6_tau10_s1.csv": "a8a5ac6108a199120037b2e902bc8c01be035d3e6c1a9d110ef379deed77a62b",
+        "matern_alpha1.6_tau50_s0.csv": "71aa2102aaa74d28d6349d3b5d9f2abba1734c465dbf7598ea7602cca0adfa05",
+        "matern_alpha1.6_tau50_s1.csv": "2c075aaae0bd1cac16a1dfc3aa96e857b03bbf4eef10ae3ef9f66fba3dc07f00",
+    },
+    "matern-alpha-sweep": {
+        "matern_alpha1.3_tau15_s0.csv": "5f0e0f1ba021701d93ffeacbe28c10c3f3dfb3cac887618f94c4930bad320622",
+        "matern_alpha1.3_tau15_s1.csv": "8fb12d9ad4b08de95a30e8793587862bd6148c183712180e56d8641c1caecab7",
+        "matern_alpha1.9_tau15_s0.csv": "35f7f73b2a93082ec68434862aed371597853179a7353a5ffcf515e230a58853",
+        "matern_alpha1.9_tau15_s1.csv": "c1d4a2ddf9628156972e54f15a5adf5e18850e0cc31e335f8fbff3e2c5d712bb",
+    },
+    "field-gauss": {
+        "field-gauss_ell_s0.csv": "e1b27481745ea3f24420d97282757acc9d98912b15cf80c409e1e8e196a5f81d",
+        "field-gauss_ell_s1.csv": "d1e9f6cfcc5f757a970e2b858bc85e865b30c4b21b90d0623e2306143bde9c7c",
+        "field-gauss_u_s0.csv": "db87093ebb479162a6efc886bb16ef508e40c32d39ed1d20bbe997b4590153fd",
+        "field-gauss_u_s1.csv": "6e2709d1968698f48d43bb82294ffe857ae54ccb810142c5bc66cd036957783a",
+        "field-gauss_v_s0.csv": "dea284af8c29cdb0913507ff929f591c6bdd7436f85f5f381a9283e8f64fb424",
+        "field-gauss_v_s1.csv": "c6bbc0d41761dc5178349f024977abd31310f76abe286d8f581074f8a8bc3db7",
+    },
+    "field-cauchy": {
+        "field-cauchy_ell_s0.csv": "8b6af4f150593b23a4a117720e95dffa1e019d7c24fac476f95782f81b0541d2",
+        "field-cauchy_ell_s1.csv": "820e57723b82ef3264c73bea77bcc313ccda818ce088654c158623e62b53f3f8",
+        "field-cauchy_u_s0.csv": "a3e5f6b708a8fcbcb6319e36d6e8d95a58a06f9f6ed849107cb645acb80c53af",
+        "field-cauchy_u_s1.csv": "2e3096c12cafdac69d97aa07a9b7dcc08a56b8617b5c7c38ef47f19f5f104919",
+        "field-cauchy_v_s0.csv": "903e366e6c3fdd16a25980cc159558d0107a98c6f8be0e4ea42d5161d19143fb",
+        "field-cauchy_v_s1.csv": "15d1028b51d65149c5ee94b21a9cbc5580a3228e3bc60649ba752a0c8a04c244",
     },
 }
