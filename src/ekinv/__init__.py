@@ -57,12 +57,9 @@ from .eki import (
     run_inversion,
     select_upsilon,
 )
+from .config import ConfigError, ExperimentConfig, config_from_manifest, load_config
 from .harness import (
-    ConfigError,
-    ExperimentConfig,
     compute_metrics,
-    config_from_manifest,
-    load_config,
     make_truth,
     read_field_file,
     run_experiment,

@@ -16,14 +16,8 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import (
-    ConfigError,
-    config_from_manifest,
-    load_config,
-    run_experiment,
-    sample_prior_fields,
-    summarize_run,
-)
+from .config import ConfigError, config_from_manifest, load_config
+from .harness import run_experiment, sample_prior_fields, summarize_run
 
 
 def _load(path: str):

@@ -7,6 +7,7 @@ import pytest
 
 from ekinv import harness, multigrid
 from ekinv.cli import cli
+from ekinv.config import ConfigError, ExperimentConfig, config_from_manifest, load_config
 from ekinv.grid import build_domain
 
 TINY_DARCY = """
@@ -31,7 +32,7 @@ n_obs = 16
 def tiny_darcy(tmp_path, name):
     path = tmp_path / f"{name}.ini"
     path.write_text(TINY_DARCY.format(out=tmp_path / name), encoding="utf-8")
-    return harness.load_config(path)
+    return load_config(path)
 
 
 def test_serial_and_parallel_runs_write_identical_files(tmp_path, monkeypatch):
@@ -91,21 +92,21 @@ def test_manifest_from_another_schema_fails_loudly(tmp_path):
     config = tiny_darcy(tmp_path, "folded").to_dict()
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
-    assert harness.config_from_manifest(manifest).to_dict() == \
-        harness.ExperimentConfig(config).to_dict()
+    assert config_from_manifest(manifest).to_dict() == \
+        ExperimentConfig(config).to_dict()
 
     config["experiment"]["parameterization"] = "level-set"
     manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
-    with pytest.raises(harness.ConfigError, match="parameterization"):
-        harness.config_from_manifest(manifest)
+    with pytest.raises(ConfigError, match="parameterization"):
+        config_from_manifest(manifest)
     assert cli(["run", str(manifest), "--out-dir", str(tmp_path / "never")]) == 1
     assert not (tmp_path / "never").exists()
 
     config["experiment"]["parameterization"] = "plain"
     del config["grid"]["n_cells"]
     manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
-    with pytest.raises(harness.ConfigError, match=r"\[grid\] n_cells"):
-        harness.config_from_manifest(manifest)
+    with pytest.raises(ConfigError, match=r"\[grid\] n_cells"):
+        config_from_manifest(manifest)
 
 
 def test_field_cauchy_prior_samples_have_cauchy_increments(tmp_path):
@@ -125,7 +126,7 @@ cauchy_delta = {delta}
 mode = field-cauchy
 n_samples = 120
 """, encoding="utf-8")
-    harness.sample_prior_fields(harness.load_config(path), tmp_path / "out")
+    harness.sample_prior_fields(load_config(path), tmp_path / "out")
     increments = []
     for s in range(120):
         v = np.loadtxt(tmp_path / "out" / f"field-cauchy_v_s{s}.csv", delimiter=",",
@@ -160,8 +161,8 @@ n_samples = 120
 def test_invalid_configurations_raise_config_errors(tmp_path, text, message):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\n" + text + "\n", encoding="utf-8")
-    with pytest.raises(harness.ConfigError, match=message):
-        harness.load_config(path)
+    with pytest.raises(ConfigError, match=message):
+        load_config(path)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 5)])
@@ -249,7 +250,7 @@ n_obs = {n_obs}
         text += f"\n[prior]\nplain_prior = {plain_prior}\n"
     path = tmp_path / "config.ini"
     path.write_text(text, encoding="utf-8")
-    return harness.load_config(path)
+    return load_config(path)
 
 
 @pytest.mark.parametrize("case", MATRIX, ids=case_name)
@@ -259,7 +260,7 @@ def test_every_configuration_writes_its_golden_files_also_when_rerun(tmp_path, c
     assert [init["stop_reason"] for init in manifest["initializations"]] == \
         ["max-iterations"] * 2
     assert manifest["files"] == golden
-    rerun = harness.config_from_manifest(tmp_path / "run" / "manifest.json")
+    rerun = config_from_manifest(tmp_path / "run" / "manifest.json")
     rerun["experiment"]["out_dir"] = str(tmp_path / "rerun")
     assert harness.run_experiment(rerun)["files"] == golden
 
