@@ -19,9 +19,7 @@ update restricted to the state coordinate is bitwise identical to the
 non-hierarchical run.
 
 Every update is a linear combination of current members, so iterates remain
-in the linear span of the initial ensemble.  The continuous-time limit ODE
-(Upsilon^-1 = (J-1) h) is provided as an integrator for cross-checking the
-discrete iteration at small step sizes.
+in the linear span of the initial ensemble.
 """
 
 from __future__ import annotations
@@ -34,8 +32,8 @@ import scipy.linalg
 
 __all__ = [
     "PackingLayout", "Ensemble", "EkiControls", "IterationRecord", "StepInfo",
-    "InversionResult", "UpsilonSearchError", "empirical_covariances",
-    "select_upsilon", "eki_step", "run_inversion", "integrate_limit_ode",
+    "InversionResult", "UpsilonSearchError", "select_upsilon", "eki_step",
+    "run_inversion",
 ]
 
 
@@ -90,9 +88,6 @@ class Ensemble:
     @property
     def n_members(self) -> int:
         return self.members.shape[1]
-
-    def block(self, name: str) -> np.ndarray:
-        return self.members[self.layout.slices()[name]]
 
 
 @dataclass(frozen=True)
@@ -154,27 +149,6 @@ class InversionResult:
     records: list[IterationRecord]
     stop_reason: str  # "discrepancy" | "max-iterations" | "aborted"
     message: str = ""
-
-
-def empirical_covariances(members: np.ndarray, outputs: np.ndarray,
-                          hyper_slice: slice | None = None):
-    """Sample covariances with 1/(J-1) normalization.
-
-    Returns (C_xw, C_ww) or (C_xw, C_ww, C_thetaw) when a hyperparameter
-    slice of the packed state is given.
-    """
-    X = np.asarray(members, dtype=float)
-    W = np.asarray(outputs, dtype=float)
-    J = X.shape[1]
-    if J < 2 or W.shape[1] != J:
-        raise ValueError("need matching ensembles with at least two members")
-    Xc = X - X.mean(axis=1, keepdims=True)
-    Ac = W - W.mean(axis=1, keepdims=True)
-    C_xw = Xc @ Ac.T / (J - 1)
-    C_ww = Ac @ Ac.T / (J - 1)
-    if hyper_slice is None:
-        return C_xw, C_ww
-    return C_xw, C_ww, C_xw[hyper_slice]
 
 
 def _factorize(C_ww: np.ndarray, gamma: np.ndarray, upsilon: float):
@@ -325,46 +299,3 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     return InversionResult(ensemble=current, records=records,
                            stop_reason=stop_reason, message=message)
 
-
-def integrate_limit_ode(ensemble: Ensemble, forward_map, obs, h: float, T: float
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 integration of the coupled-particle continuous-time limit.
-
-    dx_j/dt = -sum_m d(j, m) x_m with
-    d(j, m) = <Gamma^-1 (G(x_j) - y), G(x_m) - mean output>.
-
-    Returns (times, trajectory) with trajectory[i] the (dim, J) state at
-    times[i].  Intended for small cross-check problems; the full trajectory
-    is kept in memory.
-    """
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    y = obs.y
-    gamma_inv = np.linalg.inv(obs.gamma)
-
-    def rhs(X):
-        W = forward_map(X)
-        Ac = W - W.mean(axis=1, keepdims=True)
-        P = gamma_inv @ (W - y[:, None])
-        D = Ac.T @ P  # D[m, j] = <G(x_m) - mean, Gamma^-1 (G(x_j) - y)>
-        Xc = X - X.mean(axis=1, keepdims=True)
-        return -(Xc @ D)
-
-    n_steps = int(round(T / h))
-    times = h * np.arange(n_steps + 1)
-    traj = np.empty((n_steps + 1,) + ensemble.members.shape)
-    traj[0] = ensemble.members
-    X = ensemble.members.copy()
-    # overflow in the RHS is an anticipated blow-up symptom, caught below
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n_steps):
-            k1 = rhs(X)
-            k2 = rhs(X + 0.5 * h * k1)
-            k3 = rhs(X + 0.5 * h * k2)
-            k4 = rhs(X + h * k3)
-            X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if not np.all(np.isfinite(X)) or np.linalg.norm(X) > 1e12:
-                raise RuntimeError(
-                    f"continuous-time trajectory blew up at t={times[i + 1]:.4g}")
-            traj[i + 1] = X
-    return times, traj

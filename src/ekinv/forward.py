@@ -313,7 +313,6 @@ class SourceProblem1D:
 class ObservationModel:
     """Linear observation functionals, data, and noise covariance."""
 
-    kind: str
     centers: np.ndarray
     matrix: np.ndarray
     gamma: np.ndarray
@@ -373,7 +372,7 @@ def point_observations(domain: Domain, n_obs: int,
         raise ValueError("need at least one observation")
     centers = (domain.extents[0] * np.arange(1, n_obs + 1) / (n_obs + 1))[:, None]
     _check_centers(domain, centers)
-    return ObservationModel(kind="points", centers=centers,
+    return ObservationModel(centers=centers,
                             matrix=_interpolation_rows(domain, centers),
                             gamma=gamma_scale * np.eye(n_obs))
 
@@ -398,7 +397,7 @@ def mollified_observations(domain: Domain, n_per_axis: int, sigma: float,
         d2 = (x1 - a) ** 2 + (x2 - b) ** 2
         w = np.where(d2 <= (6 * sigma) ** 2, np.exp(-d2 / (2 * sigma**2)), 0.0)
         rows[r] = (w / w.sum()).ravel()
-    return ObservationModel(kind="mollified", centers=centers, matrix=rows,
+    return ObservationModel(centers=centers, matrix=rows,
                             gamma=gamma_scale * np.eye(len(centers)))
 
 
@@ -478,9 +477,6 @@ class CompositeForward:
             return self.decode_block(members)
         block = self.decode_block(members[:, None])
         return Field(block.domain, block.coefficients[0])
-
-    def member_output(self, member: np.ndarray) -> np.ndarray:
-        return observe(self.solver(self.decode(member)), self.obs)
 
     def decoded_chunks(self, members: np.ndarray):
         """(member indices, decoded block) of each chunk of a (state_dim, J)

@@ -80,10 +80,6 @@ class Domain:
         axes = [self.interior_coords(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Grid L2 inner product over interior nodes."""
-        return self.node_measure * float(np.dot(np.ravel(u), np.ravel(v)))
-
     def norm(self, u: np.ndarray) -> float:
         """Grid L2 norm over interior nodes."""
         return float(np.sqrt(self.node_measure) * np.linalg.norm(np.ravel(u)))

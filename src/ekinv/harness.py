@@ -36,10 +36,8 @@ from .forward import (
 )
 from .grid import Domain, Field, SpectralBasis, build_domain, dirichlet_spectrum, white_noise
 from .param_maps import (
-    ChannelSpec,
     LevelSetSpec,
     NoncenteredMap,
-    channel_map,
     channel_values,
     exp_map,
     exp_values,
@@ -148,8 +146,8 @@ def make_truth(config: ExperimentConfig, setup: ModelSetup,
                              setup.basis, white_noise(setup.domain, rng), setup.scaling)
     log_in = apply_sqrt_cov(MaternSpec(a2, t2, mean=ch["log_kappa_in_mean"]),
                             setup.basis, white_noise(setup.domain, rng), setup.scaling)
-    spec = ChannelSpec(*d, log_kappa_inside=log_in, log_kappa_outside=log_out)
-    log_kappa = channel_map(spec, setup.domain)
+    log_kappa = Field(setup.domain,
+                      channel_values(d, log_in.values, log_out.values, setup.domain))
     return TruthBundle(field=log_kappa, pde_field=exp_map(log_kappa),
                        hypers={"alpha1": a1, "tau1": t1, "alpha2": a2, "tau2": t2,
                                **{f"d{i}": float(v) for i, v in enumerate(d, start=1)}})
@@ -168,8 +166,7 @@ def _noncentered_map(config: ExperimentConfig, basis: SpectralBasis,
     scaling = config["grid"]["coordinate_scaling"]
     if kind == "scalar":
         p = config["prior"]
-        hyper = HyperPrior(kind="uniform-scalar", bounds=(p["alpha_bounds"], p["tau_bounds"]),
-                           names=("alpha", "tau"))
+        hyper = HyperPrior(kind="uniform-scalar", bounds=(p["alpha_bounds"], p["tau_bounds"]))
         return NoncenteredMap(basis=basis, hyper=hyper, scaling=scaling,
                               base_sigma2=p["sigma2"], base_mean=p["mean"])
     fh = config["field_hyper"]
@@ -381,19 +378,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
 
 
 # ---------------------------------------------------------------------------
-# metrics and file formats
-
-
-def compute_metrics(mean_field: Field, truth: Field, obs: ObservationModel,
-                    outputs: np.ndarray) -> tuple[float, float]:
-    """Relative grid-L2 error of the mean field and whitened misfit of the
-    mean forward output."""
-    truth_norm = truth.norm()
-    if truth_norm == 0.0:
-        raise ValueError("truth field has zero norm")
-    rel = truth.domain.norm(mean_field.values - truth.values) / truth_norm
-    misfit = obs.whitened_misfit(obs.y - np.asarray(outputs).mean(axis=1))
-    return float(rel), float(misfit)
+# file formats
 
 
 FIELD_MAGIC_DTYPE = np.dtype("<i8")

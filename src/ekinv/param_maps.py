@@ -73,72 +73,27 @@ def exp_map(u: Field) -> Field:
     return Field(u.domain, exp_values(u.values))
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    """Sinusoidal channel in normalized coordinates plus its two log-permeability fields.
+def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
+                   domain: Domain) -> np.ndarray:
+    """Log-permeability: ``inside`` within the channel, ``outside`` elsewhere.
 
-    d1: amplitude, d2: angular frequency, d3: angle (radians), d4: initial
-    point, d5: half-width, all on the unit square.  The fields hold log
-    permeability inside (kappa_2) and outside (kappa_1) the channel.
+    The channel is the region |t - h(s)| < d5 around the center
+    t = h(s) = d4 + s tan(d3) + d1 sin(d2 s), in normalized unit-square
+    coordinates (s, t): d1 amplitude, d2 angular frequency, d3 angle
+    (radians), d4 initial point, d5 half-width.  ``d`` holds (d1, ..., d5)
+    for one member, or one row per member of a stack; the result has one
+    row of n interior values per member.
     """
-
-    d1: float
-    d2: float
-    d3: float
-    d4: float
-    d5: float
-    log_kappa_inside: Field
-    log_kappa_outside: Field
-
-    @property
-    def geometry(self) -> np.ndarray:
-        """(d1, ..., d5) as one array."""
-        return np.array([self.d1, self.d2, self.d3, self.d4, self.d5])
-
-
-def _channel_mask(d: np.ndarray, domain: Domain) -> np.ndarray:
-    """Interior-node mask of the channel region |t - h(s)| < d5, where the
-    center is t = d4 + s tan(d3) + d1 sin(d2 s) at normalized abscissa s.
-
-    ``d`` holds (d1, ..., d5) for one channel, or one row per member of a
-    stack; the mask has one row of n values per member."""
     if domain.dim != 2:
         raise ValueError("channel geometry is two-dimensional")
     d1, d2, d3, d4, d5 = (p[..., None] for p in np.moveaxis(d, -1, 0))
     x1, x2 = domain.interior_meshgrid()
     s = x1.ravel() / domain.extents[0]
     t = x2.ravel() / domain.extents[1]
-    return np.abs(t - (d4 + s * np.tan(d3) + d1 * np.sin(d2 * s))) < d5
-
-
-def channel_mask(spec: ChannelSpec, domain: Domain) -> np.ndarray:
-    """Boolean interior-grid mask of the channel region."""
-    return _channel_mask(spec.geometry, domain).reshape(domain.interior_shape)
-
-
-def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
-                   domain: Domain) -> np.ndarray:
-    """Log-permeability: ``inside`` within the channel of geometry ``d``,
-    ``outside`` elsewhere, for one member or a stack (one member per row)."""
-    mask = _channel_mask(d, domain)
+    mask = np.abs(t - (d4 + s * np.tan(d3) + d1 * np.sin(d2 * s))) < d5
     if not np.all(np.any(mask, axis=-1)):
         warnings.warn("channel does not intersect the domain", stacklevel=2)
     return np.where(mask, inside, outside)
-
-
-def channel_map(spec: ChannelSpec, domain: Domain) -> Field:
-    """Log-permeability: log kappa_2 inside the channel, log kappa_1 outside."""
-    return Field(domain, channel_values(spec.geometry, spec.log_kappa_inside.values,
-                                        spec.log_kappa_outside.values, domain))
-
-
-def constant_channel_spec(d: np.ndarray, kappa_inside: float, kappa_outside: float,
-                          domain: Domain) -> ChannelSpec:
-    """Channel with spatially constant permeability on each side."""
-    ones = np.ones(domain.n_interior)
-    return ChannelSpec(*map(float, d),
-                       log_kappa_inside=Field(domain, np.log(kappa_inside) * ones),
-                       log_kappa_outside=Field(domain, np.log(kappa_outside) * ones))
 
 
 # ---------------------------------------------------------------------------

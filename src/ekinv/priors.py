@@ -33,7 +33,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from .grid import Domain, Field, SpectralBasis, check_members, neg_laplacian, white_noise
+from .grid import Domain, Field, SpectralBasis, check_members, neg_laplacian
 
 SCALINGS = ("normalized", "physical")
 
@@ -101,34 +101,6 @@ def apply_sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray,
     return Field(basis.domain, sqrt_cov(spec, basis, xi, scaling))
 
 
-def sample_matern(spec: MaternSpec, basis: SpectralBasis, rng: np.random.Generator,
-                  scaling: str = "normalized") -> Field:
-    """Draw one field with per-mode variance (tau^2 + lambda_k)^(-alpha)."""
-    return apply_sqrt_cov(spec, basis, white_noise(basis.domain, rng), scaling)
-
-
-def matern_covariance(r, alpha: float, tau: float, dim: int, sigma2: float | None = None):
-    """Free-space covariance of (tau^2 I - Laplace)^(-alpha) on R^d.
-
-    Bessel-function form with smoothness nu = alpha - d/2.  When ``sigma2`` is
-    omitted the variance implied by the shifted-Laplacian normalization,
-    Gamma(nu) / ((4 pi)^(d/2) Gamma(alpha) tau^(2 nu)), is used.  Test oracle
-    only; the sampler never evaluates this.
-    """
-    nu = alpha - dim / 2
-    if nu <= 0:
-        raise ValueError(f"alpha must exceed d/2, got alpha={alpha}, d={dim}")
-    if sigma2 is None:
-        sigma2 = scipy.special.gamma(nu) / (
-            (4 * np.pi) ** (dim / 2) * scipy.special.gamma(alpha) * tau ** (2 * nu))
-    r = np.asarray(r, dtype=float)
-    out = np.full(r.shape, sigma2)
-    pos = r > 0
-    z = tau * r[pos]
-    out[pos] = sigma2 * 2 ** (1 - nu) / scipy.special.gamma(nu) * z**nu * scipy.special.kv(nu, z)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # nonstationary sampling
 
@@ -187,21 +159,6 @@ def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
     return u
 
 
-def apply_nonstationary_sqrt(alpha: float, ell: Field, xi: np.ndarray,
-                             basis: SpectralBasis) -> Field:
-    """:func:`nonstationary_sqrt` of one field."""
-    if ell.domain is not basis.domain and ell.domain != basis.domain:
-        raise ValueError("length-scale field and basis live on different domains")
-    return Field(basis.domain, nonstationary_sqrt(alpha, ell.values, xi, basis))
-
-
-def sample_nonstationary(alpha: float, v: Field, g: "GMap", basis: SpectralBasis,
-                         rng: np.random.Generator) -> Field:
-    """Draw one nonstationary field with length scale ell = g(v)."""
-    ell = g_map(g.kind, g.params, v, floor=g.floor, cap=g.cap)
-    return apply_nonstationary_sqrt(alpha, ell, white_noise(basis.domain, rng), basis)
-
-
 # ---------------------------------------------------------------------------
 # length-scale maps
 
@@ -249,12 +206,6 @@ DEFAULT_G_FLOOR_FRAC = 1e-6
 DEFAULT_G_CAP_FRAC = 10.0
 
 
-def g_map(kind: str, params, v: Field, floor: float | None = None,
-          cap: float | None = None) -> Field:
-    """Pointwise positive length-scale field ell = g(v)."""
-    return Field(v.domain, GMap(kind, params, floor, cap)(v.values, v.domain))
-
-
 # ---------------------------------------------------------------------------
 # Cauchy random walk hyperprior (1D)
 
@@ -286,14 +237,6 @@ def cauchy_path(domain: Domain, delta: float, increments: np.ndarray) -> np.ndar
     return cum[..., idx]
 
 
-def sample_cauchy_process(domain: Domain, delta: float,
-                          rng: np.random.Generator) -> Field:
-    """Draw a Cauchy random walk: i.i.d. Cauchy(0, delta) increments at spacing delta."""
-    n_knots = cauchy_knot_count(domain, delta)
-    increments = delta * rng.standard_cauchy(n_knots)
-    return Field(domain, cauchy_path(domain, delta, increments))
-
-
 # ---------------------------------------------------------------------------
 # uniform-prior bijections
 
@@ -306,17 +249,9 @@ def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def hyper_to_unconstrained(theta, bounds) -> np.ndarray:
-    """Normal-quantile bijection from (a, b) to the real line."""
-    a, b = _check_bounds(bounds)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(theta <= a) or np.any(theta >= b):
-        raise ValueError(f"theta must lie strictly inside the bounds, got {theta}")
-    return scipy.special.ndtri((theta - a) / (b - a))
-
-
 def unconstrained_to_hyper(raw, bounds) -> np.ndarray:
-    """Inverse of :func:`hyper_to_unconstrained`; N(0,1) maps to Uniform(a, b)."""
+    """Normal-quantile bijection from the real line to (a, b): N(0, 1) maps
+    to Uniform(a, b)."""
     a, b = _check_bounds(bounds)
     return a + (b - a) * scipy.special.ndtr(np.asarray(raw, dtype=float))
 
@@ -331,7 +266,6 @@ class HyperPrior:
 
     kind: str  # "uniform-scalar" | "gaussian-field" | "cauchy-process"
     bounds: tuple[tuple[float, float], ...] = ()
-    names: tuple[str, ...] = ()
     field_spec: MaternSpec | None = None
     cauchy_delta: float = 0.0
     g: GMap | None = None
@@ -341,8 +275,6 @@ class HyperPrior:
             if not self.bounds:
                 raise ValueError("uniform-scalar prior needs bounds")
             _check_bounds(self.bounds)
-            if self.names and len(self.names) != len(self.bounds):
-                raise ValueError("one name per bounded scalar")
         elif self.kind == "gaussian-field":
             if self.field_spec is None:
                 raise ValueError("gaussian-field prior needs a MaternSpec for v")

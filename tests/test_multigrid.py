@@ -10,15 +10,8 @@ from ekinv.forward import (
     ForwardError,
     mollified_observations,
 )
-from ekinv.grid import build_domain, dirichlet_spectrum, white_noise
-from ekinv.param_maps import (
-    LevelSetSpec,
-    channel_map,
-    constant_channel_spec,
-    exp_map,
-    exp_values,
-    level_set_map,
-)
+from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
+from ekinv.param_maps import LevelSetSpec, channel_values, exp_map, exp_values, level_set_map
 from ekinv.priors import MaternSpec, apply_sqrt_cov
 
 CHANNEL = np.array([0.2, 6.0, 0.6, 0.3, 0.2])
@@ -33,8 +26,7 @@ def coefficient(domain, kind, seed=0):
         return exp_map(u)
     if kind == "level-set":
         return level_set_map(u, LevelSetSpec(kappa_minus=1.0, kappa_plus=10.0))
-    spec = constant_channel_spec(CHANNEL, np.exp(4.0), np.exp(1.0), domain)
-    return exp_map(channel_map(spec, domain))
+    return exp_map(Field(domain, channel_values(CHANNEL, 4.0, 1.0, domain)))
 
 
 def problem(domain, bc):

@@ -3,12 +3,9 @@ import pytest
 
 from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
 from ekinv.param_maps import (
-    ChannelSpec,
     LevelSetSpec,
     NoncenteredMap,
-    channel_map,
-    channel_mask,
-    constant_channel_spec,
+    channel_values,
     exp_map,
     level_set_map,
 )
@@ -90,10 +87,13 @@ def test_exp_map_overflow_guard(square):
 # channel geometry
 
 
+def channel_mask(d, domain):
+    """The channel region of geometry ``d`` on the interior grid."""
+    return channel_values(np.asarray(d), True, False, domain).reshape(domain.interior_shape)
+
+
 def test_channel_horizontal_band(square):
-    spec = constant_channel_spec(np.array([0.0, 1.0, 0.0, 0.5, 0.1]),
-                                 kappa_inside=4.0, kappa_outside=1.0, domain=square)
-    mask = channel_mask(spec, square)
+    mask = channel_mask([0.0, 1.0, 0.0, 0.5, 0.1], square)
     area = np.count_nonzero(mask) * square.node_measure
     assert area == pytest.approx(0.2, abs=2 * square.h[1])
     # band is 0.4 < t < 0.6 for every s
@@ -102,24 +102,19 @@ def test_channel_horizontal_band(square):
 
 
 def test_channel_covering_case(square):
-    spec = constant_channel_spec(np.array([0.0, 1.0, 0.0, 0.5, 2.0]),
-                                 kappa_inside=4.0, kappa_outside=1.0, domain=square)
-    out = channel_map(spec, square)
-    np.testing.assert_allclose(out.values, np.log(4.0))
+    out = channel_values(np.array([0.0, 1.0, 0.0, 0.5, 2.0]), np.log(4.0), 0.0, square)
+    np.testing.assert_allclose(out, np.log(4.0))
 
 
 def test_channel_empty_warns(square):
-    spec = constant_channel_spec(np.array([0.0, 1.0, 0.0, 50.0, 0.01]),
-                                 kappa_inside=4.0, kappa_outside=1.0, domain=square)
     with pytest.warns(UserWarning):
-        out = channel_map(spec, square)
-    np.testing.assert_allclose(out.values, 0.0)
+        out = channel_values(np.array([0.0, 1.0, 0.0, 50.0, 0.01]), np.log(4.0), 0.0, square)
+    np.testing.assert_allclose(out, 0.0)
 
 
 def test_channel_two_values_for_constant_fields(square):
-    spec = constant_channel_spec(np.array([0.3, 5.0, 0.7, 0.2, 0.15]),
-                                 kappa_inside=4.0, kappa_outside=1.5, domain=square)
-    values = set(np.unique(channel_map(spec, square).values))
+    d = np.array([0.3, 5.0, 0.7, 0.2, 0.15])
+    values = set(np.unique(channel_values(d, np.log(4.0), np.log(1.5), square)))
     assert values <= {np.log(1.5), np.log(4.0)}
     assert len(values) == 2
 
@@ -132,9 +127,7 @@ def test_channel_prior_box_area_fraction():
     interior = 0
     n_draws = 1000
     for _ in range(n_draws):
-        d = rng.uniform(lows, highs)
-        spec = constant_channel_spec(d, 4.0, 1.0, domain)
-        frac = np.count_nonzero(channel_mask(spec, domain)) / domain.n_interior
+        frac = np.count_nonzero(channel_mask(rng.uniform(lows, highs), domain)) / domain.n_interior
         interior += 0.0 < frac < 1.0
     assert interior >= 0.99 * n_draws
 
@@ -146,8 +139,7 @@ def test_channel_prior_box_area_fraction():
 @pytest.fixture(scope="module")
 def scalar_map():
     basis = dirichlet_spectrum(build_domain(1, [1.0], 32))
-    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)),
-                       names=("alpha", "tau"))
+    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)))
     return NoncenteredMap(basis=basis, hyper=hyper, base_mean=2.5)
 
 
@@ -172,8 +164,7 @@ def test_noncentered_escapes_fixed_span():
     # varying theta with fixed xi leaves the span of fields built at other
     # theta values: nonzero least-squares projection residual
     basis = dirichlet_spectrum(build_domain(1, [1.0], 32))
-    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)),
-                       names=("alpha", "tau"))
+    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)))
     zero_mean = NoncenteredMap(basis=basis, hyper=hyper)
     xi = np.random.default_rng(21).standard_normal(basis.n_modes)
     thetas = [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]
@@ -225,9 +216,3 @@ def test_noncentered_field_cauchy_kind():
     u0 = ncm.transform(rng.standard_normal(basis.n_modes), np.zeros(19))
     assert np.all(np.isfinite(u0.values))
 
-
-def test_channel_spec_requires_matching_domains(square):
-    other = build_domain(2, [1.0, 1.0], [10, 10])
-    spec = constant_channel_spec(np.array([0.0, 1.0, 0.0, 0.5, 0.1]), 4.0, 1.0, other)
-    with pytest.raises(ValueError):
-        channel_map(spec, square)
