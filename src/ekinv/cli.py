@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from .config import ConfigError, config_from_manifest, load_config
 from .harness import run_experiment, sample_prior_fields, summarize_run

@@ -17,7 +17,6 @@ exact to machine precision at every resolution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
