@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .eki import EkiControls
+
 
 class ConfigError(ValueError):
     """Configuration file failed to parse or validate."""
@@ -178,6 +180,18 @@ class ExperimentConfig:
         return "\n".join(lines)
 
 
+def controls_from(config) -> EkiControls:
+    """The EKI controls of a configuration's ``[eki]`` section.  Raises
+    ValueError naming the key whose value EkiControls rejects."""
+    eki = config["eki"]
+    return EkiControls(rho=eki["rho"], zeta=None if eki["zeta"] == "auto" else eki["zeta"],
+                       upsilon0=eki["upsilon0"],
+                       max_outer_iterations=eki["max_outer_iterations"],
+                       max_doublings=eki["max_doublings"],
+                       perturb_observations=eki["perturb_observations"],
+                       per_member_upsilon=eki["per_member_upsilon"])
+
+
 def _resolve(sections: dict) -> dict:
     exp = sections["experiment"]
     model = exp["model_problem"]
@@ -204,13 +218,10 @@ def _resolve(sections: dict) -> dict:
             raise ConfigError("darcy observations form a square lattice; "
                               "n_obs must be a perfect square")
 
-    eki = sections["eki"]
-    if not 0.0 < eki["rho"] < 1.0:
-        raise ConfigError(f"eki.rho must lie in (0, 1), got {eki['rho']}")
-    if eki["zeta"] == "auto":
-        eki["zeta"] = 1.1 / eki["rho"]
-    if eki["zeta"] * eki["rho"] <= 1.0:
-        raise ConfigError(f"eki.zeta must exceed 1/rho = {1 / eki['rho']:.6g}")
+    try:
+        sections["eki"]["zeta"] = controls_from(sections).zeta_value
+    except ValueError as exc:
+        raise ConfigError(f"eki.{exc}") from exc
 
     if exp["n_ensemble"] < 2:
         raise ConfigError("experiment.n_ensemble must be at least 2")
@@ -219,6 +230,9 @@ def _resolve(sections: dict) -> dict:
 
     if sections["prior"]["plain_prior"] == "auto":
         sections["prior"]["plain_prior"] = "field-gauss" if model == "source1d" else "scalar"
+    if model == "darcy" and sections["prior"]["plain_prior"] == "field-cauchy":
+        raise ConfigError("prior.plain_prior = field-cauchy is a one-dimensional "
+                          "prior; darcy takes scalar or field-gauss")
 
     if sections["truth"]["kind"] == "auto":
         sections["truth"]["kind"] = {

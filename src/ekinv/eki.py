@@ -115,10 +115,13 @@ class EkiControls:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         if self.zeta is not None and self.zeta * self.rho <= 1.0:
             raise ValueError(f"zeta must exceed 1/rho = {1 / self.rho:.6g}, got {self.zeta}")
-        if self.upsilon0 <= 0:
-            raise ValueError("upsilon0 must be positive")
-        if self.max_outer_iterations < 0 or self.max_doublings < 1:
-            raise ValueError("iteration budgets must be positive")
+        if not self.upsilon0 > 0:
+            raise ValueError(f"upsilon0 must be positive, got {self.upsilon0}")
+        if self.max_outer_iterations < 0:
+            raise ValueError("max_outer_iterations must not be negative, "
+                             f"got {self.max_outer_iterations}")
+        if self.max_doublings < 1:
+            raise ValueError(f"max_doublings must be at least 1, got {self.max_doublings}")
 
     @property
     def zeta_value(self) -> float:

@@ -21,8 +21,8 @@ import numpy as np
 from . import __version__
 # load_config is re-exported: the benchmark loads its configurations through
 # this module
-from .config import ExperimentConfig, load_config  # noqa: F401
-from .eki import EkiControls, Ensemble, PackingLayout, run_inversion
+from .config import ExperimentConfig, controls_from, load_config  # noqa: F401
+from .eki import Ensemble, PackingLayout, run_inversion
 from .forward import (
     CompositeForward,
     DarcyProblem,
@@ -491,7 +491,7 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
     rng = np.random.default_rng(seqs[index])
     members = param.sample_initial(rng)
     ensemble = Ensemble(members, param.layout)
-    controls = _controls_from(config)
+    controls = controls_from(config)
 
     # run_inversion asks for the error of every recorded iterate exactly
     # once, right after evaluating the forward map on it; that evaluation
@@ -541,15 +541,6 @@ def _attach_data(config: ExperimentConfig, setup: ModelSetup, truth: TruthBundle
     if config["eki"]["noise_level_convention"] == "expected":
         obs = replace(obs, noise_level=float(np.sqrt(obs.n_obs)))
     return obs
-
-
-def _controls_from(config: ExperimentConfig) -> EkiControls:
-    eki = config["eki"]
-    return EkiControls(rho=eki["rho"], zeta=eki["zeta"], upsilon0=eki["upsilon0"],
-                       max_outer_iterations=eki["max_outer_iterations"],
-                       max_doublings=eki["max_doublings"],
-                       perturb_observations=eki["perturb_observations"],
-                       per_member_upsilon=eki["per_member_upsilon"])
 
 
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:

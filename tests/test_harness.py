@@ -157,12 +157,24 @@ n_samples = 120
     ("model_problem = darcy\nn_initializations = 0", "n_initializations must be at least 1"),
     ("model_problem = darcy\n[bogus]\nkey = 1", r"unknown section \[bogus\]"),
     ("model_problem = darcy\n[eki]\nfrobnicate = 1", r"unknown key 'frobnicate' in \[eki\]"),
+    ("model_problem = darcy\n[prior]\nplain_prior = field-cauchy",
+     "prior.plain_prior = field-cauchy is a one-dimensional prior"),
+    ("model_problem = darcy\n[eki]\nupsilon0 = 0", "eki.upsilon0 must be positive, got 0.0"),
+    ("model_problem = darcy\n[eki]\nmax_doublings = 0",
+     "eki.max_doublings must be at least 1, got 0"),
+    ("model_problem = darcy\n[eki]\nmax_outer_iterations = -1",
+     "eki.max_outer_iterations must not be negative, got -1"),
 ])
-def test_invalid_configurations_raise_config_errors(tmp_path, text, message):
+def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
     path.write_text("[experiment]\n" + text + "\n", encoding="utf-8")
     with pytest.raises(ConfigError, match=message):
         load_config(path)
+    # the CLI stops before it writes anything
+    assert cli(["validate", str(path)]) == 1
+    assert cli(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run").exists()
+    assert capsys.readouterr().err.count("configuration error: ") == 2
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 5)])
@@ -263,6 +275,18 @@ def test_every_configuration_writes_its_golden_files_also_when_rerun(tmp_path, c
     rerun = config_from_manifest(tmp_path / "run" / "manifest.json")
     rerun["experiment"]["out_dir"] = str(tmp_path / "rerun")
     assert harness.run_experiment(rerun)["files"] == golden
+
+
+@pytest.mark.parametrize("schedule,kept", [("none", []), ("0, 2", [0, 2]), ("7 1", [1])])
+def test_snapshot_schedules_write_the_listed_iterations(tmp_path, schedule, kept):
+    case = MATRIX[0]
+    config = matrix_config(tmp_path, *case)
+    config["experiment"]["snapshots"] = schedule
+    files = harness.run_experiment(config)["files"]
+    expected = {name: sha for name, sha in GOLDEN_FILES[case_name(case)].items()
+                if "snapshot" not in name or int(name[-7:-4]) in kept}
+    assert files == expected
+    assert len(files) == 6 + 2 * len(kept)
 
 
 def same_bits(a, b) -> bool:
