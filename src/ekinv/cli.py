@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, config_from_manifest, load_config
+from .config import ConfigError, config_from_manifest, controls_from, load_config
 from .harness import run_experiment, sample_prior_fields, summarize_run
 
 
@@ -32,6 +32,10 @@ def _apply_overrides(config, args) -> None:
         config["experiment"]["out_dir"] = args.out_dir
     if getattr(args, "max_iter", None) is not None:
         config["eki"]["max_outer_iterations"] = args.max_iter
+        try:
+            controls_from(config)
+        except ValueError as exc:
+            raise ConfigError(f"--max-iter: {exc}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

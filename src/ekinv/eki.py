@@ -113,7 +113,7 @@ class EkiControls:
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.zeta is not None and self.zeta * self.rho <= 1.0:
+        if self.zeta is not None and not self.zeta * self.rho > 1.0:
             raise ValueError(f"zeta must exceed 1/rho = {1 / self.rho:.6g}, got {self.zeta}")
         if not self.upsilon0 > 0:
             raise ValueError(f"upsilon0 must be positive, got {self.upsilon0}")

@@ -85,6 +85,10 @@ def test_cli_exit_codes(tmp_path, capsys):
                                       "parameterization = level-set\n", encoding="utf-8")
     assert cli(["validate", str(tmp_path / "bad.ini")]) == 1
     assert "[experiment] parameterization: must be one of" in capsys.readouterr().err
+    never = str(tmp_path / "never")
+    assert cli(["run", str(tmp_path / "valid.ini"), "--max-iter", "-1", "--out-dir", never]) == 1
+    assert "--max-iter: max_outer_iterations must not be negative" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
     assert cli(["frobnicate"]) == 2
 
 
@@ -153,6 +157,7 @@ n_samples = 120
     ("model_problem = darcy\n[eki]\nrho = 1.0", r"eki.rho must lie in \(0, 1\)"),
     ("model_problem = darcy\n[eki]\nrho = 0.0", r"eki.rho must lie in \(0, 1\)"),
     ("model_problem = darcy\n[eki]\nrho = 0.5\nzeta = 2.0", "eki.zeta must exceed 1/rho = 2"),
+    ("model_problem = darcy\n[eki]\nzeta = nan", "eki.zeta must exceed 1/rho = 1.25, got nan"),
     ("model_problem = darcy\nn_ensemble = 1", "n_ensemble must be at least 2"),
     ("model_problem = darcy\nn_initializations = 0", "n_initializations must be at least 1"),
     ("model_problem = darcy\n[bogus]\nkey = 1", r"unknown section \[bogus\]"),

@@ -15,7 +15,6 @@ from ekinv.priors import (
     cauchy_path,
     coefficient_scale,
     nonstationary_sqrt,
-    sqrt_cov,
     unconstrained_to_hyper,
 )
 
@@ -54,7 +53,8 @@ def hyper_to_unconstrained(theta, bounds) -> np.ndarray:
 
 def cauchy_walk(domain, delta, rng) -> np.ndarray:
     """A Cauchy random walk: i.i.d. Cauchy(0, delta) increments at spacing delta."""
-    return cauchy_path(domain, delta, delta * rng.standard_cauchy(cauchy_knot_count(domain, delta)))
+    increments = delta * rng.standard_cauchy(cauchy_knot_count(domain, delta))
+    return cauchy_path(domain, delta, increments)
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,8 @@ def test_dirichlet_sampler_covariance_approaches_free_space():
     basis = dirichlet_spectrum(domain)
     spec = MaternSpec(alpha=1.5, tau=10.0)
     rng = np.random.default_rng(7)
-    draws = sqrt_cov(spec, basis, rng.standard_normal((40_000, basis.n_modes)), "physical")
+    draws = np.stack([apply_sqrt_cov(spec, basis, white_noise(domain, rng), "physical").values
+                      for _ in range(40_000)])
     x = domain.interior_coords(0)
     i = int(np.argmin(np.abs(x - 5.0)))
     for lag in (0, 2, 6):
