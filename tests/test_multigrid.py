@@ -59,6 +59,37 @@ def test_mg_pcg_matches_sparse_lu(bc, kind, n):
     np.testing.assert_array_equal(pressure[boundary], reference[boundary])
 
 
+# PCG iterations of the n=64 oracle cases when this guard was written; a
+# change that weakens the preconditioner fails here long before it reaches
+# the 100-iteration cap
+ITERATIONS_AT_64 = {("paper", "lognormal"): 10, ("paper", "level-set"): 16,
+                    ("paper", "channel"): 16, ("dirichlet", "lognormal"): 10,
+                    ("dirichlet", "level-set"): 13, ("dirichlet", "channel"): 14}
+
+
+@pytest.mark.parametrize("bc, kind", list(ITERATIONS_AT_64))
+def test_pcg_needs_no_more_iterations_than_before(monkeypatch, bc, kind):
+    monkeypatch.setattr(multigrid, "MAX_ITERATIONS", ITERATIONS_AT_64[bc, kind])
+    domain = build_domain(2, [6.0, 6.0], [64, 64])
+    problem(domain, bc).solve_full(coefficient(domain, kind))
+
+
+def test_high_contrast_coefficient(monkeypatch):
+    # a Matern field at three times unit standard deviation, exponentiated:
+    # the conductivity spans a factor e^17.8 over the domain
+    monkeypatch.setattr(multigrid, "MAX_ITERATIONS", 30)
+    domain = build_domain(2, [6.0, 6.0], [64, 64])
+    u = apply_sqrt_cov(MaternSpec(alpha=2.0, tau=10.0), dirichlet_spectrum(domain),
+                       white_noise(domain, np.random.default_rng(3))).values
+    log_kappa = 3.0 * u / u.std()
+    assert np.ptp(log_kappa) > 17.5
+    darcy = DarcyProblem(domain)
+    kappa = Field(domain, np.exp(log_kappa))
+    reference = splu_pressure(darcy, kappa)
+    pressure = darcy.solve_full(kappa)
+    assert np.linalg.norm(pressure - reference) <= 1e-8 * np.linalg.norm(reference)
+
+
 def test_member_alone_equals_member_in_a_chunk():
     domain = build_domain(2, [6.0, 6.0], [32, 32])
     darcy = DarcyProblem(domain)
