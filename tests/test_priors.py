@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
 import scipy.stats
 
 from ekinv.grid import Field, MemberError, build_domain, dirichlet_spectrum, white_noise
+from ekinv import priors
 from ekinv.priors import (
     GMap,
     MaternSpec,
@@ -263,6 +265,22 @@ def test_nonstationary_1d_band_solve_matches_sparse_operator():
     np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
         nonstationary_sqrt(2.0, np.zeros(domain.n_interior), xi, basis)
+
+
+def test_tridiagonal_solve_equals_solve_banded_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 50, 999):
+        ab = rng.standard_normal((3, n))
+        ab[1] += 4.0
+        b = rng.standard_normal(n)
+        np.testing.assert_array_equal(priors._solve_tridiagonal(ab, b),
+                                      scipy.linalg.solve_banded((1, 1), ab, b))
+    singular = np.zeros((3, 4))
+    singular[1, 1:] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scipy.linalg.solve_banded((1, 1), singular, np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        priors._solve_tridiagonal(singular, np.ones(4))
 
 
 def test_nonstationary_zero_noise():
