@@ -70,6 +70,8 @@ def cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "parallel", 1) < 1:
+            parser.error(f"argument --parallel: must be at least 1, got {args.parallel}")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -82,7 +84,7 @@ def cli(argv=None) -> int:
         if args.command == "run":
             config = _load(args.config)
             _apply_overrides(config, args)
-            manifest = run_experiment(config, parallel=max(1, args.parallel))
+            manifest = run_experiment(config, parallel=args.parallel)
             out_dir = config["experiment"]["out_dir"]
             n_ok = sum(init["stop_reason"] == "discrepancy"
                        for init in manifest["initializations"])

@@ -89,6 +89,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli(["run", str(tmp_path / "valid.ini"), "--max-iter", "-1", "--out-dir", never]) == 1
     assert "--max-iter: max_outer_iterations must not be negative" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+    for parallel in ("0", "-2"):
+        assert cli(["run", str(tmp_path / "valid.ini"), "--parallel", parallel,
+                    "--out-dir", never]) == 2
+        assert f"--parallel: must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
     assert cli(["frobnicate"]) == 2
 
 
