@@ -26,9 +26,16 @@ Alcouffe, Brandt, Dendy & Painter 1981 and Dendy 1982):
 * bilinear prolongation, with its transpose as the restriction;
 * a dense direct solve once no axis has more than ``COARSEST_CELLS`` cells.
 
-Every member stops on its own once |r| <= TOLERANCE |b| and leaves the
+The V-cycle runs in single precision (mixed-precision multigrid after
+Goeddeke, Strzodka & Turek 2007).  Each level's faces, inverse diagonals and
+the coarsest inverse are computed in float64 and stored as float32, which
+halves the bytes the memory-bound fine-level passes move.  Conjugate
+gradients keep the iterate, the residual, the search direction, the inner
+products, their own faces and the stopping test in float64: the residual is
+rounded to float32 on its way into the V-cycle and the correction widened
+back.  Every member stops on its own once |r| <= TOLERANCE |b| and leaves the
 working stack, so a member's iterates do not depend on what it is batched
-with.
+with, and the returned solution is float64.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ def _residual(tx: np.ndarray, ty: np.ndarray, x: np.ndarray, b: np.ndarray
               ) -> np.ndarray:
     """b - A x on a (B, N1, N2) stack, every node included; faces as from :func:`_flat`."""
     B, _, N2 = x.shape
-    r = np.array(b, dtype=float).reshape(B, -1)
+    r = np.array(b).reshape(B, -1)
     xf = x.reshape(B, -1)
     flux = np.subtract(xf[:, 1:], xf[:, :-1])
     flux *= ty
@@ -116,7 +123,7 @@ def _prolong(coarse: np.ndarray, axis: int, n: int) -> np.ndarray:
     k = n // 2 + 1
     shape = list(coarse.shape)
     shape[axis] = n + 1
-    fine = np.empty(shape)
+    fine = np.empty(shape, dtype=coarse.dtype)
     c = coarse[_along(axis, slice(0, k))]
     fine[_along(axis, slice(0, 2 * k - 1, 2))] = c
     fine[_along(axis, slice(1, 2 * k - 2, 2))] = 0.5 * (
@@ -198,12 +205,14 @@ def _hierarchy(tx: np.ndarray, ty: np.ndarray, unknown: np.ndarray
         inv = np.where(unknown, 1.0 / _diagonal(tx, ty), 0.0)
         ii, jj = np.indices(unknown.shape)
         red = (ii + jj) % 2 == 0
-        levels.append(_Level(*_flat(tx, ty), np.where(red, inv, 0.0), np.where(red, 0.0, inv)))
+        levels.append(_Level(*(a.astype(np.float32) for a in (
+            *_flat(tx, ty), np.where(red, inv, 0.0), np.where(red, 0.0, inv)))))
         tx = _restrict(_series(tx, 1), 2)
         ty = _restrict(_series(ty, 2), 1)
         n1, n2 = (size - 1 for size in unknown.shape)
         unknown = unknown[np.ix_(_coarse_nodes(n1), _coarse_nodes(n2))]
-    return levels, _Coarsest(unknown, np.linalg.inv(_dense(tx, ty, unknown)))
+    inverse = np.linalg.inv(_dense(tx, ty, unknown)).astype(np.float32)
+    return levels, _Coarsest(unknown, inverse)
 
 
 def _vcycle(levels: list[_Level], coarsest: _Coarsest, b: np.ndarray) -> np.ndarray:
@@ -235,15 +244,24 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
           ) -> np.ndarray:
     """x with A x = b for every member of the stack, zero off ``unknown``.
 
-    ``b`` must vanish off ``unknown``.  Raises :class:`ConvergenceError` for
+    ``b`` must vanish off ``unknown``.  The result is float64; only the
+    preconditioner works in float32.  Raises :class:`ConvergenceError` for
     the first member still short of the tolerance after ``MAX_ITERATIONS``
     iterations, or whose residual stops being finite.
     """
-    levels, coarsest = _hierarchy(tx, ty, unknown)
-    tx, ty = levels[0][:2] if levels else _flat(tx, ty)
+    bnorm = _norm(b)
+    # The V-cycle sees each member scaled by powers of two: the operator so
+    # that its largest face lies in [0.5, 1), the residual by the power of
+    # two of |b|.  So float32 holds both whatever the units of the
+    # coefficient and the data, and since the V-cycle is linear and these
+    # scalings are exact, the correction is that of the member as given.
+    largest = np.maximum(tx.max(axis=(1, 2)), ty.max(axis=(1, 2)))
+    scale = np.ldexp(1.0, -np.frexp(largest)[1])[:, None, None]
+    size = np.ldexp(1.0, np.frexp(bnorm)[1])[:, None, None]
+    levels, coarsest = _hierarchy(scale * tx, scale * ty, unknown)
+    tx, ty = _flat(tx, ty)
     out = np.zeros_like(b)
     active = np.arange(b.shape[0])
-    bnorm = _norm(b)
     x, r, d = np.zeros_like(b), b.copy(), np.zeros_like(b)
     rz = np.ones(b.shape[0])
     iteration = 0
@@ -253,8 +271,8 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
         if done.any():
             out[active[done]] = x[done]
             keep = ~done
-            active, bnorm, rnorm, rz, tx, ty, x, r, d = (
-                a[keep] for a in (active, bnorm, rnorm, rz, tx, ty, x, r, d))
+            active, bnorm, rnorm, rz, scale, size, tx, ty, x, r, d = (
+                a[keep] for a in (active, bnorm, rnorm, rz, scale, size, tx, ty, x, r, d))
             levels = [level.take(keep) for level in levels]
             coarsest = coarsest.take(keep)
             if active.size == 0:
@@ -263,7 +281,7 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
         if failed.any():
             k = int(np.argmax(failed))
             raise ConvergenceError(int(active[k]), iteration, float(rnorm[k] / bnorm[k]))
-        z = _vcycle(levels, coarsest, r)
+        z = scale * size * _vcycle(levels, coarsest, (r / size).astype(np.float32))
         rz_new = np.einsum("bij,bij->b", r, z)
         d = z + (rz_new / rz)[:, None, None] * d
         rz = rz_new

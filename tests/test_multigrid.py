@@ -117,8 +117,12 @@ def test_stencil_matches_assembled_matrix():
 
 
 @pytest.mark.parametrize("shape", [(8, 8), (12, 7), (9, 15)])
-def test_vcycle_is_symmetric_positive_definite(shape):
-    # conjugate gradients needs a symmetric positive definite preconditioner
+@pytest.mark.parametrize("dtype, rtol", [(np.float64, 1e-14), (np.float32, 1e-6)])
+def test_vcycle_is_symmetric_positive_definite(shape, dtype, rtol):
+    # conjugate gradients needs a symmetric positive definite preconditioner.
+    # The V-cycle is symmetric in exact arithmetic on its stored operators
+    # (float64 input); solve hands it float32, where it is symmetric up to
+    # float32 rounding
     n1, n2 = shape
     rng = np.random.default_rng(2)
     tx = np.exp(rng.standard_normal((1, n1, n2 + 1)))
@@ -127,14 +131,33 @@ def test_vcycle_is_symmetric_positive_definite(shape):
     unknown[:, 0] = False
     levels, coarsest = multigrid._hierarchy(tx, ty, unknown)
     assert levels
+    assert {a.dtype for level in levels for a in level} | {coarsest.inverse.dtype} == {
+        np.dtype(np.float32)}
     ids = np.flatnonzero(unknown)
     M = np.empty((ids.size, ids.size))
     for col, k in enumerate(ids):
-        e = np.zeros((1, n1 + 1, n2 + 1))
+        e = np.zeros((1, n1 + 1, n2 + 1), dtype=dtype)
         e.flat[k] = 1.0
-        M[:, col] = multigrid._vcycle(levels, coarsest, e).ravel()[ids]
-    assert np.abs(M - M.T).max() <= 1e-14 * np.abs(M).max()
-    assert np.linalg.eigvalsh(M).min() > 0
+        z = multigrid._vcycle(levels, coarsest, e)
+        assert z.dtype == dtype
+        M[:, col] = z.ravel()[ids]
+    assert np.abs(M - M.T).max() <= rtol * np.abs(M).max()
+    assert np.linalg.eigvalsh((M + M.T) / 2).min() > 0
+
+
+@pytest.mark.parametrize("power", [-140, 140])
+def test_solution_does_not_depend_on_the_units_of_the_coefficient(power):
+    # faces and right-hand side scaled by 2^power, far outside float32's
+    # range: the same solution, bit for bit
+    domain = build_domain(2, [6.0, 6.0], [16, 16])
+    darcy = DarcyProblem(domain)
+    knode = darcy.node_kappa(coefficient(domain, "level-set"))[None]
+    tx, ty = darcy._faces(knode)
+    b = darcy._rhs_nodes[None] * darcy._unknown
+    x = multigrid.solve(tx, ty, b, darcy._unknown)
+    scale = 2.0 ** power
+    np.testing.assert_array_equal(
+        multigrid.solve(scale * tx, scale * ty, scale * b, darcy._unknown), x)
 
 
 def test_zero_right_hand_side_returns_zero():
