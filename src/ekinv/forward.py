@@ -19,8 +19,9 @@ combine the fine ones in series along the flow and in parallel across it,
 bilinear prolongation with its transpose as restriction, and a dense solve
 on the coarsest grid.  The V-cycle runs in float32; the conjugate-gradient
 vectors, the stopping test and the returned pressure are float64.  Each
-member stops on its own at a relative residual of 1e-10.  The assembled sparse matrix (:meth:`DarcyProblem.assemble`)
-remains as the reference that tests factorize directly.
+member stops on its own at a relative residual of 1e-10.  The assembled
+sparse matrix (:meth:`DarcyProblem.assemble`) remains as the reference that
+tests factorize directly.
 
 The 1D source model solves p'' + p = u with homogeneous Dirichlet conditions
 by second-order finite differences (algebraically equivalent to lumped

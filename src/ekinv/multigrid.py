@@ -161,7 +161,7 @@ def _series(t: np.ndarray, axis: int) -> np.ndarray:
 
 
 class _Level(NamedTuple):
-    """Operator and smoother of one level; every array has the batch axis first."""
+    """Operator and smoother of one level in float32; every array has the batch axis first."""
 
     tx: np.ndarray      # faces in the layout of :func:`_flat`
     ty: np.ndarray
