@@ -16,6 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eki import EkiControls
+from .grid import Domain, SpectralBasis, build_domain, dirichlet_spectrum
+from .param_maps import LevelSetSpec, NoncenteredMap
+from .priors import GMap, MaternSpec
 
 
 class ConfigError(ValueError):
@@ -37,6 +40,13 @@ def _parse_bool(text: str) -> bool:
 
 def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(part) for part in text.replace(",", " ").split())
+
+
+def _parse_four_floats(text: str) -> tuple[float, ...]:
+    values = _parse_floats(text)
+    if len(values) != 4:
+        raise ConfigError(f"expected four numbers, got {text!r}")
+    return values
 
 
 def _parse_bounds(text: str) -> tuple[float, float]:
@@ -85,7 +95,6 @@ SCHEMA = {
         "max_outer_iterations": (int, 30),
         "max_doublings": (int, 60),
         "perturb_observations": (_parse_bool, True),
-        "per_member_upsilon": (_parse_bool, False),
         "noise_level_convention": (_choice("realized", "expected"), "realized"),
     },
     "grid": {
@@ -111,7 +120,7 @@ SCHEMA = {
         "v_sigma2": (float, 60.0),
         "v_mean": (float, -0.5),
         "cauchy_delta": (float, 0.5),
-        "g_rational_params": (_parse_floats, (4.0, 0.0, 1.0, 0.0)),
+        "g_rational_params": (_parse_four_floats, (4.0, 0.0, 1.0, 0.0)),
         "g_floor_frac": (float, 1e-6),
         "g_cap_frac": (float, 10.0),
         "nonstationary_alpha": (float, 2.0),
@@ -139,7 +148,7 @@ SCHEMA = {
                          "channel-draw"), "auto"),
         "alpha_true": (float, 3.0),
         "tau_true": (float, 10.0),
-        "channel_truth_hypers": (_parse_floats, (2.0, 2.8, 30.0, 10.0)),
+        "channel_truth_hypers": (_parse_four_floats, (2.0, 2.8, 30.0, 10.0)),
     },
     "sample_prior": {
         "mode": (_choice("matern-tau-sweep", "matern-alpha-sweep",
@@ -188,8 +197,48 @@ def controls_from(config) -> EkiControls:
                        upsilon0=eki["upsilon0"],
                        max_outer_iterations=eki["max_outer_iterations"],
                        max_doublings=eki["max_doublings"],
-                       perturb_observations=eki["perturb_observations"],
-                       per_member_upsilon=eki["per_member_upsilon"])
+                       perturb_observations=eki["perturb_observations"])
+
+
+def model_domain(model: str, n_cells) -> Domain:
+    """The box of a model problem, [0, 10] or [0, 6]^2, with n_cells per axis."""
+    return build_domain(1, 10.0, n_cells) if model == "source1d" else build_domain(2, 6.0, n_cells)
+
+
+def noncentered_map_from(config, basis: SpectralBasis, kind: str) -> NoncenteredMap:
+    """The non-centered transform of a configuration's "field-gauss" or
+    "field-cauchy" hyperprior on ``basis``."""
+    fh = config["field_hyper"]
+    floor, cap = (fh[key] * max(basis.domain.extents) for key in ("g_floor_frac", "g_cap_frac"))
+    if kind == "field-gauss":
+        v_spec = MaternSpec(fh["v_alpha"], fh["v_tau"], fh["v_sigma2"], fh["v_mean"])
+        hyper = dict(g=GMap("exp", floor, cap), field_spec=v_spec)
+    else:
+        hyper = dict(g=GMap("rational", floor, cap, fh["g_rational_params"]),
+                     cauchy_delta=fh["cauchy_delta"])
+    return NoncenteredMap(basis=basis, scaling=config["grid"]["coordinate_scaling"],
+                          nonstationary_alpha=fh["nonstationary_alpha"], **hyper)
+
+
+def _check_values(sections: dict) -> None:
+    """Build what a run builds from the [level_set], [prior], [truth] and
+    [field_hyper] values, on the model's box at its coarsest grid, so that a
+    value their own checks reject stops here, not midway through a run."""
+    domain = model_domain(sections["experiment"]["model_problem"], 2)
+    p, t = sections["prior"], sections["truth"]
+    kinds = ("field-gauss", "field-cauchy") if domain.dim == 1 else ("field-gauss",)
+    checks = {
+        "[level_set]": lambda: LevelSetSpec(**sections["level_set"]),
+        "[prior], [truth]": lambda: MaternSpec(t["alpha_true"], t["tau_true"], p["sigma2"],
+                                               p["mean"]).validate(domain.dim),
+        "[field_hyper]": lambda: [noncentered_map_from(sections, dirichlet_spectrum(domain), k)
+                                  for k in kinds],
+    }
+    for where, check in checks.items():
+        try:
+            check()
+        except ValueError as exc:
+            raise ConfigError(f"{where} {exc}") from exc
 
 
 def _resolve(sections: dict) -> dict:
@@ -242,6 +291,7 @@ def _resolve(sections: dict) -> dict:
             "channel": "channel-draw",
         }[cmap]
 
+    _check_values(sections)
     if exp["out_dir"] == "auto":
         exp["out_dir"] = f"runs/{model}-{par}-{cmap}"
     return sections

@@ -95,10 +95,8 @@ class EkiControls:
     """Regularization and stopping controls.
 
     ``zeta`` defaults to 1.1 / rho, strictly above the admissible floor 1/rho.
-    ``fixed_upsilon`` bypasses the doubling selection (used by the
-    continuous-time-limit comparison); ``per_member_upsilon`` selects one
-    Upsilon per member from its own perturbed residual instead of a single
-    shared value from the unperturbed mean residual.
+    Every step selects one Upsilon from the unperturbed mean residual by
+    doubling ``upsilon0`` at most ``max_doublings`` times.
     """
 
     rho: float = 0.8
@@ -107,8 +105,6 @@ class EkiControls:
     max_outer_iterations: int = 30
     max_doublings: int = 60
     perturb_observations: bool = True
-    per_member_upsilon: bool = False
-    fixed_upsilon: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -142,7 +138,7 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class StepInfo:
-    upsilon: float | np.ndarray
+    upsilon: float
     doublings: int
 
 
@@ -225,24 +221,8 @@ def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         Y = np.broadcast_to(y[:, None], (obs.n_obs, J))
     R = Y - W
 
-    if controls.fixed_upsilon is not None:
-        upsilon, doublings = float(controls.fixed_upsilon), 0
-        S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
-    elif controls.per_member_upsilon:
-        per = np.empty(J)
-        doublings = 0
-        S = np.empty_like(R)
-        cache: dict[float, tuple] = {}
-        for j in range(J):
-            per[j], trials = select_upsilon(C_ww, gamma, Y[:, j] - w_bar, controls)
-            doublings = max(doublings, trials)
-            if per[j] not in cache:
-                cache[per[j]] = _factorize(C_ww, gamma, per[j])
-            S[:, j] = scipy.linalg.cho_solve(cache[per[j]], R[:, j])
-        upsilon = per
-    else:
-        upsilon, doublings = select_upsilon(C_ww, gamma, y - w_bar, controls)
-        S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
+    upsilon, doublings = select_upsilon(C_ww, gamma, y - w_bar, controls)
+    S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
 
     updated = _block_update(X, ensemble.layout, Ac, S)
     if not np.all(np.isfinite(updated)):
@@ -294,8 +274,7 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         except (UpsilonSearchError, RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             stop_reason, message = "aborted", str(exc)
             break
-        record.upsilon = (float(np.max(info.upsilon))
-                          if np.ndim(info.upsilon) else float(info.upsilon))
+        record.upsilon = info.upsilon
         if record_walltime:
             record.wall_ms = 1000.0 * (time.perf_counter() - t0)
         n += 1

@@ -21,7 +21,13 @@ import numpy as np
 from . import __version__
 # load_config is re-exported: the benchmark loads its configurations through
 # this module
-from .config import ExperimentConfig, controls_from, load_config  # noqa: F401
+from .config import (  # noqa: F401
+    ExperimentConfig,
+    controls_from,
+    load_config,
+    model_domain,
+    noncentered_map_from,
+)
 from .eki import Ensemble, PackingLayout, run_inversion
 from .forward import (
     CompositeForward,
@@ -37,21 +43,14 @@ from .forward import (
 from .grid import Domain, Field, SpectralBasis, build_domain, dirichlet_spectrum, white_noise
 from .param_maps import (
     LevelSetSpec,
-    NoncenteredMap,
     channel_values,
     exp_map,
     exp_values,
     level_set_map,
     level_set_values,
+    noncentered_matern,
 )
-from .priors import (
-    GMap,
-    HyperPrior,
-    MaternSpec,
-    apply_sqrt_cov,
-    sqrt_cov,
-    unconstrained_to_hyper,
-)
+from .priors import MaternSpec, apply_sqrt_cov, unconstrained_to_hyper
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +96,11 @@ def build_model_setup(config: ExperimentConfig) -> ModelSetup:
     model = config["experiment"]["model_problem"]
     n = config["grid"]["n_cells"]
     obs_cfg = config["observations"]
+    domain = model_domain(model, n)
     if model == "source1d":
-        domain = build_domain(1, [10.0], n)
         solver = SourceProblem1D(domain)
         obs = point_observations(domain, obs_cfg["n_obs"], obs_cfg["gamma_scale"])
     else:
-        domain = build_domain(2, [6.0, 6.0], [n, n])
         solver = DarcyProblem(domain)
         sigma = obs_cfg["mollifier_sigma_frac"] * max(domain.extents)
         obs = mollified_observations(domain, int(round(np.sqrt(obs_cfg["n_obs"]))),
@@ -134,7 +132,7 @@ def make_truth(config: ExperimentConfig, setup: ModelSetup,
     if kind == "matern-threshold":
         spec = _truth_matern_spec(config)
         u = apply_sqrt_cov(spec, setup.basis, white_noise(setup.domain, rng), setup.scaling)
-        kappa = level_set_map(u, _level_set_spec(config))
+        kappa = level_set_map(u, LevelSetSpec(**config["level_set"]))
         return TruthBundle(field=Field(setup.domain, np.log(kappa.values)),
                            pde_field=kappa,
                            hypers={"alpha": spec.alpha, "tau": spec.tau})
@@ -151,38 +149,6 @@ def make_truth(config: ExperimentConfig, setup: ModelSetup,
     return TruthBundle(field=log_kappa, pde_field=exp_map(log_kappa),
                        hypers={"alpha1": a1, "tau1": t1, "alpha2": a2, "tau2": t2,
                                **{f"d{i}": float(v) for i, v in enumerate(d, start=1)}})
-
-
-def _level_set_spec(config: ExperimentConfig) -> LevelSetSpec:
-    ls = config["level_set"]
-    return LevelSetSpec(kappa_minus=ls["kappa_minus"], kappa_plus=ls["kappa_plus"],
-                        threshold=ls["threshold"])
-
-
-def _noncentered_map(config: ExperimentConfig, basis: SpectralBasis,
-                     kind: str) -> NoncenteredMap:
-    """The non-centered transform T for a "scalar" (alpha, tau), a
-    "field-gauss" or a "field-cauchy" hyperprior."""
-    scaling = config["grid"]["coordinate_scaling"]
-    if kind == "scalar":
-        p = config["prior"]
-        hyper = HyperPrior(kind="uniform-scalar", bounds=(p["alpha_bounds"], p["tau_bounds"]))
-        return NoncenteredMap(basis=basis, hyper=hyper, scaling=scaling,
-                              base_sigma2=p["sigma2"], base_mean=p["mean"])
-    fh = config["field_hyper"]
-    floor = fh["g_floor_frac"] * max(basis.domain.extents)
-    cap = fh["g_cap_frac"] * max(basis.domain.extents)
-    if kind == "field-gauss":
-        hyper = HyperPrior(kind="gaussian-field",
-                           field_spec=MaternSpec(alpha=fh["v_alpha"], tau=fh["v_tau"],
-                                                 sigma2=fh["v_sigma2"], mean=fh["v_mean"]),
-                           g=GMap("exp", floor=floor, cap=cap))
-    else:
-        hyper = HyperPrior(kind="cauchy-process", cauchy_delta=fh["cauchy_delta"],
-                           g=GMap("rational", tuple(fh["g_rational_params"]),
-                                  floor=floor, cap=cap))
-    return NoncenteredMap(basis=basis, hyper=hyper, scaling=scaling,
-                          nonstationary_alpha=fh["nonstationary_alpha"])
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +213,12 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     of the channel), the five channel geometry scalars under the channel
     map, and each field's (alpha, tau) unless the parameterization is plain.
     Plain and centered members hold these in natural units.  Non-centered
-    members hold N(0, 1) latents, which the Matern square root and the
-    normal-quantile bijection map to natural units.  The field-valued
-    variants hold white noise and the latents of their NoncenteredMap.
+    members hold white noise and N(0, 1) latents: each field is decoded by
+    :func:`ekinv.param_maps.noncentered_matern`, the geometry by the
+    normal-quantile bijection.  The field-valued variants hold white noise
+    and the latents of their :class:`ekinv.param_maps.NoncenteredMap`.  A
+    plain ensemble under the scalar prior is drawn through
+    ``noncentered_matern`` with one (alpha, tau) frozen per initialization.
 
     The decoder works on a (dim, B) block of members: one sine transform
     over the member axis per synthesis, each member's (alpha, tau) and
@@ -270,7 +239,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     field_valued = par.startswith("noncentered-field")
 
     if field_valued:
-        ncm = _noncentered_map(config, basis, par.removeprefix("noncentered-"))
+        ncm = noncentered_map_from(config, basis, par.removeprefix("noncentered-"))
         blocks = [("xi", basis.n_modes), ("hyper", ncm.n_hyper)]
     else:
         size = basis.n_modes if noncentered else domain.n_interior
@@ -284,28 +253,26 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
         return apply_sqrt_cov(MaternSpec(theta[0], theta[1], f.sigma2, f.mean),
                               basis, xi, scaling)
 
-    def scalars(packed, packed_bounds):
-        """Bounded scalars in natural units, one row per member."""
-        return unconstrained_to_hyper(packed, packed_bounds) if noncentered else packed
-
     def unmapped(block) -> np.ndarray:
         """The block's fields before the coefficient map, one row per
         member: u, or log kappa inside and outside the channel."""
         if field_valued:
             return ncm.realize(block[sl["xi"]].T, block[sl["hyper"]].T)
         if noncentered:
-            theta = scalars(block[sl["hyper"]].T, bounds)
-            us = [sqrt_cov(MaternSpec(theta[:, 2 * i], theta[:, 2 * i + 1], f.sigma2, f.mean),
-                           basis, block[sl[f.name]].T, scaling)
+            theta = block[sl["hyper"]].T
+            us = [noncentered_matern(basis, block[sl[f.name]].T, theta[:, 2 * i:2 * i + 2],
+                                     f.bounds, f.sigma2, f.mean, scaling)
                   for i, f in enumerate(fields)]
         else:
             us = [block[sl[f.name]].T for f in fields]
         if geometry is None:
             return us[0]
-        return channel_values(scalars(block[sl["geom"]].T, geometry), us[1], us[0], domain)
+        d = block[sl["geom"]].T
+        d = unconstrained_to_hyper(d, geometry) if noncentered else d
+        return channel_values(d, us[1], us[0], domain)
 
     if cmap == "level-set":
-        spec = _level_set_spec(config)
+        spec = LevelSetSpec(**config["level_set"])
 
         def decode_block(block):
             kappa = level_set_values(unmapped(block), spec)
@@ -330,12 +297,24 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     elif par == "plain" and geometry is None:
         # hyperparameters are drawn once per initialization and frozen, so
         # the ensemble spans a single smoothness class
-        ncm = _noncentered_map(config, basis, config["prior"]["plain_prior"])
+        kind = config["prior"]["plain_prior"]
+        if kind == "scalar":
+            f = fields[0]
+
+            def draw_hyper(rng):
+                return rng.standard_normal(2)
+
+            def realize(xi, theta_raw):
+                return noncentered_matern(basis, xi, theta_raw, f.bounds, f.sigma2, f.mean,
+                                          scaling)
+        else:
+            ncm = noncentered_map_from(config, basis, kind)
+            draw_hyper, realize = ncm.sample_hyper_latents, ncm.realize
 
         def sample_initial(rng):
-            theta_raw = ncm.sample_hyper_latents(rng)
-            return np.stack([ncm.transform(white_noise(domain, rng), theta_raw).values
-                             for _ in range(J)], axis=1)
+            theta_raw = draw_hyper(rng)
+            return np.stack([realize(white_noise(domain, rng), theta_raw) for _ in range(J)],
+                            axis=1)
     else:
         def sample_initial(rng):
             members = np.empty((layout.dim, J))
@@ -675,15 +654,15 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
                 write_grid_csv(f"matern_alpha{alpha:g}_tau{tau:g}_s{s}.csv",
                                domain, u.values)
     else:
-        domain = build_domain(1, [10.0], config["grid"]["n_cells"])
+        domain = model_domain("source1d", config["grid"]["n_cells"])
         basis = dirichlet_spectrum(domain)
-        ncm = _noncentered_map(config, basis, mode)
+        ncm = noncentered_map_from(config, basis, mode)
         for s in range(sp["n_samples"]):
             theta_raw = ncm.sample_hyper_latents(rng)
             v = ncm.hyper_field(theta_raw)
             ell = ncm.length_scale(theta_raw)
-            u = ncm.transform(white_noise(domain, rng), theta_raw)
+            u = ncm.realize(white_noise(domain, rng), theta_raw)
             write_grid_csv(f"{mode}_v_s{s}.csv", domain, v)
             write_grid_csv(f"{mode}_ell_s{s}.csv", domain, ell)
-            write_grid_csv(f"{mode}_u_s{s}.csv", domain, u.values)
+            write_grid_csv(f"{mode}_u_s{s}.csv", domain, u)
     return written

@@ -6,27 +6,29 @@ sinusoidal channel whose geometry is controlled by five scalars (amplitude,
 frequency, angle, initial point, width) in normalized unit-square
 coordinates.  The exponential map yields log-permeability fields.
 
-The non-centered transform T decodes unconstrained hyperparameters and maps
-independent white noise through the hyperparameter-dependent prior, so that
-ensemble updates on (xi, theta) move the realized field out of any fixed
-linear span.
+The non-centered transform T(xi, theta) maps independent white noise xi
+through the prior that the hyperparameters theta select, so that ensemble
+updates on (xi, theta) move the realized field out of any fixed linear span.
+:func:`noncentered_matern` is T for a stationary Matern field with scalar
+(alpha, tau); :class:`NoncenteredMap` is T for a field-valued
+hyperparameter that sets a nonstationary length scale.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import Domain, Field, SpectralBasis, check_members
 from .priors import (
     GMap,
-    HyperPrior,
     MaternSpec,
     cauchy_knot_count,
     cauchy_path,
     nonstationary_sqrt,
+    operator_power,
     sqrt_cov,
     unconstrained_to_hyper,
 )
@@ -100,16 +102,30 @@ def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
 # the non-centered transform
 
 
+def noncentered_matern(basis: SpectralBasis, xi: np.ndarray, theta_raw: np.ndarray,
+                       bounds, sigma2: float, mean: float, scaling: str) -> np.ndarray:
+    """Grid values of T(xi, theta) = mean + C_{alpha,tau}^(1/2) xi.
+
+    (alpha, tau) are decoded from the N(0, 1) latents ``theta_raw`` through
+    the normal-quantile bijection onto their uniform prior's ``bounds``.
+    ``xi`` and ``theta_raw`` hold one member, or are stacks with one member
+    per row.
+    """
+    alpha, tau = unconstrained_to_hyper(theta_raw, bounds).T
+    return sqrt_cov(MaternSpec(alpha, tau, sigma2, mean), basis, xi, scaling)
+
+
 @dataclass
 class NoncenteredMap:
-    """Deterministic transform T: (xi, theta_raw) -> field u.
+    """Deterministic transform T: (xi, theta_raw) -> field u for a
+    field-valued hyperprior.
 
-    For a uniform-scalar hyperprior theta = (alpha, tau), decoded through the
-    normal-quantile bijection, and u = mean + C_{alpha,tau}^(1/2) xi.  For a
-    field-valued hyperprior, theta_raw carries the hyperparameter field's own
-    driving noise: sine-basis white noise for the Gaussian case, the raw walk
-    increments for the Cauchy case.  u then solves the nonstationary operator
-    equation with length scale ell = g(v).
+    theta_raw carries the driving noise of the hyperparameter field v:
+    white noise in the sine basis for a Gaussian v (``field_spec``), or the
+    raw increments of a Cauchy walk with knot spacing ``cauchy_delta``.
+    Exactly one of the two is given.  u then solves the nonstationary
+    operator equation with length scale ell = g(v).  Scalar (alpha, tau)
+    hyperparameters are :func:`noncentered_matern`'s.
 
     The Cauchy walk is stored as its raw Cauchy(0, delta) increments, not as
     N(0, 1) latents mapped through the Cauchy quantile function.  This keeps
@@ -119,67 +135,48 @@ class NoncenteredMap:
     """
 
     basis: SpectralBasis
-    hyper: HyperPrior
+    g: GMap
+    field_spec: MaternSpec | None = None
+    cauchy_delta: float | None = None
     scaling: str = "normalized"
-    base_sigma2: float = 1.0
-    base_mean: float = 0.0
     nonstationary_alpha: float = 2.0
+    n_hyper: int = field(init=False)   # number of hyperparameter latents
 
-    @property
-    def n_hyper(self) -> int:
-        if self.hyper.kind == "uniform-scalar":
-            return len(self.hyper.bounds)
-        if self.hyper.kind == "gaussian-field":
-            return self.basis.n_modes
-        return cauchy_knot_count(self.basis.domain, self.hyper.cauchy_delta)
+    def __post_init__(self):
+        if (self.field_spec is None) == (self.cauchy_delta is None):
+            raise ValueError("give exactly one of field_spec (Gaussian v) "
+                             "and cauchy_delta (Cauchy walk)")
+        operator_power(self.nonstationary_alpha)
+        if self.field_spec is not None:
+            self.field_spec.validate(self.basis.domain.dim)
+            self.n_hyper = self.basis.n_modes
+        else:
+            self.n_hyper = cauchy_knot_count(self.basis.domain, self.cauchy_delta)
 
     def hyper_field(self, theta_raw: np.ndarray) -> np.ndarray:
-        """Values of the realized hyperparameter field v (field-valued kinds
-        only), for one member or a stack of latents (one member per row)."""
-        theta_raw = np.asarray(theta_raw, dtype=float)
-        if self.hyper.kind == "gaussian-field":
-            return sqrt_cov(self.hyper.field_spec, self.basis, theta_raw, self.scaling)
-        if self.hyper.kind == "cauchy-process":
-            return cauchy_path(self.basis.domain, self.hyper.cauchy_delta, theta_raw)
-        raise ValueError("scalar hyperpriors do not define a hyperparameter field")
+        """Values of the realized hyperparameter field v, for one member or
+        a stack of latents (one member per row)."""
+        if self.field_spec is not None:
+            return sqrt_cov(self.field_spec, self.basis, theta_raw, self.scaling)
+        return cauchy_path(self.basis.domain, self.cauchy_delta, theta_raw)
 
     def sample_hyper_latents(self, rng: np.random.Generator) -> np.ndarray:
-        """One prior draw of the hyperparameter latents.
-
-        Standard normal for scalar bijections and Gaussian-field noise;
-        Cauchy(0, delta) for the walk increments.
-        """
-        if self.hyper.kind == "cauchy-process":
-            return self.hyper.cauchy_delta * rng.standard_cauchy(self.n_hyper)
+        """One prior draw of the hyperparameter latents: Gaussian-field
+        noise, or Cauchy(0, delta) walk increments."""
+        if self.cauchy_delta is not None:
+            return self.cauchy_delta * rng.standard_cauchy(self.n_hyper)
         return rng.standard_normal(self.n_hyper)
 
     def length_scale(self, theta_raw: np.ndarray) -> np.ndarray:
         """Values of ell = g(v), shaped like :meth:`hyper_field`."""
-        return (self.hyper.g or GMap("exp"))(self.hyper_field(theta_raw), self.basis.domain)
-
-    def decode_scalars(self, theta_raw: np.ndarray) -> np.ndarray:
-        """Scalar hyperparameters in natural units (uniform-scalar kind)."""
-        if self.hyper.kind != "uniform-scalar":
-            raise ValueError("not a scalar hyperprior")
-        return unconstrained_to_hyper(np.asarray(theta_raw, dtype=float),
-                                      self.hyper.bounds)
+        return self.g(self.hyper_field(theta_raw))
 
     def realize(self, xi: np.ndarray, theta_raw: np.ndarray) -> np.ndarray:
         """Grid values of T(xi, theta_raw) for one member, or for stacks of
         xi and theta_raw with one member per row."""
-        xi = np.asarray(xi, dtype=float)
         theta_raw = np.asarray(theta_raw, dtype=float)
         if theta_raw.shape[-1] != self.n_hyper:
             raise ValueError(f"expected {self.n_hyper} hyperparameter latents, "
                              f"got {theta_raw.shape[-1]}")
-        if self.hyper.kind == "uniform-scalar":
-            alpha, tau = self.decode_scalars(theta_raw).T
-            spec = MaternSpec(alpha=alpha, tau=tau, sigma2=self.base_sigma2,
-                              mean=self.base_mean)
-            return sqrt_cov(spec, self.basis, xi, self.scaling)
         return nonstationary_sqrt(self.nonstationary_alpha, self.length_scale(theta_raw),
                                   xi, self.basis)
-
-    def transform(self, xi: np.ndarray, theta_raw: np.ndarray) -> Field:
-        """T(xi, theta_raw) of one member as a field."""
-        return Field(self.basis.domain, self.realize(xi, theta_raw))

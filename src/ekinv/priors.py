@@ -142,6 +142,15 @@ def _solve_operator_power(ell: np.ndarray, rhs: np.ndarray, power: int,
     return u
 
 
+def operator_power(alpha: float) -> int:
+    """alpha/2 of a nonstationary prior, which must be a positive integer:
+    integer operator powers are applied by repeated solves."""
+    half = alpha / 2
+    if abs(half - round(half)) > 1e-12 or round(half) < 1:
+        raise ValueError(f"alpha/2 must be a positive integer, got alpha={alpha}")
+    return int(round(half))
+
+
 def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
                        basis: SpectralBasis) -> np.ndarray:
     """Solve (I - diag(ell^2) Laplace_h)^(alpha/2) u = ell^(d/2) xi.
@@ -149,20 +158,17 @@ def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
     ``ell`` holds length-scale values and ``xi`` white-noise coefficients in
     the sine basis, for one field or as (B, ·) stacks with one member per
     row.  The right-hand sides are synthesized in one transform; the operator
-    differs per member, so each member is solved on its own.  alpha/2 must
-    be a positive integer (integer operator powers are applied by repeated
-    solves).  Raises :class:`ekinv.grid.MemberError` naming the first member
-    with a nonpositive length scale or a non-finite solution.
+    differs per member, so each member is solved on its own.  Raises
+    :class:`ekinv.grid.MemberError` naming the first member with a
+    nonpositive length scale or a non-finite solution.
     """
-    half = alpha / 2
-    if abs(half - round(half)) > 1e-12 or round(half) < 1:
-        raise ValueError(f"alpha/2 must be a positive integer, got alpha={alpha}")
+    power = operator_power(alpha)
     domain = basis.domain
     check_members(np.all(ell > 0, axis=-1), "length-scale field must be strictly positive")
     rhs = ell ** (domain.dim / 2) * basis.synthesize(xi)
     u = np.empty_like(rhs)
     for index in np.ndindex(rhs.shape[:-1]):
-        u[index] = _solve_operator_power(ell[index], rhs[index], int(round(half)), domain)
+        u[index] = _solve_operator_power(ell[index], rhs[index], power, domain)
     check_members(np.all(np.isfinite(u), axis=-1),
                   "nonstationary solve produced non-finite values")
     return u
@@ -177,42 +183,35 @@ class GMap:
     """Positivity-inducing map from a hyperparameter field v to ell.
 
     ``exp`` is ell = exp(v); ``rational`` is ell = a/(b + c|v|) + d.  The
-    output is clipped to [floor, cap] (fractions of the largest extent when
-    not given explicitly), which guards the rational map's singularity at
-    v = 0 when b = d = 0 and keeps assembled operators well conditioned.
+    output is clipped to [floor, cap], 0 < floor <= cap, which guards the
+    rational map's singularity at v = 0 when b = d = 0 and keeps assembled
+    operators well conditioned.
     """
 
     kind: str
+    floor: float
+    cap: float
     params: tuple[float, float, float, float] = (4.0, 0.0, 1.0, 0.0)
-    floor: float | None = None
-    cap: float | None = None
 
-    def __call__(self, v: np.ndarray, domain: Domain) -> np.ndarray:
+    def __post_init__(self):
+        if self.kind not in ("exp", "rational"):
+            raise ValueError(f"unknown g kind {self.kind!r}")
+        if not 0 < self.floor <= self.cap:
+            raise ValueError(f"g needs 0 < floor <= cap, got floor {self.floor}, cap {self.cap}")
+        a, b, c, d = self.params
+        if self.kind == "rational" and (a <= 0 or c <= 0 or b < 0 or d < 0):
+            raise ValueError(f"rational g requires a, c > 0 and b, d >= 0, got {self.params}")
+
+    def __call__(self, v: np.ndarray) -> np.ndarray:
         """ell = g(v) at every value of v: one field or a stack of them."""
-        scale = max(domain.extents)
-        floor = DEFAULT_G_FLOOR_FRAC * scale if self.floor is None else self.floor
-        cap = DEFAULT_G_CAP_FRAC * scale if self.cap is None else self.cap
         if self.kind == "exp":
             with np.errstate(over="ignore"):
                 raw = np.exp(v)
-        elif self.kind == "rational":
-            a, b, c, d = self.params
-            if a <= 0 or c <= 0 or b < 0 or d < 0:
-                raise ValueError("rational g requires a, c > 0 and b, d >= 0, "
-                                 f"got {self.params}")
-            denom = b + c * np.abs(v)
-            with np.errstate(divide="ignore"):
-                raw = a / denom + d
         else:
-            raise ValueError(f"unknown g kind {self.kind!r}")
-        ell = np.clip(raw, floor, cap)
-        if np.any(ell <= 0):
-            raise ValueError("g map produced a nonpositive length scale")
-        return ell
-
-
-DEFAULT_G_FLOOR_FRAC = 1e-6
-DEFAULT_G_CAP_FRAC = 10.0
+            a, b, c, d = self.params
+            with np.errstate(divide="ignore"):
+                raw = a / (b + c * np.abs(v)) + d
+        return np.clip(raw, self.floor, self.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -250,45 +249,11 @@ def cauchy_path(domain: Domain, delta: float, increments: np.ndarray) -> np.ndar
 # uniform-prior bijections
 
 
-def _check_bounds(bounds) -> tuple[np.ndarray, np.ndarray]:
+def unconstrained_to_hyper(raw, bounds) -> np.ndarray:
+    """Normal-quantile bijection from the real line to (a, b): N(0, 1) maps
+    to Uniform(a, b)."""
     bounds = np.asarray(bounds, dtype=float)
     a, b = bounds[..., 0], bounds[..., 1]
     if np.any(a >= b):
         raise ValueError(f"bounds must satisfy a < b, got {bounds}")
-    return a, b
-
-
-def unconstrained_to_hyper(raw, bounds) -> np.ndarray:
-    """Normal-quantile bijection from the real line to (a, b): N(0, 1) maps
-    to Uniform(a, b)."""
-    a, b = _check_bounds(bounds)
     return a + (b - a) * scipy.special.ndtr(np.asarray(raw, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# hyperprior description
-
-
-@dataclass(frozen=True)
-class HyperPrior:
-    """Prior on hyperparameters: uniform scalars, a Gaussian field, or a Cauchy walk."""
-
-    kind: str  # "uniform-scalar" | "gaussian-field" | "cauchy-process"
-    bounds: tuple[tuple[float, float], ...] = ()
-    field_spec: MaternSpec | None = None
-    cauchy_delta: float = 0.0
-    g: GMap | None = None
-
-    def __post_init__(self):
-        if self.kind == "uniform-scalar":
-            if not self.bounds:
-                raise ValueError("uniform-scalar prior needs bounds")
-            _check_bounds(self.bounds)
-        elif self.kind == "gaussian-field":
-            if self.field_spec is None:
-                raise ValueError("gaussian-field prior needs a MaternSpec for v")
-        elif self.kind == "cauchy-process":
-            if self.cauchy_delta <= 0:
-                raise ValueError("cauchy-process prior needs delta > 0")
-        else:
-            raise ValueError(f"unknown hyperprior kind {self.kind!r}")

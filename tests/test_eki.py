@@ -181,8 +181,10 @@ def test_step_matches_closed_form_kalman_update():
     H = np.array([[1.0, 0.4], [-0.3, 1.2]])
     y = np.array([0.7, -0.4])
     obs = toy_obs(2, gamma_scale=0.05, y=y)
-    controls = EkiControls(perturb_observations=False, fixed_upsilon=1.0)
-    new, _ = eki_step(plain_ensemble(X), lambda M: H @ M, obs, controls, rng)
+    # rho this small accepts the first trial, Upsilon = upsilon0
+    controls = EkiControls(perturb_observations=False, rho=1e-12, upsilon0=1.0)
+    new, info = eki_step(plain_ensemble(X), lambda M: H @ M, obs, controls, rng)
+    assert info.upsilon == 1.0
 
     W = H @ X
     C_uw, C_ww = empirical_covariances(X, W)
@@ -224,17 +226,6 @@ def test_step_gauge_invariance_under_permutation():
     permuted, _ = eki_step(plain_ensemble(X[perm]), lambda M: M_map[:, perm] @ M,
                            obs, controls, np.random.default_rng(77))
     np.testing.assert_allclose(permuted.members[inv], base.members, rtol=1e-12, atol=1e-12)
-
-
-def test_per_member_upsilon_mode_runs():
-    rng = np.random.default_rng(4)
-    X = rng.standard_normal((3, 12))
-    H = rng.standard_normal((4, 3))
-    obs = toy_obs(4, gamma_scale=0.05, y=rng.standard_normal(4))
-    controls = EkiControls(per_member_upsilon=True)
-    new, info = eki_step(plain_ensemble(X), lambda M: H @ M, obs, controls, rng)
-    assert np.shape(info.upsilon) == (12,)
-    assert np.all(np.isfinite(new.members))
 
 
 # ---------------------------------------------------------------------------
@@ -353,12 +344,14 @@ def test_discrete_step_converges_to_ode_at_rate_h():
     T = 0.5
 
     def discrete_final(h):
-        controls = EkiControls(perturb_observations=False,
-                               fixed_upsilon=1.0 / ((J - 1) * h),
+        # rho this small accepts the first trial, Upsilon = upsilon0
+        upsilon = 1.0 / ((J - 1) * h)
+        controls = EkiControls(perturb_observations=False, rho=1e-12, upsilon0=upsilon,
                                max_outer_iterations=10**9)
         ens = plain_ensemble(X0)
         for _ in range(int(round(T / h))):
-            ens, _ = eki_step(ens, lambda M: H @ M, obs, controls, rng)
+            ens, info = eki_step(ens, lambda M: H @ M, obs, controls, rng)
+            assert info.upsilon == upsilon
         return ens.members
 
     errors = []
@@ -408,18 +401,16 @@ def test_noncentered_step_escapes_initial_field_span():
     # the span of the initial realized fields
     from ekinv.grid import build_domain, dirichlet_spectrum
     from ekinv.forward import CompositeForward, DecodedBlock, SourceProblem1D, point_observations
-    from ekinv.param_maps import NoncenteredMap
-    from ekinv.priors import HyperPrior
+    from ekinv.param_maps import noncentered_matern
 
     domain = build_domain(1, [10.0], 50)
     basis = dirichlet_spectrum(domain)
     problem = SourceProblem1D(domain)
-    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)))
-    ncm = NoncenteredMap(basis=basis, hyper=hyper)
     m = basis.n_modes
 
     def decode_block(block):
-        u = ncm.realize(block[:m].T, block[m:].T)
+        u = noncentered_matern(basis, block[:m].T, block[m:].T, ((1.3, 4.0), (5.0, 30.0)),
+                               1.0, 0.0, "normalized")
         return DecodedBlock(domain, u, u)
 
     obs = point_observations(domain, 20)

@@ -15,8 +15,7 @@ from ekinv.forward import (
     point_observations,
     synthesize_data,
 )
-from ekinv.param_maps import NoncenteredMap, exp_values
-from ekinv.priors import HyperPrior
+from ekinv.param_maps import exp_values, noncentered_matern
 
 
 def const_field(domain, value=1.0):
@@ -263,12 +262,11 @@ def test_forward_map_zero_latent_equals_mean_composition():
     basis = dirichlet_spectrum(domain)
     problem = DarcyProblem(domain)
     obs = mollified_observations(domain, 4, sigma=0.36)
-    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)))
-    ncm = NoncenteredMap(basis=basis, hyper=hyper, base_mean=0.5)
     n_modes = basis.n_modes
 
     def decode_block(block):
-        u = ncm.realize(block[:n_modes].T, block[n_modes:].T)
+        u = noncentered_matern(basis, block[:n_modes].T, block[n_modes:].T,
+                               ((1.3, 4.0), (5.0, 30.0)), 1.0, 0.5, "normalized")
         return DecodedBlock(domain, exp_values(u), u)
 
     fwd = CompositeForward(decode_block=decode_block, solver=problem.solve, obs=obs)

@@ -174,6 +174,26 @@ n_samples = 120
      "eki.max_doublings must be at least 1, got 0"),
     ("model_problem = darcy\n[eki]\nmax_outer_iterations = -1",
      "eki.max_outer_iterations must not be negative, got -1"),
+    ("model_problem = source1d\n[field_hyper]\nnonstationary_alpha = 3",
+     r"\[field_hyper\] alpha/2 must be a positive integer, got alpha=3.0"),
+    ("model_problem = source1d\n[field_hyper]\nv_sigma2 = -1",
+     r"\[field_hyper\] sigma2 must be positive, got -1.0"),
+    ("model_problem = source1d\n[field_hyper]\ng_rational_params = -1 0 1 0",
+     r"\[field_hyper\] rational g requires a, c > 0"),
+    ("model_problem = source1d\n[field_hyper]\ng_rational_params = 4 0 1",
+     "g_rational_params: expected four numbers"),
+    ("model_problem = source1d\n[field_hyper]\ncauchy_delta = 20",
+     r"\[field_hyper\] delta=20.0 is too large for the domain length 10.0"),
+    ("model_problem = source1d\n[field_hyper]\ng_floor_frac = 20",
+     r"\[field_hyper\] g needs 0 < floor <= cap, got floor 200.0, cap 100.0"),
+    ("model_problem = darcy\n[level_set]\nkappa_minus = 10",
+     r"\[level_set\] conductivity levels must be distinct"),
+    ("model_problem = darcy\n[level_set]\nkappa_minus = -1",
+     r"\[level_set\] conductivity levels must be positive"),
+    ("model_problem = darcy\n[prior]\nsigma2 = -1", "sigma2 must be positive, got -1.0"),
+    ("model_problem = darcy\n[truth]\nalpha_true = 0.5", "alpha must exceed d/2 = 1.0, got 0.5"),
+    ("model_problem = darcy\n[truth]\nchannel_truth_hypers = 2 2.8 30",
+     "channel_truth_hypers: expected four numbers"),
 ])
 def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"

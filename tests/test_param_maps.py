@@ -8,8 +8,9 @@ from ekinv.param_maps import (
     channel_values,
     exp_map,
     level_set_map,
+    noncentered_matern,
 )
-from ekinv.priors import GMap, HyperPrior, MaternSpec, apply_sqrt_cov
+from ekinv.priors import GMap, MaternSpec, apply_sqrt_cov
 
 
 @pytest.fixture(scope="module")
@@ -136,40 +137,42 @@ def test_channel_prior_box_area_fraction():
 # non-centered transform
 
 
+SCALAR_BOUNDS = ((1.3, 4.0), (5.0, 30.0))
+
+
 @pytest.fixture(scope="module")
-def scalar_map():
-    basis = dirichlet_spectrum(build_domain(1, [1.0], 32))
-    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)))
-    return NoncenteredMap(basis=basis, hyper=hyper, base_mean=2.5)
+def scalar_basis():
+    return dirichlet_spectrum(build_domain(1, [1.0], 32))
 
 
-def test_noncentered_zero_noise_gives_mean(scalar_map):
+def test_noncentered_zero_noise_gives_mean(scalar_basis):
     rng = np.random.default_rng(0)
     for _ in range(5):
-        u = scalar_map.transform(np.zeros(scalar_map.basis.n_modes),
-                                 rng.standard_normal(2))
-        np.testing.assert_allclose(u.values, 2.5, atol=1e-14)
+        u = noncentered_matern(scalar_basis, np.zeros(scalar_basis.n_modes),
+                               rng.standard_normal(2), SCALAR_BOUNDS, 1.0, 2.5, "normalized")
+        np.testing.assert_allclose(u, 2.5, atol=1e-14)
 
 
-def test_noncentered_deterministic(scalar_map):
+def test_noncentered_deterministic(scalar_basis):
     rng = np.random.default_rng(3)
-    xi = rng.standard_normal(scalar_map.basis.n_modes)
+    xi = rng.standard_normal(scalar_basis.n_modes)
     theta = rng.standard_normal(2)
-    a = scalar_map.transform(xi, theta)
-    b = scalar_map.transform(xi, theta)
-    np.testing.assert_array_equal(a.values, b.values)
+    a = noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 2.5, "normalized")
+    b = noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 2.5, "normalized")
+    np.testing.assert_array_equal(a, b)
 
 
-def test_noncentered_escapes_fixed_span():
+def test_noncentered_escapes_fixed_span(scalar_basis):
     # varying theta with fixed xi leaves the span of fields built at other
     # theta values: nonzero least-squares projection residual
-    basis = dirichlet_spectrum(build_domain(1, [1.0], 32))
-    hyper = HyperPrior(kind="uniform-scalar", bounds=((1.3, 4.0), (5.0, 30.0)))
-    zero_mean = NoncenteredMap(basis=basis, hyper=hyper)
-    xi = np.random.default_rng(21).standard_normal(basis.n_modes)
+    def zero_mean(xi, theta):
+        return noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 0.0,
+                                  "normalized")
+
+    xi = np.random.default_rng(21).standard_normal(scalar_basis.n_modes)
     thetas = [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]
-    fields = np.stack([zero_mean.transform(xi, np.array(t)).values for t in thetas])
-    probe = zero_mean.transform(xi, np.array([0.3, -0.7])).values
+    fields = np.stack([zero_mean(xi, np.array(t)) for t in thetas])
+    probe = zero_mean(xi, np.array([0.3, -0.7]))
     coeffs, *_ = np.linalg.lstsq(fields.T, probe, rcond=None)
     residual = np.linalg.norm(probe - fields.T @ coeffs)
     assert residual > 1e-4 * np.linalg.norm(probe)
@@ -190,29 +193,38 @@ def test_noncentered_continuity_in_tau():
     assert 5.0 < d6 / d7 < 20.0
 
 
+# floor and cap as the default configuration sets them on [0, 10]
+G_EXP = GMap("exp", 1e-5, 100.0)
+G_RATIONAL = GMap("rational", 1e-5, 100.0, (4.0, 0.0, 1.0, 0.0))
+
+
 def test_noncentered_field_gauss_kind():
     basis = dirichlet_spectrum(build_domain(1, [10.0], 100))
-    hyper = HyperPrior(kind="gaussian-field",
-                       field_spec=MaternSpec(alpha=2.0, tau=5.0),
-                       g=GMap("exp"))
-    ncm = NoncenteredMap(basis=basis, hyper=hyper)
+    ncm = NoncenteredMap(basis=basis, g=G_EXP, field_spec=MaternSpec(alpha=2.0, tau=5.0))
     assert ncm.n_hyper == basis.n_modes
     rng = np.random.default_rng(6)
-    u = ncm.transform(rng.standard_normal(basis.n_modes),
-                      rng.standard_normal(basis.n_modes))
-    assert np.all(np.isfinite(u.values)) and u.norm() > 0
+    u = ncm.realize(rng.standard_normal(basis.n_modes),
+                    rng.standard_normal(basis.n_modes))
+    assert np.all(np.isfinite(u)) and basis.domain.norm(u) > 0
 
 
 def test_noncentered_field_cauchy_kind():
     basis = dirichlet_spectrum(build_domain(1, [10.0], 100))
-    hyper = HyperPrior(kind="cauchy-process", cauchy_delta=0.5,
-                       g=GMap("rational", (4.0, 0.0, 1.0, 0.0)))
-    ncm = NoncenteredMap(basis=basis, hyper=hyper)
+    ncm = NoncenteredMap(basis=basis, g=G_RATIONAL, cauchy_delta=0.5)
     assert ncm.n_hyper == 19
     rng = np.random.default_rng(6)
-    u = ncm.transform(rng.standard_normal(basis.n_modes), rng.standard_normal(19))
-    assert np.all(np.isfinite(u.values))
+    u = ncm.realize(rng.standard_normal(basis.n_modes), rng.standard_normal(19))
+    assert np.all(np.isfinite(u))
     # zero latents: v = 0 path, rational g capped, still finite
-    u0 = ncm.transform(rng.standard_normal(basis.n_modes), np.zeros(19))
-    assert np.all(np.isfinite(u0.values))
+    u0 = ncm.realize(rng.standard_normal(basis.n_modes), np.zeros(19))
+    assert np.all(np.isfinite(u0))
+
+
+def test_noncentered_map_takes_exactly_one_hyperprior():
+    basis = dirichlet_spectrum(build_domain(1, [10.0], 20))
+    with pytest.raises(ValueError, match="exactly one of field_spec"):
+        NoncenteredMap(basis=basis, g=G_EXP)
+    with pytest.raises(ValueError, match="exactly one of field_spec"):
+        NoncenteredMap(basis=basis, g=G_EXP, field_spec=MaternSpec(alpha=2.0, tau=5.0),
+                       cauchy_delta=0.5)
 

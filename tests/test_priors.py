@@ -320,7 +320,7 @@ def test_nonstationary_local_correlation_length():
 def test_nonstationary_sqrt_runs_2d():
     domain = build_domain(2, [1.0, 1.0], [24, 24])
     basis = dirichlet_spectrum(domain)
-    ell = GMap("exp")(np.zeros(domain.n_interior), domain)
+    ell = GMap("exp", 1e-6, 10.0)(np.zeros(domain.n_interior))
     u = nonstationary_sqrt(2.0, ell, white_noise(domain, np.random.default_rng(0)), basis)
     assert np.all(np.isfinite(u)) and domain.norm(u) > 0
 
@@ -391,47 +391,53 @@ def test_cauchy_heavy_tail(cauchy_increments):
 # g maps
 
 
-RATIONAL = GMap("rational", (4.0, 0.0, 1.0, 0.0))
+# floor and cap as the default configuration sets them on [0, 10]
+EXP = GMap("exp", 1e-6 * 10.0, 10.0 * 10.0)
+RATIONAL = GMap("rational", 1e-6 * 10.0, 10.0 * 10.0, (4.0, 0.0, 1.0, 0.0))
 
 
 def test_g_exp_identity_at_zero():
-    domain = build_domain(1, [1.0], 16)
-    np.testing.assert_allclose(GMap("exp")(np.zeros(domain.n_interior), domain), 1.0)
+    np.testing.assert_allclose(EXP(np.zeros(15)), 1.0)
 
 
 def test_g_exp_monotone():
-    domain = build_domain(1, [1.0], 16)
     rng = np.random.default_rng(0)
-    v1 = rng.standard_normal(domain.n_interior)
-    v2 = v1 + np.abs(rng.standard_normal(domain.n_interior))
-    assert np.all(GMap("exp")(v1, domain) <= GMap("exp")(v2, domain))
+    v1 = rng.standard_normal(15)
+    v2 = v1 + np.abs(rng.standard_normal(15))
+    assert np.all(EXP(v1) <= EXP(v2))
 
 
 def test_g_rational_arithmetic():
     # a=4, b=d=0, c=1: g(2) = 2
-    domain = build_domain(1, [1.0], 16)
-    np.testing.assert_allclose(RATIONAL(np.full(domain.n_interior, 2.0), domain), 2.0)
+    np.testing.assert_allclose(RATIONAL(np.full(15, 2.0)), 2.0)
 
 
 def test_g_rational_singularity_capped():
-    domain = build_domain(1, [10.0], 16)
-    ell = RATIONAL(np.zeros(domain.n_interior), domain)
+    ell = RATIONAL(np.zeros(15))
     assert np.all(ell == 100.0)  # capped at 10 * max extent
 
 
 def test_g_rational_floor():
-    domain = build_domain(1, [10.0], 16)
-    ell = RATIONAL(np.full(domain.n_interior, 1e12), domain)
+    ell = RATIONAL(np.full(15, 1e12))
     np.testing.assert_allclose(ell, 1e-6 * 10.0)  # floored
 
 
 def test_g_rational_rejects_bad_params():
-    domain = build_domain(1, [1.0], 16)
-    v = np.zeros(domain.n_interior)
+    with pytest.raises(ValueError, match="rational g requires"):
+        GMap("rational", 1e-6, 10.0, (-1.0, 0.0, 1.0, 0.0))
+    with pytest.raises(ValueError, match="rational g requires"):
+        GMap("rational", 1e-6, 10.0, (4.0, 0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        GMap("rational", (-1.0, 0.0, 1.0, 0.0))(v, domain)
-    with pytest.raises(ValueError):
-        GMap("rational", (4.0, 0.0, 0.0, 0.0))(v, domain)
+        GMap("rational", 1e-6, 10.0, (4.0, 0.0, 1.0))
+
+
+def test_g_rejects_bad_floor_cap_and_kind():
+    with pytest.raises(ValueError, match="0 < floor <= cap"):
+        GMap("exp", 20.0, 10.0)
+    with pytest.raises(ValueError, match="0 < floor <= cap"):
+        GMap("exp", 0.0, 10.0)
+    with pytest.raises(ValueError, match="unknown g kind"):
+        GMap("log", 1e-6, 10.0)
 
 
 # ---------------------------------------------------------------------------
@@ -504,7 +510,7 @@ def test_nonstationary_stack_solves_each_member_as_alone(n_cells):
 def test_length_scales_of_a_stack_are_those_of_each_member():
     domain = build_domain(1, [10.0], 30)
     v = np.random.default_rng(9).normal(0.0, 3.0, (4, domain.n_interior))
-    for g in (GMap("exp"), RATIONAL):
-        stack = g(v, domain)
+    for g in (EXP, RATIONAL):
+        stack = g(v)
         for b in range(4):
-            assert stack[b].tobytes() == g(v[b], domain).tobytes()
+            assert stack[b].tobytes() == g(v[b]).tobytes()
