@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eki import EkiControls
+from .forward import ObservationModel, mollified_observations, point_observations
 from .grid import Domain, SpectralBasis, build_domain, dirichlet_spectrum
 from .param_maps import LevelSetSpec, NoncenteredMap
 from .priors import GMap, MaternSpec
@@ -73,8 +74,35 @@ def _float_or_auto(text: str):
     return "auto" if text.strip() == "auto" else float(text)
 
 
+def snapshot_iterations(schedule: str, n_records: int) -> list[int]:
+    """The iterations, of a run with ``n_records`` records, whose mean field
+    the run keeps: under "auto" at most five, evenly spread, under "none"
+    none, under a list of numbers the listed ones that exist."""
+    if schedule == "none" or n_records == 0:
+        return []
+    if schedule == "auto":
+        if n_records <= 5:
+            return list(range(n_records))
+        return sorted({int(round(t)) for t in np.linspace(0, n_records - 1, 5)})
+    try:
+        wanted = [int(part) for part in schedule.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"expected auto, none or iteration numbers, got {schedule!r}") from None
+    return sorted({n for n in wanted if 0 <= n < n_records})
+
+
+def _parse_snapshots(text: str) -> str:
+    snapshot_iterations(text, 1)   # rejects a schedule a run could not read
+    return text
+
+
 PARAMETERIZATIONS = ("plain", "centered-hier", "noncentered-hier",
                      "noncentered-field-gauss", "noncentered-field-cauchy")
+
+# the coefficient map each kind of truth is pushed through; with
+# coefficient_map = auto the truth is the kind of the configured map
+TRUTH_MAPS = {"step-profile": "identity", "matern-exp": "exp",
+              "matern-threshold": "level-set", "channel-draw": "channel"}
 
 SCHEMA = {
     "experiment": {
@@ -86,7 +114,7 @@ SCHEMA = {
         "master_seed": (int, 0),
         "out_dir": (str, "auto"),
         "record_walltime": (_parse_bool, False),
-        "snapshots": (str, "auto"),
+        "snapshots": (_parse_snapshots, "auto"),
     },
     "eki": {
         "rho": (float, 0.8),
@@ -144,8 +172,7 @@ SCHEMA = {
         "tau2_bounds": (_parse_bounds, (8.0, 30.0)),
     },
     "truth": {
-        "kind": (_choice("auto", "step-profile", "matern-exp", "matern-threshold",
-                         "channel-draw"), "auto"),
+        "kind": (_choice("auto", *TRUTH_MAPS), "auto"),
         "alpha_true": (float, 3.0),
         "tau_true": (float, 10.0),
         "channel_truth_hypers": (_parse_four_floats, (2.0, 2.8, 30.0, 10.0)),
@@ -216,21 +243,48 @@ def noncentered_map_from(config, basis: SpectralBasis, kind: str) -> Noncentered
     else:
         hyper = dict(g=GMap("rational", floor, cap, fh["g_rational_params"]),
                      cauchy_delta=fh["cauchy_delta"])
-    return NoncenteredMap(basis=basis, scaling=config["grid"]["coordinate_scaling"],
-                          nonstationary_alpha=fh["nonstationary_alpha"], **hyper)
+    return NoncenteredMap(basis=basis, nonstationary_alpha=fh["nonstationary_alpha"], **hyper)
+
+
+def observation_model(config, domain: Domain) -> ObservationModel:
+    """The observation functionals of a configuration's [observations]
+    section on ``domain``: point values on the 1D box, a square lattice of
+    mollifiers on the 2D one."""
+    obs = config["observations"]
+    if domain.dim == 1:
+        return point_observations(domain, obs["n_obs"], obs["gamma_scale"])
+    return mollified_observations(domain, int(round(np.sqrt(obs["n_obs"]))),
+                                  obs["mollifier_sigma_frac"] * max(domain.extents),
+                                  obs["gamma_scale"])
 
 
 def _check_values(sections: dict) -> None:
-    """Build what a run builds from the [level_set], [prior], [truth] and
-    [field_hyper] values, on the model's box at its coarsest grid, so that a
-    value their own checks reject stops here, not midway through a run."""
-    domain = model_domain(sections["experiment"]["model_problem"], 2)
-    p, t = sections["prior"], sections["truth"]
+    """Build what a run builds from the configured values, so that a value
+    their own checks reject stops here, not midway through a run: the grid
+    as configured, the rest on the model's coarsest grid (for mollifiers the
+    coarsest with a node at every center), each (alpha, tau) box at its
+    lower corner."""
+    model = sections["experiment"]["model_problem"]
+    domain = model_domain(model, 2)
+    p, t, ch = sections["prior"], sections["truth"], sections["channel"]
     kinds = ("field-gauss", "field-cauchy") if domain.dim == 1 else ("field-gauss",)
+
+    def observations():
+        if domain.dim == 1:
+            return observation_model(sections, domain)
+        lattice = int(round(np.sqrt(sections["observations"]["n_obs"])))
+        return observation_model(sections, model_domain(model, max(2, 2 * lattice)))
+
     checks = {
+        "[grid]": lambda: model_domain(model, sections["grid"]["n_cells"]),
+        "[observations]": observations,
         "[level_set]": lambda: LevelSetSpec(**sections["level_set"]),
         "[prior], [truth]": lambda: MaternSpec(t["alpha_true"], t["tau_true"], p["sigma2"],
                                                p["mean"]).validate(domain.dim),
+        "[prior]": lambda: MaternSpec(p["alpha_bounds"][0],
+                                      p["tau_bounds"][0]).validate(domain.dim),
+        "[channel]": lambda: [MaternSpec(ch[f"alpha{i}_bounds"][0], ch[f"tau{i}_bounds"][0])
+                              .validate(domain.dim) for i in (1, 2)],
         "[field_hyper]": lambda: [noncentered_map_from(sections, dirichlet_spectrum(domain), k)
                                   for k in kinds],
     }
@@ -284,12 +338,7 @@ def _resolve(sections: dict) -> dict:
                           "prior; darcy takes scalar or field-gauss")
 
     if sections["truth"]["kind"] == "auto":
-        sections["truth"]["kind"] = {
-            "identity": "step-profile",
-            "exp": "matern-exp",
-            "level-set": "matern-threshold",
-            "channel": "channel-draw",
-        }[cmap]
+        sections["truth"]["kind"] = next(k for k, m in TRUTH_MAPS.items() if m == cmap)
 
     _check_values(sections)
     if exp["out_dir"] == "auto":

@@ -27,7 +27,9 @@ The 1D source model solves p'' + p = u with homogeneous Dirichlet conditions
 by second-order finite differences (algebraically equivalent to lumped
 piecewise-linear finite elements); the system is nonsingular because no
 Dirichlet sine eigenvalue of -d^2/dx^2 on [0, 10] equals one.  A list of
-sources is solved in one banded solve with one right-hand side per source.
+sources is solved in one call of LAPACK's tridiagonal solver
+(:func:`ekinv.grid.solve_tridiagonal`, which the 1D prior decode also calls)
+with one right-hand side per source.
 
 The composite forward map works one chunk of about 64 k grid values at a
 time (one member per chunk on large grids, many on small ones).  It decodes
@@ -40,9 +42,9 @@ also gives the ensemble mean that reporting needs, and each member is
 decoded once per evaluation.
 
 Observations are linear functionals assembled once into a matrix: either
-pointwise evaluations (multilinear interpolation, exact at grid nodes) or
-mollified Gaussians truncated at six standard deviations and renormalized to
-unit discrete mass.
+pointwise evaluations in 1D (linear interpolation between the two nearest
+nodes, exact at grid nodes) or mollified Gaussians in 2D, truncated at six
+standard deviations and renormalized to unit discrete mass.
 """
 
 from __future__ import annotations
@@ -55,7 +57,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import multigrid
-from .grid import Domain, Field, MemberError, discrete_eigenvalue
+from .grid import Domain, Field, MemberError, discrete_eigenvalue, solve_tridiagonal
 
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,15 +294,16 @@ class SourceProblem1D:
     def solve(self, u: Field | Sequence[Field]) -> Field | list[Field]:
         """Solution for one source field, or one per field of a list.
 
-        A list is solved in one banded solve with one right-hand side per
-        field; each column gives the same values as a solve on its own.
+        A list is solved in one tridiagonal solve with one right-hand side
+        per field (:func:`ekinv.grid.solve_tridiagonal`, bit for bit
+        ``scipy.linalg.solve_banded``); each column gives the same values as
+        a solve on its own.
         """
         single = isinstance(u, Field)
         fields = [u] if single else u
         if any(f.domain != self.domain for f in fields):
             raise ValueError("source field lives on a different domain")
-        p = scipy.linalg.solve_banded((1, 1), self._ab,
-                                      np.stack([f.values for f in fields], axis=1))
+        p = solve_tridiagonal(self._ab, np.stack([f.values for f in fields], axis=1))
         if not np.all(np.isfinite(p)):
             raise RuntimeError("1D solve produced non-finite values")
         solutions = [Field(self.domain, column) for column in p.T]
@@ -335,47 +338,30 @@ class ObservationModel:
         return float(np.linalg.norm(z))
 
 
-def _check_centers(domain: Domain, centers: np.ndarray) -> None:
-    for a in range(domain.dim):
-        if np.any(centers[:, a] <= 0) or np.any(centers[:, a] >= domain.extents[a]):
-            raise ValueError("observation centers must lie inside the domain")
-
-
-def _interpolation_rows(domain: Domain, centers: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation weights on interior nodes (implicit zero boundary)."""
-    shape = domain.interior_shape
-    rows = np.zeros((len(centers), domain.n_interior))
-    for r, c in enumerate(centers):
-        # per-axis node index/weight pairs, dropping boundary nodes
-        axis_terms = []
-        for a in range(domain.dim):
-            t = c[a] / domain.h[a]
-            i0 = int(np.floor(t))
-            frac = t - i0
-            pairs = [(i0 - 1, 1.0 - frac), (i0, frac)]  # interior index = node - 1
-            axis_terms.append([(i, w) for i, w in pairs if 0 <= i < shape[a] and w != 0.0])
-        grid = rows[r].reshape(shape)
-        if domain.dim == 1:
-            for i, w in axis_terms[0]:
-                grid[i] += w
-        else:
-            for i, wi in axis_terms[0]:
-                for j, wj in axis_terms[1]:
-                    grid[i, j] += wi * wj
-    return rows
+def _check_layout(n_obs: int, gamma_scale: float) -> None:
+    if n_obs < 1:
+        raise ValueError("need at least one observation")
+    if not gamma_scale > 0:
+        raise ValueError(f"gamma_scale must be positive, got {gamma_scale}")
 
 
 def point_observations(domain: Domain, n_obs: int,
                        gamma_scale: float = 1e-4) -> ObservationModel:
-    """Equally spaced pointwise evaluations at t L / (n_obs + 1), t = 1..n_obs."""
+    """Equally spaced pointwise evaluations at t L / (n_obs + 1), t = 1..n_obs.
+
+    Each row holds the hat-function weights of the two nodes around its
+    center; a boundary node's weight is dropped (the field is zero there).
+    """
     if domain.dim != 1:
         raise ValueError("point observation layout is one-dimensional")
-    if n_obs < 1:
-        raise ValueError("need at least one observation")
+    _check_layout(n_obs, gamma_scale)
     centers = (domain.extents[0] * np.arange(1, n_obs + 1) / (n_obs + 1))[:, None]
-    _check_centers(domain, centers)
-    return ObservationModel(centers=centers,
-                            matrix=_interpolation_rows(domain, centers),
+    t = centers[:, 0] / domain.h[0]
+    left = np.floor(t).astype(int)   # node index; interior index = node - 1
+    rows = np.zeros((n_obs, domain.n_cells[0] + 1))   # every node, boundary too
+    rows[np.arange(n_obs), left] = 1.0 - (t - left)
+    rows[np.arange(n_obs), left + 1] = t - left
+    return ObservationModel(centers=centers, matrix=np.ascontiguousarray(rows[:, 1:-1]),
                             gamma=gamma_scale * np.eye(n_obs))
 
 
@@ -389,10 +375,12 @@ def mollified_observations(domain: Domain, n_per_axis: int, sigma: float,
     """
     if domain.dim != 2:
         raise ValueError("the mollified lattice layout is two-dimensional")
+    _check_layout(n_per_axis, gamma_scale)
+    if not sigma > 0:
+        raise ValueError(f"the mollifier sigma must be positive, got {sigma}")
     ticks = [(np.arange(n_per_axis) + 0.5) * L / n_per_axis for L in domain.extents]
     cx, cy = np.meshgrid(*ticks, indexing="ij")
     centers = np.column_stack([cx.ravel(), cy.ravel()])
-    _check_centers(domain, centers)
     x1, x2 = domain.interior_meshgrid()
     rows = np.zeros((len(centers), domain.n_interior))
     for r, (a, b) in enumerate(centers):

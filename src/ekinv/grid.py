@@ -20,7 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
+import scipy.linalg.lapack
 import scipy.sparse
+
+# coordinate conventions of the priors drawn in a SpectralBasis
+SCALINGS = ("normalized", "physical")
 
 
 def _as_tuple(value, dim: int, name: str) -> tuple:
@@ -151,9 +155,18 @@ class SpectralBasis:
     (k_a = 1 .. n_a - 1 per axis), sorted ascending by continuum eigenvalue
     lambda_k = sum_a (k_a pi / L_a)^2.  Synthesis and analysis are exact
     inverses implemented with type-I discrete sine transforms.
+
+    The basis holds the coordinate convention of the priors drawn in it,
+    ``scaling`` (one of :data:`SCALINGS`), as the eigenvalues and volume
+    factor a prior's per-mode scale reads.  "normalized": the unit box's
+    sum_a (k_a pi)^2 and the box's volume, so a prior is the unit-box field
+    transported to the box and tau, alpha mean the same on any box.
+    "physical": the box's own eigenvalues and 1.
     """
 
-    def __init__(self, domain: Domain):
+    def __init__(self, domain: Domain, scaling: str = "normalized"):
+        if scaling not in SCALINGS:
+            raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
         self.domain = domain
         shape = domain.interior_shape
         k_axes = [np.arange(1, n) for n in domain.n_cells]
@@ -170,9 +183,12 @@ class SpectralBasis:
         order = np.lexsort(tuple(ks[:, a] for a in reversed(range(domain.dim))) + (lam_phys,))
         self.k_indices = ks[order]
         self.eigenvalues = lam_phys[order]
-        self.eigenvalues_normalized = lam_norm[order]
+        if scaling == "normalized":
+            self.prior_eigenvalues = lam_norm[order]
+            self.prior_volume = float(np.prod(domain.extents))
+        else:
+            self.prior_eigenvalues, self.prior_volume = self.eigenvalues, 1.0
         self._order = order
-        self._inverse_order = np.argsort(order)
         self._kgrid_shape = shape
 
         # DST-I scalings: synthesis f = c_syn * dstn(coeff grid),
@@ -188,13 +204,6 @@ class SpectralBasis:
     @property
     def n_modes(self) -> int:
         return len(self.eigenvalues)
-
-    def synthesis(self, coeffs: np.ndarray) -> Field:
-        """Field with the given coefficients on the sorted mode list."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.size != self.n_modes:
-            raise ValueError(f"expected {self.n_modes} coefficients, got {coeffs.size}")
-        return Field(self.domain, self.synthesize(coeffs))
 
     def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
         """Grid values of one coefficient vector, or of a (B, n_modes) stack
@@ -223,16 +232,11 @@ class SpectralBasis:
         kgrid = self._c_ana * scipy.fft.dstn(vgrid, type=1)
         return kgrid.ravel()[self._order]
 
-    def eigenfunction(self, mode: int) -> Field:
-        """Normalized sine eigenfunction for one sorted mode index."""
-        e = np.zeros(self.n_modes)
-        e[mode] = 1.0
-        return self.synthesis(e)
 
-
-def dirichlet_spectrum(domain: Domain) -> SpectralBasis:
-    """All Dirichlet sine eigenpairs representable at the grid resolution."""
-    return SpectralBasis(domain)
+def dirichlet_spectrum(domain: Domain, scaling: str = "normalized") -> SpectralBasis:
+    """All Dirichlet sine eigenpairs representable at the grid resolution,
+    for priors in the coordinate convention ``scaling``."""
+    return SpectralBasis(domain, scaling)
 
 
 def white_noise(domain: Domain, rng: np.random.Generator) -> np.ndarray:
@@ -269,3 +273,16 @@ def discrete_eigenvalue(domain: Domain, k: np.ndarray) -> float:
         h = domain.h[a]
         lam += (4.0 / h**2) * np.sin(k[a] * np.pi * h / (2.0 * domain.extents[a])) ** 2
     return float(lam)
+
+
+def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``scipy.linalg.solve_banded((1, 1), ab, b)``: the same LAPACK call
+    (``dgtsv``), so the same bits, without the argument checks that cost as
+    much as the solve.  ``b`` holds one right-hand side, or one per column;
+    ``ab`` and ``b`` are left as they are."""
+    if ab.shape[1] == 1:   # dgtsv takes no empty off-diagonals; solve_banded divides
+        return b / ab[1, 0]
+    *_, x, info = scipy.linalg.lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
+    if info > 0:
+        raise np.linalg.LinAlgError("singular matrix")
+    return x

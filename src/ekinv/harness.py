@@ -22,11 +22,14 @@ from . import __version__
 # load_config is re-exported: the benchmark loads its configurations through
 # this module
 from .config import (  # noqa: F401
+    TRUTH_MAPS,
     ExperimentConfig,
     controls_from,
     load_config,
     model_domain,
     noncentered_map_from,
+    observation_model,
+    snapshot_iterations,
 )
 from .eki import Ensemble, PackingLayout, run_inversion
 from .forward import (
@@ -36,21 +39,11 @@ from .forward import (
     ObservationModel,
     SourceProblem1D,
     add_rows,
-    mollified_observations,
-    point_observations,
     synthesize_data,
 )
 from .grid import Domain, Field, SpectralBasis, build_domain, dirichlet_spectrum, white_noise
-from .param_maps import (
-    LevelSetSpec,
-    channel_values,
-    exp_map,
-    exp_values,
-    level_set_map,
-    level_set_values,
-    noncentered_matern,
-)
-from .priors import MaternSpec, apply_sqrt_cov, unconstrained_to_hyper
+from .param_maps import LevelSetSpec, channel_values, coefficient_map, noncentered_matern
+from .priors import MaternSpec, sqrt_cov, unconstrained_to_hyper
 
 
 # ---------------------------------------------------------------------------
@@ -81,74 +74,48 @@ def step_profile(x: np.ndarray) -> np.ndarray:
 class ModelSetup:
     """Grid, solver, and observation functionals for one model problem."""
 
-    config: ExperimentConfig
     domain: Domain
-    basis: SpectralBasis
+    basis: SpectralBasis   # in the configured coordinate scaling
     solver: object
     obs_template: ObservationModel
-
-    @property
-    def scaling(self) -> str:
-        return self.config["grid"]["coordinate_scaling"]
 
 
 def build_model_setup(config: ExperimentConfig) -> ModelSetup:
     model = config["experiment"]["model_problem"]
-    n = config["grid"]["n_cells"]
-    obs_cfg = config["observations"]
-    domain = model_domain(model, n)
-    if model == "source1d":
-        solver = SourceProblem1D(domain)
-        obs = point_observations(domain, obs_cfg["n_obs"], obs_cfg["gamma_scale"])
-    else:
-        solver = DarcyProblem(domain)
-        sigma = obs_cfg["mollifier_sigma_frac"] * max(domain.extents)
-        obs = mollified_observations(domain, int(round(np.sqrt(obs_cfg["n_obs"]))),
-                                     sigma, obs_cfg["gamma_scale"])
-    basis = dirichlet_spectrum(domain)
-    return ModelSetup(config=config, domain=domain, basis=basis, solver=solver,
-                      obs_template=obs)
-
-
-def _truth_matern_spec(config: ExperimentConfig) -> MaternSpec:
-    t = config["truth"]
-    p = config["prior"]
-    return MaternSpec(alpha=t["alpha_true"], tau=t["tau_true"],
-                      sigma2=p["sigma2"], mean=p["mean"])
+    domain = model_domain(model, config["grid"]["n_cells"])
+    solver = SourceProblem1D(domain) if model == "source1d" else DarcyProblem(domain)
+    return ModelSetup(domain, dirichlet_spectrum(domain, config["grid"]["coordinate_scaling"]),
+                      solver, observation_model(config, domain))
 
 
 def make_truth(config: ExperimentConfig, setup: ModelSetup,
                rng: np.random.Generator) -> TruthBundle:
-    """Synthesize the configured truth, deterministic per seed."""
-    kind = config["truth"]["kind"]
-    if kind == "step-profile":
-        u = Field(setup.domain, step_profile(setup.domain.interior_coords(0)))
-        return TruthBundle(field=u, pde_field=u, hypers={})
-    if kind == "matern-exp":
-        spec = _truth_matern_spec(config)
-        u = apply_sqrt_cov(spec, setup.basis, white_noise(setup.domain, rng), setup.scaling)
-        return TruthBundle(field=u, pde_field=exp_map(u),
-                           hypers={"alpha": spec.alpha, "tau": spec.tau})
-    if kind == "matern-threshold":
-        spec = _truth_matern_spec(config)
-        u = apply_sqrt_cov(spec, setup.basis, white_noise(setup.domain, rng), setup.scaling)
-        kappa = level_set_map(u, LevelSetSpec(**config["level_set"]))
-        return TruthBundle(field=Field(setup.domain, np.log(kappa.values)),
-                           pde_field=kappa,
-                           hypers={"alpha": spec.alpha, "tau": spec.tau})
-    # channel-draw
-    ch = config["channel"]
-    a1, a2, t1, t2 = config["truth"]["channel_truth_hypers"]
-    d = np.array([rng.uniform(*ch[f"d{i}_bounds"]) for i in range(1, 6)])
-    log_out = apply_sqrt_cov(MaternSpec(a1, t1, mean=ch["log_kappa_out_mean"]),
-                             setup.basis, white_noise(setup.domain, rng), setup.scaling)
-    log_in = apply_sqrt_cov(MaternSpec(a2, t2, mean=ch["log_kappa_in_mean"]),
-                            setup.basis, white_noise(setup.domain, rng), setup.scaling)
-    log_kappa = Field(setup.domain,
-                      channel_values(d, log_in.values, log_out.values, setup.domain))
-    return TruthBundle(field=log_kappa, pde_field=exp_map(log_kappa),
-                       hypers={"alpha1": a1, "tau1": t1, "alpha2": a2, "tau2": t2,
-                               **{f"d{i}": float(v) for i, v in enumerate(d, start=1)}})
+    """Synthesize the configured truth, deterministic per seed: a field u
+    pushed through the coefficient map of its kind (``TRUTH_MAPS``)."""
+    t = config["truth"]
+
+    def draw(alpha, tau, sigma2, mean):
+        return sqrt_cov(MaternSpec(alpha, tau, sigma2, mean), setup.basis,
+                        white_noise(setup.domain, rng))
+
+    if t["kind"] == "step-profile":
+        u, hypers = step_profile(setup.domain.interior_coords(0)), {}
+    elif t["kind"] == "channel-draw":
+        ch = config["channel"]
+        a1, a2, t1, t2 = t["channel_truth_hypers"]
+        d = np.array([rng.uniform(*ch[f"d{i}_bounds"]) for i in range(1, 6)])
+        outside = draw(a1, t1, 1.0, ch["log_kappa_out_mean"])   # drawn before the inside
+        inside = draw(a2, t2, 1.0, ch["log_kappa_in_mean"])
+        u = channel_values(d, inside, outside, setup.domain)
+        hypers = {"alpha1": a1, "tau1": t1, "alpha2": a2, "tau2": t2,
+                  **{f"d{i}": float(v) for i, v in enumerate(d, start=1)}}
+    else:
+        p = config["prior"]
+        u = draw(t["alpha_true"], t["tau_true"], p["sigma2"], p["mean"])
+        hypers = {"alpha": t["alpha_true"], "tau": t["tau_true"]}
+    pde, report = coefficient_map(TRUTH_MAPS[t["kind"]], LevelSetSpec(**config["level_set"]))(u)
+    return TruthBundle(field=Field(setup.domain, report), pde_field=Field(setup.domain, pde),
+                       hypers=hypers)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +195,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     """
     par = config["experiment"]["parameterization"]
     cmap = config["experiment"]["coefficient_map"]
-    domain, basis, scaling = setup.domain, setup.basis, setup.scaling
+    domain, basis = setup.domain, setup.basis
     J = config["experiment"]["n_ensemble"]
     fields = _latent_fields(config)
     bounds = np.array([b for f in fields for b in f.bounds])
@@ -249,10 +216,6 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     layout = PackingLayout(blocks=tuple(blocks))
     sl = layout.slices()
 
-    def matern(f: LatentField, theta, xi) -> Field:
-        return apply_sqrt_cov(MaternSpec(theta[0], theta[1], f.sigma2, f.mean),
-                              basis, xi, scaling)
-
     def unmapped(block) -> np.ndarray:
         """The block's fields before the coefficient map, one row per
         member: u, or log kappa inside and outside the channel."""
@@ -261,7 +224,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
         if noncentered:
             theta = block[sl["hyper"]].T
             us = [noncentered_matern(basis, block[sl[f.name]].T, theta[:, 2 * i:2 * i + 2],
-                                     f.bounds, f.sigma2, f.mean, scaling)
+                                     f.bounds, f.sigma2, f.mean)
                   for i, f in enumerate(fields)]
         else:
             us = [block[sl[f.name]].T for f in fields]
@@ -271,18 +234,10 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
         d = unconstrained_to_hyper(d, geometry) if noncentered else d
         return channel_values(d, us[1], us[0], domain)
 
-    if cmap == "level-set":
-        spec = LevelSetSpec(**config["level_set"])
+    to_coefficients = coefficient_map(cmap, LevelSetSpec(**config["level_set"]))
 
-        def decode_block(block):
-            kappa = level_set_values(unmapped(block), spec)
-            return DecodedBlock(domain, kappa, np.log(kappa))
-    else:
-        positive = (lambda u: u) if cmap == "identity" else exp_values
-
-        def decode_block(block):
-            u = unmapped(block)
-            return DecodedBlock(domain, positive(u), u)
+    def decode_block(block):
+        return DecodedBlock(domain, *to_coefficients(unmapped(block)))
 
     if noncentered:
         def sample_initial(rng):
@@ -305,8 +260,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
                 return rng.standard_normal(2)
 
             def realize(xi, theta_raw):
-                return noncentered_matern(basis, xi, theta_raw, f.bounds, f.sigma2, f.mean,
-                                          scaling)
+                return noncentered_matern(basis, xi, theta_raw, f.bounds, f.sigma2, f.mean)
         else:
             ncm = noncentered_map_from(config, basis, kind)
             draw_hyper, realize = ncm.sample_hyper_latents, ncm.realize
@@ -321,8 +275,9 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
             for j in range(J):
                 theta = rng.uniform(bounds[:, 0], bounds[:, 1])
                 for i, f in enumerate(fields):
-                    members[sl[f.name], j] = matern(f, theta[2 * i:2 * i + 2],
-                                                    white_noise(domain, rng)).values
+                    members[sl[f.name], j] = sqrt_cov(
+                        MaternSpec(theta[2 * i], theta[2 * i + 1], f.sigma2, f.mean), basis,
+                        white_noise(domain, rng))
                 if geometry is not None:
                     members[sl["geom"], j] = rng.uniform(geometry[:, 0], geometry[:, 1])
                 if bounded:
@@ -394,37 +349,17 @@ def read_field_file(path) -> np.ndarray:
     return data.reshape((n1,) if dim == 1 else (n1, n2))
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    return f"{value:.17g}"
+def write_csv(path, header, rows) -> None:
+    """A CSV file of one header line and one line per row.  Integers and text
+    are written as they are, other numbers with 17 significant digits (which
+    read back exactly), and None as an empty cell."""
+    def cell(value) -> str:
+        if value is None:
+            return ""
+        return str(value) if isinstance(value, (int, str)) else f"{value:.17g}"
 
-
-RECORD_HEADER = "iter,misfit,rel_error,upsilon,alpha_mean,tau_mean,wall_ms"
-
-
-def write_records_csv(path, records) -> None:
-    lines = [RECORD_HEADER]
-    for rec in records:
-        lines.append(",".join([
-            str(rec.iteration), _fmt(rec.misfit), _fmt(rec.rel_error),
-            _fmt(rec.upsilon),
-            _fmt(rec.hyper_means.get("alpha")), _fmt(rec.hyper_means.get("tau")),
-            _fmt(rec.wall_ms),
-        ]))
+    lines = [",".join(header)] + [",".join(map(cell, row)) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def write_hypers_csv(path, records) -> bool:
-    names = sorted({name for rec in records for name in rec.hyper_means})
-    if not names:
-        return False
-    lines = ["iter," + ",".join(names)]
-    for rec in records:
-        lines.append(",".join([str(rec.iteration)]
-                              + [_fmt(rec.hyper_means.get(n)) for n in names]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return True
 
 
 def _sha256(path: Path) -> str:
@@ -433,17 +368,6 @@ def _sha256(path: Path) -> str:
 
 # ---------------------------------------------------------------------------
 # experiment runner
-
-
-def _snapshot_iterations(schedule: str, n_records: int) -> list[int]:
-    if schedule == "none" or n_records == 0:
-        return []
-    if schedule == "auto":
-        if n_records <= 5:
-            return list(range(n_records))
-        return sorted({int(round(t)) for t in np.linspace(0, n_records - 1, 5)})
-    wanted = [int(part) for part in schedule.replace(",", " ").split()]
-    return sorted({n for n in wanted if 0 <= n < n_records})
 
 
 def _prepare(config: ExperimentConfig):
@@ -487,25 +411,31 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
 
     out_dir = Path(exp["out_dir"]) / f"init_{index:02d}"
     out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    write_records_csv(out_dir / "records.csv", result.records)
-    files.append(str(out_dir / "records.csv"))
-    if write_hypers_csv(out_dir / "hypers.csv", result.records):
+    records = result.records
+    write_csv(out_dir / "records.csv",
+              ("iter", "misfit", "rel_error", "upsilon", "alpha_mean", "tau_mean", "wall_ms"),
+              [(r.iteration, r.misfit, r.rel_error, r.upsilon, r.hyper_means.get("alpha"),
+                r.hyper_means.get("tau"), r.wall_ms) for r in records])
+    files = [str(out_dir / "records.csv")]
+    names = sorted({name for r in records for name in r.hyper_means})
+    if names:
+        write_csv(out_dir / "hypers.csv", ("iter", *names),
+                  [(r.iteration, *(r.hyper_means.get(n) for n in names)) for r in records])
         files.append(str(out_dir / "hypers.csv"))
     if mean_history:
         write_field_file(out_dir / "mean_field.bin", setup.domain, mean_history[-1])
         files.append(str(out_dir / "mean_field.bin"))
-        for it in _snapshot_iterations(exp["snapshots"], len(mean_history)):
+        for it in snapshot_iterations(exp["snapshots"], len(mean_history)):
             snap = out_dir / f"snapshot_iter_{it:03d}.bin"
             write_field_file(snap, setup.domain, mean_history[it])
             files.append(str(snap))
 
-    final = result.records[-1] if result.records else None
+    final = records[-1] if records else None
     return {
         "index": index,
         "stop_reason": result.stop_reason,
         "message": result.message,
-        "n_records": len(result.records),
+        "n_records": len(records),
         "final_misfit": final.misfit if final else None,
         "final_rel_error": final.rel_error if final else None,
         "files": files,
@@ -536,7 +466,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     setup, truth, obs, _ = prepared
 
     write_field_file(out_dir / "truth_field.bin", setup.domain, truth.field.values)
-    _write_observations_csv(out_dir / "observations.csv", obs)
+    write_csv(out_dir / "observations.csv",
+              ("index", *(("x1",) if setup.domain.dim == 1 else ("x1", "x2")), "y", "gamma"),
+              [(i, *obs.centers[i], obs.y[i], obs.gamma[i, i]) for i in range(obs.n_obs)])
 
     indices = list(range(exp["n_initializations"]))
     if parallel > 1:
@@ -572,17 +504,6 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     return manifest
 
 
-def _write_observations_csv(path, obs: ObservationModel) -> None:
-    dim = obs.centers.shape[1]
-    header = ("index,x1,y,gamma" if dim == 1 else "index,x1,x2,y,gamma")
-    lines = [header]
-    gamma_diag = np.diag(obs.gamma)
-    for i in range(obs.n_obs):
-        coords = ",".join(_fmt(c) for c in obs.centers[i])
-        lines.append(f"{i},{coords},{_fmt(obs.y[i])},{_fmt(gamma_diag[i])}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
 # ---------------------------------------------------------------------------
 # reporting and prior sampling
 
@@ -611,11 +532,8 @@ def summarize_run(run_dir) -> dict:
         "rel_error_max": max(errors) if errors else None,
         "misfit_median": float(np.median(misfits)) if misfits else None,
     }
-    lines = ["index,stop_reason,iterations,final_misfit,final_rel_error"]
-    for r in rows:
-        lines.append(f"{r['index']},{r['stop_reason']},{r['iterations']},"
-                     f"{_fmt(r['final_misfit'])},{_fmt(r['final_rel_error'])}")
-    (run_dir / "summary.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    columns = ("index", "stop_reason", "iterations", "final_misfit", "final_rel_error")
+    write_csv(run_dir / "summary.csv", columns, [[r[c] for c in columns] for r in rows])
     return summary
 
 
@@ -627,42 +545,34 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
     rng = np.random.default_rng(config["experiment"]["master_seed"])
     written = []
 
-    def write_grid_csv(name, domain, values):
-        path = out_dir / name
-        if domain.dim == 1:
-            x = domain.interior_coords(0)
-            lines = ["x,value"] + [f"{_fmt(a)},{_fmt(b)}" for a, b in zip(x, values)]
-        else:
-            x1, x2 = domain.interior_meshgrid()
-            lines = ["x1,x2,value"]
-            for a, b, c in zip(x1.ravel(), x2.ravel(), np.ravel(values)):
-                lines.append(f"{_fmt(a)},{_fmt(b)},{_fmt(c)}")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(str(path))
-
     mode = sp["mode"]
-    if mode in ("matern-tau-sweep", "matern-alpha-sweep"):
-        domain = build_domain(2, [1.0, 1.0], sp["n_cells"])
-        basis = dirichlet_spectrum(domain)
+    matern = mode in ("matern-tau-sweep", "matern-alpha-sweep")
+    domain = (build_domain(2, [1.0, 1.0], sp["n_cells"]) if matern
+              else model_domain("source1d", config["grid"]["n_cells"]))
+    basis = dirichlet_spectrum(domain, config["grid"]["coordinate_scaling"])
+    columns = ("x", "value") if domain.dim == 1 else ("x1", "x2", "value")
+    coords = [x.ravel() for x in domain.interior_meshgrid()]
+
+    def write_grid_csv(name, values):
+        write_csv(out_dir / name, columns, zip(*coords, np.ravel(values)))
+        written.append(str(out_dir / name))
+
+    if matern:
         sweep = ([(sp["alpha_fixed"], tau) for tau in sp["taus"]]
                  if mode == "matern-tau-sweep"
                  else [(alpha, sp["tau_fixed"]) for alpha in sp["alphas"]])
         for alpha, tau in sweep:
             for s in range(sp["n_samples"]):
-                u = apply_sqrt_cov(MaternSpec(alpha, tau), basis,
-                                   white_noise(domain, rng))
-                write_grid_csv(f"matern_alpha{alpha:g}_tau{tau:g}_s{s}.csv",
-                               domain, u.values)
+                u = sqrt_cov(MaternSpec(alpha, tau), basis, white_noise(domain, rng))
+                write_grid_csv(f"matern_alpha{alpha:g}_tau{tau:g}_s{s}.csv", u)
     else:
-        domain = model_domain("source1d", config["grid"]["n_cells"])
-        basis = dirichlet_spectrum(domain)
         ncm = noncentered_map_from(config, basis, mode)
         for s in range(sp["n_samples"]):
             theta_raw = ncm.sample_hyper_latents(rng)
             v = ncm.hyper_field(theta_raw)
             ell = ncm.length_scale(theta_raw)
             u = ncm.realize(white_noise(domain, rng), theta_raw)
-            write_grid_csv(f"{mode}_v_s{s}.csv", domain, v)
-            write_grid_csv(f"{mode}_ell_s{s}.csv", domain, ell)
-            write_grid_csv(f"{mode}_u_s{s}.csv", domain, u)
+            write_grid_csv(f"{mode}_v_s{s}.csv", v)
+            write_grid_csv(f"{mode}_ell_s{s}.csv", ell)
+            write_grid_csv(f"{mode}_u_s{s}.csv", u)
     return written

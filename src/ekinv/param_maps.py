@@ -5,6 +5,9 @@ latent field at a level (binary conductivities with unknown interfaces), or a
 sinusoidal channel whose geometry is controlled by five scalars (amplitude,
 frequency, angle, initial point, width) in normalized unit-square
 coordinates.  The exponential map yields log-permeability fields.
+:func:`coefficient_map` is the one map from a latent field u to the
+solver's coefficients and to the field that errors are measured on; the
+truth and every ensemble member go through it.
 
 The non-centered transform T(xi, theta) maps independent white noise xi
 through the prior that the hyperparameters theta select, so that ensemble
@@ -54,11 +57,6 @@ def level_set_values(u: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
     return np.where(u > spec.threshold, spec.kappa_plus, spec.kappa_minus)
 
 
-def level_set_map(u: Field, spec: LevelSetSpec) -> Field:
-    """:func:`level_set_values` of one field."""
-    return Field(u.domain, level_set_values(u.values, spec))
-
-
 def exp_values(u: np.ndarray) -> np.ndarray:
     """Pointwise exponential of one field's values or a (B, n) stack.
 
@@ -73,6 +71,22 @@ def exp_values(u: np.ndarray) -> np.ndarray:
 def exp_map(u: Field) -> Field:
     """:func:`exp_values` of one field."""
     return Field(u.domain, exp_values(u.values))
+
+
+def coefficient_map(name: str, level_set: LevelSetSpec):
+    """u -> (coefficients, report field) of a coefficient map.
+
+    "identity" gives (u, u); "exp" and "channel" give (exp u, u), where
+    for the channel u is the log permeability the geometry composed;
+    "level-set" gives (kappa, log kappa) with kappa thresholded at the
+    levels of ``level_set``.  u is one field's values or a stack of them.
+    """
+    def threshold(u):
+        kappa = level_set_values(u, level_set)
+        return kappa, np.log(kappa)
+
+    return {"identity": lambda u: (u, u), "level-set": threshold,
+            "exp": lambda u: (exp_values(u), u), "channel": lambda u: (exp_values(u), u)}[name]
 
 
 def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
@@ -103,7 +117,7 @@ def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
 
 
 def noncentered_matern(basis: SpectralBasis, xi: np.ndarray, theta_raw: np.ndarray,
-                       bounds, sigma2: float, mean: float, scaling: str) -> np.ndarray:
+                       bounds, sigma2: float, mean: float) -> np.ndarray:
     """Grid values of T(xi, theta) = mean + C_{alpha,tau}^(1/2) xi.
 
     (alpha, tau) are decoded from the N(0, 1) latents ``theta_raw`` through
@@ -112,7 +126,7 @@ def noncentered_matern(basis: SpectralBasis, xi: np.ndarray, theta_raw: np.ndarr
     per row.
     """
     alpha, tau = unconstrained_to_hyper(theta_raw, bounds).T
-    return sqrt_cov(MaternSpec(alpha, tau, sigma2, mean), basis, xi, scaling)
+    return sqrt_cov(MaternSpec(alpha, tau, sigma2, mean), basis, xi)
 
 
 @dataclass
@@ -138,7 +152,6 @@ class NoncenteredMap:
     g: GMap
     field_spec: MaternSpec | None = None
     cauchy_delta: float | None = None
-    scaling: str = "normalized"
     nonstationary_alpha: float = 2.0
     n_hyper: int = field(init=False)   # number of hyperparameter latents
 
@@ -157,7 +170,7 @@ class NoncenteredMap:
         """Values of the realized hyperparameter field v, for one member or
         a stack of latents (one member per row)."""
         if self.field_spec is not None:
-            return sqrt_cov(self.field_spec, self.basis, theta_raw, self.scaling)
+            return sqrt_cov(self.field_spec, self.basis, theta_raw)
         return cauchy_path(self.basis.domain, self.cauchy_delta, theta_raw)
 
     def sample_hyper_latents(self, rng: np.random.Generator) -> np.ndarray:

@@ -6,10 +6,10 @@ Stationary fields follow the shifted-Laplacian covariance
 
 realized spectrally: the coefficient of sine mode k is N(0, (tau^2 +
 lambda_k)^(-alpha)), so sampling is an exact diagonal scaling of white noise.
-With ``scaling="normalized"`` the statistics are those of the unit-square
-field transported to the physical box, which keeps tau and alpha meaningful
-independently of the domain size; ``scaling="physical"`` uses the box's own
-eigenvalues.
+The eigenvalues lambda_k and the volume factor are those of the basis's
+coordinate convention (:class:`ekinv.grid.SpectralBasis`): the unit box's
+transported to the physical box ("normalized"), or the box's own
+("physical").
 
 Nonstationary fields solve the variable-coefficient operator equation
 
@@ -28,14 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg.lapack
 import scipy.sparse
 import scipy.sparse.linalg
 import scipy.special
 
-from .grid import Domain, Field, SpectralBasis, check_members, neg_laplacian
-
-SCALINGS = ("normalized", "physical")
+from .grid import Domain, Field, SpectralBasis, check_members, neg_laplacian, solve_tridiagonal
 
 
 @dataclass(frozen=True)
@@ -61,44 +58,35 @@ class MaternSpec:
             raise ValueError(f"sigma2 must be positive, got {self.sigma2}")
 
 
-def coefficient_scale(spec: MaternSpec, basis: SpectralBasis,
-                      scaling: str = "normalized") -> np.ndarray:
-    """Per-mode standard deviation of the field's sine coefficients: one
-    vector, or one row per member when alpha and tau are per-member arrays."""
+def coefficient_scale(spec: MaternSpec, basis: SpectralBasis) -> np.ndarray:
+    """Per-mode standard deviation of the field's sine coefficients, in the
+    basis's coordinate convention: one vector, or one row per member when
+    alpha and tau are per-member arrays."""
     spec.validate(basis.domain.dim)
-    if scaling not in SCALINGS:
-        raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
-    if scaling == "normalized":
-        lam = basis.eigenvalues_normalized
-        volume = float(np.prod(basis.domain.extents))
-    else:
-        lam = basis.eigenvalues
-        volume = 1.0
     if np.ndim(spec.alpha):
         # tau^2 is squared one member at a time: the scalar power and the
         # array square round differently in the last bit of a few values
         alpha, tau2 = spec.alpha[:, None], np.array([t**2 for t in spec.tau])[:, None]
     else:
         alpha, tau2 = spec.alpha, spec.tau**2
-    return np.sqrt(spec.sigma2 * volume) * (tau2 + lam) ** (-alpha / 2)
+    return (np.sqrt(spec.sigma2 * basis.prior_volume)
+            * (tau2 + basis.prior_eigenvalues) ** (-alpha / 2))
 
 
-def sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray,
-             scaling: str = "normalized") -> np.ndarray:
+def sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray) -> np.ndarray:
     """mean + C^(1/2) xi on the grid, for one coefficient vector or a
     (B, n_modes) stack with one member per row (and, optionally, one
     (alpha, tau) per member)."""
-    values = basis.synthesize(coefficient_scale(spec, basis, scaling) * np.asarray(xi, float))
+    values = basis.synthesize(coefficient_scale(spec, basis) * np.asarray(xi, float))
     return values + spec.mean if spec.mean != 0.0 else values
 
 
-def apply_sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray,
-                   scaling: str = "normalized") -> Field:
+def apply_sqrt_cov(spec: MaternSpec, basis: SpectralBasis, xi: np.ndarray) -> Field:
     """Deterministic map xi -> mean + C^(1/2) xi (coefficient-wise scaling)."""
     xi = np.asarray(xi, dtype=float)
     if xi.size != basis.n_modes:
         raise ValueError(f"expected {basis.n_modes} coefficients, got {xi.size}")
-    return Field(basis.domain, sqrt_cov(spec, basis, xi, scaling))
+    return Field(basis.domain, sqrt_cov(spec, basis, xi))
 
 
 # ---------------------------------------------------------------------------
@@ -110,15 +98,6 @@ def assemble_shifted_operator(ell: Field) -> scipy.sparse.csr_matrix:
     L = neg_laplacian(ell.domain)
     return (scipy.sparse.identity(ell.domain.n_interior, format="csr")
             + scipy.sparse.diags(ell.values**2) @ L).tocsr()
-
-
-def _solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_banded((1, 1), ab, b)``: the same LAPACK call, so
-    the same bits, without the argument checks that cost as much as the solve."""
-    *_, x, info = scipy.linalg.lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
-    if info > 0:
-        raise np.linalg.LinAlgError("singular matrix")
-    return x
 
 
 def _solve_operator_power(ell: np.ndarray, rhs: np.ndarray, power: int,
@@ -134,7 +113,7 @@ def _solve_operator_power(ell: np.ndarray, rhs: np.ndarray, power: int,
         ab[1, :] = 1.0 + ell2 * (2.0 / h**2)
         ab[2, :-1] = ell2[1:] * (-1.0 / h**2)
         for _ in range(power):
-            u = _solve_tridiagonal(ab, u)
+            u = solve_tridiagonal(ab, u)
         return u
     lu = scipy.sparse.linalg.splu(assemble_shifted_operator(Field(domain, ell)).tocsc())
     for _ in range(power):

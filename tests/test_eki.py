@@ -410,7 +410,7 @@ def test_noncentered_step_escapes_initial_field_span():
 
     def decode_block(block):
         u = noncentered_matern(basis, block[:m].T, block[m:].T, ((1.3, 4.0), (5.0, 30.0)),
-                               1.0, 0.0, "normalized")
+                               1.0, 0.0)
         return DecodedBlock(domain, u, u)
 
     obs = point_observations(domain, 20)

@@ -8,7 +8,6 @@ from ekinv.forward import (
     DarcyProblem,
     DecodedBlock,
     ForwardError,
-    ObservationModel,
     SourceProblem1D,
     mollified_observations,
     observe,
@@ -177,15 +176,22 @@ def test_observe_is_linear():
         atol=1e-12)
 
 
-def test_centers_outside_domain_rejected():
-    from ekinv.forward import _check_centers
-
-    domain = build_domain(1, [1.0], 10)
-    with pytest.raises(ValueError):
-        point_observations(domain, 0)
-    for bad in (-0.5, 0.0, 1.0, 1.5):
-        with pytest.raises(ValueError):
-            _check_centers(domain, np.array([[bad]]))
+def test_observation_builders_reject_an_empty_or_degenerate_layout():
+    line, square = build_domain(1, [1.0], 10), build_domain(2, [6.0, 6.0], [8, 8])
+    for build in (lambda n, gamma: point_observations(line, n, gamma),
+                  lambda n, gamma: mollified_observations(square, n, 0.36, gamma)):
+        with pytest.raises(ValueError, match="need at least one observation"):
+            build(0, 1e-4)
+        for gamma in (0.0, -1e-4, float("nan")):
+            with pytest.raises(ValueError, match="gamma_scale must be positive"):
+                build(2, gamma)
+    for sigma in (0.0, -0.36):
+        with pytest.raises(ValueError, match="mollifier sigma must be positive"):
+            mollified_observations(square, 2, sigma)
+    # every center lies strictly inside the box
+    for domain, model in ((line, point_observations(line, 9)),
+                          (square, mollified_observations(square, 3, 0.36))):
+        assert np.all((model.centers > 0) & (model.centers < np.array(domain.extents)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +239,25 @@ def test_source_solve_of_a_list_equals_solves_one_by_one():
         assert problem.solve(u).values.tobytes() == alone.tobytes()
 
 
+def test_source_solve_of_a_list_equals_solve_banded_bit_for_bit():
+    # the oracle is the call the solve made before it called LAPACK's
+    # tridiagonal solver directly: scipy.linalg.solve_banded on the stack
+    for n, counts in ((40, (1, 3, 65)), (1000, (1, 3, 200))):
+        domain = build_domain(1, [10.0], n)
+        problem = SourceProblem1D(domain)
+        ab = problem._ab.copy()
+        rng = np.random.default_rng(n)
+        for count in counts:
+            fields = [Field(domain, rng.standard_normal(domain.n_interior)) for _ in range(count)]
+            oracle = scipy.linalg.solve_banded((1, 1), ab, np.stack([f.values for f in fields],
+                                                                    axis=1))
+            solutions = problem.solve(fields)
+            assert len(solutions) == count
+            for j, p in enumerate(solutions):
+                assert p.values.tobytes() == oracle[:, j].tobytes()
+        assert problem._ab.tobytes() == ab.tobytes()
+
+
 def test_decode_failure_names_the_first_failing_member():
     # the block runs each check over all its members before the next
     # check; member 2 fails only the later check, member 4 the earlier one
@@ -266,7 +291,7 @@ def test_forward_map_zero_latent_equals_mean_composition():
 
     def decode_block(block):
         u = noncentered_matern(basis, block[:n_modes].T, block[n_modes:].T,
-                               ((1.3, 4.0), (5.0, 30.0)), 1.0, 0.5, "normalized")
+                               ((1.3, 4.0), (5.0, 30.0)), 1.0, 0.5)
         return DecodedBlock(domain, exp_values(u), u)
 
     fwd = CompositeForward(decode_block=decode_block, solver=problem.solve, obs=obs)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg
+import scipy.linalg
 
 from ekinv.grid import (
     Field,
     MemberError,
+    SpectralBasis,
     build_domain,
     dirichlet_spectrum,
     discrete_eigenvalue,
     neg_laplacian,
+    solve_tridiagonal,
     white_noise,
 )
 
@@ -72,13 +74,13 @@ def test_third_eigenvalue_on_0_10_matches_matrix_oracle():
 def test_orthonormality_and_parseval(dim, extents, n):
     d = build_domain(dim, extents, n)
     basis = dirichlet_spectrum(d)
-    Phi = np.stack([basis.eigenfunction(i).values for i in range(basis.n_modes)])
+    Phi = basis.synthesize(np.eye(basis.n_modes))   # one eigenfunction per row
     gram = d.node_measure * (Phi @ Phi.T)
     assert np.max(np.abs(gram - np.eye(basis.n_modes))) < 1e-10
 
     rng = np.random.default_rng(3)
     coeffs = rng.standard_normal(basis.n_modes)
-    f = basis.synthesis(coeffs)
+    f = Field(d, basis.synthesize(coeffs))
     assert f.norm() == pytest.approx(np.linalg.norm(coeffs), abs=1e-10)
     np.testing.assert_allclose(basis.analysis(f), coeffs, atol=1e-12)
 
@@ -92,7 +94,7 @@ def test_eigenfunctions_diagonalize_discrete_laplacian(dim, extents, n):
     basis = dirichlet_spectrum(d)
     L = neg_laplacian(d)
     for mode in range(0, basis.n_modes, max(1, basis.n_modes // 7)):
-        phi = basis.eigenfunction(mode).values
+        phi = basis.synthesize(np.eye(basis.n_modes)[mode])
         lam = discrete_eigenvalue(d, basis.k_indices[mode])
         err = np.linalg.norm(L @ phi - lam * phi) / (lam * np.linalg.norm(phi))
         assert err < 1e-8
@@ -129,9 +131,43 @@ def test_synthesis_of_a_stack_equals_one_field_at_a_time(dim, n):
     stack = basis.synthesize(coeffs.T)   # rows are strided views of the columns
     assert stack.shape == (6, basis.domain.n_interior)
     for b in range(6):
-        assert stack[b].tobytes() == basis.synthesis(coeffs[:, b]).values.tobytes()
+        assert stack[b].tobytes() == basis.synthesize(coeffs[:, b]).tobytes()
 
     coeffs[0, [3, 5]] = 1e308
     with pytest.raises(MemberError, match="must all be finite") as info:
         basis.synthesize(coeffs.T)
     assert info.value.index == 3
+
+
+def test_basis_holds_the_prior_convention_and_rejects_an_unknown_one():
+    domain = build_domain(2, [6.0, 3.0], [8, 6])
+    normalized, physical = SpectralBasis(domain), dirichlet_spectrum(domain, "physical")
+    np.testing.assert_array_equal(normalized.k_indices, physical.k_indices)
+    k = normalized.k_indices
+    np.testing.assert_allclose(normalized.prior_eigenvalues, np.pi**2 * (k**2).sum(axis=1),
+                               rtol=1e-14)
+    assert normalized.prior_volume == 18.0
+    assert physical.prior_eigenvalues is physical.eigenvalues and physical.prior_volume == 1.0
+    for scaling in ("Normalized", "unit", ""):
+        with pytest.raises(ValueError, match="scaling must be one of"):
+            SpectralBasis(domain, scaling)
+        with pytest.raises(ValueError, match="scaling must be one of"):
+            dirichlet_spectrum(domain, scaling)
+
+
+def test_tridiagonal_solve_equals_solve_banded_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 3, 50, 999):
+        ab = rng.standard_normal((3, n))
+        ab[1] += 4.0
+        saved = ab.copy()
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 5))):
+            np.testing.assert_array_equal(solve_tridiagonal(ab, b),
+                                          scipy.linalg.solve_banded((1, 1), ab, b))
+        assert ab.tobytes() == saved.tobytes()
+    singular = np.zeros((3, 4))
+    singular[1, 1:] = 1.0
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        scipy.linalg.solve_banded((1, 1), singular, np.ones(4))
+    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+        solve_tridiagonal(singular, np.ones(4))

@@ -194,6 +194,31 @@ n_samples = 120
     ("model_problem = darcy\n[truth]\nalpha_true = 0.5", "alpha must exceed d/2 = 1.0, got 0.5"),
     ("model_problem = darcy\n[truth]\nchannel_truth_hypers = 2 2.8 30",
      "channel_truth_hypers: expected four numbers"),
+    # each (alpha, tau) box at its lower corner
+    ("model_problem = darcy\nparameterization = centered-hier\n[prior]\nalpha_bounds = 0.5 1.05",
+     r"\[prior\] alpha must exceed d/2 = 1.0, got 0.5$"),
+    ("model_problem = source1d\n[prior]\nalpha_bounds = 0.2 1.0",
+     r"\[prior\] alpha must exceed d/2 = 0.5, got 0.2$"),
+    ("model_problem = darcy\nparameterization = noncentered-hier\n[prior]\ntau_bounds = -5 3",
+     r"\[prior\] tau must be positive, got -5.0$"),
+    ("model_problem = darcy\ncoefficient_map = channel\n[channel]\nalpha1_bounds = 0.5 1.2",
+     r"\[channel\] alpha must exceed d/2 = 1.0, got 0.5$"),
+    ("model_problem = darcy\nsnapshots = every",
+     r"\[experiment\] snapshots: expected auto, none or iteration numbers, got 'every'"),
+    ("model_problem = darcy\n[grid]\nn_cells = 1",
+     r"\[grid\] n_cells must be integers >= 2 per axis, got \(1, 1\)"),
+    ("model_problem = source1d\n[observations]\nn_obs = 0",
+     r"\[observations\] need at least one observation"),
+    ("model_problem = darcy\n[observations]\nn_obs = 0",
+     r"\[observations\] need at least one observation"),
+    ("model_problem = source1d\n[observations]\ngamma_scale = -1",
+     r"\[observations\] gamma_scale must be positive, got -1.0"),
+    ("model_problem = darcy\n[observations]\ngamma_scale = 0",
+     r"\[observations\] gamma_scale must be positive, got 0.0"),
+    ("model_problem = darcy\n[observations]\nmollifier_sigma_frac = 0",
+     r"\[observations\] the mollifier sigma must be positive, got 0.0"),
+    ("model_problem = darcy\n[observations]\nmollifier_sigma_frac = -0.06",
+     r"\[observations\] the mollifier sigma must be positive, got -0.36"),
 ])
 def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -305,6 +330,21 @@ def test_every_configuration_writes_its_golden_files_also_when_rerun(tmp_path, c
     rerun = config_from_manifest(tmp_path / "run" / "manifest.json")
     rerun["experiment"]["out_dir"] = str(tmp_path / "rerun")
     assert harness.run_experiment(rerun)["files"] == golden
+
+
+def test_report_writes_the_manifest_values_exactly(tmp_path, capsys):
+    manifest = harness.run_experiment(matrix_config(tmp_path, *MATRIX[0]))
+    assert cli(["report", str(tmp_path / "run")]) == 0
+    lines = (tmp_path / "run" / "summary.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "index,stop_reason,iterations,final_misfit,final_rel_error"
+    assert len(lines) == 3
+    for line, init in zip(lines[1:], manifest["initializations"]):
+        index, stop_reason, iterations, misfit, error = line.split(",")
+        assert (int(index), stop_reason, int(iterations)) == \
+            (init["index"], init["stop_reason"], init["n_records"] - 1)
+        assert float(misfit) == init["final_misfit"]
+        assert float(error) == init["final_rel_error"]
+    assert "max-iterations" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("schedule,kept", [("none", []), ("0, 2", [0, 2]), ("7 1", [1])])

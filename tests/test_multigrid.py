@@ -11,7 +11,7 @@ from ekinv.forward import (
     mollified_observations,
 )
 from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
-from ekinv.param_maps import LevelSetSpec, channel_values, exp_map, exp_values, level_set_map
+from ekinv.param_maps import LevelSetSpec, channel_values, exp_map, exp_values, level_set_values
 from ekinv.priors import MaternSpec, apply_sqrt_cov
 
 CHANNEL = np.array([0.2, 6.0, 0.6, 0.3, 0.2])
@@ -25,7 +25,7 @@ def coefficient(domain, kind, seed=0):
     if kind == "lognormal":
         return exp_map(u)
     if kind == "level-set":
-        return level_set_map(u, LevelSetSpec(kappa_minus=1.0, kappa_plus=10.0))
+        return Field(domain, level_set_values(u.values, LevelSetSpec(1.0, 10.0)))
     return exp_map(Field(domain, channel_values(CHANNEL, 4.0, 1.0, domain)))
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
+from ekinv.grid import Field, build_domain, dirichlet_spectrum
 from ekinv.param_maps import (
     LevelSetSpec,
     NoncenteredMap,
     channel_values,
     exp_map,
-    level_set_map,
+    level_set_values,
     noncentered_matern,
 )
 from ekinv.priors import GMap, MaternSpec, apply_sqrt_cov
@@ -28,33 +28,32 @@ def field_of(domain, values):
 
 def test_level_set_constant_positive(square):
     spec = LevelSetSpec(kappa_minus=1.0, kappa_plus=2.0)
-    kappa = level_set_map(field_of(square, 1.0), spec)
-    np.testing.assert_array_equal(kappa.values, 2.0)
+    kappa = level_set_values(field_of(square, 1.0).values, spec)
+    np.testing.assert_array_equal(kappa, 2.0)
 
 
 def test_level_set_zero_goes_to_minus(square):
     spec = LevelSetSpec(kappa_minus=1.0, kappa_plus=2.0)
-    kappa = level_set_map(field_of(square, 0.0), spec)
-    np.testing.assert_array_equal(kappa.values, 1.0)
+    kappa = level_set_values(field_of(square, 0.0).values, spec)
+    np.testing.assert_array_equal(kappa, 1.0)
 
 
 def test_level_set_checkerboard_measure(square):
     rng = np.random.default_rng(8)
     u = Field(square, np.where(rng.uniform(size=square.n_interior) < 0.5, -1.0, 1.0))
     spec = LevelSetSpec(kappa_minus=3.0, kappa_plus=7.0)
-    kappa = level_set_map(u, spec)
-    assert np.count_nonzero(kappa.values == 7.0) == np.count_nonzero(u.values > 0)
-    assert set(np.unique(kappa.values)) == {3.0, 7.0}
+    kappa = level_set_values(u.values, spec)
+    assert np.count_nonzero(kappa == 7.0) == np.count_nonzero(u.values > 0)
+    assert set(np.unique(kappa)) == {3.0, 7.0}
 
 
 def test_level_set_invariant_under_positive_rescaling(square):
     rng = np.random.default_rng(1)
     u = Field(square, rng.standard_normal(square.n_interior))
     spec = LevelSetSpec(kappa_minus=1.0, kappa_plus=10.0)
-    base = level_set_map(u, spec).values
+    base = level_set_values(u.values, spec)
     for c in (0.01, 3.0, 1e6):
-        np.testing.assert_array_equal(level_set_map(Field(square, c * u.values), spec).values,
-                                      base)
+        np.testing.assert_array_equal(level_set_values(c * u.values, spec), base)
 
 
 def test_level_set_spec_validation():
@@ -149,7 +148,7 @@ def test_noncentered_zero_noise_gives_mean(scalar_basis):
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = noncentered_matern(scalar_basis, np.zeros(scalar_basis.n_modes),
-                               rng.standard_normal(2), SCALAR_BOUNDS, 1.0, 2.5, "normalized")
+                               rng.standard_normal(2), SCALAR_BOUNDS, 1.0, 2.5)
         np.testing.assert_allclose(u, 2.5, atol=1e-14)
 
 
@@ -157,8 +156,8 @@ def test_noncentered_deterministic(scalar_basis):
     rng = np.random.default_rng(3)
     xi = rng.standard_normal(scalar_basis.n_modes)
     theta = rng.standard_normal(2)
-    a = noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 2.5, "normalized")
-    b = noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 2.5, "normalized")
+    a = noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 2.5)
+    b = noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 2.5)
     np.testing.assert_array_equal(a, b)
 
 
@@ -166,8 +165,7 @@ def test_noncentered_escapes_fixed_span(scalar_basis):
     # varying theta with fixed xi leaves the span of fields built at other
     # theta values: nonzero least-squares projection residual
     def zero_mean(xi, theta):
-        return noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 0.0,
-                                  "normalized")
+        return noncentered_matern(scalar_basis, xi, theta, SCALAR_BOUNDS, 1.0, 0.0)
 
     xi = np.random.default_rng(21).standard_normal(scalar_basis.n_modes)
     thetas = [(-1.0, -1.0), (0.0, 0.0), (1.0, 1.0), (-1.0, 1.0), (1.0, -1.0)]

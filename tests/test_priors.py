@@ -1,13 +1,11 @@
 import numpy as np
 import pytest
 import scipy.integrate
-import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
 import scipy.stats
 
 from ekinv.grid import Field, MemberError, build_domain, dirichlet_spectrum, white_noise
-from ekinv import priors
 from ekinv.priors import (
     GMap,
     MaternSpec,
@@ -147,10 +145,10 @@ def test_sqrt_cov_single_mode_scaling():
     # first basis vector, alpha=1, tau -> 0: coefficient scaled by L/pi
     L = 2.5
     domain = build_domain(1, [L], 32)
-    basis = dirichlet_spectrum(domain)
+    basis = dirichlet_spectrum(domain, "physical")
     e1 = np.zeros(basis.n_modes)
     e1[0] = 1.0
-    u = apply_sqrt_cov(MaternSpec(alpha=1.0, tau=1e-12), basis, e1, scaling="physical")
+    u = apply_sqrt_cov(MaternSpec(alpha=1.0, tau=1e-12), basis, e1)
     assert basis.analysis(u)[0] == pytest.approx(L / np.pi, rel=1e-10)
 
 
@@ -172,9 +170,9 @@ def test_normalized_scaling_is_domain_size_invariant():
     var = []
     for L in (1.0, 6.0):
         basis = dirichlet_spectrum(build_domain(1, [L], 40))
-        s = coefficient_scale(spec, basis, scaling="normalized")
+        s = coefficient_scale(spec, basis)
         mid = basis.domain.n_interior // 2
-        phi = np.stack([basis.eigenfunction(i).values for i in range(basis.n_modes)])
+        phi = basis.synthesize(np.eye(basis.n_modes))   # one eigenfunction per row
         var.append(np.sum(s**2 * phi[:, mid] ** 2))
     assert var[0] == pytest.approx(var[1], rel=1e-12)
 
@@ -199,10 +197,10 @@ def test_matern_covariance_against_quadrature(alpha, tau, r):
 def test_dirichlet_sampler_covariance_approaches_free_space():
     # short length scale, probes near the domain center: boundary images decay
     domain = build_domain(1, [10.0], 200)
-    basis = dirichlet_spectrum(domain)
+    basis = dirichlet_spectrum(domain, "physical")
     spec = MaternSpec(alpha=1.5, tau=10.0)
     rng = np.random.default_rng(7)
-    draws = np.stack([apply_sqrt_cov(spec, basis, white_noise(domain, rng), "physical").values
+    draws = np.stack([apply_sqrt_cov(spec, basis, white_noise(domain, rng)).values
                       for _ in range(40_000)])
     x = domain.interior_coords(0)
     i = int(np.argmin(np.abs(x - 5.0)))
@@ -234,7 +232,7 @@ def test_nonstationary_constant_ell_matches_stationary_convention():
     # beta=1 convention: variances tau^(2 alpha - d) (tau^2 + lambda)^-alpha,
     # agreement with the spectral sampler up to discretization error
     domain = build_domain(1, [1.0], 400)
-    basis = dirichlet_spectrum(domain)
+    basis = dirichlet_spectrum(domain, "physical")
     ell0, alpha = 0.2, 2.0
     tau = 1 / ell0
     rng = np.random.default_rng(11)
@@ -243,8 +241,7 @@ def test_nonstationary_constant_ell_matches_stationary_convention():
     coeffs = np.stack([
         basis.analysis(nonstationary_sqrt(alpha, ell, white_noise(domain, rng), basis))
         for _ in range(n_draws)])
-    stationary = tau ** (alpha - 0.5) * coefficient_scale(
-        MaternSpec(alpha=alpha, tau=tau), basis, scaling="physical")
+    stationary = tau ** (alpha - 0.5) * coefficient_scale(MaternSpec(alpha=alpha, tau=tau), basis)
     rel = np.abs(coeffs.var(axis=0)[:10] - stationary[:10] ** 2) / stationary[:10] ** 2
     assert np.max(rel) < 0.05
 
@@ -258,29 +255,13 @@ def test_nonstationary_1d_band_solve_matches_sparse_operator():
     ell = Field(domain, np.exp(rng.standard_normal(domain.n_interior)))
     xi = white_noise(domain, rng)
     A = assemble_shifted_operator(ell).tocsc()
-    expected = ell.values**0.5 * basis.synthesis(xi).values
+    expected = ell.values**0.5 * basis.synthesize(xi)
     for _ in range(2):
         expected = scipy.sparse.linalg.spsolve(A, expected)
     u = nonstationary_sqrt(4.0, ell.values, xi, basis)
     np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
         nonstationary_sqrt(2.0, np.zeros(domain.n_interior), xi, basis)
-
-
-def test_tridiagonal_solve_equals_solve_banded_bit_for_bit():
-    rng = np.random.default_rng(8)
-    for n in (2, 3, 50, 999):
-        ab = rng.standard_normal((3, n))
-        ab[1] += 4.0
-        b = rng.standard_normal(n)
-        np.testing.assert_array_equal(priors._solve_tridiagonal(ab, b),
-                                      scipy.linalg.solve_banded((1, 1), ab, b))
-    singular = np.zeros((3, 4))
-    singular[1, 1:] = 1.0
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        scipy.linalg.solve_banded((1, 1), singular, np.ones(4))
-    with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
-        priors._solve_tridiagonal(singular, np.ones(4))
 
 
 def test_nonstationary_zero_noise():

@@ -1,4 +1,4 @@
-"""Every import in the ekinv sources is used.
+"""Every import in the ekinv sources and in their tests is used.
 
 A stdlib ``ast`` scan in place of a linter: an imported name counts as used
 when the module reads it (or lists it in ``__all__``); ``import a.b`` counts
@@ -11,6 +11,7 @@ from pathlib import Path
 import ekinv
 
 SOURCES = Path(ekinv.__file__).parent
+TESTS = Path(__file__).parent
 
 # (module, name) pairs imported only so that other code can import them from
 # that module: the benchmark loads its configurations through harness.
@@ -55,6 +56,12 @@ def unused_imports(path: Path) -> list[str]:
 
 def test_sources_import_nothing_they_do_not_use():
     modules = sorted(SOURCES.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in unused_imports(path)] == []
+
+
+def test_tests_import_nothing_they_do_not_use():
+    modules = sorted(TESTS.glob("*.py"))
     assert len(modules) > 5
     assert [line for path in modules for line in unused_imports(path)] == []
 
