@@ -295,9 +295,9 @@ class SourceProblem1D:
         """Solution for one source field, or one per field of a list.
 
         A list is solved in one tridiagonal solve with one right-hand side
-        per field (:func:`ekinv.grid.solve_tridiagonal`, bit for bit
-        ``scipy.linalg.solve_banded``); each column gives the same values as
-        a solve on its own.
+        per field (:func:`ekinv.grid.solve_tridiagonal`, bit for bit SciPy's
+        banded solver); each column gives the same values as a solve on its
+        own.
         """
         single = isinstance(u, Field)
         fields = [u] if single else u

@@ -276,11 +276,11 @@ def discrete_eigenvalue(domain: Domain, k: np.ndarray) -> float:
 
 
 def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``scipy.linalg.solve_banded((1, 1), ab, b)``: the same LAPACK call
-    (``dgtsv``), so the same bits, without the argument checks that cost as
-    much as the solve.  ``b`` holds one right-hand side, or one per column;
-    ``ab`` and ``b`` are left as they are."""
-    if ab.shape[1] == 1:   # dgtsv takes no empty off-diagonals; solve_banded divides
+    """Solve the tridiagonal system of band ``ab`` (SciPy's (1, 1) banded
+    layout) by LAPACK's ``dgtsv``, as SciPy's banded solver does: the same
+    bits, without its argument checks, which cost as much as the solve.
+    ``b`` holds one right-hand side or one per column; neither is changed."""
+    if ab.shape[1] == 1:   # dgtsv takes no empty off-diagonals; SciPy divides
         return b / ab[1, 0]
     *_, x, info = scipy.linalg.lapack.dgtsv(ab[2, :-1], ab[1], ab[0, 1:], b)
     if info > 0:
