@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eki import EkiControls
-from .forward import ObservationModel, mollified_observations, point_observations
+from .forward import (
+    ObservationModel,
+    mollified_observations,
+    mollifier_centers,
+    point_observations,
+)
 from .grid import Domain, SpectralBasis, build_domain, dirichlet_spectrum
 from .param_maps import LevelSetSpec, NoncenteredMap
 from .priors import GMap, MaternSpec
@@ -262,8 +267,8 @@ def _check_values(sections: dict) -> None:
     """Build what a run builds from the configured values, so that a value
     their own checks reject stops here, not midway through a run: the grid
     as configured, the rest on the model's coarsest grid (for mollifiers the
-    coarsest with a node at every center), each (alpha, tau) box at its
-    lower corner."""
+    coarsest with a node at every center, then the centers alone on the
+    configured grid), each (alpha, tau) box at its lower corner."""
     model = sections["experiment"]["model_problem"]
     domain = model_domain(model, 2)
     p, t, ch = sections["prior"], sections["truth"], sections["channel"]
@@ -272,8 +277,11 @@ def _check_values(sections: dict) -> None:
     def observations():
         if domain.dim == 1:
             return observation_model(sections, domain)
-        lattice = int(round(np.sqrt(sections["observations"]["n_obs"])))
-        return observation_model(sections, model_domain(model, max(2, 2 * lattice)))
+        obs = sections["observations"]
+        lattice = int(round(np.sqrt(obs["n_obs"])))
+        observation_model(sections, model_domain(model, max(2, 2 * lattice)))
+        mollifier_centers(model_domain(model, sections["grid"]["n_cells"]), lattice,
+                          obs["mollifier_sigma_frac"] * max(domain.extents))
 
     checks = {
         "[grid]": lambda: model_domain(model, sections["grid"]["n_cells"]),
@@ -316,6 +324,8 @@ def _resolve(sections: dict) -> dict:
     if sections["observations"]["n_obs"] == "auto":
         sections["observations"]["n_obs"] = 50 if model == "source1d" else 64
     if model == "darcy":
+        if sections["observations"]["n_obs"] < 1:
+            raise ConfigError("[observations] need at least one observation")
         root = int(round(np.sqrt(sections["observations"]["n_obs"])))
         if root * root != sections["observations"]["n_obs"]:
             raise ConfigError("darcy observations form a square lattice; "

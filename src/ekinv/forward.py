@@ -18,8 +18,10 @@ red-black Gauss-Seidel smoothing, 2:1 vertex coarsening whose coarse faces
 combine the fine ones in series along the flow and in parallel across it,
 bilinear prolongation with its transpose as restriction, and a dense solve
 on the coarsest grid.  The V-cycle runs in float32; the conjugate-gradient
-vectors, the stopping test and the returned pressure are float64.  Each
-member stops on its own at a relative residual of 1e-10.  The assembled
+vectors, the stopping test and the returned pressure are float64.  A solve
+allocates one set of work buffers and every iteration writes into them,
+rounding as whole-array expressions would.  Each member stops on its own
+at a relative residual of 1e-10.  The assembled
 sparse matrix (:meth:`DarcyProblem.assemble`) remains as the reference that
 tests factorize directly.
 
@@ -365,22 +367,40 @@ def point_observations(domain: Domain, n_obs: int,
                             gamma=gamma_scale * np.eye(n_obs))
 
 
-def mollified_observations(domain: Domain, n_per_axis: int, sigma: float,
-                           gamma_scale: float = 1e-4) -> ObservationModel:
-    """Gaussian-kernel observations on an n x n interior lattice.
-
-    Centers sit at the cell centers of a uniform n_per_axis partition; each
-    kernel is truncated at 6 sigma and renormalized to unit discrete mass, so
-    observing the constant field 1 returns exactly 1.
-    """
+def mollifier_centers(domain: Domain, n_per_axis: int, sigma: float) -> np.ndarray:
+    """The centers of :func:`mollified_observations`: the cell centers of a
+    uniform n_per_axis partition.  Raises ValueError for a center whose
+    kernel, truncated at 6 sigma, holds no interior node to renormalize."""
     if domain.dim != 2:
         raise ValueError("the mollified lattice layout is two-dimensional")
-    _check_layout(n_per_axis, gamma_scale)
     if not sigma > 0:
         raise ValueError(f"the mollifier sigma must be positive, got {sigma}")
     ticks = [(np.arange(n_per_axis) + 0.5) * L / n_per_axis for L in domain.extents]
     cx, cy = np.meshgrid(*ticks, indexing="ij")
     centers = np.column_stack([cx.ravel(), cy.ravel()])
+    # the squared distances are summed as the kernels sum them, and a rounded
+    # sum is monotone in its terms, so the nearest node decides for them all
+    nearest = sum(((centers[:, a, None] - domain.interior_coords(a)) ** 2).min(axis=1)
+                  for a in range(2))
+    empty = np.flatnonzero(nearest > (6 * sigma) ** 2)
+    if empty.size:
+        a, b = centers[empty[0]]
+        raise ValueError(f"no interior node of the {domain.n_cells[0]} x {domain.n_cells[1]} grid "
+                         f"lies within 6 sigma = {6 * sigma:g} of the observation center "
+                         f"({a:g}, {b:g})")
+    return centers
+
+
+def mollified_observations(domain: Domain, n_per_axis: int, sigma: float,
+                           gamma_scale: float = 1e-4) -> ObservationModel:
+    """Gaussian-kernel observations on an n x n interior lattice.
+
+    Centers as :func:`mollifier_centers` places and checks them; each kernel
+    is truncated at 6 sigma and renormalized to unit discrete mass, so
+    observing the constant field 1 returns exactly 1.
+    """
+    _check_layout(n_per_axis, gamma_scale)
+    centers = mollifier_centers(domain, n_per_axis, sigma)
     x1, x2 = domain.interior_meshgrid()
     rows = np.zeros((len(centers), domain.n_interior))
     for r, (a, b) in enumerate(centers):

@@ -459,11 +459,14 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     recorded with stop_reason "aborted"; the run continues.
     """
     exp = config["experiment"]
-    out_dir = Path(exp["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     prepared = _prepare(config)
     setup, truth, obs, _ = prepared
+    if truth.field.norm() == 0:
+        cells = " x ".join(map(str, setup.domain.n_cells))
+        raise ValueError(f"the truth field is zero at every interior node of the {cells}-cell "
+                         "grid, so its relative error is undefined; refine [grid] n_cells")
+    out_dir = Path(exp["out_dir"])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     write_field_file(out_dir / "truth_field.bin", setup.domain, truth.field.values)
     write_csv(out_dir / "observations.csv",

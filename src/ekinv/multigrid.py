@@ -36,6 +36,12 @@ rounded to float32 on its way into the V-cycle and the correction widened
 back.  Every member stops on its own once |r| <= TOLERANCE |b| and leaves the
 working stack, so a member's iterates do not depend on what it is batched
 with, and the returned solution is float64.
+
+A solve allocates one set of work buffers, the conjugate-gradient vectors
+and each level's V-cycle buffers, and every step writes into them in place;
+when members finish, the scratch buffers are narrowed to the rest.  The
+steps round exactly as the whole-array expressions they replace, so the
+reuse changes no bit.
 """
 
 from __future__ import annotations
@@ -64,36 +70,64 @@ def _along(axis: int, s: slice) -> tuple:
     return (slice(None),) * axis + (s,)
 
 
-def _flat(tx: np.ndarray, ty: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _flat(tx: np.ndarray, ty: np.ndarray, dtype=np.float64
+          ) -> tuple[np.ndarray, np.ndarray]:
     """Faces in the row-major flat layout of each member's node grid: an
     x-face joins flat nodes k and k + N2, a y-face joins k and k + 1 (zero
     across the end of a row), so the stencil works on contiguous slices."""
     B, N1, n2 = ty.shape
-    ty_rows = np.zeros((B, N1, n2 + 1))
+    ty_rows = np.zeros((B, N1, n2 + 1), dtype)
     ty_rows[:, :, :-1] = ty
-    return tx.reshape(B, -1), ty_rows.reshape(B, -1)[:, :-1]
+    return tx.reshape(B, -1).astype(dtype, copy=False), ty_rows.reshape(B, -1)[:, :-1]
 
 
-def _residual(tx: np.ndarray, ty: np.ndarray, x: np.ndarray, b: np.ndarray
-              ) -> np.ndarray:
-    """b - A x on a (B, N1, N2) stack, every node included; faces as from :func:`_flat`."""
+def _fluxes(t: np.ndarray, xf: np.ndarray, stride: int, out: np.ndarray) -> np.ndarray:
+    """T_f (x_hi - x_lo) for the faces joining flat nodes k and k + stride."""
+    flux = np.subtract(xf[:, stride:], xf[:, :-stride], out=out[:, :t.shape[1]])
+    flux *= t
+    return flux
+
+
+def _residual(tx: np.ndarray, ty: np.ndarray, x: np.ndarray, b: np.ndarray,
+              r: np.ndarray, flux: np.ndarray) -> np.ndarray:
+    """r = b - A x on a (B, N1, N2) stack, every node included; faces as from
+    :func:`_flat`, ``flux`` a (B, N1 N2 - 1) scratch."""
     B, _, N2 = x.shape
-    r = np.array(b).reshape(B, -1)
-    xf = x.reshape(B, -1)
-    flux = np.subtract(xf[:, 1:], xf[:, :-1])
-    flux *= ty
-    r[:, :-1] += flux
-    r[:, 1:] -= flux
-    flux = np.subtract(xf[:, N2:], xf[:, :-N2], out=flux[:, :tx.shape[1]])
-    flux *= tx
-    r[:, :-N2] += flux
-    r[:, N2:] -= flux
-    return r.reshape(x.shape)
+    xf, bf, rf = x.reshape(B, -1), b.reshape(B, -1), r.reshape(B, -1)
+    fy = _fluxes(ty, xf, 1, flux)
+    np.add(bf[:, :-1], fy, out=rf[:, :-1])
+    rf[:, -1] = bf[:, -1]
+    rf[:, 1:] -= fy
+    fx = _fluxes(tx, xf, N2, flux)
+    rf[:, :-N2] += fx
+    rf[:, N2:] -= fx
+    return r
+
+
+def _stencil(tx: np.ndarray, ty: np.ndarray, x: np.ndarray, q: np.ndarray,
+             flux: np.ndarray) -> np.ndarray:
+    """A x: the sums of :func:`_residual` with b = 0, each term taken with
+    the opposite sign.  Negation commutes with rounding, so every nonzero
+    entry equals that of -(0 - A x) bit for bit.  Written into q where q's
+    layout lets it be viewed as rows of N1 N2 nodes, else into a C-ordered copy."""
+    B, _, N2 = x.shape
+    xf, qf = x.reshape(B, -1), q.reshape(B, -1)
+    fy = _fluxes(ty, xf, 1, flux)
+    np.negative(fy[:, :1], out=qf[:, :1])
+    np.subtract(fy[:, :-1], fy[:, 1:], out=qf[:, 1:-1])
+    qf[:, -1] = fy[:, -1]
+    fx = _fluxes(tx, xf, N2, flux)
+    qf[:, :-N2] -= fx
+    qf[:, N2:] += fx
+    return qf.reshape(x.shape)
 
 
 def apply(tx: np.ndarray, ty: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x on a (B, N1, N2) stack, every node included."""
-    return -_residual(*_flat(tx, ty), x, np.zeros_like(x))
+    B, N1, N2 = x.shape
+    # A x takes the layout of x, member-fastest for a broadcast x: the sums of
+    # solve follow the layout of a right-hand side built from it
+    return _stencil(*_flat(tx, ty), x, np.empty_like(x), np.empty((B, N1 * N2 - 1)))
 
 
 def _diagonal(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
@@ -118,32 +152,38 @@ def _coarse_nodes(n: int) -> np.ndarray:
     return even if n % 2 == 0 else np.append(even, n)
 
 
-def _prolong(coarse: np.ndarray, axis: int, n: int) -> np.ndarray:
-    """Linear interpolation along ``axis`` onto n + 1 fine nodes."""
+def _prolong(coarse: np.ndarray, axis: int, out: np.ndarray, mid: np.ndarray) -> np.ndarray:
+    """Linear interpolation along ``axis`` onto the nodes of ``out``; the
+    midpoint values are formed in the contiguous buffer ``mid``."""
+    n = out.shape[axis] - 1
     k = n // 2 + 1
-    shape = list(coarse.shape)
-    shape[axis] = n + 1
-    fine = np.empty(shape, dtype=coarse.dtype)
     c = coarse[_along(axis, slice(0, k))]
-    fine[_along(axis, slice(0, 2 * k - 1, 2))] = c
-    fine[_along(axis, slice(1, 2 * k - 2, 2))] = 0.5 * (
-        c[_along(axis, slice(0, k - 1))] + c[_along(axis, slice(1, k))])
+    out[_along(axis, slice(0, 2 * k - 1, 2))] = c
+    np.add(c[_along(axis, slice(0, k - 1))], c[_along(axis, slice(1, k))], out=mid)
+    mid *= 0.5
+    out[_along(axis, slice(1, 2 * k - 2, 2))] = mid
     if n % 2:
-        fine[_along(axis, slice(n, n + 1))] = coarse[_along(axis, slice(k, k + 1))]
-    return fine
+        out[_along(axis, slice(n, n + 1))] = coarse[_along(axis, slice(k, k + 1))]
+    return out
 
 
-def _restrict(fine: np.ndarray, axis: int) -> np.ndarray:
-    """Transpose of :func:`_prolong` along ``axis``."""
+def _restrict(fine: np.ndarray, axis: int, out: np.ndarray | None = None,
+              mid: np.ndarray | None = None) -> np.ndarray:
+    """Transpose of the interpolation along ``axis``, into ``out``; ``mid``
+    holds the halved midpoint entries.  Both are allocated when not given."""
     n = fine.shape[axis] - 1
     k = n // 2 + 1
-    coarse = fine[_along(axis, slice(0, 2 * k - 1, 2))].copy()
-    mid = 0.5 * fine[_along(axis, slice(1, 2 * k - 2, 2))]
-    coarse[_along(axis, slice(0, k - 1))] += mid
-    coarse[_along(axis, slice(1, k))] += mid
+    if out is None:
+        shape = list(fine.shape)
+        shape[axis] = k + n % 2
+        out = np.empty(shape, fine.dtype)
+    out[_along(axis, slice(0, k))] = fine[_along(axis, slice(0, 2 * k - 1, 2))]
+    mid = np.multiply(fine[_along(axis, slice(1, 2 * k - 2, 2))], 0.5, out=mid)
+    out[_along(axis, slice(0, k - 1))] += mid
+    out[_along(axis, slice(1, k))] += mid
     if n % 2:
-        coarse = np.concatenate([coarse, fine[_along(axis, slice(n, n + 1))]], axis=axis)
-    return coarse
+        out[_along(axis, slice(k, k + 1))] = fine[_along(axis, slice(n, n + 1))]
+    return out
 
 
 def _series(t: np.ndarray, axis: int) -> np.ndarray:
@@ -202,11 +242,11 @@ def _hierarchy(tx: np.ndarray, ty: np.ndarray, unknown: np.ndarray
                ) -> tuple[list[_Level], _Coarsest]:
     levels = []
     while max(unknown.shape) - 1 > COARSEST_CELLS:
-        inv = np.where(unknown, 1.0 / _diagonal(tx, ty), 0.0)
-        ii, jj = np.indices(unknown.shape)
-        red = (ii + jj) % 2 == 0
-        levels.append(_Level(*(a.astype(np.float32) for a in (
-            *_flat(tx, ty), np.where(red, inv, 0.0), np.where(red, 0.0, inv)))))
+        inv = (1.0 / _diagonal(tx, ty)).astype(np.float32)
+        red = np.zeros(unknown.shape, bool)
+        red[::2, ::2] = red[1::2, 1::2] = True
+        levels.append(_Level(*_flat(tx, ty, np.float32), *(
+            np.where(unknown & color, inv, np.float32(0.0)) for color in (red, ~red))))
         tx = _restrict(_series(tx, 1), 2)
         ty = _restrict(_series(ty, 2), 1)
         n1, n2 = (size - 1 for size in unknown.shape)
@@ -215,29 +255,77 @@ def _hierarchy(tx: np.ndarray, ty: np.ndarray, unknown: np.ndarray
     return levels, _Coarsest(unknown, inverse)
 
 
-def _vcycle(levels: list[_Level], coarsest: _Coarsest, b: np.ndarray) -> np.ndarray:
+class _Work(NamedTuple):
+    """Scratch of one level, reused by every V-cycle of a solve."""
+
+    x: np.ndarray       # the level's correction, (B, N1, N2)
+    r: np.ndarray       # its residual, then the interpolated coarse correction
+    flux: np.ndarray    # face fluxes of the stencil, (B, N1 N2 - 1)
+    half: np.ndarray    # a transfer along one axis: (B, K1, N2)
+    rows: np.ndarray    # midpoints of a transfer along axis 1, (B, k1 - 1, N2)
+    cols: np.ndarray    # midpoints of a transfer along axis 2, (B, K1, k2 - 1)
+    b: np.ndarray       # the restricted residual, the next level's right-hand side
+
+    def narrow(self, m: int) -> "_Work":
+        return _Work(*(a[:m] for a in self))
+
+
+def _workspace(levels: list[_Level], coarsest: _Coarsest, dtype) -> list[_Work]:
+    shapes = [level.red.shape for level in levels] + [
+        (len(coarsest.inverse),) + coarsest.unknown.shape]
+    work = []
+    for (B, N1, N2), (_, K1, K2) in zip(shapes, shapes[1:]):
+        k1, k2 = (N1 - 1) // 2 + 1, (N2 - 1) // 2 + 1
+        flux = np.empty((B, N1 * N2 - 1), dtype)
+        # the midpoints live only inside a transfer and the fluxes only inside
+        # a residual, so the midpoints borrow the front of each member's fluxes
+        rows = flux[:, :(k1 - 1) * N2].reshape(B, k1 - 1, N2)
+        cols = flux[:, :K1 * (k2 - 1)].reshape(B, K1, k2 - 1)
+        work.append(_Work(np.empty((B, N1, N2), dtype), np.empty((B, N1, N2), dtype), flux,
+                          np.empty((B, K1, N2), dtype), rows, cols, np.empty((B, K1, K2), dtype)))
+    return work
+
+
+def _smooth(level: _Level, color: np.ndarray, x: np.ndarray, b: np.ndarray,
+            w: _Work) -> None:
+    """One Gauss-Seidel sweep of x over the nodes of one colour."""
+    r = _residual(level.tx, level.ty, x, b, w.r, w.flux)
+    r *= color
+    x += r
+
+
+def _vcycle(levels: list[_Level], coarsest: _Coarsest, b: np.ndarray,
+            work: list[_Work] | None = None) -> np.ndarray:
+    """One V-cycle on the stack b, returned in the finest buffer of ``work``
+    (a workspace of b's dtype is allocated when none is given)."""
     if not levels:
         return coarsest.solve(b)
-    level, rest = levels[0], levels[1:]
-
-    def smooth(x, color):
-        r = _residual(level.tx, level.ty, x, b)
-        r *= color
-        x += r
-
-    x = level.red * b
-    smooth(x, level.black)
-    r = _residual(level.tx, level.ty, x, b)
-    n1, n2 = (size - 1 for size in b.shape[1:])
-    coarse = _vcycle(rest, coarsest, _restrict(_restrict(r, 1), 2))
-    x += _prolong(_prolong(coarse, 2, n2), 1, n1)
-    smooth(x, level.black)
-    smooth(x, level.red)
+    if work is None:
+        work = _workspace(levels, coarsest, b.dtype)
+    level, w = levels[0], work[0]
+    x = np.multiply(level.red, b, out=w.x)
+    _smooth(level, level.black, x, b, w)
+    r = _residual(level.tx, level.ty, x, b, w.r, w.flux)
+    _restrict(_restrict(r, 1, w.half, w.rows), 2, w.b, w.cols)
+    coarse = _vcycle(levels[1:], coarsest, w.b, work[1:])
+    x += _prolong(_prolong(coarse, 2, w.half, w.cols), 1, r, w.rows)
+    _smooth(level, level.black, x, b, w)
+    _smooth(level, level.red, x, b, w)
     return x
 
 
 def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->b", x, x))
+
+
+def _dot(d: np.ndarray, q: np.ndarray, scratch: np.ndarray, in_order: bool) -> np.ndarray:
+    """Per-member sum of d q.  ``in_order`` sums each member's products node
+    by node in row-major order, as np.einsum does on stacks laid out
+    member-fastest; else np.einsum on the C-ordered stacks."""
+    if not in_order:
+        return np.einsum("bij,bij->b", d, q)
+    products = np.multiply(d, q, out=scratch).reshape(len(d), -1)
+    return np.cumsum(products, axis=1, out=products)[:, -1]
 
 
 def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
@@ -258,36 +346,62 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
     largest = np.maximum(tx.max(axis=(1, 2)), ty.max(axis=(1, 2)))
     scale = np.ldexp(1.0, -np.frexp(largest)[1])[:, None, None]
     size = np.ldexp(1.0, np.frexp(bnorm)[1])[:, None, None]
+    widen = scale * size
     levels, coarsest = _hierarchy(scale * tx, scale * ty, unknown)
+    work = _workspace(levels, coarsest, np.float32)
     tx, ty = _flat(tx, ty)
     out = np.zeros_like(b)
     active = np.arange(b.shape[0])
-    x, r, d = np.zeros_like(b), b.copy(), np.zeros_like(b)
+    x, r, d = np.zeros(b.shape), b.copy(), np.zeros_like(b)
+    z, rhs = np.empty(b.shape), np.empty(b.shape, np.float32)
+    in_order = False
+    unknown = unknown.astype(np.float64)   # the mask's products, without a cast per use
     rz = np.ones(b.shape[0])
     iteration = 0
     while True:
         rnorm = _norm(r)
         done = rnorm <= TOLERANCE * bnorm
         if done.any():
-            out[active[done]] = x[done]
+            for k in np.flatnonzero(done):   # one by one: no stack-sized copy
+                out[active[k]] = x[k]
             keep = ~done
-            active, bnorm, rnorm, rz, scale, size, tx, ty, x, r, d = (
-                a[keep] for a in (active, bnorm, rnorm, rz, scale, size, tx, ty, x, r, d))
+            m = np.count_nonzero(keep)
+            if m == 0:
+                return out
+            active, bnorm, rnorm, rz, size, widen, tx, ty = (
+                a[keep] for a in (active, bnorm, rnorm, rz, size, widen, tx, ty))
             levels = [level.take(keep) for level in levels]
             coarsest = coarsest.take(keep)
-            if active.size == 0:
-                return out
+            x, r, d = x[keep], r[keep], d[keep]
+            z, rhs = z[:m], rhs[:m]
+            in_order = False
+            work = [w.narrow(m) for w in work]
         failed = ~np.isfinite(rnorm) | (iteration == MAX_ITERATIONS)
         if failed.any():
             k = int(np.argmax(failed))
             raise ConvergenceError(int(active[k]), iteration, float(rnorm[k] / bnorm[k]))
-        z = scale * size * _vcycle(levels, coarsest, (r / size).astype(np.float32))
+        np.divide(r, size, out=rhs)
+        np.multiply(widen, _vcycle(levels, coarsest, rhs, work), out=z)
         rz_new = np.einsum("bij,bij->b", r, z)
-        d = z + (rz_new / rz)[:, None, None] * d
+        beta = (rz_new / rz)[:, None, None]
+        if iteration == 0:
+            # Every sum must equal the whole-array loop's (the reference in
+            # the tests).  There d takes the layout numpy gives z + beta d,
+            # member-fastest on large stacks of a member-fastest b such as
+            # DarcyProblem builds, and np.einsum then sums d q node by node.
+            # d is kept C-ordered for speed; _dot sums in that order
+            d = z + beta * d
+            in_order = len(d) > 1 and d.strides[0] == d.itemsize < d.strides[2] < d.strides[1]
+            d = np.ascontiguousarray(d)
+            q = np.empty(d.shape)
+        else:
+            d *= beta
+            d += z
         rz = rz_new
-        q = -_residual(tx, ty, d, np.zeros_like(d))
+        # z is free until the updates below: it holds the stencil's fluxes
+        q = _stencil(tx, ty, d, q[:len(d)], z.reshape(len(z), -1)[:, :-1])
         q *= unknown
-        alpha = (rz / np.einsum("bij,bij->b", d, q))[:, None, None]
-        x += alpha * d
-        r -= alpha * q
+        alpha = (rz / _dot(d, q, z, in_order))[:, None, None]
+        x += np.multiply(alpha, d, out=z)
+        r -= np.multiply(alpha, q, out=z)
         iteration += 1

@@ -10,6 +10,7 @@ from ekinv.forward import (
     ForwardError,
     SourceProblem1D,
     mollified_observations,
+    mollifier_centers,
     observe,
     point_observations,
     synthesize_data,
@@ -192,6 +193,24 @@ def test_observation_builders_reject_an_empty_or_degenerate_layout():
     for domain, model in ((line, point_observations(line, 9)),
                           (square, mollified_observations(square, 3, 0.36))):
         assert np.all((model.centers > 0) & (model.centers < np.array(domain.extents)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_a_center_whose_kernel_holds_no_interior_node_is_named(n):
+    # the nearest-node test decides as the truncated kernels themselves do
+    domain = build_domain(2, [6.0, 6.0], [n, n])
+    x1, x2 = (x.ravel() for x in domain.interior_meshgrid())
+    centers = mollifier_centers(domain, 8, sigma=10.0)
+    for sigma in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
+        d2 = (x1 - centers[:, :1]) ** 2 + (x2 - centers[:, 1:]) ** 2
+        empty = ~np.any(d2 <= (6 * sigma) ** 2, axis=1)
+        if empty.any():
+            a, b = centers[np.argmax(empty)]
+            with pytest.raises(ValueError, match=rf"no interior node of the {n} x {n} grid "
+                                                 rf"lies within .* center \({a:g}, {b:g}\)$"):
+                mollified_observations(domain, 8, sigma)
+        else:
+            assert np.all(np.isfinite(mollified_observations(domain, 8, sigma).matrix))
 
 
 # ---------------------------------------------------------------------------

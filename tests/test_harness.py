@@ -211,6 +211,12 @@ n_samples = 120
      r"\[observations\] need at least one observation"),
     ("model_problem = darcy\n[observations]\nn_obs = 0",
      r"\[observations\] need at least one observation"),
+    ("model_problem = darcy\n[observations]\nn_obs = -4",
+     r"\[observations\] need at least one observation"),
+    # the mollifiers on the configured grid, not only on the checking grid
+    ("model_problem = darcy\n[grid]\nn_cells = 2",
+     r"\[observations\] no interior node of the 2 x 2 grid lies within 6 sigma = 2.16 "
+     r"of the observation center \(0.375, 0.375\)$"),
     ("model_problem = source1d\n[observations]\ngamma_scale = -1",
      r"\[observations\] gamma_scale must be positive, got -1.0"),
     ("model_problem = darcy\n[observations]\ngamma_scale = 0",
@@ -230,6 +236,19 @@ def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, mess
     assert cli(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 1
     assert not (tmp_path / "run").exists()
     assert capsys.readouterr().err.count("configuration error: ") == 2
+
+
+def test_a_truth_that_vanishes_on_the_grid_stops_the_run_before_it_writes(tmp_path, capsys):
+    # the one interior node of a 2-cell source1d grid sits at x = 5, where the
+    # step-profile truth is zero, so no relative error can be formed
+    path = tmp_path / "coarse.ini"
+    path.write_text("[experiment]\nmodel_problem = source1d\nn_ensemble = 4\n"
+                    "[grid]\nn_cells = 2\n", encoding="utf-8")
+    assert cli(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 1
+    assert not (tmp_path / "run").exists()
+    assert capsys.readouterr().err == (
+        "error: the truth field is zero at every interior node of the 2-cell grid, so its "
+        "relative error is undefined; refine [grid] n_cells\n")
 
 
 @pytest.mark.parametrize("dim,n", [(1, 9), (2, 5)])
