@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, config_from_manifest, controls_from, load_config
+from .config import ConfigError, config_from_manifest, controls_from, load_config, parse_seed
 from .harness import run_experiment, sample_prior_fields, summarize_run
 
 
@@ -27,7 +27,10 @@ def _load(path: str):
 
 def _apply_overrides(config, args) -> None:
     if getattr(args, "seed", None) is not None:
-        config["experiment"]["master_seed"] = args.seed
+        try:
+            config["experiment"]["master_seed"] = parse_seed(args.seed)
+        except ConfigError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
     if getattr(args, "out_dir", None) is not None:
         config["experiment"]["out_dir"] = args.out_dir
     if getattr(args, "max_iter", None) is not None:

@@ -79,6 +79,14 @@ def _float_or_auto(text: str):
     return "auto" if text.strip() == "auto" else float(text)
 
 
+def parse_seed(text) -> int:
+    """A master seed: a non-negative integer, as numpy's SeedSequence takes."""
+    seed = int(text)
+    if seed < 0:
+        raise ConfigError(f"must be non-negative, got {seed}")
+    return seed
+
+
 def snapshot_iterations(schedule: str, n_records: int) -> list[int]:
     """The iterations, of a run with ``n_records`` records, whose mean field
     the run keeps: under "auto" at most five, evenly spread, under "none"
@@ -116,7 +124,7 @@ SCHEMA = {
         "coefficient_map": (_choice("auto", "identity", "exp", "level-set", "channel"), "auto"),
         "n_ensemble": (int, 200),
         "n_initializations": (int, 10),
-        "master_seed": (int, 0),
+        "master_seed": (parse_seed, 0),
         "out_dir": (str, "auto"),
         "record_walltime": (_parse_bool, False),
         "snapshots": (_parse_snapshots, "auto"),
@@ -251,6 +259,18 @@ def noncentered_map_from(config, basis: SpectralBasis, kind: str) -> Noncentered
     return NoncenteredMap(basis=basis, nonstationary_alpha=fh["nonstationary_alpha"], **hyper)
 
 
+def sample_prior_grid(config) -> tuple[Domain, list[tuple[float, float]]]:
+    """The grid ``sample-prior`` draws on and the (alpha, tau) pairs of its
+    Matern sweep: the unit square, or the source1d box in the field modes,
+    which sweep nothing."""
+    sp = config["sample_prior"]
+    if sp["mode"] in ("field-gauss", "field-cauchy"):
+        return model_domain("source1d", config["grid"]["n_cells"]), []
+    sweep = ([(sp["alpha_fixed"], tau) for tau in sp["taus"]] if sp["mode"] == "matern-tau-sweep"
+             else [(alpha, sp["tau_fixed"]) for alpha in sp["alphas"]])
+    return build_domain(2, [1.0, 1.0], sp["n_cells"]), sweep
+
+
 def observation_model(config, domain: Domain) -> ObservationModel:
     """The observation functionals of a configuration's [observations]
     section on ``domain``: point values on the 1D box, a square lattice of
@@ -268,7 +288,8 @@ def _check_values(sections: dict) -> None:
     their own checks reject stops here, not midway through a run: the grid
     as configured, the rest on the model's coarsest grid (for mollifiers the
     coarsest with a node at every center, then the centers alone on the
-    configured grid), each (alpha, tau) box at its lower corner."""
+    configured grid), each (alpha, tau) box at its lower corner and each
+    (alpha, tau) of the sample-prior sweep."""
     model = sections["experiment"]["model_problem"]
     domain = model_domain(model, 2)
     p, t, ch = sections["prior"], sections["truth"], sections["channel"]
@@ -283,6 +304,13 @@ def _check_values(sections: dict) -> None:
         mollifier_centers(model_domain(model, sections["grid"]["n_cells"]), lattice,
                           obs["mollifier_sigma_frac"] * max(domain.extents))
 
+    def sample_prior():
+        sp = sections["sample_prior"]
+        if sp["n_samples"] < 1:
+            raise ValueError(f"n_samples must be at least 1, got {sp['n_samples']}")
+        for alpha, tau in sample_prior_grid(sections)[1]:   # after building the grid
+            MaternSpec(alpha, tau).validate(2)
+
     checks = {
         "[grid]": lambda: model_domain(model, sections["grid"]["n_cells"]),
         "[observations]": observations,
@@ -295,6 +323,7 @@ def _check_values(sections: dict) -> None:
                               .validate(domain.dim) for i in (1, 2)],
         "[field_hyper]": lambda: [noncentered_map_from(sections, dirichlet_spectrum(domain), k)
                                   for k in kinds],
+        "[sample_prior]": sample_prior,
     }
     for where, check in checks.items():
         try:

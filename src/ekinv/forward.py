@@ -18,10 +18,10 @@ red-black Gauss-Seidel smoothing, 2:1 vertex coarsening whose coarse faces
 combine the fine ones in series along the flow and in parallel across it,
 bilinear prolongation with its transpose as restriction, and a dense solve
 on the coarsest grid.  The V-cycle runs in float32; the conjugate-gradient
-vectors, the stopping test and the returned pressure are float64.  A solve
-allocates one set of work buffers and every iteration writes into them,
-rounding as whole-array expressions would.  Each member stops on its own
-at a relative residual of 1e-10.  The assembled
+vectors, the stopping test and the returned pressure are float64.  The
+stacks are C-ordered, and a solve allocates one set of work buffers that
+every iteration writes into, rounding as whole-array expressions would.
+Each member stops on its own at a relative residual of 1e-10.  The assembled
 sparse matrix (:meth:`DarcyProblem.assemble`) remains as the reference that
 tests factorize directly.
 

@@ -29,6 +29,7 @@ from .config import (  # noqa: F401
     model_domain,
     noncentered_map_from,
     observation_model,
+    sample_prior_grid,
     snapshot_iterations,
 )
 from .eki import Ensemble, PackingLayout, run_inversion
@@ -41,7 +42,7 @@ from .forward import (
     add_rows,
     synthesize_data,
 )
-from .grid import Domain, Field, SpectralBasis, build_domain, dirichlet_spectrum, white_noise
+from .grid import Domain, Field, SpectralBasis, dirichlet_spectrum, white_noise
 from .param_maps import LevelSetSpec, channel_values, coefficient_map, noncentered_matern
 from .priors import MaternSpec, sqrt_cov, unconstrained_to_hyper
 
@@ -549,9 +550,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
     written = []
 
     mode = sp["mode"]
-    matern = mode in ("matern-tau-sweep", "matern-alpha-sweep")
-    domain = (build_domain(2, [1.0, 1.0], sp["n_cells"]) if matern
-              else model_domain("source1d", config["grid"]["n_cells"]))
+    domain, sweep = sample_prior_grid(config)
     basis = dirichlet_spectrum(domain, config["grid"]["coordinate_scaling"])
     columns = ("x", "value") if domain.dim == 1 else ("x1", "x2", "value")
     coords = [x.ravel() for x in domain.interior_meshgrid()]
@@ -560,22 +559,16 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
         write_csv(out_dir / name, columns, zip(*coords, np.ravel(values)))
         written.append(str(out_dir / name))
 
-    if matern:
-        sweep = ([(sp["alpha_fixed"], tau) for tau in sp["taus"]]
-                 if mode == "matern-tau-sweep"
-                 else [(alpha, sp["tau_fixed"]) for alpha in sp["alphas"]])
-        for alpha, tau in sweep:
-            for s in range(sp["n_samples"]):
-                u = sqrt_cov(MaternSpec(alpha, tau), basis, white_noise(domain, rng))
-                write_grid_csv(f"matern_alpha{alpha:g}_tau{tau:g}_s{s}.csv", u)
-    else:
+    if mode in ("field-gauss", "field-cauchy"):
         ncm = noncentered_map_from(config, basis, mode)
         for s in range(sp["n_samples"]):
             theta_raw = ncm.sample_hyper_latents(rng)
-            v = ncm.hyper_field(theta_raw)
-            ell = ncm.length_scale(theta_raw)
             u = ncm.realize(white_noise(domain, rng), theta_raw)
-            write_grid_csv(f"{mode}_v_s{s}.csv", v)
-            write_grid_csv(f"{mode}_ell_s{s}.csv", ell)
-            write_grid_csv(f"{mode}_u_s{s}.csv", u)
+            for name, values in (("v", ncm.hyper_field(theta_raw)),
+                                 ("ell", ncm.length_scale(theta_raw)), ("u", u)):
+                write_grid_csv(f"{mode}_{name}_s{s}.csv", values)
+    for alpha, tau in sweep:
+        for s in range(sp["n_samples"]):
+            u = sqrt_cov(MaternSpec(alpha, tau), basis, white_noise(domain, rng))
+            write_grid_csv(f"matern_alpha{alpha:g}_tau{tau:g}_s{s}.csv", u)
     return written

@@ -37,11 +37,11 @@ back.  Every member stops on its own once |r| <= TOLERANCE |b| and leaves the
 working stack, so a member's iterates do not depend on what it is batched
 with, and the returned solution is float64.
 
-A solve allocates one set of work buffers, the conjugate-gradient vectors
-and each level's V-cycle buffers, and every step writes into them in place;
-when members finish, the scratch buffers are narrowed to the rest.  The
-steps round exactly as the whole-array expressions they replace, so the
-reuse changes no bit.
+Every stack is C-ordered (a right-hand side laid out otherwise is copied),
+so the result does not depend on b's layout.  A solve allocates one set of
+work buffers, the conjugate-gradient vectors and each level's V-cycle
+buffers, narrowed to the members still running, and every step writes into
+them in place, rounding as the whole-array expressions it replaces.
 """
 
 from __future__ import annotations
@@ -108,8 +108,7 @@ def _stencil(tx: np.ndarray, ty: np.ndarray, x: np.ndarray, q: np.ndarray,
              flux: np.ndarray) -> np.ndarray:
     """A x: the sums of :func:`_residual` with b = 0, each term taken with
     the opposite sign.  Negation commutes with rounding, so every nonzero
-    entry equals that of -(0 - A x) bit for bit.  Written into q where q's
-    layout lets it be viewed as rows of N1 N2 nodes, else into a C-ordered copy."""
+    entry equals that of -(0 - A x) bit for bit.  Written into the C-ordered q."""
     B, _, N2 = x.shape
     xf, qf = x.reshape(B, -1), q.reshape(B, -1)
     fy = _fluxes(ty, xf, 1, flux)
@@ -119,15 +118,13 @@ def _stencil(tx: np.ndarray, ty: np.ndarray, x: np.ndarray, q: np.ndarray,
     fx = _fluxes(tx, xf, N2, flux)
     qf[:, :-N2] -= fx
     qf[:, N2:] += fx
-    return qf.reshape(x.shape)
+    return q
 
 
 def apply(tx: np.ndarray, ty: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A x on a (B, N1, N2) stack, every node included."""
     B, N1, N2 = x.shape
-    # A x takes the layout of x, member-fastest for a broadcast x: the sums of
-    # solve follow the layout of a right-hand side built from it
-    return _stencil(*_flat(tx, ty), x, np.empty_like(x), np.empty((B, N1 * N2 - 1)))
+    return _stencil(*_flat(tx, ty), x, np.empty(x.shape), np.empty((B, N1 * N2 - 1)))
 
 
 def _diagonal(tx: np.ndarray, ty: np.ndarray) -> np.ndarray:
@@ -318,25 +315,16 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->b", x, x))
 
 
-def _dot(d: np.ndarray, q: np.ndarray, scratch: np.ndarray, in_order: bool) -> np.ndarray:
-    """Per-member sum of d q.  ``in_order`` sums each member's products node
-    by node in row-major order, as np.einsum does on stacks laid out
-    member-fastest; else np.einsum on the C-ordered stacks."""
-    if not in_order:
-        return np.einsum("bij,bij->b", d, q)
-    products = np.multiply(d, q, out=scratch).reshape(len(d), -1)
-    return np.cumsum(products, axis=1, out=products)[:, -1]
-
-
 def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
           ) -> np.ndarray:
     """x with A x = b for every member of the stack, zero off ``unknown``.
 
-    ``b`` must vanish off ``unknown``.  The result is float64; only the
-    preconditioner works in float32.  Raises :class:`ConvergenceError` for
-    the first member still short of the tolerance after ``MAX_ITERATIONS``
-    iterations, or whose residual stops being finite.
+    ``b``, in any memory layout, must vanish off ``unknown``; the result is
+    C-ordered float64, and only the preconditioner works in float32.  Raises
+    :class:`ConvergenceError` for the first member still short of the tolerance
+    after ``MAX_ITERATIONS`` iterations, or whose residual stops being finite.
     """
+    b = np.ascontiguousarray(b)
     bnorm = _norm(b)
     # The V-cycle sees each member scaled by powers of two: the operator so
     # that its largest face lies in [0.5, 1), the residual by the power of
@@ -352,9 +340,8 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
     tx, ty = _flat(tx, ty)
     out = np.zeros_like(b)
     active = np.arange(b.shape[0])
-    x, r, d = np.zeros(b.shape), b.copy(), np.zeros_like(b)
-    z, rhs = np.empty(b.shape), np.empty(b.shape, np.float32)
-    in_order = False
+    x, r, d = np.zeros(b.shape), b.copy(), np.zeros(b.shape)
+    z, q, rhs = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape, np.float32)
     unknown = unknown.astype(np.float64)   # the mask's products, without a cast per use
     rz = np.ones(b.shape[0])
     iteration = 0
@@ -373,8 +360,7 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
             levels = [level.take(keep) for level in levels]
             coarsest = coarsest.take(keep)
             x, r, d = x[keep], r[keep], d[keep]
-            z, rhs = z[:m], rhs[:m]
-            in_order = False
+            z, q, rhs = z[:m], q[:m], rhs[:m]
             work = [w.narrow(m) for w in work]
         failed = ~np.isfinite(rnorm) | (iteration == MAX_ITERATIONS)
         if failed.any():
@@ -383,25 +369,13 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
         np.divide(r, size, out=rhs)
         np.multiply(widen, _vcycle(levels, coarsest, rhs, work), out=z)
         rz_new = np.einsum("bij,bij->b", r, z)
-        beta = (rz_new / rz)[:, None, None]
-        if iteration == 0:
-            # Every sum must equal the whole-array loop's (the reference in
-            # the tests).  There d takes the layout numpy gives z + beta d,
-            # member-fastest on large stacks of a member-fastest b such as
-            # DarcyProblem builds, and np.einsum then sums d q node by node.
-            # d is kept C-ordered for speed; _dot sums in that order
-            d = z + beta * d
-            in_order = len(d) > 1 and d.strides[0] == d.itemsize < d.strides[2] < d.strides[1]
-            d = np.ascontiguousarray(d)
-            q = np.empty(d.shape)
-        else:
-            d *= beta
-            d += z
+        d *= (rz_new / rz)[:, None, None]
+        d += z
         rz = rz_new
         # z is free until the updates below: it holds the stencil's fluxes
-        q = _stencil(tx, ty, d, q[:len(d)], z.reshape(len(z), -1)[:, :-1])
+        _stencil(tx, ty, d, q, z.reshape(len(z), -1)[:, :-1])
         q *= unknown
-        alpha = (rz / _dot(d, q, z, in_order))[:, None, None]
+        alpha = (rz / np.einsum("bij,bij->b", d, q))[:, None, None]
         x += np.multiply(alpha, d, out=z)
         r -= np.multiply(alpha, q, out=z)
         iteration += 1

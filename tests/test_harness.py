@@ -89,6 +89,10 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli(["run", str(tmp_path / "valid.ini"), "--max-iter", "-1", "--out-dir", never]) == 1
     assert "--max-iter: max_outer_iterations must not be negative" in capsys.readouterr().err
     assert not (tmp_path / "never").exists()
+    for command, seed in (("run", "-1"), ("sample-prior", "-2")):
+        assert cli([command, str(tmp_path / "valid.ini"), "--seed", seed, "--out-dir", never]) == 1
+        assert f"--seed: must be non-negative, got {seed}" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
     for parallel in ("0", "-2"):
         assert cli(["run", str(tmp_path / "valid.ini"), "--parallel", parallel,
                     "--out-dir", never]) == 2
@@ -225,6 +229,17 @@ n_samples = 120
      r"\[observations\] the mollifier sigma must be positive, got 0.0"),
     ("model_problem = darcy\n[observations]\nmollifier_sigma_frac = -0.06",
      r"\[observations\] the mollifier sigma must be positive, got -0.36"),
+    ("model_problem = darcy\nmaster_seed = -3",
+     r"\[experiment\] master_seed: must be non-negative, got -3$"),
+    # [sample_prior]: the sweep on its own grid, and the number of samples
+    ("model_problem = darcy\n[sample_prior]\nn_cells = 1",
+     r"\[sample_prior\] n_cells must be integers >= 2 per axis, got \(1, 1\)"),
+    ("model_problem = source1d\n[sample_prior]\ntaus = 10 -5",
+     r"\[sample_prior\] tau must be positive, got -5.0$"),
+    ("model_problem = darcy\n[sample_prior]\nmode = matern-alpha-sweep\nalphas = 0.8",
+     r"\[sample_prior\] alpha must exceed d/2 = 1.0, got 0.8$"),
+    ("model_problem = source1d\n[sample_prior]\nmode = field-gauss\nn_samples = 0",
+     r"\[sample_prior\] n_samples must be at least 1, got 0$"),
 ])
 def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -235,7 +250,9 @@ def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, mess
     assert cli(["validate", str(path)]) == 1
     assert cli(["run", str(path), "--out-dir", str(tmp_path / "run")]) == 1
     assert not (tmp_path / "run").exists()
-    assert capsys.readouterr().err.count("configuration error: ") == 2
+    assert cli(["sample-prior", str(path), "--out-dir", str(tmp_path / "samples")]) == 1
+    assert not (tmp_path / "samples").exists()
+    assert capsys.readouterr().err.count("configuration error: ") == 3
 
 
 def test_a_truth_that_vanishes_on_the_grid_stops_the_run_before_it_writes(tmp_path, capsys):

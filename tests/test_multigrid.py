@@ -99,17 +99,19 @@ def darcy_stack(darcy, kappas):
     return tx, ty, darcy._rhs_nodes - multigrid.apply(tx, ty, boundary) * darcy._unknown
 
 
-@pytest.mark.parametrize("n", [30, 32])
+@pytest.mark.parametrize("n", [30, 32, 64])
 @pytest.mark.parametrize("bc", ["paper", "dirichlet"])
 def test_member_alone_equals_member_in_a_chunk(bc, n):
     # bit for bit, while members leave the chunk at different iterations.  The
     # zero right-hand side leaves before the first V-cycle, so the work
     # buffers are narrowed at once; n = 30 coarsens to odd axes, which take
-    # the last-node branches of the transfers
+    # the last-node branches of the transfers; at n = 64 the nine members
+    # (38,025 nodes) make stacks of 256 KiB or more, where numpy elides
+    # temporaries in whole-array expressions
     domain = build_domain(2, [6.0, 6.0], [n, n])
     darcy = problem(domain, bc)
     tx, ty, b = darcy_stack(darcy, [coefficient(domain, kind, seed) for seed, kind in enumerate(
-        ["lognormal", "level-set", "channel", "lognormal", "level-set"])])
+        ["lognormal", "level-set", "channel"] * 3)])
     b[2] = 0.0
     together = multigrid.solve(tx, ty, b, darcy._unknown)
     np.testing.assert_array_equal(together[2], 0.0)
@@ -121,7 +123,7 @@ def test_member_alone_equals_member_in_a_chunk(bc, n):
 def whole_array_solve(tx, ty, b, unknown):
     """MG-PCG as whole-array expressions, a fresh array per step: the
     reference that the buffered :func:`ekinv.multigrid.solve` matches bit
-    for bit, memory layouts and the sums np.einsum takes over them included."""
+    for bit on a C-ordered b, the sums np.einsum takes included."""
     def dot(u, v):
         return np.einsum("bij,bij->b", u, v)
 
@@ -155,27 +157,25 @@ def whole_array_solve(tx, ty, b, unknown):
         r -= alpha * q
 
 
-@pytest.mark.parametrize("layout", ["member-fastest", "C"])
-def test_solve_matches_the_whole_array_loop_bit_for_bit(monkeypatch, layout):
-    # DarcyProblem hands the solver a member-fastest right-hand side (apply
-    # keeps the layout of the broadcast boundary), and on a stack this large
-    # numpy lays the search direction out member-fastest too, so np.einsum
-    # sums each member's products node by node, until members leave
-    in_order = []
-    dot = multigrid._dot
-    monkeypatch.setattr(multigrid, "_dot", lambda d, q, scratch, order: (
-        in_order.append(order), dot(d, q, scratch, order))[1])
+LAYOUTS = {"darcy": lambda b: b, "C": np.ascontiguousarray,
+           "member-fastest": np.asfortranarray}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+def test_solve_matches_the_whole_array_loop_bit_for_bit(layout):
+    # np.einsum sums in an order that follows its operands' memory layout;
+    # the solve works on C-ordered stacks, so whatever layout b comes in, its
+    # bits are those of the loop on the C-ordered b.  Nine members at n = 64
+    # make stacks large enough for numpy to elide temporaries
     domain = build_domain(2, [6.0, 6.0], [64, 64])
     darcy = DarcyProblem(domain)
     tx, ty, b = darcy_stack(darcy, [coefficient(domain, kind, seed) for seed, kind in
                                     enumerate(["lognormal", "level-set", "channel"] * 3)])
-    assert b.strides[0] == b.itemsize
-    if layout == "C":
-        b = np.ascontiguousarray(b)
-    x = multigrid.solve(tx, ty, b, darcy._unknown)
-    assert in_order[0] == (layout == "member-fastest") and not in_order[-1]
-    reference = whole_array_solve(tx, ty, b, darcy._unknown)
-    assert x.strides == reference.strides
+    given = LAYOUTS[layout](b)
+    assert given.flags.c_contiguous == (layout != "member-fastest")
+    x = multigrid.solve(tx, ty, given, darcy._unknown)
+    reference = whole_array_solve(tx, ty, np.ascontiguousarray(b), darcy._unknown)
+    assert x.flags.c_contiguous
     assert x.tobytes() == reference.tobytes()
 
 
