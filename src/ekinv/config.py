@@ -288,8 +288,9 @@ def _check_values(sections: dict) -> None:
     their own checks reject stops here, not midway through a run: the grid
     as configured, the rest on the model's coarsest grid (for mollifiers the
     coarsest with a node at every center, then the centers alone on the
-    configured grid), each (alpha, tau) box at its lower corner and each
-    (alpha, tau) of the sample-prior sweep."""
+    configured grid), each (alpha, tau) box at its lower corner, each
+    (alpha, tau) of a channel truth and of the sample-prior sweep, and the
+    field maps of sample-prior on its own grid."""
     model = sections["experiment"]["model_problem"]
     domain = model_domain(model, 2)
     p, t, ch = sections["prior"], sections["truth"], sections["channel"]
@@ -311,18 +312,34 @@ def _check_values(sections: dict) -> None:
         for alpha, tau in sample_prior_grid(sections)[1]:   # after building the grid
             MaternSpec(alpha, tau).validate(2)
 
+    def field_hyper():
+        # the run's maps on the checking grid, and a field mode of
+        # sample-prior on the grid it draws on, whatever the model
+        for kind in kinds:
+            noncentered_map_from(sections, dirichlet_spectrum(domain), kind)
+        mode = sections["sample_prior"]["mode"]
+        if mode in ("field-gauss", "field-cauchy"):
+            noncentered_map_from(sections, dirichlet_spectrum(sample_prior_grid(sections)[0]),
+                                 mode)
+
+    def channel_truth():
+        if t["kind"] == "channel-draw":
+            a1, a2, t1, t2 = t["channel_truth_hypers"]
+            MaternSpec(a1, t1).validate(domain.dim)
+            MaternSpec(a2, t2).validate(domain.dim)
+
     checks = {
         "[grid]": lambda: model_domain(model, sections["grid"]["n_cells"]),
         "[observations]": observations,
         "[level_set]": lambda: LevelSetSpec(**sections["level_set"]),
         "[prior], [truth]": lambda: MaternSpec(t["alpha_true"], t["tau_true"], p["sigma2"],
                                                p["mean"]).validate(domain.dim),
+        "[truth]": channel_truth,
         "[prior]": lambda: MaternSpec(p["alpha_bounds"][0],
                                       p["tau_bounds"][0]).validate(domain.dim),
         "[channel]": lambda: [MaternSpec(ch[f"alpha{i}_bounds"][0], ch[f"tau{i}_bounds"][0])
                               .validate(domain.dim) for i in (1, 2)],
-        "[field_hyper]": lambda: [noncentered_map_from(sections, dirichlet_spectrum(domain), k)
-                                  for k in kinds],
+        "[field_hyper]": field_hyper,
         "[sample_prior]": sample_prior,
     }
     for where, check in checks.items():

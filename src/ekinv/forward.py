@@ -21,9 +21,11 @@ on the coarsest grid.  The V-cycle runs in float32; the conjugate-gradient
 vectors, the stopping test and the returned pressure are float64.  The
 stacks are C-ordered, and a solve allocates one set of work buffers that
 every iteration writes into, rounding as whole-array expressions would.
-Each member stops on its own at a relative residual of 1e-10.  The assembled
-sparse matrix (:meth:`DarcyProblem.assemble`) remains as the reference that
-tests factorize directly.
+Each member stops on its own at a relative residual of 1e-10.  The
+discretization is held once, as node-grid arrays.  The reference that tests
+factorize is one sparse 5-point operator over every node, built from them
+with its own harmonic-mean faces; :meth:`DarcyProblem.assemble` is its
+unknown-node block, the Dirichlet columns moved into the right-hand side.
 
 The 1D source model solves p'' + p = u with homogeneous Dirichlet conditions
 by second-order finite differences (algebraically equivalent to lumped
@@ -108,83 +110,44 @@ class DarcyProblem:
     def _build_static(self):
         n1, n2 = self.domain.n_cells
         h1, h2 = self.domain.h
-        L1, L2 = self.domain.extents
         ii, jj = np.meshgrid(np.arange(n1 + 1), np.arange(n2 + 1), indexing="ij")
-        self._x = ii * h1
-        self._y = jj * h2
-
+        x, y = ii * h1, jj * h2
         if self.bc == "paper":
             unknown = jj >= 1
         else:
             unknown = (ii >= 1) & (ii <= n1 - 1) & (jj >= 1) & (jj <= n2 - 1)
         self._unknown = unknown
-        self._n_unknown = int(np.count_nonzero(unknown))
-        unk_id = -np.ones((n1 + 1, n2 + 1), dtype=np.int64)
-        unk_id[unknown] = np.arange(self._n_unknown)
-        self._unk_id = unk_id
 
-        # control-volume half-widths per node
+        # control-volume widths per node; each face's geometric factor is
+        # face length / node distance
         wx = np.where(ii > 0, h1 / 2, 0.0) + np.where(ii < n1, h1 / 2, 0.0)
         wy = np.where(jj > 0, h2 / 2, 0.0) + np.where(jj < n2, h2 / 2, 0.0)
-        self._wx, self._wy = wx, wy
-
-        # Dirichlet node values
-        dirichlet = np.full((n1 + 1, n2 + 1), np.nan)
-        if self.bc == "paper":
-            dirichlet[:, 0] = self.DIRICHLET_PRESSURE
-        else:
-            boundary = ~unknown
-            dirichlet[boundary] = self.dirichlet_fn(self._x[boundary], self._y[boundary])
-        self._dirichlet = dirichlet
-
-        # per-direction connectivity: rows (unknown ids), neighbor node index,
-        # geometric transmissibility factor face_length / distance
-        self._edges = []
-        for di, dj, h_dir in [(1, 0, h1), (-1, 0, h1), (0, 1, h2), (0, -1, h2)]:
-            iu, ju = np.nonzero(unknown)
-            inb, jnb = iu + di, ju + dj
-            inside = (inb >= 0) & (inb <= n1) & (jnb >= 0) & (jnb <= n2)
-            iu, ju, inb, jnb = iu[inside], ju[inside], inb[inside], jnb[inside]
-            face = wy[iu, ju] / h_dir if dj == 0 else wx[iu, ju] / h_dir
-            nb_unknown = unknown[inb, jnb]
-            self._edges.append({
-                "rows": unk_id[iu, ju],
-                "nb": (inb, jnb),
-                "nb_rows": unk_id[inb, jnb],
-                "factor": face,
-                "nb_unknown": nb_unknown,
-                "node": (iu, ju),
-            })
-
-        # prescribed-flux boundary faces (paper case): left edge gets inward
-        # flux LEFT_FLUX per unit length; top and right faces are no-flux
-        self._flux_rhs = np.zeros(self._n_unknown)
-        if self.bc == "paper":
-            j_left = np.arange(1, n2 + 1)
-            rows = unk_id[0, j_left]
-            self._flux_rhs[rows] += self.LEFT_FLUX * wy[0, j_left]
-
-        # the matrix-free system on the node grid: geometric face factors,
-        # Dirichlet values (zero at the unknowns), static right-hand side
         self._face_x = wy[:-1] / h1
         self._face_y = wx[:, :-1] / h2
-        self._boundary = np.where(unknown, 0.0, dirichlet)
 
-        # source integral over each control volume
-        iu, ju = np.nonzero(unknown)
-        if self.bc == "paper" and self.source_fn is None:
-            y_lo = self._y[iu, ju] - np.where(ju > 0, h2 / 2, 0.0)
-            y_hi = self._y[iu, ju] + np.where(ju < n2, h2 / 2, 0.0)
-            self._source = wx[iu, ju] * (self._paper_source_antiderivative(y_hi)
-                                         - self._paper_source_antiderivative(y_lo))
-        elif self.source_fn is None:
-            self._source = np.zeros(self._n_unknown)
+        # Dirichlet values on the boundary nodes, zero at the unknowns
+        self._boundary = np.zeros(unknown.shape)
+        if self.bc == "paper":
+            self._boundary[:, 0] = self.DIRICHLET_PRESSURE
         else:
-            area = wx[iu, ju] * wy[iu, ju]
-            self._source = area * np.asarray(
-                self.source_fn(self._x[iu, ju], self._y[iu, ju]), dtype=float)
-        self._rhs_nodes = np.zeros(unknown.shape)
-        self._rhs_nodes[unknown] = self._source + self._flux_rhs
+            self._boundary[~unknown] = self.dirichlet_fn(x[~unknown], y[~unknown])
+
+        # source integral over each control volume, plus (paper case) the
+        # inward flux LEFT_FLUX per unit length through the left edge; top
+        # and right faces are no-flux
+        source = np.zeros(unknown.shape)
+        if self.source_fn is not None:
+            source[unknown] = (wx * wy)[unknown] * np.asarray(
+                self.source_fn(x[unknown], y[unknown]), dtype=float)
+        elif self.bc == "paper":
+            y_lo = y - np.where(jj > 0, h2 / 2, 0.0)
+            y_hi = y + np.where(jj < n2, h2 / 2, 0.0)
+            source = wx * (self._paper_source_antiderivative(y_hi)
+                           - self._paper_source_antiderivative(y_lo))
+        flux = np.zeros(unknown.shape)
+        if self.bc == "paper":
+            flux[0, 1:] = self.LEFT_FLUX * wy[0, 1:]
+        self._rhs_nodes = np.where(unknown, source + flux, 0.0)
 
     @staticmethod
     def _paper_source_antiderivative(y: np.ndarray) -> np.ndarray:
@@ -205,30 +168,32 @@ class DarcyProblem:
         j_src = np.clip(np.arange(n2 + 1) - 1, 0, n2 - 2)
         return kgrid[np.ix_(i_src, j_src)]
 
-    def assemble(self, kappa: Field):
+    def _operator(self, kappa: Field):
+        """The 5-point operator over every node, row-major, as a sparse matrix.
+
+        The reference that tests factorize: its face transmissibilities are
+        computed here from :meth:`node_kappa`, apart from the solve path."""
         knode = self.node_kappa(kappa)
-        n = self._n_unknown
-        diag = np.zeros(n)
-        rhs = self._source + self._flux_rhs.copy()
-        rows_all, cols_all, vals_all = [], [], []
-        for edge in self._edges:
-            iu, ju = edge["node"]
-            inb, jnb = edge["nb"]
-            T = _harmonic(knode[iu, ju], knode[inb, jnb]) * edge["factor"]
-            np.add.at(diag, edge["rows"], T)
-            off = edge["nb_unknown"]
-            rows_all.append(edge["rows"][off])
-            cols_all.append(edge["nb_rows"][off])
-            vals_all.append(-T[off])
-            fixed = ~off
-            if np.any(fixed):
-                np.add.at(rhs, edge["rows"][fixed],
-                          T[fixed] * self._dirichlet[inb[fixed], jnb[fixed]])
-        rows = np.concatenate(rows_all + [np.arange(n)])
-        cols = np.concatenate(cols_all + [np.arange(n)])
-        vals = np.concatenate(vals_all + [diag])
-        A = scipy.sparse.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        return A, rhs
+        tx = _harmonic(knode[:-1], knode[1:]) * self._face_x
+        ty = _harmonic(knode[:, :-1], knode[:, 1:]) * self._face_y
+        diag = np.zeros(knode.shape)
+        diag[:-1] += tx
+        diag[1:] += tx
+        diag[:, :-1] += ty
+        diag[:, 1:] += ty
+        # row-major, an x-neighbor is one row of nodes away; the y-neighbor
+        # diagonals hold a zero where a row ends
+        ty = np.pad(ty, ((0, 0), (0, 1))).ravel()[:-1]
+        row = knode.shape[1]
+        return scipy.sparse.diags([diag.ravel(), -tx.ravel(), -tx.ravel(), -ty, -ty],
+                                  [0, row, -row, 1, -1], format="csr")
+
+    def assemble(self, kappa: Field):
+        """(A, b) over the unknown nodes in row-major order, the Dirichlet
+        columns moved into b."""
+        rows = self._operator(kappa)[self._unknown.ravel()]
+        A = rows[:, self._unknown.ravel()].tocsc()
+        return A, self._rhs_nodes[self._unknown] - rows @ self._boundary.ravel()
 
     def _faces(self, knode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x- and y-face transmissibilities of a (B, n1+1, n2+1) conductivity stack."""
@@ -257,20 +222,13 @@ class DarcyProblem:
     def boundary_flux_balance(self, kappa: Field) -> tuple[float, float]:
         """(outflux through Dirichlet faces, total source + prescribed influx).
 
+        The outflux is minus the sum of the operator's Dirichlet rows applied
+        to the pressure; faces between two Dirichlet nodes cancel in it.
         Discrete divergence theorem: the two numbers agree to solver accuracy.
         """
-        full = self.solve_full(kappa)
-        knode = self.node_kappa(kappa)
-        outflux = 0.0
-        for edge in self._edges:
-            iu, ju = edge["node"]
-            inb, jnb = edge["nb"]
-            fixed = ~edge["nb_unknown"]
-            T = _harmonic(knode[iu, ju], knode[inb, jnb]) * edge["factor"]
-            outflux += np.sum(T[fixed] * (full[iu[fixed], ju[fixed]]
-                                          - full[inb[fixed], jnb[fixed]]))
-        supplied = float(np.sum(self._source) + np.sum(self._flux_rhs))
-        return float(outflux), supplied
+        residual = self._operator(kappa) @ self.solve_full(kappa).ravel()
+        return (float(-np.sum(residual[~self._unknown.ravel()])),
+                float(np.sum(self._rhs_nodes)))
 
 
 class SourceProblem1D:
@@ -282,8 +240,7 @@ class SourceProblem1D:
         self.domain = domain
         n = domain.n_cells[0]
         h = domain.h[0]
-        lam = np.array([discrete_eigenvalue(domain, np.array([k]))
-                        for k in range(1, n)])
+        lam = discrete_eigenvalue(domain, np.arange(1, n)[:, None])
         if np.min(np.abs(1.0 - lam)) < 1e-12:
             raise ValueError("resonant grid: an eigenvalue of -d2/dx2 equals 1")
         # banded form of I - L_h (L_h = second-difference -Laplacian)

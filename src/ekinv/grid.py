@@ -265,14 +265,15 @@ def neg_laplacian(domain: Domain) -> scipy.sparse.csr_matrix:
     return (scipy.sparse.kron(blocks[0], eye[1]) + scipy.sparse.kron(eye[0], blocks[1])).tocsr()
 
 
-def discrete_eigenvalue(domain: Domain, k: np.ndarray) -> float:
-    """Eigenvalue of :func:`neg_laplacian` for multi-index ``k``."""
+def discrete_eigenvalue(domain: Domain, k: np.ndarray) -> float | np.ndarray:
+    """Eigenvalue of :func:`neg_laplacian` for multi-index ``k``, or an array
+    of them for a (m, dim) stack of multi-indices."""
     k = np.atleast_1d(k)
     lam = 0.0
     for a in range(domain.dim):
         h = domain.h[a]
-        lam += (4.0 / h**2) * np.sin(k[a] * np.pi * h / (2.0 * domain.extents[a])) ** 2
-    return float(lam)
+        lam = lam + (4.0 / h**2) * np.sin(k[..., a] * np.pi * h / (2.0 * domain.extents[a])) ** 2
+    return float(lam) if k.ndim == 1 else lam
 
 
 def solve_tridiagonal(ab: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -67,6 +67,19 @@ def test_darcy_conservation_heterogeneous():
     assert abs(out - supplied) < 1e-8 * abs(supplied)
 
 
+def test_darcy_conservation_all_dirichlet():
+    # the boundary data vary along every edge, so the faces between two
+    # Dirichlet nodes carry flux, which must cancel in the balance
+    domain = build_domain(2, [6.0, 6.0], [24, 24])
+    problem = DarcyProblem(domain, bc="dirichlet",
+                           dirichlet_fn=lambda x, y: 1.0 + x - 0.3 * y * y + np.sin(2 * x * y),
+                           source_fn=lambda x, y: 1.0 + np.cos(x) * np.sin(y))
+    kappa = Field(domain, np.exp(np.random.default_rng(5).standard_normal(domain.n_interior)))
+    out, supplied = problem.boundary_flux_balance(kappa)
+    assert supplied > 30.0
+    assert abs(out - supplied) < 1e-8 * abs(supplied)
+
+
 def test_darcy_fixed_flux_scales_inversely_with_kappa():
     # f = 0, prescribed flux: (p - 100) is linear in 1/kappa
     domain = build_domain(2, [6.0, 6.0], [16, 16])
@@ -112,6 +125,12 @@ def source_1d_error(n):
 def test_source_1d_manufactured_second_order():
     e1, e2 = source_1d_error(100), source_1d_error(200)
     assert np.log2(e1 / e2) == pytest.approx(2.0, abs=0.1)
+
+
+def test_source_1d_rejects_a_resonant_grid():
+    # h = sqrt(2): the first discrete eigenvalue 4 / h^2 sin^2(pi / 4) is 1
+    with pytest.raises(ValueError, match="resonant grid"):
+        SourceProblem1D(build_domain(1, np.sqrt(8.0), 2))
 
 
 def test_source_1d_zero():

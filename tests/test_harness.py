@@ -198,6 +198,11 @@ n_samples = 120
     ("model_problem = darcy\n[truth]\nalpha_true = 0.5", "alpha must exceed d/2 = 1.0, got 0.5"),
     ("model_problem = darcy\n[truth]\nchannel_truth_hypers = 2 2.8 30",
      "channel_truth_hypers: expected four numbers"),
+    # the channel truth's (alpha1, tau1) and (alpha2, tau2)
+    ("model_problem = darcy\ncoefficient_map = channel\n[truth]\nchannel_truth_hypers = 1 2.8 30 10",
+     r"\[truth\] alpha must exceed d/2 = 1.0, got 1.0$"),
+    ("model_problem = darcy\ncoefficient_map = channel\n[truth]\nchannel_truth_hypers = 2 2.8 30 0",
+     r"\[truth\] tau must be positive, got 0.0$"),
     # each (alpha, tau) box at its lower corner
     ("model_problem = darcy\nparameterization = centered-hier\n[prior]\nalpha_bounds = 0.5 1.05",
      r"\[prior\] alpha must exceed d/2 = 1.0, got 0.5$"),
@@ -240,6 +245,9 @@ n_samples = 120
      r"\[sample_prior\] alpha must exceed d/2 = 1.0, got 0.8$"),
     ("model_problem = source1d\n[sample_prior]\nmode = field-gauss\nn_samples = 0",
      r"\[sample_prior\] n_samples must be at least 1, got 0$"),
+    # a field mode's hyperprior on the grid sample-prior draws on, whatever the model
+    ("model_problem = darcy\n[sample_prior]\nmode = field-cauchy\n[field_hyper]\ncauchy_delta = -1",
+     r"\[field_hyper\] delta must be positive, got -1.0$"),
 ])
 def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"
@@ -393,6 +401,43 @@ def test_snapshot_schedules_write_the_listed_iterations(tmp_path, schedule, kept
                 if "snapshot" not in name or int(name[-7:-4]) in kept}
     assert files == expected
     assert len(files) == 6 + 2 * len(kept)
+
+
+def csv_columns(path):
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("eki", "noise_level_convention", "expected"),
+    ("observations", "noise_free", True),
+    ("experiment", "record_walltime", True),
+])
+def test_run_options_change_what_they_name(tmp_path, section, key, value):
+    case = MATRIX[0]
+    config = matrix_config(tmp_path, *case)
+    config[section][key] = value
+    manifest = harness.run_experiment(config)
+    golden = GOLDEN_FILES[case_name(case)]
+    run = tmp_path / "run"
+    if key == "noise_level_convention":
+        assert manifest["noise_level"] == np.sqrt(MATRIX_GRID["source1d"][1])
+        assert manifest["files"]["observations.csv"] == golden["observations.csv"]
+    elif key == "noise_free":
+        setup, truth, _, _ = harness._prepare(config)
+        clean = setup.obs_template.matrix @ setup.solver.solve(truth.pde_field).values
+        assert manifest["noise_level"] == 0.0
+        assert np.array(csv_columns(run / "observations.csv")["y"], dtype=float).tobytes() == \
+            clean.tobytes()
+    else:
+        assert {name: sha for name, sha in manifest["files"].items()
+                if not name.endswith("records.csv")} == \
+            {name: sha for name, sha in golden.items() if not name.endswith("records.csv")}
+        for index in range(2):
+            records = csv_columns(run / f"init_{index:02d}" / "records.csv")
+            assert [bool(ms) for ms in records["wall_ms"]] == \
+                [bool(upsilon) for upsilon in records["upsilon"]] == [True, True, False]
+            assert all(float(ms) > 0 for ms in records["wall_ms"] if ms)
 
 
 def same_bits(a, b) -> bool:

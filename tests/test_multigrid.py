@@ -40,7 +40,7 @@ def problem(domain, bc):
 def splu_pressure(darcy, kappa):
     """The assembled system factorized directly: the reference solution."""
     A, rhs = darcy.assemble(kappa)
-    full = np.array(darcy._dirichlet)
+    full = np.array(darcy._boundary)
     full[darcy._unknown] = scipy.sparse.linalg.splu(A).solve(rhs)
     return full
 
