@@ -1,8 +1,11 @@
 """Command-line experiment runner.
 
 Subcommands:
-  validate <config>      parse, validate, and echo the resolved configuration
-  run <config|manifest>  run all initializations and write outputs
+  validate <config>      parse, validate, and echo the resolved configuration,
+                         with the per-process memory estimate as a comment
+  run <config|manifest>  run all initializations and write outputs; warns when
+                         --parallel times the memory estimate exceeds the
+                         memory available
   sample-prior <config>  write prior field realizations as gridded CSV
   report <run-dir>       aggregate a finished run into a summary table
 
@@ -16,7 +19,9 @@ import json
 import sys
 
 from .config import ConfigError, config_from_manifest, controls_from, load_config, parse_seed
-from .harness import run_experiment, sample_prior_fields, summarize_run
+from .harness import memory_estimate, run_experiment, sample_prior_fields, summarize_run
+
+MEMINFO = "/proc/meminfo"
 
 
 def _load(path: str):
@@ -39,6 +44,36 @@ def _apply_overrides(config, args) -> None:
             controls_from(config)
         except ValueError as exc:
             raise ConfigError(f"--max-iter: {exc}") from exc
+
+
+def _mib(n_bytes: float) -> str:
+    return f"{n_bytes / 2**20:,.1f} MiB"
+
+
+def _memory_line(config) -> str:
+    """The memory estimate as an INI comment line."""
+    terms = memory_estimate(config)
+    parts = " + ".join(f"{name} {_mib(size)}" for name, size in terms.items())
+    return f"# memory estimate: {_mib(sum(terms.values()))} per process = {parts}"
+
+
+def _mem_available() -> int | None:
+    """MemAvailable of ``MEMINFO`` in bytes, or None where it cannot be read."""
+    try:
+        with open(MEMINFO, encoding="ascii") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
+
+
+def _warn_if_short_of_memory(config, parallel: int) -> None:
+    need = parallel * sum(memory_estimate(config).values())
+    available = _mem_available()
+    if available is not None and need > available:
+        print(f"warning: --parallel {parallel} x the memory estimate needs {_mib(need)}, "
+              f"more than the {_mib(available)} available; the run may run out of memory",
+              file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,11 +117,13 @@ def cli(argv=None) -> int:
         if args.command == "validate":
             config = _load(args.config)
             print(config.echo())
+            print(_memory_line(config))
             return 0
 
         if args.command == "run":
             config = _load(args.config)
             _apply_overrides(config, args)
+            _warn_if_short_of_memory(config, args.parallel)
             manifest = run_experiment(config, parallel=args.parallel)
             out_dir = config["experiment"]["out_dir"]
             n_ok = sum(init["stop_reason"] == "discrepancy"

@@ -180,29 +180,38 @@ def select_upsilon(C_ww: np.ndarray, gamma: np.ndarray, residual: np.ndarray,
 
 
 def _block_update(members: np.ndarray, layout: PackingLayout, Ac: np.ndarray,
-                  S: np.ndarray) -> np.ndarray:
-    """x_j += C_xw S_j, computed block by block of the packed state."""
+                  S: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = members + C_xw S, computed block by block of the packed state.
+
+    ``out`` may be ``members`` itself: a block reads only its own rows
+    before writing them.  Each block holds one block-sized temporary, the
+    centred members that the product then overwrites, and its C_xw; they
+    are freed before the next block.  Raises RuntimeError on a block with
+    non-finite members, after writing it into ``out``."""
     J = members.shape[1]
-    updated = np.empty_like(members)
-    for name, sl in layout.slices().items():
+    for sl in layout.slices().values():
         Xb = members[sl]
-        # the centred block is built where its update will go, which saves
-        # two ensemble-sized temporaries
-        Xc = np.subtract(Xb, Xb.mean(axis=1, keepdims=True), out=updated[sl])
+        Xc = Xb - Xb.mean(axis=1, keepdims=True)
         C_xw = Xc @ Ac.T
         C_xw /= J - 1
-        np.add(Xb, C_xw @ S, out=updated[sl])
-    return updated
+        np.add(Xb, np.matmul(C_xw, S, out=Xc), out=out[sl])
+        del Xc, C_xw
+        if not np.all(np.isfinite(out[sl])):
+            raise RuntimeError("ensemble update produced non-finite members")
+    return out
 
 
 def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
-             rng: np.random.Generator, outputs: np.ndarray | None = None
-             ) -> tuple[Ensemble, StepInfo]:
+             rng: np.random.Generator, outputs: np.ndarray | None = None,
+             out: np.ndarray | None = None) -> tuple[Ensemble, StepInfo]:
     """One analysis update of every ensemble member.
 
     ``forward_map`` maps a (dim, J) matrix to an (n_obs, J) output matrix;
     ``obs`` supplies the data vector and noise covariance.  Precomputed
-    ``outputs`` skip the forward evaluation.
+    ``outputs`` skip the forward evaluation.  The updated members are
+    written into ``out``, which may be ``ensemble.members`` itself, or by
+    default into a new array, leaving ``ensemble`` unchanged.  The bits
+    are the same either way.
     """
     X = ensemble.members
     J = ensemble.n_members
@@ -224,9 +233,8 @@ def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     upsilon, doublings = select_upsilon(C_ww, gamma, y - w_bar, controls)
     S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
 
-    updated = _block_update(X, ensemble.layout, Ac, S)
-    if not np.all(np.isfinite(updated)):
-        raise RuntimeError("ensemble update produced non-finite members")
+    updated = _block_update(X, ensemble.layout, Ac, S,
+                            np.empty_like(X) if out is None else out)
     return Ensemble(updated, ensemble.layout), StepInfo(upsilon=upsilon, doublings=doublings)
 
 
@@ -238,12 +246,20 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     ``error_fn(members)`` and ``hyper_means_fn(members)`` are optional
     reporting hooks evaluated every iteration (relative error against a known
     truth; decoded hyperparameter ensemble means).
+
+    ``ensemble`` is never written.  The first update writes into a new
+    array, and every later one overwrites that array, so a run holds the
+    initial and the current ensemble and no third.  An update that aborts
+    on non-finite members may therefore leave ``result.ensemble`` partly
+    updated: the blocks before the failing one updated, the failing one
+    non-finite.
     """
     if obs.y is None or obs.noise_level is None:
         raise ValueError("observation model carries no data; synthesize it first")
     threshold = controls.zeta_value * obs.noise_level
     records: list[IterationRecord] = []
     current = ensemble
+    out = None   # the array that updates write into, once there is one
     stop_reason, message = "max-iterations", ""
     n = 0
     while True:
@@ -270,7 +286,9 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
             stop_reason = "max-iterations"
             break
         try:
-            current, info = eki_step(current, forward_map, obs, controls, rng, outputs=W)
+            current, info = eki_step(current, forward_map, obs, controls, rng,
+                                     outputs=W, out=out)
+            out = current.members
         except (UpsilonSearchError, RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             stop_reason, message = "aborted", str(exc)
             break

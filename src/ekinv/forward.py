@@ -426,6 +426,12 @@ class CompositeForward:
     # On the darcy-channel (n=64) and darcy-exp (n=128) benchmark workloads
     # 2^16 ran 10-25 % faster per iteration than 2^14.
     CHUNK_UNKNOWNS = 1 << 16
+    # Float64 arrays of one chunk's node grids that an evaluation holds at
+    # its peak, the outputs included (tracemalloc): 19-23 on darcy grids of
+    # 16-256 cells per axis, 6 on the 1000-cell source1d grid.  Rounded up
+    # for the grid's static data and spectral basis, which no estimate term
+    # counts.
+    CHUNK_ARRAYS = 32
 
     def __init__(self, decode_block: Callable[[np.ndarray], DecodedBlock],
                  solver: Callable[[Field | Sequence[Field]], Field | list[Field]],
@@ -433,8 +439,21 @@ class CompositeForward:
         self.decode_block = decode_block
         self.solver = solver
         self.obs = obs
-        self.chunk = max(1, self.CHUNK_UNKNOWNS // obs.matrix.shape[1])
+        self.chunk = self.chunk_members(obs.matrix.shape[1])
         self.report_mean: np.ndarray | None = None
+
+    @classmethod
+    def chunk_members(cls, n_grid: int) -> int:
+        """Members per chunk on a grid of ``n_grid`` values."""
+        return max(1, cls.CHUNK_UNKNOWNS // n_grid)
+
+    @classmethod
+    def chunk_bytes(cls, domain: Domain, n_members: int) -> int:
+        """Peak bytes of evaluating ``n_members`` members on ``domain`` one
+        chunk at a time; the solvers work on every node of the grid."""
+        nodes = int(np.prod([n + 1 for n in domain.n_cells]))
+        return (cls.CHUNK_ARRAYS * min(n_members, cls.chunk_members(domain.n_interior))
+                * nodes * 8)
 
     def decode(self, members: np.ndarray) -> DecodedBlock | Field:
         """The :class:`DecodedBlock` of a (state_dim, B) block; a single

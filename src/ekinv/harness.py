@@ -173,6 +173,35 @@ def _latent_fields(config: ExperimentConfig) -> list[LatentField]:
                         (ch["alpha2_bounds"], ch["tau2_bounds"]), ("alpha2", "tau2"))]
 
 
+def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLayout:
+    """The blocks of a packed member of :func:`build_parameterization`."""
+    par = config["experiment"]["parameterization"]
+    if par.startswith("noncentered-field"):
+        ncm = noncentered_map_from(config, basis, par.removeprefix("noncentered-"))
+        return PackingLayout(blocks=(("xi", basis.n_modes), ("hyper", ncm.n_hyper)))
+    fields = _latent_fields(config)
+    size = basis.n_modes if par == "noncentered-hier" else basis.domain.n_interior
+    blocks = [(f.name, size) for f in fields]
+    blocks += [("geom", 5)] if config["experiment"]["coefficient_map"] == "channel" else []
+    blocks += ([("hyper", sum(len(f.bounds) for f in fields))]
+               if par in ("centered-hier", "noncentered-hier") else [])
+    return PackingLayout(blocks=tuple(blocks))
+
+
+def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
+    """Bytes one process is expected to hold at its peak, by term.  An update
+    holds the initial and the current ensemble, one block and its C_xw
+    (:func:`ekinv.eki.run_inversion`); three ensembles bound the first three."""
+    exp, grid = config["experiment"], config["grid"]
+    J, n_obs = exp["n_ensemble"], config["observations"]["n_obs"]
+    domain = model_domain(exp["model_problem"], grid["n_cells"])
+    layout = packing_layout(config, dirichlet_spectrum(domain, grid["coordinate_scaling"]))
+    return {"three ensembles": 3 * layout.dim * J * 8,
+            "largest block's C_xw": max(size for _, size in layout.blocks) * n_obs * 8,
+            "observation matrix": n_obs * domain.n_interior * 8,
+            "forward chunk": CompositeForward.chunk_bytes(domain, J)}
+
+
 def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
                            obs: ObservationModel) -> Parameterization:
     """The configured parameterization, followed by its coefficient map.
@@ -208,13 +237,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
 
     if field_valued:
         ncm = noncentered_map_from(config, basis, par.removeprefix("noncentered-"))
-        blocks = [("xi", basis.n_modes), ("hyper", ncm.n_hyper)]
-    else:
-        size = basis.n_modes if noncentered else domain.n_interior
-        blocks = [(f.name, size) for f in fields]
-        blocks += [("geom", 5)] if geometry is not None else []
-        blocks += [("hyper", len(bounds))] if bounded else []
-    layout = PackingLayout(blocks=tuple(blocks))
+    layout = packing_layout(config, basis)
     sl = layout.slices()
 
     def unmapped(block) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -294,6 +296,81 @@ def test_inversion_aborts_on_nonfinite_forward():
     result = run_inversion(ens, flaky, obs, EkiControls(), rng)
     assert result.stop_reason == "aborted"
     assert "non-finite" in result.message
+
+
+def test_inversion_aborts_on_a_nonfinite_update_leaving_it_partly_written():
+    # the forward map sees only "u"; the unseen "v" block, near the float64
+    # limit, overflows in a later update, which writes in place
+    rng = np.random.default_rng(0)
+    J = 10
+    X = np.vstack([rng.standard_normal((1, J)), 1e302 * rng.standard_normal((1, J))])
+    ens = Ensemble(X, PackingLayout(blocks=(("u", 1), ("v", 1))))
+    before = ens.members.tobytes()
+    obs = toy_obs(1, gamma_scale=1e-4, y=[1e6], noise_level=1e-3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = run_inversion(ens, lambda M: M[:1], obs, EkiControls(), rng)
+    assert result.stop_reason == "aborted"
+    assert result.message == "ensemble update produced non-finite members"
+    assert len(result.records) > 1
+    assert np.all(np.isfinite(result.ensemble.members[0]))
+    assert not np.all(np.isfinite(result.ensemble.members[1]))
+    assert ens.members.tobytes() == before
+
+
+def test_inversion_and_step_leave_the_callers_ensemble_unwritten():
+    rng = np.random.default_rng(6)
+    ens, fwd, obs = linear_toy(rng, noise_level=1e-12)
+    before = ens.members.tobytes()
+    result = run_inversion(ens, fwd, obs, EkiControls(max_outer_iterations=3), rng)
+    assert [r.upsilon is not None for r in result.records] == [True] * 3 + [False]
+    assert ens.members.tobytes() == before
+    new, _ = eki_step(ens, fwd, obs, EkiControls(), rng)
+    assert ens.members.tobytes() == before
+    assert not np.shares_memory(new.members, ens.members)
+
+
+@pytest.mark.parametrize("J, n_obs", [(8, 12), (10, 5)])
+def test_in_place_updates_equal_the_pure_step_bit_for_bit(J, n_obs):
+    # C_xw is wider than a block when n_obs > J, narrower when n_obs < J
+    rng = np.random.default_rng(J)
+    layout = PackingLayout(blocks=(("a", 30), ("b", 7), ("c", 2)))
+    X0 = rng.standard_normal((layout.dim, J))
+    H = rng.standard_normal((n_obs, layout.dim))
+
+    def forward(M):
+        return np.tanh(H @ M)
+
+    obs = toy_obs(n_obs, gamma_scale=1e-2, y=0.5 * rng.standard_normal(n_obs),
+                  noise_level=1e-12)
+    controls = EkiControls(max_outer_iterations=3)
+    result = run_inversion(Ensemble(X0, layout), forward, obs, controls,
+                           np.random.default_rng(1))
+    assert result.stop_reason == "max-iterations"
+
+    ens, step_rng = Ensemble(X0, layout), np.random.default_rng(1)
+    for _ in range(3):
+        ens, _ = eki_step(ens, forward, obs, controls, step_rng)
+    assert result.ensemble.members.tobytes() == ens.members.tobytes()
+
+
+def test_updates_hold_two_ensembles_and_one_block_at_their_peak():
+    rows, J, n_obs = 20_000, 20, 30
+    rng = np.random.default_rng(4)
+    picks = np.linspace(0, 2 * rows - 1, n_obs).astype(int)
+    obs = toy_obs(n_obs, gamma_scale=1e-2, y=rng.standard_normal(n_obs), noise_level=1e-12)
+    tracemalloc.start()
+    try:
+        ens = Ensemble(rng.standard_normal((2 * rows, J)),
+                       PackingLayout(blocks=(("a", rows), ("b", rows))))
+        result = run_inversion(ens, lambda M: M[picks], obs,
+                               EkiControls(max_outer_iterations=3), rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.stop_reason == "max-iterations"
+    # the initial and the working ensemble, the largest block and its C_xw
+    bound = 2 * ens.members.nbytes + rows * J * 8 + rows * n_obs * 8
+    assert peak < 1.1 * bound
 
 
 def test_inversion_reports_hooks():

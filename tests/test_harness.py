@@ -1,6 +1,7 @@
 import hashlib
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +100,38 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert f"--parallel: must be at least 1, got {parallel}" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
     assert cli(["frobnicate"]) == 2
+
+
+def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys):
+    config = tiny_darcy(tmp_path, "run")
+    assert cli(["validate", str(tmp_path / "run.ini")]) == 0
+    echo = capsys.readouterr().out
+    assert echo.splitlines()[-1].startswith("# memory estimate: ")
+    (tmp_path / "echo.ini").write_text(echo, encoding="utf-8")
+    assert load_config(tmp_path / "echo.ini").to_dict() == config.to_dict()
+    tracemalloc.start()
+    try:
+        harness.run_experiment(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(harness.memory_estimate(config).values()) >= peak
+
+
+def test_run_warns_when_its_processes_may_exceed_the_available_memory(tmp_path, capsys,
+                                                                       monkeypatch):
+    estimate = sum(harness.memory_estimate(tiny_darcy(tmp_path, "run")).values())
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text(f"MemTotal: {10 * estimate // 1024} kB\n"
+                       f"MemAvailable: {estimate * 3 // 2 // 1024} kB\n", encoding="ascii")
+    monkeypatch.setattr("ekinv.cli.MEMINFO", str(meminfo))
+    run = ["run", str(tmp_path / "run.ini"), "--max-iter", "0"]
+    assert cli(run + ["--out-dir", str(tmp_path / "one")]) == 0
+    assert capsys.readouterr().err == ""
+    assert cli(run + ["--parallel", "2", "--out-dir", str(tmp_path / "two")]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("warning: --parallel 2 x the memory estimate needs ")
+    assert "may run out of memory" in err
 
 
 def test_manifest_from_another_schema_fails_loudly(tmp_path):
