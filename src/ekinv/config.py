@@ -19,7 +19,6 @@ from .eki import EkiControls
 from .forward import (
     ObservationModel,
     mollified_observations,
-    mollifier_centers,
     point_observations,
 )
 from .grid import Domain, SpectralBasis, build_domain, dirichlet_spectrum
@@ -286,24 +285,14 @@ def observation_model(config, domain: Domain) -> ObservationModel:
 def _check_values(sections: dict) -> None:
     """Build what a run builds from the configured values, so that a value
     their own checks reject stops here, not midway through a run: the grid
-    as configured, the rest on the model's coarsest grid (for mollifiers the
-    coarsest with a node at every center, then the centers alone on the
-    configured grid), each (alpha, tau) box at its lower corner, each
+    and the observations as configured, the rest on the model's coarsest
+    grid, each (alpha, tau) box at its lower corner, each
     (alpha, tau) of a channel truth and of the sample-prior sweep, and the
     field maps of sample-prior on its own grid."""
     model = sections["experiment"]["model_problem"]
     domain = model_domain(model, 2)
     p, t, ch = sections["prior"], sections["truth"], sections["channel"]
     kinds = ("field-gauss", "field-cauchy") if domain.dim == 1 else ("field-gauss",)
-
-    def observations():
-        if domain.dim == 1:
-            return observation_model(sections, domain)
-        obs = sections["observations"]
-        lattice = int(round(np.sqrt(obs["n_obs"])))
-        observation_model(sections, model_domain(model, max(2, 2 * lattice)))
-        mollifier_centers(model_domain(model, sections["grid"]["n_cells"]), lattice,
-                          obs["mollifier_sigma_frac"] * max(domain.extents))
 
     def sample_prior():
         sp = sections["sample_prior"]
@@ -330,7 +319,8 @@ def _check_values(sections: dict) -> None:
 
     checks = {
         "[grid]": lambda: model_domain(model, sections["grid"]["n_cells"]),
-        "[observations]": observations,
+        "[observations]": lambda: observation_model(
+            sections, model_domain(model, sections["grid"]["n_cells"])),
         "[level_set]": lambda: LevelSetSpec(**sections["level_set"]),
         "[prior], [truth]": lambda: MaternSpec(t["alpha_true"], t["tau_true"], p["sigma2"],
                                                p["mean"]).validate(domain.dim),

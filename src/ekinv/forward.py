@@ -45,10 +45,14 @@ report-scale field; the map sums these in member order, so one evaluation
 also gives the ensemble mean that reporting needs, and each member is
 decoded once per evaluation.
 
-Observations are linear functionals assembled once into a matrix: either
-pointwise evaluations in 1D (linear interpolation between the two nearest
-nodes, exact at grid nodes) or mollified Gaussians in 2D, truncated at six
-standard deviations and renormalized to unit discrete mass.
+Observations are linear functionals held as one factor per grid axis
+(:class:`SeparableOperator`): in 1D a single matrix of pointwise evaluations
+(linear interpolation between the two nearest nodes, exact at grid nodes),
+in 2D mollified Gaussians, each the product of two 1D Gaussians that are
+truncated at six standard deviations along their own axis and renormalized
+to unit discrete mass.  A 2D member is observed as Kx P Ky^T, with P its
+interior pressure grid and Kx, Ky the two (n, n - 1) factors; the dense
+(n^2, (n - 1)^2) matrix is never built.
 """
 
 from __future__ import annotations
@@ -274,11 +278,36 @@ class SourceProblem1D:
 
 
 @dataclass(frozen=True)
+class SeparableOperator:
+    """Observation functionals held as one factor per grid axis: the
+    operator is the Kronecker product of the factors (a single factor is
+    the operator itself).  One interior vector, P as its node grid, is
+    observed as K1 P K2^T without forming that product."""
+
+    factors: tuple[np.ndarray, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (int(np.prod([f.shape[0] for f in self.factors])),
+                int(np.prod([f.shape[1] for f in self.factors])))
+
+    @property
+    def nbytes(self) -> int:
+        return sum(f.nbytes for f in self.factors)
+
+    def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        if len(self.factors) == 1:
+            return self.factors[0] @ values
+        k1, k2 = self.factors
+        return (k1 @ values.reshape(k1.shape[1], k2.shape[1]) @ k2.T).ravel()
+
+
+@dataclass(frozen=True)
 class ObservationModel:
     """Linear observation functionals, data, and noise covariance."""
 
     centers: np.ndarray
-    matrix: np.ndarray
+    matrix: SeparableOperator
     gamma: np.ndarray
     y: np.ndarray | None = None
     noise_level: float | None = None
@@ -310,6 +339,7 @@ def point_observations(domain: Domain, n_obs: int,
 
     Each row holds the hat-function weights of the two nodes around its
     center; a boundary node's weight is dropped (the field is zero there).
+    The rows are the operator's single factor.
     """
     if domain.dim != 1:
         raise ValueError("point observation layout is one-dimensional")
@@ -320,51 +350,45 @@ def point_observations(domain: Domain, n_obs: int,
     rows = np.zeros((n_obs, domain.n_cells[0] + 1))   # every node, boundary too
     rows[np.arange(n_obs), left] = 1.0 - (t - left)
     rows[np.arange(n_obs), left + 1] = t - left
-    return ObservationModel(centers=centers, matrix=np.ascontiguousarray(rows[:, 1:-1]),
+    return ObservationModel(centers=centers,
+                            matrix=SeparableOperator((np.ascontiguousarray(rows[:, 1:-1]),)),
                             gamma=gamma_scale * np.eye(n_obs))
-
-
-def mollifier_centers(domain: Domain, n_per_axis: int, sigma: float) -> np.ndarray:
-    """The centers of :func:`mollified_observations`: the cell centers of a
-    uniform n_per_axis partition.  Raises ValueError for a center whose
-    kernel, truncated at 6 sigma, holds no interior node to renormalize."""
-    if domain.dim != 2:
-        raise ValueError("the mollified lattice layout is two-dimensional")
-    if not sigma > 0:
-        raise ValueError(f"the mollifier sigma must be positive, got {sigma}")
-    ticks = [(np.arange(n_per_axis) + 0.5) * L / n_per_axis for L in domain.extents]
-    cx, cy = np.meshgrid(*ticks, indexing="ij")
-    centers = np.column_stack([cx.ravel(), cy.ravel()])
-    # the squared distances are summed as the kernels sum them, and a rounded
-    # sum is monotone in its terms, so the nearest node decides for them all
-    nearest = sum(((centers[:, a, None] - domain.interior_coords(a)) ** 2).min(axis=1)
-                  for a in range(2))
-    empty = np.flatnonzero(nearest > (6 * sigma) ** 2)
-    if empty.size:
-        a, b = centers[empty[0]]
-        raise ValueError(f"no interior node of the {domain.n_cells[0]} x {domain.n_cells[1]} grid "
-                         f"lies within 6 sigma = {6 * sigma:g} of the observation center "
-                         f"({a:g}, {b:g})")
-    return centers
 
 
 def mollified_observations(domain: Domain, n_per_axis: int, sigma: float,
                            gamma_scale: float = 1e-4) -> ObservationModel:
     """Gaussian-kernel observations on an n x n interior lattice.
 
-    Centers as :func:`mollifier_centers` places and checks them; each kernel
-    is truncated at 6 sigma and renormalized to unit discrete mass, so
-    observing the constant field 1 returns exactly 1.
+    The centers are the cell centers of a uniform n x n partition,
+    row-major.  Each 2D kernel is the product of two 1D Gaussians, each cut
+    at 6 sigma along its own axis and renormalized to unit discrete mass, so
+    observing the constant field 1 returns 1.  The operator holds the two
+    (n, n_a - 1) factors, not the dense (n^2, n_interior) matrix.  Raises
+    ValueError for the first center whose kernel holds no interior node to
+    renormalize: one whose tick on some axis has no node within the cut.
     """
     _check_layout(n_per_axis, gamma_scale)
-    centers = mollifier_centers(domain, n_per_axis, sigma)
-    x1, x2 = domain.interior_meshgrid()
-    rows = np.zeros((len(centers), domain.n_interior))
-    for r, (a, b) in enumerate(centers):
-        d2 = (x1 - a) ** 2 + (x2 - b) ** 2
-        w = np.where(d2 <= (6 * sigma) ** 2, np.exp(-d2 / (2 * sigma**2)), 0.0)
-        rows[r] = (w / w.sum()).ravel()
-    return ObservationModel(centers=centers, matrix=rows,
+    if domain.dim != 2:
+        raise ValueError("the mollified lattice layout is two-dimensional")
+    if not sigma > 0:
+        raise ValueError(f"the mollifier sigma must be positive, got {sigma}")
+    ticks = [(np.arange(n_per_axis) + 0.5) * L / n_per_axis for L in domain.extents]
+    kernels = []
+    for a, t in enumerate(ticks):
+        d = domain.interior_coords(a) - t[:, None]
+        kernels.append(np.where(np.abs(d) <= 6 * sigma, np.exp(-d**2 / (2 * sigma**2)), 0.0))
+    cx, cy = np.meshgrid(*ticks, indexing="ij")
+    centers = np.column_stack([cx.ravel(), cy.ravel()])
+    # a weight inside the cut is at least exp(-18), so a row is empty only
+    # when no node lies within it
+    empty = np.flatnonzero(~np.logical_and.outer(*(k.any(axis=1) for k in kernels)))
+    if empty.size:
+        a, b = centers[empty[0]]
+        raise ValueError(f"no interior node of the {domain.n_cells[0]} x {domain.n_cells[1]} grid "
+                         f"lies within 6 sigma = {6 * sigma:g} of the observation center "
+                         f"({a:g}, {b:g})")
+    factors = tuple(k / k.sum(axis=1, keepdims=True) for k in kernels)
+    return ObservationModel(centers=centers, matrix=SeparableOperator(factors),
                             gamma=gamma_scale * np.eye(len(centers)))
 
 
@@ -419,7 +443,7 @@ class CompositeForward:
     member from about n = 256 on a 2D grid.  The same pass sums the members'
     report fields in member order, so an evaluation leaves the ensemble mean
     of the report fields in ``report_mean`` and reporting decodes nothing
-    again.  Observation stays one matrix-vector product per member: one
+    again.  Observation stays one operator product per member: one
     product over the whole chunk rounds differently.
     """
 

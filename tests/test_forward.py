@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from ekinv.grid import Field, build_domain, check_members, dirichlet_spectrum
+from ekinv.grid import Field, build_domain, check_members, dirichlet_spectrum, white_noise
 from ekinv.forward import (
     CompositeForward,
     DarcyProblem,
@@ -10,12 +10,12 @@ from ekinv.forward import (
     ForwardError,
     SourceProblem1D,
     mollified_observations,
-    mollifier_centers,
     observe,
     point_observations,
     synthesize_data,
 )
 from ekinv.param_maps import exp_values, noncentered_matern
+from ekinv.priors import MaternSpec, apply_sqrt_cov
 
 
 def const_field(domain, value=1.0):
@@ -216,20 +216,83 @@ def test_observation_builders_reject_an_empty_or_degenerate_layout():
 
 @pytest.mark.parametrize("n", [2, 3, 5])
 def test_a_center_whose_kernel_holds_no_interior_node_is_named(n):
-    # the nearest-node test decides as the truncated kernels themselves do
+    # a kernel is empty when, along some axis, no interior node lies within
+    # 6 sigma of its center's coordinate: that axis's factor row is empty
     domain = build_domain(2, [6.0, 6.0], [n, n])
-    x1, x2 = (x.ravel() for x in domain.interior_meshgrid())
-    centers = mollifier_centers(domain, 8, sigma=10.0)
+    centers = mollified_observations(domain, 8, sigma=10.0).centers
     for sigma in (0.05, 0.1, 0.2, 0.3, 0.5, 0.7):
-        d2 = (x1 - centers[:, :1]) ** 2 + (x2 - centers[:, 1:]) ** 2
-        empty = ~np.any(d2 <= (6 * sigma) ** 2, axis=1)
+        empty = np.zeros(len(centers), dtype=bool)
+        for axis in range(2):
+            dist = np.abs(domain.interior_coords(axis) - centers[:, axis:axis + 1])
+            empty |= ~np.any(dist <= 6 * sigma, axis=1)
         if empty.any():
             a, b = centers[np.argmax(empty)]
             with pytest.raises(ValueError, match=rf"no interior node of the {n} x {n} grid "
                                                  rf"lies within .* center \({a:g}, {b:g}\)$"):
                 mollified_observations(domain, 8, sigma)
         else:
-            assert np.all(np.isfinite(mollified_observations(domain, 8, sigma).matrix))
+            factors = mollified_observations(domain, 8, sigma).matrix.factors
+            assert all(np.all(np.isfinite(f)) for f in factors)
+
+
+def dense_disk_observations(domain, n_per_axis, sigma):
+    """The dense (n^2, n_interior) matrix that observed Darcy pressures
+    before the per-axis factors: each 2D Gaussian cut at a disk of radius
+    6 sigma and renormalized to unit discrete mass."""
+    x1, x2 = domain.interior_meshgrid()
+    rows = np.zeros((n_per_axis**2, domain.n_interior))
+    centers = mollified_observations(domain, n_per_axis, sigma).centers
+    for r, (a, b) in enumerate(centers):
+        d2 = (x1 - a) ** 2 + (x2 - b) ** 2
+        w = np.where(d2 <= (6 * sigma) ** 2, np.exp(-d2 / (2 * sigma**2)), 0.0)
+        rows[r] = (w / w.sum()).ravel()
+    return rows
+
+
+def high_contrast_pressure(domain, seed):
+    """Interior pressure under an exponentiated Matern field at three times
+    unit standard deviation."""
+    u = apply_sqrt_cov(MaternSpec(alpha=2.0, tau=10.0), dirichlet_spectrum(domain),
+                       white_noise(domain, np.random.default_rng(seed))).values
+    return DarcyProblem(domain).solve(Field(domain, np.exp(3.0 * u / u.std()))).values
+
+
+def test_mollified_observations_equal_their_kronecker_matrix():
+    domain = build_domain(2, [6.0, 4.0], [24, 18])   # unequal axes
+    model = mollified_observations(domain, 5, sigma=0.3)
+    kx, ky = model.matrix.factors
+    assert kx.shape == (5, 23) and ky.shape == (5, 17)
+    assert model.matrix.shape == (25, domain.n_interior) == np.kron(kx, ky).shape
+    assert model.matrix.nbytes == kx.nbytes + ky.nbytes
+    p = high_contrast_pressure(domain, 0)
+    expected = np.kron(kx, ky) @ p
+    np.testing.assert_allclose(observe(p, model), expected, rtol=1e-14)
+
+
+def test_point_observations_are_the_hat_weight_rows_product_bit_for_bit():
+    domain = build_domain(1, [10.0], 137)
+    model = point_observations(domain, 9)
+    t = model.centers[:, 0] / domain.h[0]
+    left = np.floor(t).astype(int)
+    rows = np.zeros((9, 138))
+    rows[np.arange(9), left] = 1.0 - (t - left)
+    rows[np.arange(9), left + 1] = t - left
+    p = np.random.default_rng(4).standard_normal(domain.n_interior)
+    assert observe(p, model).tobytes() == (np.ascontiguousarray(rows[:, 1:-1]) @ p).tobytes()
+    assert model.matrix.shape == (9, 136) and model.matrix.nbytes == 9 * 136 * 8
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_separable_observations_stay_close_to_the_dense_disk_cut_kernels(n):
+    # the per-axis cut keeps a square around the old disk, and its corners
+    # add weights below exp(-18); on five such pressures up to about 9e3 the
+    # observations moved by at most 1.3e-7 relative when the factors came in
+    domain = build_domain(2, [6.0, 6.0], [n, n])
+    model = mollified_observations(domain, 8, sigma=0.36)
+    dense = dense_disk_observations(domain, 8, 0.36)
+    for seed in range(2):
+        p = high_contrast_pressure(domain, seed)
+        np.testing.assert_allclose(observe(p, model), dense @ p, rtol=1e-6)
 
 
 # ---------------------------------------------------------------------------

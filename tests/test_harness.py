@@ -510,7 +510,10 @@ def test_batched_decode_equals_one_column_decodes(tmp_path, case):
 # of darcy-plain-channel came later, when plain channel runs began to report
 # the ensemble means of their geometry d1-d5.  The ten darcy rows were
 # re-pinned when the multigrid V-cycle moved to float32: the pressures, and
-# with them the synthetic data, moved by up to 5e-12 relative.
+# with them the synthetic data, moved by up to 5e-12 relative.  They were
+# re-pinned again when the mollifiers were cut per axis and held as two 1D
+# factors: the synthetic data moved by up to 1.2e-8 relative (9.3e-6, under
+# 1e-3 noise standard deviations), the final misfits by up to 3.6e-9.
 GOLDEN_FILES = {
     "source1d-plain-identity-scalar": {
         "init_00/mean_field.bin": "7f82ee1f7f53eb26a8042c5e8216993f8a11751327e5f9fae7e39690b91d29d6",
@@ -615,157 +618,157 @@ GOLDEN_FILES = {
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "darcy-plain-exp": {
-        "init_00/mean_field.bin": "84ba78af4d8adea156c72ec40a1492976750652f348e9ab0cf421f0e7e48d8ff",
-        "init_00/records.csv": "820d9b243905d1bf0703a33d8529c09fac79e51d249ccc65cafca568287f8445",
+        "init_00/mean_field.bin": "3b1c9493e673619c1d9b3b59a1321be62cee57f34effbd808cafa7317d8ccea7",
+        "init_00/records.csv": "4bb0f837267ca134036c16017b1e78038e0bc00e4ab35ecb1516c7ef2c4f3ee7",
         "init_00/snapshot_iter_000.bin": "9f1cecfa218e000a927625b6551cc271742b53112f82d59ddfa6ee7305d0beef",
-        "init_00/snapshot_iter_001.bin": "a338733bce6648cf85171073aed459037003ddf1e085eefd6f03dbec08763ee9",
-        "init_00/snapshot_iter_002.bin": "84ba78af4d8adea156c72ec40a1492976750652f348e9ab0cf421f0e7e48d8ff",
-        "init_01/mean_field.bin": "6496b8d6fce4a774f1a0ee2671f45f7b4334cacb6089f9d582d64c48cf6fb4cb",
-        "init_01/records.csv": "4709941a95d7876ceabb86fa2ace1f79e6ac5e4d8d5c434cd60727a048fe70e5",
+        "init_00/snapshot_iter_001.bin": "ba46313db7c58e0c3cdea1ecc045cf47175804c01fb815147006e329f8709f20",
+        "init_00/snapshot_iter_002.bin": "3b1c9493e673619c1d9b3b59a1321be62cee57f34effbd808cafa7317d8ccea7",
+        "init_01/mean_field.bin": "4d833e39c9fd464ea138d980749c2397f88d59fd521b2b9bc4eb7c951a164553",
+        "init_01/records.csv": "6342978374c2e911f22a6a2f19c8fa91630450df00e7fed5d6c9484495c3de2d",
         "init_01/snapshot_iter_000.bin": "c67182c20ade0048beda934731837e520a85013ab1f3de1f9f235777e9c72fc1",
-        "init_01/snapshot_iter_001.bin": "6f1d822cdc6174d1ac66e56289e58b309c8958e1eaa304db9facbb05afde809a",
-        "init_01/snapshot_iter_002.bin": "6496b8d6fce4a774f1a0ee2671f45f7b4334cacb6089f9d582d64c48cf6fb4cb",
-        "observations.csv": "05596a1fd6e22575c021af41a33d8166b2a970730fc36582acbad844cf79088e",
+        "init_01/snapshot_iter_001.bin": "c4f0acf71195c87bd38390383b89df5b90034671532b4092e84c52e52bcefb7f",
+        "init_01/snapshot_iter_002.bin": "4d833e39c9fd464ea138d980749c2397f88d59fd521b2b9bc4eb7c951a164553",
+        "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-plain-exp-field-gauss": {
-        "init_00/mean_field.bin": "a049252e56eb5d27fd4f3c1504139a65ed6e9d1ddaca9c2209f126b362133fe3",
-        "init_00/records.csv": "0adab8321f46a31f23d13ca48a566225667280a84594a5a58d04a8ac9a46db60",
+        "init_00/mean_field.bin": "c48fb9838947c9ac3bfce2dcd2bfed6cea919fc0f54f7c6f429a732e4e226885",
+        "init_00/records.csv": "6ef2eaaaa5888dd8e662526fa9115bd7ceabf647a166d388a1ba12ba4f924fd1",
         "init_00/snapshot_iter_000.bin": "7560ebc32d15ab3532876c00a6752f73950bc558b811d0d6e6368d614bc137bd",
-        "init_00/snapshot_iter_001.bin": "757f5e43572f5974a9492ca2d69c7ce71076414a613b9d27cca9b26203671103",
-        "init_00/snapshot_iter_002.bin": "a049252e56eb5d27fd4f3c1504139a65ed6e9d1ddaca9c2209f126b362133fe3",
-        "init_01/mean_field.bin": "e3f099493ec0b8640821da558a278845849d68ab80a73534c6258fd7d5334b13",
-        "init_01/records.csv": "69acbcc71dc51f1ee6f0381a8458494165ef39fa6d913c4a8995f5b9c94d736f",
+        "init_00/snapshot_iter_001.bin": "80ca67d5bd98d1b17179945016bf10508a12a8238720b12f360610c0fd388ebd",
+        "init_00/snapshot_iter_002.bin": "c48fb9838947c9ac3bfce2dcd2bfed6cea919fc0f54f7c6f429a732e4e226885",
+        "init_01/mean_field.bin": "ae9583cd0a3f8f9ffb151861b217a618327c675ca7e27fb923bd58f962f1c699",
+        "init_01/records.csv": "75014940cc727ce5eb50f4227f97c4a9f5cf01972e58301dfb86c36c00a4348b",
         "init_01/snapshot_iter_000.bin": "8ab6723a8d8dcbad341ad7c50258358e17b06dd4e5bd01923b8fbaf08955df21",
-        "init_01/snapshot_iter_001.bin": "dfe8ff7bee453a0657da5fe426f70d520d045bfe64a16902598a6b6095936470",
-        "init_01/snapshot_iter_002.bin": "e3f099493ec0b8640821da558a278845849d68ab80a73534c6258fd7d5334b13",
-        "observations.csv": "05596a1fd6e22575c021af41a33d8166b2a970730fc36582acbad844cf79088e",
+        "init_01/snapshot_iter_001.bin": "589a04cd2a793a7e8a519f96e761048b3b632e8c011d81c7cb0923843d9ef3e8",
+        "init_01/snapshot_iter_002.bin": "ae9583cd0a3f8f9ffb151861b217a618327c675ca7e27fb923bd58f962f1c699",
+        "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-centered-hier-exp": {
-        "init_00/hypers.csv": "e5de02819ec2d2e2b07a57a5eafe1e7ea94cbf4174f930570f3cf0785670de2c",
-        "init_00/mean_field.bin": "8d82e4bbc655b53aad0c57e61a8af8ed65dd1e0f1e0238d7746a9164a11de4e2",
-        "init_00/records.csv": "809cc02c2ee6dca7bc3a12f5f62230868dddddb186e4a1aeb513ff355b6fac2b",
+        "init_00/hypers.csv": "84b7b4c7ff76893124a0c868e9e43041113d457d345f3b23a78636f749305963",
+        "init_00/mean_field.bin": "2a35e25375422b6fac7ba178965b003aec593c8f5edab2279401c5df90ec56f7",
+        "init_00/records.csv": "0200df3b1f0ad9cdb80461e8f41da7eb760a766b9318dec06c2df13353081684",
         "init_00/snapshot_iter_000.bin": "4ddbc7bf6da5566e575ec71ffc0cf065c1a83f1099bb05609811463148b1e81e",
-        "init_00/snapshot_iter_001.bin": "f2d550214cb30fae4a31be6464270baf59b80ffcffc961d66276c299323f2e86",
-        "init_00/snapshot_iter_002.bin": "8d82e4bbc655b53aad0c57e61a8af8ed65dd1e0f1e0238d7746a9164a11de4e2",
-        "init_01/hypers.csv": "dd2772083e66aadb197504a94a7ff710e56220574c794dbe48380b663f51891a",
-        "init_01/mean_field.bin": "60ee29df4578a1625fd8e44572f62790073c15d49f217501716a474b60e5878d",
-        "init_01/records.csv": "be3c6ed2d78ec28e30dfb1ba6196958f0d124f90d4e296c32574bf79294f19f3",
+        "init_00/snapshot_iter_001.bin": "438e8d58486516d5aa1f685110cbc680d64c5aa73111c23d431770565d0d60a7",
+        "init_00/snapshot_iter_002.bin": "2a35e25375422b6fac7ba178965b003aec593c8f5edab2279401c5df90ec56f7",
+        "init_01/hypers.csv": "47390442a3f4f784f03e9045b9578eb199f5a3ad064d166de694aebb576180d0",
+        "init_01/mean_field.bin": "07fba44137999dd0ed58f061d65c04701ff12120fe3c0148f7a281e49a210513",
+        "init_01/records.csv": "653073232426961bff5118a8f277a1e63ac6278332b4d38a17367a6aa5d16676",
         "init_01/snapshot_iter_000.bin": "cda2820f0789f89f49ac665a6deb454f9b7c7a31888cb524d040b15e383ca100",
-        "init_01/snapshot_iter_001.bin": "0b312f8259b44bb32412d2d5fe99625671900fb37cbd5f252c586f854de2e254",
-        "init_01/snapshot_iter_002.bin": "60ee29df4578a1625fd8e44572f62790073c15d49f217501716a474b60e5878d",
-        "observations.csv": "05596a1fd6e22575c021af41a33d8166b2a970730fc36582acbad844cf79088e",
+        "init_01/snapshot_iter_001.bin": "954a74be01716225df72f9eb83ae73efd7326ab578c6a02f5335afd27639be57",
+        "init_01/snapshot_iter_002.bin": "07fba44137999dd0ed58f061d65c04701ff12120fe3c0148f7a281e49a210513",
+        "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-noncentered-hier-exp": {
-        "init_00/hypers.csv": "0721c5103962b94cc0d588e134663731d18c9c5e088506bbb21b3be5fb88c2fc",
-        "init_00/mean_field.bin": "e20ee37904fff8a5942072f4ce9498c86b9af8415b76cc4dfa4ad306c1103a11",
-        "init_00/records.csv": "b25bd15cae1393406940405570c500aa4c9461211c47dba3a8d94cda3dadfc18",
+        "init_00/hypers.csv": "b177c92c9cbb632a16ae5a648c17f7c16bd9c3fddc32cf39a921c137660ea0c2",
+        "init_00/mean_field.bin": "0ae8af53514f86df0893599a014155b48eb56914d8da796c4db2d9684b913906",
+        "init_00/records.csv": "1276cade0b18ff87b54384a4f8bbea24da634653860df08ca87ab7150cc0dcfd",
         "init_00/snapshot_iter_000.bin": "c2b938e164daed70c57770096a9464c9dab6f1439ccf84ea1918a3b7d5d1a867",
-        "init_00/snapshot_iter_001.bin": "0dbd9a6fb193794e709da538a7d7e29edc441050e96edbcf50acf44a938e591e",
-        "init_00/snapshot_iter_002.bin": "e20ee37904fff8a5942072f4ce9498c86b9af8415b76cc4dfa4ad306c1103a11",
-        "init_01/hypers.csv": "c65e10d846ed5cf76a715c3d1f88b07fb5a4b84322ce39ee6641b080b5bb6fca",
-        "init_01/mean_field.bin": "58a1143839f84b3ec1bc5b059436d29459a12d642ee0c0232df7f0f03d37d859",
-        "init_01/records.csv": "5810f4ec20c55b2b7f2378f40d9fd9c68bcac464d0015d924e91bf6c18a98af2",
+        "init_00/snapshot_iter_001.bin": "7325d2fedbfc3a9d3ada5b762697493692098a7fe09016ff0877902935c1b73b",
+        "init_00/snapshot_iter_002.bin": "0ae8af53514f86df0893599a014155b48eb56914d8da796c4db2d9684b913906",
+        "init_01/hypers.csv": "64f9069bbf67d05f9fac2214bfed1143e750424658c36148d36f8d5a275e009b",
+        "init_01/mean_field.bin": "a84f66e0a03cbc4dcf0ed5bbb002b4a1fd8e639e0d202a87e07d292a43367545",
+        "init_01/records.csv": "78a180d4af497ebde13e43cbf8cf78329dec0dc6567310be7ba25d566090f42b",
         "init_01/snapshot_iter_000.bin": "229df3099742af594a6d78239d1d3b668951692a1068fc9bc9a7a5ce86458f36",
-        "init_01/snapshot_iter_001.bin": "6456342266193d41b4cfa7a259e7a00231873541b936c9bcd2516ac944f25134",
-        "init_01/snapshot_iter_002.bin": "58a1143839f84b3ec1bc5b059436d29459a12d642ee0c0232df7f0f03d37d859",
-        "observations.csv": "05596a1fd6e22575c021af41a33d8166b2a970730fc36582acbad844cf79088e",
+        "init_01/snapshot_iter_001.bin": "922e2bf202552baabd591e959599f60f123d44a6a671ede1cdf5a88a11cb16a0",
+        "init_01/snapshot_iter_002.bin": "a84f66e0a03cbc4dcf0ed5bbb002b4a1fd8e639e0d202a87e07d292a43367545",
+        "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-plain-level-set": {
         "init_00/mean_field.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
-        "init_00/records.csv": "31d842d4fb8a13da17da7115189cb9b493d1fce7b0db4736968135ebc7561a55",
+        "init_00/records.csv": "239bc7914ec6caf524e5aa29a5bc536293aff4c9338b977cf993eaf14184bd53",
         "init_00/snapshot_iter_000.bin": "f474d56b848c34dafbcfd181e41644a7f1fc97fc6c2aee30896e90e271126203",
         "init_00/snapshot_iter_001.bin": "8a79fc02bc4c7a32909330d3aaee67b088329e65c95f733f86631e39b6dc63e7",
         "init_00/snapshot_iter_002.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
         "init_01/mean_field.bin": "e76fdfd68944913d7d37958adf76946681858c994ea3a8cb48bca1f78fb80482",
-        "init_01/records.csv": "1224cac0c2277528aff86a4f6a922f290b41d3aded359415f9adaff68b220ad9",
+        "init_01/records.csv": "c77e10e0bd46ca0850c5df6853c09031154a8cf5272996485b40588a5a88224f",
         "init_01/snapshot_iter_000.bin": "cff4202bc9c6fb9b4ac733e2343f0bb267a4155eaeedb253636bfdeebb5c81b1",
         "init_01/snapshot_iter_001.bin": "a0c4a7b76d7df63decd4075b295d453db0d3cee49e900c0fc9e3caa13c6ddc8c",
         "init_01/snapshot_iter_002.bin": "e76fdfd68944913d7d37958adf76946681858c994ea3a8cb48bca1f78fb80482",
-        "observations.csv": "5044e54982fad9414250aabd6989582714a8428e8645e8cf45597d2735db3ad2",
+        "observations.csv": "c492db94f0470e5307ee1d9cdd982d7a00fed5b5efc0e1cc8ae746ccac2e8920",
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-centered-hier-level-set": {
-        "init_00/hypers.csv": "819f3690530b3ffe8d5e3d764cf364ed9b950999922084f7fb83a349ba598a2b",
+        "init_00/hypers.csv": "39c16bb70d697da7f00f1a71b9ead7aa020b9b3f10853ec3e865516035f4e0c1",
         "init_00/mean_field.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
-        "init_00/records.csv": "9dd036e71e016c240ca6eb0607c237b26c5fcbf5ff873384270609ab53648588",
+        "init_00/records.csv": "85dab4e295e8228dcc3bb49ba764e2ba544340fe0c5e086efcd3acaf334f58de",
         "init_00/snapshot_iter_000.bin": "7d04f28e9445c25b4c9191222aa011f13cfd9515ab44d269f521979c801781fe",
         "init_00/snapshot_iter_001.bin": "ae1f717d1f06dff54e75912bb6686084b1fadd3074b105f6ef0a01f86f948d62",
         "init_00/snapshot_iter_002.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
-        "init_01/hypers.csv": "0560cb0ce7fa458b35c8cd8735046f508aef8354460656d40c9de409a1cc808f",
+        "init_01/hypers.csv": "6f61f8ddf7571f15811c11747280e8c8ddf9a48557c616cc5551b25d6da0980e",
         "init_01/mean_field.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
-        "init_01/records.csv": "a00da35c57748d6e7d49f9837e2bd7b551fb186343bad4a8c4a1e9f3fc01d513",
+        "init_01/records.csv": "f01aef16b286d751c346cc6e2486d69a33a1ec04608215af9bde3a5009b5d6a4",
         "init_01/snapshot_iter_000.bin": "1c5c673b855e563be4271e10798e0121c1e124d918dc3ea51bfff7743b573996",
         "init_01/snapshot_iter_001.bin": "7aa36c001df667faacaa4425fbc481341a5562f82d23c66947d529754c674ed8",
         "init_01/snapshot_iter_002.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
-        "observations.csv": "5044e54982fad9414250aabd6989582714a8428e8645e8cf45597d2735db3ad2",
+        "observations.csv": "c492db94f0470e5307ee1d9cdd982d7a00fed5b5efc0e1cc8ae746ccac2e8920",
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-noncentered-hier-level-set": {
-        "init_00/hypers.csv": "519f5905413271804831ec11fcae9966e136bc3ea73846240d947019cc4d9f8c",
+        "init_00/hypers.csv": "feb01e0cf18673ca1a2f8157e2314341d7fcc64b280d2ee384fb110815550cf0",
         "init_00/mean_field.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
-        "init_00/records.csv": "c1f46e203cda960e0a7ff6b7de7952765a4e443f4225a8ffe04f049b1542a20b",
+        "init_00/records.csv": "289dff9ffe7a50393b97fd074ec95d06de80ed70fe8049d452f1c5cd52c8e3db",
         "init_00/snapshot_iter_000.bin": "7b04b4c15f74fa34e485e0abda3c0c766cdc7ef6c8cf373539798684eb5f3768",
         "init_00/snapshot_iter_001.bin": "105461c58f4716dcba2990c4651f11bee9a17cd2123b002ea77741e04ba29bad",
         "init_00/snapshot_iter_002.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
-        "init_01/hypers.csv": "0a20f1f7caed188c4810b2fd6d56cbdac74deb46efea57c8e671573d23d25c98",
+        "init_01/hypers.csv": "27e4511143f87ab89aa3002ec5dec535dc13fedafd5fca7455d41229966c8379",
         "init_01/mean_field.bin": "0b334cf3bcfdde92fd660a7b1b5031328128be3c54a9c25806ab9bdee93484d5",
-        "init_01/records.csv": "b43917954dc64b24f41cd09133d410add7ead4154e0832f99bcb112b64c63d91",
+        "init_01/records.csv": "aef0706fcd84c10745d00e9163683681d4a05bbfe881bb5d29c2a27af7c1dfd2",
         "init_01/snapshot_iter_000.bin": "3523705427d32734945f45e1b09596b35ef5330cf94284c8da8edeb9b4ddf812",
         "init_01/snapshot_iter_001.bin": "7452a4e6b1bac0b78ad125192d739389938ea90dd5b6b19522efcc31f0fd4c46",
         "init_01/snapshot_iter_002.bin": "0b334cf3bcfdde92fd660a7b1b5031328128be3c54a9c25806ab9bdee93484d5",
-        "observations.csv": "5044e54982fad9414250aabd6989582714a8428e8645e8cf45597d2735db3ad2",
+        "observations.csv": "c492db94f0470e5307ee1d9cdd982d7a00fed5b5efc0e1cc8ae746ccac2e8920",
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-plain-channel": {
-        "init_00/hypers.csv": "3b0758619988880bdc682f4a0d7ee49f7e80f40d628389533cbacb406856be79",
-        "init_00/mean_field.bin": "ac53ce32fc5d9b1f543da03f9f182c031ec24d194a1cf867442f282025abfa84",
-        "init_00/records.csv": "394a90d73382914bf0ea91bbdce258ef6efda7f0120e9b82f82768ac0e09b29e",
+        "init_00/hypers.csv": "f7200a229580ac50cb0dada49ba264f9069b073a530a3dca1c55610081ef88c2",
+        "init_00/mean_field.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
+        "init_00/records.csv": "e373d3ebd217fcb071e677505e338d7b707daf6ff21b1b3d4baa6b5856c56212",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
-        "init_00/snapshot_iter_001.bin": "0f3531e8d1e179f51817330070f41b72be452c9caf9a805afafa0ca63416cb22",
-        "init_00/snapshot_iter_002.bin": "ac53ce32fc5d9b1f543da03f9f182c031ec24d194a1cf867442f282025abfa84",
-        "init_01/hypers.csv": "b2b524020c195cf1a65e22564634e4417e7eae17c1ecd733eaaa2e8f9c123433",
-        "init_01/mean_field.bin": "5146ce030d2bbb493e44d76776f82b0eed5ed48c20d22ee6f8eb84bd0748f495",
-        "init_01/records.csv": "52dc9399c4e80da1690eee368f51f93e6ba79c8bc593be6860720bd9f4c27eae",
+        "init_00/snapshot_iter_001.bin": "110b34ec2624707d4d63de3ec94724d6de8f948f5a005674fd19156e7198190f",
+        "init_00/snapshot_iter_002.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
+        "init_01/hypers.csv": "b6c8722b73b756f116810bef8d0772368785475254c3ca77680d087d738c2490",
+        "init_01/mean_field.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
+        "init_01/records.csv": "1e7355626cc4b52de3774a119068273921cba1359420f788d2a6f87d4ea9ba4b",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
-        "init_01/snapshot_iter_001.bin": "f9d7369e3ac535a2a902eba70306882c4c74316f66a8dbf086c6858efd11fd65",
-        "init_01/snapshot_iter_002.bin": "5146ce030d2bbb493e44d76776f82b0eed5ed48c20d22ee6f8eb84bd0748f495",
-        "observations.csv": "99d312d90ce2eae33e267e4c138d041b7d44a679af098313bd23a11fc162fb83",
+        "init_01/snapshot_iter_001.bin": "e37e48692bf87a00f3f0e54d14b2cc16267b93187d0ae6f666e85f5aafbd3d9b",
+        "init_01/snapshot_iter_002.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
+        "observations.csv": "645f04f124ad199674c85d1c4c5a98736e9dc21a6c750b2ad4739f3258d257a0",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-centered-hier-channel": {
-        "init_00/hypers.csv": "ff4c0b09f61d890a380d688a7358de750734709e18e8c549a6cac30ef544d42c",
-        "init_00/mean_field.bin": "ac53ce32fc5d9b1f543da03f9f182c031ec24d194a1cf867442f282025abfa84",
-        "init_00/records.csv": "394a90d73382914bf0ea91bbdce258ef6efda7f0120e9b82f82768ac0e09b29e",
+        "init_00/hypers.csv": "93ad2e6b16fd873718db7926023fbfad03fe5520cb4cd5b9c0865ce5b4bbec66",
+        "init_00/mean_field.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
+        "init_00/records.csv": "e373d3ebd217fcb071e677505e338d7b707daf6ff21b1b3d4baa6b5856c56212",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
-        "init_00/snapshot_iter_001.bin": "0f3531e8d1e179f51817330070f41b72be452c9caf9a805afafa0ca63416cb22",
-        "init_00/snapshot_iter_002.bin": "ac53ce32fc5d9b1f543da03f9f182c031ec24d194a1cf867442f282025abfa84",
-        "init_01/hypers.csv": "3b4491e406aa8fc878ac2a7b614f8c57fcb9dba097503731666456a1787d4e6f",
-        "init_01/mean_field.bin": "5146ce030d2bbb493e44d76776f82b0eed5ed48c20d22ee6f8eb84bd0748f495",
-        "init_01/records.csv": "52dc9399c4e80da1690eee368f51f93e6ba79c8bc593be6860720bd9f4c27eae",
+        "init_00/snapshot_iter_001.bin": "110b34ec2624707d4d63de3ec94724d6de8f948f5a005674fd19156e7198190f",
+        "init_00/snapshot_iter_002.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
+        "init_01/hypers.csv": "eca189bda32bbaca0be6e8f74b47c032e24ac4ce2a5bd3ddd440137652b35922",
+        "init_01/mean_field.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
+        "init_01/records.csv": "1e7355626cc4b52de3774a119068273921cba1359420f788d2a6f87d4ea9ba4b",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
-        "init_01/snapshot_iter_001.bin": "f9d7369e3ac535a2a902eba70306882c4c74316f66a8dbf086c6858efd11fd65",
-        "init_01/snapshot_iter_002.bin": "5146ce030d2bbb493e44d76776f82b0eed5ed48c20d22ee6f8eb84bd0748f495",
-        "observations.csv": "99d312d90ce2eae33e267e4c138d041b7d44a679af098313bd23a11fc162fb83",
+        "init_01/snapshot_iter_001.bin": "e37e48692bf87a00f3f0e54d14b2cc16267b93187d0ae6f666e85f5aafbd3d9b",
+        "init_01/snapshot_iter_002.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
+        "observations.csv": "645f04f124ad199674c85d1c4c5a98736e9dc21a6c750b2ad4739f3258d257a0",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-noncentered-hier-channel": {
-        "init_00/hypers.csv": "f60252bdff0333926c48385e8fa261aadf38e9924840f05415cabf214f6b9b1f",
-        "init_00/mean_field.bin": "f59a780c08d7fc3e13001383a8c12591c7a032cf6904b029cd5132eeaae7c25b",
-        "init_00/records.csv": "0d841ed8743562aaab4e4d738fa9a4d3229b423654422e50716c6f9b43baa925",
+        "init_00/hypers.csv": "9ec59a67e212a4fc9f0831f2ec30c65b6da65c0b86b71e9c06bd4685c1359134",
+        "init_00/mean_field.bin": "338c486d77c580c6bcd51d9c1b044c10d89202d2000d272c98ab8efbfa78ed50",
+        "init_00/records.csv": "9bc1b1a482ff8cec8edc1fa1d1f9ad2d98e0b3c38f2bb650531db53817f56e84",
         "init_00/snapshot_iter_000.bin": "ba7bc8deb275a7b6454399ba4b0601cd0610221ead048839ab82d96be7072d2a",
-        "init_00/snapshot_iter_001.bin": "1e009e29ef3973e9da758328ffa439c18036dd818fd820a929937e277f861aff",
-        "init_00/snapshot_iter_002.bin": "f59a780c08d7fc3e13001383a8c12591c7a032cf6904b029cd5132eeaae7c25b",
-        "init_01/hypers.csv": "0e335e63b387d0f1846487a491c5801ab8ab3e0fcd562fe56c9ee562998fe347",
-        "init_01/mean_field.bin": "d95b9a852e0a4dff3a6cb35af0122b48b50d9e012e086afd499a6732a609a2e1",
-        "init_01/records.csv": "498f97e9a5ccfd7af791e8598e6c8c17cbac376cefb1f12b4d577b1045200e4a",
+        "init_00/snapshot_iter_001.bin": "88958bbf557dc30fb89651ad501553a37c399f341b948977620f301eeab307a1",
+        "init_00/snapshot_iter_002.bin": "338c486d77c580c6bcd51d9c1b044c10d89202d2000d272c98ab8efbfa78ed50",
+        "init_01/hypers.csv": "5ad5a530cdf2237d907ef749ca00b1eea93bd2cf0b8b29c933876b571cacf926",
+        "init_01/mean_field.bin": "8fec90efcff586b958413d8e84566ea71498587d51a8934246072695e941f143",
+        "init_01/records.csv": "d7d7ab4b8fcf72ae0b3c0f72f7a95acbe03091f3d1940b13554f1d97c8e40a94",
         "init_01/snapshot_iter_000.bin": "7501032850cfc713e832502bffa0a4685554cfba384c52348f60bdcf040b3ca6",
-        "init_01/snapshot_iter_001.bin": "661ba8e89f8dda0aa94021d8257bc0d1f6911a20fc8a70a4b7febcf94c55010a",
-        "init_01/snapshot_iter_002.bin": "d95b9a852e0a4dff3a6cb35af0122b48b50d9e012e086afd499a6732a609a2e1",
-        "observations.csv": "99d312d90ce2eae33e267e4c138d041b7d44a679af098313bd23a11fc162fb83",
+        "init_01/snapshot_iter_001.bin": "d7d079f3edb8b969ffbd8eda31108a50c8a3db6f4126c0de20497d9078c26928",
+        "init_01/snapshot_iter_002.bin": "8fec90efcff586b958413d8e84566ea71498587d51a8934246072695e941f143",
+        "observations.csv": "645f04f124ad199674c85d1c4c5a98736e9dc21a6c750b2ad4739f3258d257a0",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
 }
