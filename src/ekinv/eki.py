@@ -25,7 +25,7 @@ in the linear span of the initial ensemble.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -68,12 +68,16 @@ class PackingLayout:
 
 @dataclass
 class Ensemble:
-    """J packed member vectors stored as the columns of a (dim, J) matrix."""
+    """J packed member vectors stored as the columns of a (dim, J) matrix.
+
+    ``checked_finite=True`` skips the scan for non-finite members, for an
+    update that has already scanned every block it wrote."""
 
     members: np.ndarray
     layout: PackingLayout
+    checked_finite: InitVar[bool] = False
 
-    def __post_init__(self):
+    def __post_init__(self, checked_finite: bool):
         self.members = np.asarray(self.members, dtype=float)
         if self.members.ndim != 2:
             raise ValueError("members must be a (dim, J) matrix")
@@ -82,7 +86,7 @@ class Ensemble:
                              f"match layout dimension {self.layout.dim}")
         if self.members.shape[1] < 2:
             raise ValueError("need at least two ensemble members")
-        if not np.all(np.isfinite(self.members)):
+        if not checked_finite and not np.all(np.isfinite(self.members)):
             raise ValueError("ensemble members must be finite")
 
     @property
@@ -235,7 +239,8 @@ def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
 
     updated = _block_update(X, ensemble.layout, Ac, S,
                             np.empty_like(X) if out is None else out)
-    return Ensemble(updated, ensemble.layout), StepInfo(upsilon=upsilon, doublings=doublings)
+    return (Ensemble(updated, ensemble.layout, checked_finite=True),
+            StepInfo(upsilon=upsilon, doublings=doublings))
 
 
 def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,

@@ -198,7 +198,7 @@ def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     layout = packing_layout(config, dirichlet_spectrum(domain, grid["coordinate_scaling"]))
     return {"three ensembles": 3 * layout.dim * J * 8,
             "largest block's C_xw": max(size for _, size in layout.blocks) * n_obs * 8,
-            "observation matrix": n_obs * domain.n_interior * 8,
+            "observation operator": observation_model(config, domain).matrix.nbytes,
             "forward chunk": CompositeForward.chunk_bytes(domain, J)}
 
 

@@ -353,6 +353,26 @@ def test_in_place_updates_equal_the_pure_step_bit_for_bit(J, n_obs):
     assert result.ensemble.members.tobytes() == ens.members.tobytes()
 
 
+def test_an_update_scans_each_block_for_non_finite_members_once(monkeypatch):
+    rng = np.random.default_rng(5)
+    layout = PackingLayout(blocks=(("a", 9), ("b", 4), ("c", 1)))
+    ens = Ensemble(rng.standard_normal((layout.dim, 6)), layout)
+    obs = toy_obs(3, gamma_scale=1e-2, y=rng.standard_normal(3))
+    out = np.empty_like(ens.members)
+    scanned = []
+    isfinite = np.isfinite
+
+    def spy(array, *args, **kwargs):
+        if isinstance(array, np.ndarray) and np.shares_memory(array, out):
+            scanned.append(array.shape)
+        return isfinite(array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "isfinite", spy)
+    new, _ = eki_step(ens, lambda M: M[:3], obs, EkiControls(), rng, out=out)
+    assert new.members is out
+    assert scanned == [(9, 6), (4, 6), (1, 6)]
+
+
 def test_updates_hold_two_ensembles_and_one_block_at_their_peak():
     rows, J, n_obs = 20_000, 20, 30
     rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
-"""Every import in the ekinv sources and in their tests is used.
+"""Every import in the ekinv sources, in their tests and in the benchmark
+(``ekibench``, scanned read-only) is used.
 
 A stdlib ``ast`` scan in place of a linter: an imported name counts as used
 when the module reads it (or lists it in ``__all__``); ``import a.b`` counts
@@ -12,6 +13,7 @@ import ekinv
 
 SOURCES = Path(ekinv.__file__).parent
 TESTS = Path(__file__).parent
+BENCHMARK = TESTS.parent / "ekibench"
 
 # (module, name) pairs imported only so that other code can import them from
 # that module: the benchmark loads its configurations through harness.
@@ -62,6 +64,12 @@ def test_sources_import_nothing_they_do_not_use():
 
 def test_tests_import_nothing_they_do_not_use():
     modules = sorted(TESTS.glob("*.py"))
+    assert len(modules) > 5
+    assert [line for path in modules for line in unused_imports(path)] == []
+
+
+def test_the_benchmark_imports_nothing_it_does_not_use():
+    modules = sorted(BENCHMARK.glob("*.py"))
     assert len(modules) > 5
     assert [line for path in modules for line in unused_imports(path)] == []
 
