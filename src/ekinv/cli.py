@@ -4,8 +4,9 @@ Subcommands:
   validate <config>      parse, validate, and echo the resolved configuration,
                          with the per-process memory estimate as a comment
   run <config|manifest>  run all initializations and write outputs; warns when
-                         --parallel times the memory estimate exceeds the
-                         memory available
+                         the initializations run at once (--parallel, at most
+                         n_initializations) times the memory estimate exceed
+                         the memory available
   sample-prior <config>  write prior field realizations as gridded CSV
   report <run-dir>       aggregate a finished run into a summary table
 
@@ -19,7 +20,8 @@ import json
 import sys
 
 from .config import ConfigError, config_from_manifest, controls_from, load_config, parse_seed
-from .harness import memory_estimate, run_experiment, sample_prior_fields, summarize_run
+from .harness import (concurrent_initializations, memory_estimate, run_experiment,
+                      sample_prior_fields, summarize_run)
 
 MEMINFO = "/proc/meminfo"
 
@@ -68,6 +70,7 @@ def _mem_available() -> int | None:
 
 
 def _warn_if_short_of_memory(config, parallel: int) -> None:
+    parallel = concurrent_initializations(config, parallel)
     need = parallel * sum(memory_estimate(config).values())
     available = _mem_available()
     if available is not None and need > available:

@@ -143,7 +143,7 @@ class IterationRecord:
 @dataclass(frozen=True)
 class StepInfo:
     upsilon: float
-    doublings: int
+    trials: int   # Upsilon values tried, the accepted one included
 
 
 @dataclass
@@ -234,13 +234,13 @@ def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         Y = np.broadcast_to(y[:, None], (obs.n_obs, J))
     R = Y - W
 
-    upsilon, doublings = select_upsilon(C_ww, gamma, y - w_bar, controls)
+    upsilon, trials = select_upsilon(C_ww, gamma, y - w_bar, controls)
     S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
 
     updated = _block_update(X, ensemble.layout, Ac, S,
                             np.empty_like(X) if out is None else out)
     return (Ensemble(updated, ensemble.layout, checked_finite=True),
-            StepInfo(upsilon=upsilon, doublings=doublings))
+            StepInfo(upsilon=upsilon, trials=trials))
 
 
 def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,

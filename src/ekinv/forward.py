@@ -30,15 +30,16 @@ unknown-node block, the Dirichlet columns moved into the right-hand side.
 The 1D source model solves p'' + p = u with homogeneous Dirichlet conditions
 by second-order finite differences (algebraically equivalent to lumped
 piecewise-linear finite elements); the system is nonsingular because no
-Dirichlet sine eigenvalue of -d^2/dx^2 on [0, 10] equals one.  A list of
+Dirichlet sine eigenvalue of -d^2/dx^2 on [0, 10] equals one.  A stack of
 sources is solved in one call of LAPACK's tridiagonal solver
 (:func:`ekinv.grid.solve_tridiagonal`, which the 1D prior decode also calls)
 with one right-hand side per source.
 
 The composite forward map works one chunk of about 64 k grid values at a
 time (one member per chunk on large grids, many on small ones).  It decodes
-a chunk of packed members in one batched pass, hands the decoded
-coefficients to the solver together, and observes each solution.  A chunk
+a chunk of packed members in one batched pass into a (B, n_interior) array,
+hands that array to the solver as it is, and observes each row of the
+(B, n_interior) solution array the solver returns.  A chunk
 amortises the per-call array overhead on small grids and keeps the working
 set small on large ones.  The decoding pass also yields each member's
 report-scale field; the map sums these in member order, so one evaluation
@@ -58,14 +59,14 @@ interior pressure grid and Kx, Ky the two (n, n - 1) factors; the dense
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse
 
 from . import multigrid
-from .grid import Domain, Field, MemberError, discrete_eigenvalue, solve_tridiagonal
+from .grid import Domain, Field, MemberError, check_members, discrete_eigenvalue, solve_tridiagonal
 
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -80,8 +81,10 @@ class DarcyProblem:
     whole boundary and ``source_fn`` in the interior (manufactured-solution
     override); both callables take coordinate arrays.
 
-    :meth:`solve` takes one conductivity field or a list of them.  A list is
-    solved as one (B, n1 + 1, n2 + 1) node stack: face transmissibilities
+    :meth:`solve` takes one conductivity field, or a (B, n_interior) array of
+    conductivities, one member per row, and returns a field or a (B,
+    n_interior) array of interior pressures.  Either is solved as one
+    (B, n1 + 1, n2 + 1) node stack: face transmissibilities
     are harmonic means of the node conductivities, the Dirichlet data enter
     the right-hand side through the same stencil, and multigrid-preconditioned
     conjugate gradients run on the stack until every member's residual is
@@ -160,17 +163,23 @@ class DarcyProblem:
 
     # -- per-coefficient assembly and solve ------------------------------
 
-    def node_kappa(self, kappa: Field) -> np.ndarray:
-        """Conductivity on the full node grid (edge-copy of interior values)."""
-        if kappa.domain != self.domain:
-            raise ValueError("conductivity field lives on a different domain")
-        if np.any(kappa.values <= 0):
-            raise ValueError("conductivity must be strictly positive")
+    def node_kappa(self, kappa: Field | np.ndarray) -> np.ndarray:
+        """Conductivity on the full node grid (edge-copy of interior values):
+        (n1+1, n2+1) for a field, (B, n1+1, n2+1) for a (B, n_interior) array.
+
+        Raises :class:`ekinv.grid.MemberError` naming the first member with a
+        value that is not strictly positive."""
+        if isinstance(kappa, Field):
+            if kappa.domain != self.domain:
+                raise ValueError("conductivity field lives on a different domain")
+            return self.node_kappa(kappa.values[None])[0]
+        check_members(np.all(kappa > 0, axis=-1), "conductivity must be strictly positive")
         n1, n2 = self.domain.n_cells
-        kgrid = kappa.grid
+        kgrid = kappa.reshape(-1, n1 - 1, n2 - 1)
         i_src = np.clip(np.arange(n1 + 1) - 1, 0, n1 - 2)
         j_src = np.clip(np.arange(n2 + 1) - 1, 0, n2 - 2)
-        return kgrid[np.ix_(i_src, j_src)]
+        # one axis at a time keeps the stack C-ordered, the layout the solver is tuned for
+        return np.take(np.take(kgrid, i_src, axis=1), j_src, axis=2)
 
     def _operator(self, kappa: Field):
         """The 5-point operator over every node, row-major, as a sparse matrix.
@@ -204,9 +213,8 @@ class DarcyProblem:
         return (_harmonic(knode[:, :-1], knode[:, 1:]) * self._face_x,
                 _harmonic(knode[:, :, :-1], knode[:, :, 1:]) * self._face_y)
 
-    def _pressure(self, kappas: Sequence[Field]) -> np.ndarray:
-        """Full-node-grid pressures of a list of conductivities, (B, n1+1, n2+1)."""
-        knode = np.stack([self.node_kappa(kappa) for kappa in kappas])
+    def _pressure(self, knode: np.ndarray) -> np.ndarray:
+        """Full-node-grid pressures of a (B, n1+1, n2+1) conductivity stack."""
         tx, ty = self._faces(knode)
         boundary = np.broadcast_to(self._boundary, knode.shape)
         b = self._rhs_nodes - multigrid.apply(tx, ty, boundary) * self._unknown
@@ -214,14 +222,15 @@ class DarcyProblem:
 
     def solve_full(self, kappa: Field) -> np.ndarray:
         """Pressure on the full node grid, Dirichlet values filled in."""
-        return self._pressure([kappa])[0]
+        return self._pressure(self.node_kappa(kappa)[None])[0]
 
-    def solve(self, kappa: Field | Sequence[Field]) -> Field | list[Field]:
-        """Pressure restricted to the interior nodes, one field per conductivity."""
-        single = isinstance(kappa, Field)
-        fields = [Field(self.domain, full[1:-1, 1:-1])
-                  for full in self._pressure([kappa] if single else kappa)]
-        return fields[0] if single else fields
+    def solve(self, kappa: Field | np.ndarray) -> Field | np.ndarray:
+        """Pressure restricted to the interior nodes: a field for a field, a
+        (B, n_interior) array for a (B, n_interior) array."""
+        if isinstance(kappa, Field):
+            return Field(self.domain, self.solve_full(kappa)[1:-1, 1:-1])
+        p = self._pressure(self.node_kappa(kappa))[:, 1:-1, 1:-1]
+        return p.reshape(len(p), -1)
 
     def boundary_flux_balance(self, kappa: Field) -> tuple[float, float]:
         """(outflux through Dirichlet faces, total source + prescribed influx).
@@ -254,23 +263,21 @@ class SourceProblem1D:
         self._ab[1, :] = 1.0 - 2.0 / h**2
         self._ab[2, :-1] = 1.0 / h**2
 
-    def solve(self, u: Field | Sequence[Field]) -> Field | list[Field]:
-        """Solution for one source field, or one per field of a list.
+    def solve(self, u: Field | np.ndarray) -> Field | np.ndarray:
+        """Solution for one source field, or a (B, n_interior) array of
+        solutions for a (B, n_interior) array of sources, one per row.
 
-        A list is solved in one tridiagonal solve with one right-hand side
-        per field (:func:`ekinv.grid.solve_tridiagonal`, bit for bit SciPy's
-        banded solver); each column gives the same values as a solve on its
-        own.
+        The rows are solved in one tridiagonal solve with one right-hand side
+        each (:func:`ekinv.grid.solve_tridiagonal`, bit for bit SciPy's
+        banded solver); each row gives the same values as a solve on its own.
         """
         single = isinstance(u, Field)
-        fields = [u] if single else u
-        if any(f.domain != self.domain for f in fields):
+        if single and u.domain != self.domain:
             raise ValueError("source field lives on a different domain")
-        p = solve_tridiagonal(self._ab, np.stack([f.values for f in fields], axis=1))
+        p = solve_tridiagonal(self._ab, (u.values[None] if single else u).T).T
         if not np.all(np.isfinite(p)):
             raise RuntimeError("1D solve produced non-finite values")
-        solutions = [Field(self.domain, column) for column in p.T]
-        return solutions[0] if single else solutions
+        return Field(self.domain, p[0]) if single else p
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +443,8 @@ class CompositeForward:
 
     ``decode_block`` decodes a (state_dim, B) block of packed members, one
     column each, into a :class:`DecodedBlock` in one batched pass.  The
-    solver takes one decoded field or a list of them.  An ensemble is
+    solver takes the block's (B, n_interior) coefficient array as it is and
+    returns a (B, n_interior) array of solutions.  An ensemble is
     decoded, solved and observed one chunk of members at a time, so no more
     than one chunk of decoded coefficients is held at once.  A chunk holds
     about ``CHUNK_UNKNOWNS`` grid values: many members on a small grid, one
@@ -452,13 +460,13 @@ class CompositeForward:
     CHUNK_UNKNOWNS = 1 << 16
     # Float64 arrays of one chunk's node grids that an evaluation holds at
     # its peak, the outputs included (tracemalloc): 19-23 on darcy grids of
-    # 16-256 cells per axis, 6 on the 1000-cell source1d grid.  Rounded up
+    # 16-256 cells per axis, 1-5 on the 1000-cell source1d grid.  Rounded up
     # for the grid's static data and spectral basis, which no estimate term
     # counts.
     CHUNK_ARRAYS = 32
 
     def __init__(self, decode_block: Callable[[np.ndarray], DecodedBlock],
-                 solver: Callable[[Field | Sequence[Field]], Field | list[Field]],
+                 solver: Callable[[np.ndarray], np.ndarray],
                  obs: ObservationModel):
         self.decode_block = decode_block
         self.solver = solver
@@ -528,10 +536,9 @@ class CompositeForward:
         return out
 
     def _chunk_outputs(self, block: DecodedBlock, cols: range) -> list[np.ndarray]:
-        fields = [Field(block.domain, row) for row in block.coefficients]
         try:
-            solutions = self.solver(fields)
-        except multigrid.ConvergenceError as exc:
+            solutions = self.solver(block.coefficients)
+        except (multigrid.ConvergenceError, MemberError) as exc:
             raise ForwardError(f"member {cols[exc.index]}, solve: {exc}") from exc
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             raise ForwardError(f"members {cols[0]}-{cols[-1]}, solve: {exc}") from exc

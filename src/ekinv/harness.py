@@ -191,7 +191,8 @@ def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLay
 def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     """Bytes one process is expected to hold at its peak, by term.  An update
     holds the initial and the current ensemble, one block and its C_xw
-    (:func:`ekinv.eki.run_inversion`); three ensembles bound the first three."""
+    (:func:`ekinv.eki.run_inversion`); three ensembles bound the first three.
+    A run keeps every recorded iteration's mean field for its snapshots."""
     exp, grid = config["experiment"], config["grid"]
     J, n_obs = exp["n_ensemble"], config["observations"]["n_obs"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
@@ -199,7 +200,8 @@ def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     return {"three ensembles": 3 * layout.dim * J * 8,
             "largest block's C_xw": max(size for _, size in layout.blocks) * n_obs * 8,
             "observation operator": observation_model(config, domain).matrix.nbytes,
-            "forward chunk": CompositeForward.chunk_bytes(domain, J)}
+            "forward chunk": CompositeForward.chunk_bytes(domain, J),
+            "mean fields": (config["eki"]["max_outer_iterations"] + 1) * domain.n_interior * 8}
 
 
 def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
@@ -476,11 +478,18 @@ def _attach_data(config: ExperimentConfig, setup: ModelSetup, truth: TruthBundle
     return obs
 
 
+def concurrent_initializations(config: ExperimentConfig, parallel: int) -> int:
+    """Initializations run at once under ``parallel``: no more than there are."""
+    return min(parallel, config["experiment"]["n_initializations"])
+
+
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     """Run all initializations and write outputs plus a manifest.
 
-    Returns the manifest dictionary.  Individual initialization failures are
-    recorded with stop_reason "aborted"; the run continues.
+    With one initialization at a time they run in this process, on its prepared
+    truth and data; with more, each in a worker process.  Returns the manifest
+    dictionary.  Individual initialization failures are recorded with
+    stop_reason "aborted"; the run continues.
     """
     exp = config["experiment"]
     prepared = _prepare(config)
@@ -498,8 +507,9 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
               [(i, *obs.centers[i], obs.y[i], obs.gamma[i, i]) for i in range(obs.n_obs)])
 
     indices = list(range(exp["n_initializations"]))
-    if parallel > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
+    workers = concurrent_initializations(config, parallel)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_single_initialization,
                                     [config.to_dict()] * len(indices), indices))
     else:
@@ -540,24 +550,17 @@ def summarize_run(run_dir) -> dict:
     run_dir = Path(run_dir)
     with open(run_dir / "manifest.json", encoding="utf-8") as handle:
         manifest = json.load(handle)
-    rows = []
-    for init in manifest["initializations"]:
-        rows.append({
-            "index": init["index"],
-            "stop_reason": init["stop_reason"],
-            "iterations": max(init["n_records"] - 1, 0),
-            "final_misfit": init["final_misfit"],
-            "final_rel_error": init["final_rel_error"],
-        })
+    rows = [{"index": init["index"], "stop_reason": init["stop_reason"],
+             "iterations": max(init["n_records"] - 1, 0), "final_misfit": init["final_misfit"],
+             "final_rel_error": init["final_rel_error"]}
+            for init in manifest["initializations"]]
     errors = [r["final_rel_error"] for r in rows if r["final_rel_error"] is not None]
-    misfits = [r["final_misfit"] for r in rows if r["final_misfit"] is not None]
     summary = {
         "rows": rows,
         "n_discrepancy": sum(r["stop_reason"] == "discrepancy" for r in rows),
         "rel_error_min": min(errors) if errors else None,
         "rel_error_median": float(np.median(errors)) if errors else None,
         "rel_error_max": max(errors) if errors else None,
-        "misfit_median": float(np.median(misfits)) if misfits else None,
     }
     columns = ("index", "stop_reason", "iterations", "final_misfit", "final_rel_error")
     write_csv(run_dir / "summary.csv", columns, [[r[c] for c in columns] for r in rows])

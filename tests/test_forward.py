@@ -329,18 +329,19 @@ def test_forward_map_deterministic(source1d_setup):
     np.testing.assert_array_equal(W[:, 0], W[:, 1])
 
 
-def test_source_solve_of_a_list_equals_solves_one_by_one():
+def test_source_solve_of_a_stack_equals_solves_one_by_one():
     domain = build_domain(1, [10.0], 60)
     problem = SourceProblem1D(domain)
-    rng = np.random.default_rng(12)
-    fields = [Field(domain, rng.standard_normal(domain.n_interior)) for _ in range(5)]
-    for u, p in zip(fields, problem.solve(fields)):
-        alone = scipy.linalg.solve_banded((1, 1), problem._ab, u.values)
-        assert p.values.tobytes() == alone.tobytes()
-        assert problem.solve(u).values.tobytes() == alone.tobytes()
+    sources = np.random.default_rng(12).standard_normal((5, domain.n_interior))
+    solutions = problem.solve(sources)
+    assert solutions.shape == sources.shape
+    for u, p in zip(sources, solutions):
+        alone = scipy.linalg.solve_banded((1, 1), problem._ab, u)
+        assert p.tobytes() == alone.tobytes()
+        assert problem.solve(Field(domain, u)).values.tobytes() == alone.tobytes()
 
 
-def test_source_solve_of_a_list_equals_solve_banded_bit_for_bit():
+def test_source_solve_of_a_stack_equals_solve_banded_bit_for_bit():
     # the oracle is the call the solve made before it called LAPACK's
     # tridiagonal solver directly: scipy.linalg.solve_banded on the stack
     for n, counts in ((40, (1, 3, 65)), (1000, (1, 3, 200))):
@@ -349,13 +350,12 @@ def test_source_solve_of_a_list_equals_solve_banded_bit_for_bit():
         ab = problem._ab.copy()
         rng = np.random.default_rng(n)
         for count in counts:
-            fields = [Field(domain, rng.standard_normal(domain.n_interior)) for _ in range(count)]
-            oracle = scipy.linalg.solve_banded((1, 1), ab, np.stack([f.values for f in fields],
-                                                                    axis=1))
-            solutions = problem.solve(fields)
-            assert len(solutions) == count
+            sources = rng.standard_normal((count, domain.n_interior))
+            oracle = scipy.linalg.solve_banded((1, 1), ab, np.stack(list(sources), axis=1))
+            solutions = problem.solve(sources)
+            assert solutions.shape == (count, domain.n_interior)
             for j, p in enumerate(solutions):
-                assert p.values.tobytes() == oracle[:, j].tobytes()
+                assert p.tobytes() == oracle[:, j].tobytes()
         assert problem._ab.tobytes() == ab.tobytes()
 
 
@@ -380,6 +380,20 @@ def test_decode_failure_names_the_first_failing_member():
     with pytest.raises(ForwardError, match=r"^member 4, decode: early check$"):
         fwd(members)
     assert fwd.report_mean is None
+
+
+@pytest.mark.parametrize("chunk", [3, 7])
+def test_a_nonpositive_conductivity_names_its_member(chunk):
+    domain = build_domain(2, [6.0, 6.0], [16, 16])
+    fwd = CompositeForward(decode_block=lambda M: DecodedBlock(domain, M.T, M.T),
+                           solver=DarcyProblem(domain).solve,
+                           obs=mollified_observations(domain, 2, sigma=0.5))
+    fwd.chunk = chunk
+    members = np.ones((domain.n_interior, 7))
+    members[5, 4] = 0.0
+    with pytest.raises(ForwardError, match=r"^member 4, solve: conductivity must be "
+                                           r"strictly positive$"):
+        fwd(members)
 
 
 def test_forward_map_zero_latent_equals_mean_composition():

@@ -9,7 +9,7 @@ import pytest
 from ekinv import harness, multigrid
 from ekinv.cli import cli
 from ekinv.config import ConfigError, ExperimentConfig, config_from_manifest, load_config
-from ekinv.grid import build_domain
+from ekinv.grid import Field, build_domain
 
 TINY_DARCY = """
 [experiment]
@@ -132,6 +132,83 @@ def test_run_warns_when_its_processes_may_exceed_the_available_memory(tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("warning: --parallel 2 x the memory estimate needs ")
     assert "may run out of memory" in err
+
+
+@pytest.fixture
+def pool_workers(monkeypatch):
+    """The worker count of every pool a run opens; the pools map in this
+    process."""
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return list(map(fn, *iterables))
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    return workers
+
+
+def test_a_run_opens_no_more_workers_than_it_has_initializations(tmp_path, pool_workers):
+    two = tiny_darcy(tmp_path, "two")
+    two["eki"]["max_outer_iterations"] = 0
+    harness.run_experiment(two, parallel=4)
+    assert pool_workers == [2]
+    one = tiny_darcy(tmp_path, "one")
+    one["eki"]["max_outer_iterations"] = 0
+    one["experiment"]["n_initializations"] = 1
+    harness.run_experiment(one, parallel=4)
+    assert pool_workers == [2]   # no pool: the one initialization ran serially
+
+
+def test_the_memory_warning_counts_the_initializations_that_run_at_once(tmp_path, capsys,
+                                                                        monkeypatch,
+                                                                        pool_workers):
+    estimate = sum(harness.memory_estimate(tiny_darcy(tmp_path, "run")).values())
+    meminfo = tmp_path / "meminfo"
+    monkeypatch.setattr("ekinv.cli.MEMINFO", str(meminfo))
+    run = ["run", str(tmp_path / "run.ini"), "--max-iter", "0", "--parallel", "3"]
+    meminfo.write_text(f"MemAvailable: {estimate * 5 // 2 // 1024} kB\n", encoding="ascii")
+    assert cli(run + ["--out-dir", str(tmp_path / "fits")]) == 0
+    assert capsys.readouterr().err == ""
+    meminfo.write_text(f"MemAvailable: {estimate * 3 // 2 // 1024} kB\n", encoding="ascii")
+    assert cli(run + ["--out-dir", str(tmp_path / "short")]) == 0
+    assert capsys.readouterr().err.startswith(
+        f"warning: --parallel 2 x the memory estimate needs {2 * estimate / 2**20:,.1f} MiB, ")
+    assert pool_workers == [2, 2]
+
+
+def test_cli_runs_and_validates_a_manifest_and_applies_the_seed(tmp_path, capsys):
+    tiny_darcy(tmp_path, "first")
+    assert cli(["run", str(tmp_path / "first.ini"), "--seed", "7", "--max-iter", "1"]) == 0
+    manifest_path = tmp_path / "first" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    assert manifest["config"]["experiment"]["master_seed"] == 7
+    assert manifest["config"]["eki"]["max_outer_iterations"] == 1
+    capsys.readouterr()
+
+    assert cli(["validate", str(manifest_path)]) == 0
+    (tmp_path / "echo.ini").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert load_config(tmp_path / "echo.ini").to_dict() == \
+        config_from_manifest(manifest_path).to_dict()
+
+    assert cli(["run", str(manifest_path), "--out-dir", str(tmp_path / "again")]) == 0
+    again = json.loads((tmp_path / "again" / "manifest.json").read_text(encoding="utf-8"))
+    assert again["files"] == manifest["files"]
+    assert again["config"]["experiment"]["out_dir"] == str(tmp_path / "again")
+
+
+def test_report_of_a_missing_run_directory_fails(tmp_path, capsys):
+    assert cli(["report", str(tmp_path / "missing")]) == 1
+    assert capsys.readouterr().err.startswith("missing file: ")
 
 
 def test_manifest_from_another_schema_fails_loudly(tmp_path):
@@ -503,6 +580,25 @@ def test_batched_decode_equals_one_column_decodes(tmp_path, case):
         assert same_bits(fwd.report_mean, mean)
         assert same_bits(param.mean_report_field(members), mean)
     assert same_bits(outputs[1], outputs[0]) and same_bits(outputs[2], outputs[0])
+
+
+@pytest.mark.parametrize("case", MATRIX, ids=case_name)
+def test_a_forward_evaluation_builds_no_field(tmp_path, monkeypatch, case):
+    # the decoded array goes to the solver, and its rows to the observation
+    config = matrix_config(tmp_path, *case)
+    setup, _, obs, seqs = harness._prepare(config)
+    param = harness.build_parameterization(config, setup, obs)
+    members = param.sample_initial(np.random.default_rng(seqs[0]))
+    built = []
+    post_init = Field.__post_init__
+
+    def counted(field):
+        built.append(field)
+        post_init(field)
+
+    monkeypatch.setattr(Field, "__post_init__", counted)
+    assert param.forward(members).shape == (obs.n_obs, members.shape[1])
+    assert built == []
 
 
 # Manifest inventories (file -> SHA-256) of every matrix case, taken before

@@ -93,10 +93,39 @@ def test_high_contrast_coefficient(monkeypatch):
 def darcy_stack(darcy, kappas):
     """Faces and right-hand side of a list of conductivities, as DarcyProblem
     hands them to the solver."""
-    knode = np.stack([darcy.node_kappa(kappa) for kappa in kappas])
+    knode = darcy.node_kappa(np.stack([kappa.values for kappa in kappas]))
     tx, ty = darcy._faces(knode)
     boundary = np.broadcast_to(darcy._boundary, knode.shape)
     return tx, ty, darcy._rhs_nodes - multigrid.apply(tx, ty, boundary) * darcy._unknown
+
+
+@pytest.mark.parametrize("bc", ["paper", "dirichlet"])
+def test_a_stack_solves_as_its_rows_alone_through_c_ordered_node_stacks(bc, monkeypatch):
+    # a (B, n_interior) array in, one row of interior pressures per member
+    # out; the node stack and the faces the solver gets are C-ordered, the
+    # layout it is tuned for
+    domain = build_domain(2, [6.0, 6.0], [32, 24])
+    darcy = problem(domain, bc)
+    kappas = np.stack([coefficient(domain, kind, seed).values for seed, kind in enumerate(
+        ["lognormal", "level-set", "channel"] * 2)])
+    knode = darcy.node_kappa(kappas)
+    assert knode.shape == (6, 33, 25) and knode.flags.c_contiguous
+    for kappa, grid in zip(kappas, knode):
+        np.testing.assert_array_equal(grid, darcy.node_kappa(Field(domain, kappa)))
+    handed = []
+    solve = multigrid.solve
+
+    def spy(tx, ty, b, unknown):
+        handed.append((tx, ty))
+        return solve(tx, ty, b, unknown)
+
+    monkeypatch.setattr(multigrid, "solve", spy)
+    pressures = darcy.solve(kappas)
+    (tx, ty), = handed
+    assert tx.flags.c_contiguous and ty.flags.c_contiguous
+    assert pressures.shape == kappas.shape
+    for kappa, p in zip(kappas, pressures):
+        assert darcy.solve(Field(domain, kappa)).values.tobytes() == p.tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 32, 64])
@@ -267,10 +296,10 @@ def test_forward_error_names_member_and_phase():
     darcy = DarcyProblem(domain)
     obs = mollified_observations(domain, 2, sigma=0.5)
 
-    def failing_solver(fields):
-        if len(fields) > 1 and fields[0].values[0] == 4.0:
+    def failing_solver(kappas):
+        if len(kappas) > 1 and kappas[0, 0] == 4.0:
             raise multigrid.ConvergenceError(1, 100, 3e-7)
-        return darcy.solve(fields)
+        return darcy.solve(kappas)
 
     def constant(block):   # one constant field per member, its first entry
         return np.repeat(block[:1].T, domain.n_interior, axis=1)
@@ -285,7 +314,8 @@ def test_forward_error_names_member_and_phase():
 
     members[0, 6] = -1.0
     fwd.solver = darcy.solve
-    with pytest.raises(ForwardError, match=r"^members 6-7, solve: conductivity"):
+    with pytest.raises(ForwardError, match=r"^member 6, solve: conductivity must be strictly "
+                                           r"positive$"):
         fwd(members)
 
     fwd.decode_block = lambda M: DecodedBlock(domain, exp_values(constant(M)), constant(M))
