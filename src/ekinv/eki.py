@@ -12,28 +12,33 @@ an initial guess until
 
     rho |Gamma^(-1/2) r| <= Upsilon |Gamma^(1/2) (C_ww + Upsilon Gamma)^(-1) r|
 
-holds (a Levenberg-Marquardt-style inflation).  Updates are computed block by
-block in the packed state so that blocks the forward map ignores ride along
-without perturbing the arithmetic of the blocks it uses: the hierarchical
-update restricted to the state coordinate is bitwise identical to the
-non-hierarchical run.
+holds (a Levenberg-Marquardt-style inflation).
 
 Every update is a linear combination of current members, so iterates remain
-in the linear span of the initial ensemble.
+in the linear span of the initial ensemble U_0: X_n = U_0 A_n with a J x J
+coefficient matrix A_n.  With S = (C_ww + Upsilon Gamma)^(-1) (Y - W) and
+C_xw = X P Ac^T / (J - 1), where P = I - 1 1^T / J centres the members and Ac
+holds the centred outputs, the update is X <- X (I + P D) with
+D = Ac^T S / (J - 1).  So A_0 = I and A_(n+1) = A_n + A_n P D_n.
+:func:`run_inversion` holds U_0 and A only, and forms members where they are
+read, each block of the packed state with its own product U_0[block] A: the
+blocks the forward map ignores ride along without perturbing the arithmetic
+of the blocks it uses, so the hierarchical run restricted to the state
+coordinate is bitwise identical to the non-hierarchical run.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "PackingLayout", "Ensemble", "EkiControls", "IterationRecord", "StepInfo",
-    "InversionResult", "UpsilonSearchError", "select_upsilon", "eki_step",
-    "run_inversion",
+    "PackingLayout", "Ensemble", "SpanEnsemble", "SpanMembers", "EkiControls",
+    "IterationRecord", "StepInfo", "InversionResult", "UpsilonSearchError",
+    "select_upsilon", "eki_step", "run_inversion",
 ]
 
 
@@ -68,16 +73,12 @@ class PackingLayout:
 
 @dataclass
 class Ensemble:
-    """J packed member vectors stored as the columns of a (dim, J) matrix.
-
-    ``checked_finite=True`` skips the scan for non-finite members, for an
-    update that has already scanned every block it wrote."""
+    """J packed member vectors stored as the columns of a (dim, J) matrix."""
 
     members: np.ndarray
     layout: PackingLayout
-    checked_finite: InitVar[bool] = False
 
-    def __post_init__(self, checked_finite: bool):
+    def __post_init__(self):
         self.members = np.asarray(self.members, dtype=float)
         if self.members.ndim != 2:
             raise ValueError("members must be a (dim, J) matrix")
@@ -86,12 +87,135 @@ class Ensemble:
                              f"match layout dimension {self.layout.dim}")
         if self.members.shape[1] < 2:
             raise ValueError("need at least two ensemble members")
-        if not checked_finite and not np.all(np.isfinite(self.members)):
+        if not np.all(np.isfinite(self.members)):
             raise ValueError("ensemble members must be finite")
 
     @property
     def n_members(self) -> int:
         return self.members.shape[1]
+
+
+NONFINITE_UPDATE = "ensemble update produced non-finite members"
+
+
+@dataclass(frozen=True)
+class SpanEnsemble:
+    """The ensemble U_0 A: the members of ``initial`` (U_0, never written)
+    combined by the (J, J) ``coefficients`` A.
+
+    Every member it hands out is finite: :meth:`advanced` checks A and every
+    block of U_0 A that might overflow.  ``block_max`` holds max |U_0| of
+    each layout block, for that bound."""
+
+    initial: Ensemble
+    coefficients: np.ndarray
+    block_max: tuple[float, ...]
+
+    @classmethod
+    def of(cls, ensemble: Ensemble) -> SpanEnsemble:
+        """``ensemble`` itself: U_0 = its members, A = I."""
+        X = ensemble.members
+        return cls(ensemble, np.eye(ensemble.n_members),
+                   tuple(max(X[sl].max(), -X[sl].min())
+                         for sl in ensemble.layout.slices().values()))
+
+    @property
+    def layout(self) -> PackingLayout:
+        return self.initial.layout
+
+    @property
+    def n_members(self) -> int:
+        return self.initial.n_members
+
+    @property
+    def members(self) -> SpanMembers:
+        return SpanMembers(self.initial.members, self.coefficients, self.layout)
+
+    def advanced(self, step: np.ndarray) -> SpanEnsemble:
+        """The ensemble X (I + step), with A <- A + A step.
+
+        Raises RuntimeError when a member of it is not finite."""
+        A = self.coefficients + self.coefficients @ step
+        if not np.all(np.isfinite(A)):
+            raise RuntimeError(NONFINITE_UPDATE)
+        # |(U_0 A)_ij| <= max |U_0[block]| |A[:, j]|_1: only a block whose
+        # bound reaches the float64 range is formed and scanned
+        reach = np.abs(A).sum(axis=0).max()
+        U0 = self.initial.members
+        for sl, top in zip(self.layout.slices().values(), self.block_max):
+            if reach > np.finfo(float).max / 2 / max(top, 1.0):
+                for start in range(0, A.shape[1], SpanMembers.BLOCK_MEMBERS):
+                    cols = slice(start, start + SpanMembers.BLOCK_MEMBERS)
+                    if not np.all(np.isfinite(U0[sl] @ A[:, cols])):
+                        raise RuntimeError(NONFINITE_UPDATE)
+        return replace(self, coefficients=A)
+
+
+class SpanMembers:
+    """The (dim, J) members U_0 A, formed where they are read.
+
+    A column slice ``[:, a:b]`` forms a block of at least ``BLOCK_MEMBERS``
+    members (:meth:`block_members`), each block of the packed layout with
+    its own product U_0[block] A[:, cols], and keeps the last block it
+    formed, so a forward map that walks the ensemble in narrow chunks forms
+    each member once.  Any other index forms U_0[rows] A[:, cols], and
+    ``np.asarray`` forms every member, block by block of the layout.
+    """
+
+    # Fewest members a column slice forms.  At n = 600, J = 200 forming every
+    # member took 15.6 s one column at a time, 5.1 s in blocks of 8, 2.3 s in
+    # blocks of 16 and 1.5 s at once (one BLAS thread), against a 50 s solve.
+    # On the benchmark workloads 130 (source1d-field's 65-member chunks two at
+    # a time) gave the same iteration time as 16 and 1.2 MB more peak RSS.
+    BLOCK_MEMBERS = 16
+
+    def __init__(self, initial: np.ndarray, coefficients: np.ndarray,
+                 layout: PackingLayout):
+        self._initial = initial
+        self._coefficients = coefficients
+        self._slices = list(layout.slices().values())
+        self.shape = initial.shape
+        self._block: tuple[int, np.ndarray] | None = None   # (first column, members)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the formed (dim, J) members."""
+        return self.shape[0] * self.shape[1] * 8
+
+    @classmethod
+    def block_members(cls, width: int, n_members: int) -> int:
+        """Members of the block formed for column slices ``width`` wide: the
+        fewest whole slices that hold ``BLOCK_MEMBERS``, so slices walked in
+        order never straddle two blocks."""
+        width = max(width, 1)
+        return min(n_members, width * -(-cls.BLOCK_MEMBERS // width))
+
+    def __array__(self, dtype=None, copy=None):
+        X = self._form(0, self.shape[1])
+        return X if dtype is None else X.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        rows, cols = key if isinstance(key, tuple) else (key, slice(None))
+        if isinstance(rows, slice) and rows == slice(None) and isinstance(cols, slice):
+            start, stop, step = cols.indices(self.shape[1])
+            if step == 1:
+                return self._columns(start, max(start, stop))
+        return self._initial[rows] @ self._coefficients[:, cols]
+
+    def _columns(self, start: int, stop: int) -> np.ndarray:
+        first, block = self._block or (start, None)
+        if block is None or start < first or stop > first + block.shape[1]:
+            self._block = block = None   # freed before the next one is formed
+            width = self.block_members(stop - start, self.shape[1])
+            first, block = self._block = (
+                start, self._form(start, min(start + width, self.shape[1])))
+        return block[:, start - first:stop - first]
+
+    def _form(self, start: int, stop: int) -> np.ndarray:
+        out = np.empty((self.shape[0], stop - start))
+        for sl in self._slices:
+            np.matmul(self._initial[sl], self._coefficients[:, start:stop], out=out[sl])
+        return out
 
 
 @dataclass(frozen=True)
@@ -148,7 +272,7 @@ class StepInfo:
 
 @dataclass
 class InversionResult:
-    ensemble: Ensemble
+    ensemble: SpanEnsemble   # the final iterate; its members form when read
     records: list[IterationRecord]
     stop_reason: str  # "discrepancy" | "max-iterations" | "aborted"
     message: str = ""
@@ -183,43 +307,21 @@ def select_upsilon(C_ww: np.ndarray, gamma: np.ndarray, residual: np.ndarray,
         f"(lhs={lhs:.3e}); the output ensemble may be ill-conditioned")
 
 
-def _block_update(members: np.ndarray, layout: PackingLayout, Ac: np.ndarray,
-                  S: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = members + C_xw S, computed block by block of the packed state.
-
-    ``out`` may be ``members`` itself: a block reads only its own rows
-    before writing them.  Each block holds one block-sized temporary, the
-    centred members that the product then overwrites, and its C_xw; they
-    are freed before the next block.  Raises RuntimeError on a block with
-    non-finite members, after writing it into ``out``."""
-    J = members.shape[1]
-    for sl in layout.slices().values():
-        Xb = members[sl]
-        Xc = Xb - Xb.mean(axis=1, keepdims=True)
-        C_xw = Xc @ Ac.T
-        C_xw /= J - 1
-        np.add(Xb, np.matmul(C_xw, S, out=Xc), out=out[sl])
-        del Xc, C_xw
-        if not np.all(np.isfinite(out[sl])):
-            raise RuntimeError("ensemble update produced non-finite members")
-    return out
-
-
-def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
-             rng: np.random.Generator, outputs: np.ndarray | None = None,
-             out: np.ndarray | None = None) -> tuple[Ensemble, StepInfo]:
+def eki_step(ensemble: Ensemble | SpanEnsemble, forward_map, obs, controls: EkiControls,
+             rng: np.random.Generator, outputs: np.ndarray | None = None
+             ) -> tuple[Ensemble | SpanEnsemble, StepInfo]:
     """One analysis update of every ensemble member.
 
     ``forward_map`` maps a (dim, J) matrix to an (n_obs, J) output matrix;
     ``obs`` supplies the data vector and noise covariance.  Precomputed
-    ``outputs`` skip the forward evaluation.  The updated members are
-    written into ``out``, which may be ``ensemble.members`` itself, or by
-    default into a new array, leaving ``ensemble`` unchanged.  The bits
-    are the same either way.
+    ``outputs`` skip the forward evaluation.  A :class:`SpanEnsemble`
+    comes back with new coefficients; an :class:`Ensemble` comes back as a
+    new, formed one.  ``ensemble`` is left unchanged.  Raises RuntimeError
+    when an updated member is not finite.
     """
-    X = ensemble.members
-    J = ensemble.n_members
-    W = forward_map(X) if outputs is None else np.asarray(outputs, dtype=float)
+    span = ensemble if isinstance(ensemble, SpanEnsemble) else SpanEnsemble.of(ensemble)
+    J = span.n_members
+    W = forward_map(ensemble.members) if outputs is None else np.asarray(outputs, dtype=float)
     if not np.all(np.isfinite(W)):
         raise RuntimeError("forward outputs contain non-finite values")
     y = obs.y
@@ -237,9 +339,11 @@ def eki_step(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     upsilon, trials = select_upsilon(C_ww, gamma, y - w_bar, controls)
     S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
 
-    updated = _block_update(X, ensemble.layout, Ac, S,
-                            np.empty_like(X) if out is None else out)
-    return (Ensemble(updated, ensemble.layout, checked_finite=True),
+    D = Ac.T @ S
+    D /= J - 1
+    D -= D.mean(axis=0)   # P D
+    updated = span.advanced(D)
+    return (updated if span is ensemble else Ensemble(np.asarray(updated.members), span.layout),
             StepInfo(upsilon=upsilon, trials=trials))
 
 
@@ -252,25 +356,24 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     reporting hooks evaluated every iteration (relative error against a known
     truth; decoded hyperparameter ensemble means).
 
-    ``ensemble`` is never written.  The first update writes into a new
-    array, and every later one overwrites that array, so a run holds the
-    initial and the current ensemble and no third.  An update that aborts
-    on non-finite members may therefore leave ``result.ensemble`` partly
-    updated: the blocks before the failing one updated, the failing one
-    non-finite.
+    ``ensemble`` is never written: the run holds it as U_0 and each iterate
+    as a :class:`SpanEnsemble`.  The forward map and the hooks receive its
+    :class:`SpanMembers`, which form members where they are read.  An
+    update that aborts on non-finite members leaves ``result.ensemble`` at
+    the last iterate, the one ``records[-1]`` describes.
     """
     if obs.y is None or obs.noise_level is None:
         raise ValueError("observation model carries no data; synthesize it first")
     threshold = controls.zeta_value * obs.noise_level
     records: list[IterationRecord] = []
-    current = ensemble
-    out = None   # the array that updates write into, once there is one
+    current = SpanEnsemble.of(ensemble)
     stop_reason, message = "max-iterations", ""
     n = 0
     while True:
         t0 = time.perf_counter() if record_walltime else None
+        members = current.members
         try:
-            W = forward_map(current.members)
+            W = forward_map(members)
             if not np.all(np.isfinite(W)):
                 raise RuntimeError("forward outputs contain non-finite values")
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
@@ -280,9 +383,10 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         record = IterationRecord(
             iteration=n,
             misfit=misfit,
-            rel_error=None if error_fn is None else float(error_fn(current.members)),
-            hyper_means={} if hyper_means_fn is None else dict(hyper_means_fn(current.members)),
+            rel_error=None if error_fn is None else float(error_fn(members)),
+            hyper_means={} if hyper_means_fn is None else dict(hyper_means_fn(members)),
         )
+        del members   # and the block it formed last
         records.append(record)
         if misfit <= threshold:
             stop_reason = "discrepancy"
@@ -291,9 +395,7 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
             stop_reason = "max-iterations"
             break
         try:
-            current, info = eki_step(current, forward_map, obs, controls, rng,
-                                     outputs=W, out=out)
-            out = current.members
+            current, info = eki_step(current, forward_map, obs, controls, rng, outputs=W)
         except (UpsilonSearchError, RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             stop_reason, message = "aborted", str(exc)
             break
@@ -303,4 +405,3 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         n += 1
     return InversionResult(ensemble=current, records=records,
                            stop_reason=stop_reason, message=message)
-

@@ -32,7 +32,7 @@ from .config import (  # noqa: F401
     sample_prior_grid,
     snapshot_iterations,
 )
-from .eki import Ensemble, PackingLayout, run_inversion
+from .eki import Ensemble, PackingLayout, SpanMembers, run_inversion
 from .forward import (
     CompositeForward,
     DarcyProblem,
@@ -189,16 +189,16 @@ def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLay
 
 
 def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
-    """Bytes one process is expected to hold at its peak, by term.  An update
-    holds the initial and the current ensemble, one block and its C_xw
-    (:func:`ekinv.eki.run_inversion`); three ensembles bound the first three.
-    A run keeps every recorded iteration's mean field for its snapshots."""
-    exp, grid = config["experiment"], config["grid"]
-    J, n_obs = exp["n_ensemble"], config["observations"]["n_obs"]
+    """Bytes one process is expected to hold at its peak, by term: the initial
+    ensemble, its (J, J) coefficients and the members last formed for the forward
+    map (:func:`ekinv.eki.run_inversion`), and every recorded mean field."""
+    exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain, grid["coordinate_scaling"]))
-    return {"three ensembles": 3 * layout.dim * J * 8,
-            "largest block's C_xw": max(size for _, size in layout.blocks) * n_obs * 8,
+    block = SpanMembers.block_members(CompositeForward.chunk_members(domain.n_interior), J)
+    return {"initial ensemble": layout.dim * J * 8,
+            "formed block": layout.dim * block * 8,
+            "coefficients": J * J * 8,
             "observation operator": observation_model(config, domain).matrix.nbytes,
             "forward chunk": CompositeForward.chunk_bytes(domain, J),
             "mean fields": (config["eki"]["max_outer_iterations"] + 1) * domain.n_interior * 8}

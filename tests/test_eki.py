@@ -2,11 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ekinv.eki import (
     EkiControls,
     Ensemble,
     PackingLayout,
+    SpanEnsemble,
+    SpanMembers,
     UpsilonSearchError,
     eki_step,
     run_inversion,
@@ -161,6 +164,42 @@ def test_upsilon_search_exhaustion():
         select_upsilon(np.array([[1e8]]), np.array([[1e-8]]), np.array([1.0]), controls)
 
 
+def test_upsilon_search_factorizes_with_jitter_where_cholesky_fails(monkeypatch):
+    # more outputs than J - 1 make C_ww singular; with Gamma = 1e-20 I the
+    # rounding of C_ww outweighs Upsilon Gamma, and Cholesky fails
+    rng = np.random.default_rng(0)
+    J, n_obs, g = 50, 64, 1e-20
+    W = rng.standard_normal((n_obs, J))
+    Ac = W - W.mean(axis=1, keepdims=True)
+    C_ww = Ac @ Ac.T / (J - 1)
+    U, s, _ = np.linalg.svd(Ac)
+    rank = J - 1
+    assert s[rank - 1] > 1e-8 * s[0] > s[rank]
+    # a residual outside the outputs' span: exactly, every Upsilon passes;
+    # the jittered factors of the failed trials reject them
+    residual = U[:, rank:] @ rng.standard_normal(n_obs - rank)
+    failures = []
+    cho_factor = scipy.linalg.cho_factor
+
+    def counted(M, *args, **kwargs):
+        try:
+            return cho_factor(M, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            failures.append(M.shape)
+            raise
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
+    controls = EkiControls()
+    upsilon, trials = select_upsilon(C_ww, g * np.eye(n_obs), residual, controls)
+    assert failures and len(failures) == trials - 1
+    # the selection inequality, in the eigenbasis of C_ww = U diag(lam) U^T
+    lam = np.zeros(n_obs)
+    lam[:rank] = s[:rank] ** 2 / (J - 1)
+    x = U @ ((U.T @ residual) / (lam + upsilon * g))
+    lhs = controls.rho * np.linalg.norm(residual) / np.sqrt(g)
+    assert lhs <= upsilon * np.sqrt(g) * np.linalg.norm(x)
+
+
 # ---------------------------------------------------------------------------
 # one analysis step
 
@@ -298,12 +337,13 @@ def test_inversion_aborts_on_nonfinite_forward():
     assert "non-finite" in result.message
 
 
-def test_inversion_aborts_on_a_nonfinite_update_leaving_it_partly_written():
+def test_inversion_aborts_on_a_nonfinite_update_at_its_last_iterate():
     # the forward map sees only "u"; the unseen "v" block, near the float64
-    # limit, overflows in a later update, which writes in place
+    # limit, overflows in a later update, and the run keeps the iterate
+    # before it
     rng = np.random.default_rng(0)
     J = 10
-    X = np.vstack([rng.standard_normal((1, J)), 1e302 * rng.standard_normal((1, J))])
+    X = np.vstack([rng.standard_normal((1, J)), 1e303 * rng.standard_normal((1, J))])
     ens = Ensemble(X, PackingLayout(blocks=(("u", 1), ("v", 1))))
     before = ens.members.tobytes()
     obs = toy_obs(1, gamma_scale=1e-4, y=[1e6], noise_level=1e-3)
@@ -312,8 +352,10 @@ def test_inversion_aborts_on_a_nonfinite_update_leaving_it_partly_written():
     assert result.stop_reason == "aborted"
     assert result.message == "ensemble update produced non-finite members"
     assert len(result.records) > 1
-    assert np.all(np.isfinite(result.ensemble.members[0]))
-    assert not np.all(np.isfinite(result.ensemble.members[1]))
+    assert result.records[-1].upsilon is None
+    assert np.all(np.isfinite(result.ensemble.members))
+    assert result.records[-1].misfit == obs.whitened_misfit(
+        obs.y - result.ensemble.members[:1].mean(axis=1))
     assert ens.members.tobytes() == before
 
 
@@ -329,9 +371,16 @@ def test_inversion_and_step_leave_the_callers_ensemble_unwritten():
     assert not np.shares_memory(new.members, ens.members)
 
 
+def chunked(fn, width):
+    """A forward map that reads the members ``width`` columns at a time, as
+    CompositeForward does."""
+    def forward(M):
+        return np.hstack([fn(M[:, a:a + width]) for a in range(0, M.shape[1], width)])
+    return forward
+
+
 @pytest.mark.parametrize("J, n_obs", [(8, 12), (10, 5)])
-def test_in_place_updates_equal_the_pure_step_bit_for_bit(J, n_obs):
-    # C_xw is wider than a block when n_obs > J, narrower when n_obs < J
+def test_the_run_is_the_step_iterated_bit_for_bit(J, n_obs):
     rng = np.random.default_rng(J)
     layout = PackingLayout(blocks=(("a", 30), ("b", 7), ("c", 2)))
     X0 = rng.standard_normal((layout.dim, J))
@@ -347,34 +396,122 @@ def test_in_place_updates_equal_the_pure_step_bit_for_bit(J, n_obs):
                            np.random.default_rng(1))
     assert result.stop_reason == "max-iterations"
 
-    ens, step_rng = Ensemble(X0, layout), np.random.default_rng(1)
+    span, step_rng = SpanEnsemble.of(Ensemble(X0, layout)), np.random.default_rng(1)
     for _ in range(3):
-        ens, _ = eki_step(ens, forward, obs, controls, step_rng)
-    assert result.ensemble.members.tobytes() == ens.members.tobytes()
+        span, _ = eki_step(span, forward, obs, controls, step_rng)
+    assert result.ensemble.coefficients.tobytes() == span.coefficients.tobytes()
 
 
-def test_an_update_scans_each_block_for_non_finite_members_once(monkeypatch):
+def explicit_update(members, layout, W, obs, controls, rng):
+    """X + C_xw S block by block of the packed state, C_xw from the centred
+    members: the update before the ensemble was held as U_0 A."""
+    J = members.shape[1]
+    w_bar = W.mean(axis=1)
+    Ac = W - w_bar[:, None]
+    C_ww = Ac @ Ac.T / (J - 1)
+    Y = obs.y[:, None] + obs.gamma_chol @ rng.standard_normal((obs.n_obs, J))
+    upsilon, _ = select_upsilon(C_ww, obs.gamma, obs.y - w_bar, controls)
+    S = scipy.linalg.cho_solve(scipy.linalg.cho_factor(C_ww + upsilon * obs.gamma), Y - W)
+    out = np.empty_like(members)
+    for sl in layout.slices().values():
+        Xb = members[sl]
+        Xc = Xb - Xb.mean(axis=1, keepdims=True)
+        out[sl] = Xb + (Xc @ Ac.T / (J - 1)) @ S
+    return out, upsilon
+
+
+def test_the_span_coefficients_follow_the_explicit_update():
+    rng = np.random.default_rng(21)
+    J, dim_u, n_obs = 24, 40, 15
+    layout = PackingLayout(blocks=(("state", dim_u), ("hyper", 2)))
+    X0 = np.vstack([rng.standard_normal((dim_u, J)), rng.uniform(1.0, 2.0, (2, J))])
+    H = rng.standard_normal((n_obs, dim_u)) / np.sqrt(dim_u)
+    # the hypers scale and shift the state's outputs
+    forward = chunked(lambda M: np.tanh(M[dim_u] * (H @ M[:dim_u])) + 0.1 * M[dim_u + 1], 5)
+    obs = toy_obs(n_obs, gamma_scale=1e-3, y=0.5 * rng.standard_normal(n_obs),
+                  noise_level=1e-12)
+    controls = EkiControls(max_outer_iterations=6)
+    result = run_inversion(Ensemble(X0, layout), forward, obs, controls,
+                           np.random.default_rng(5))
+    assert result.stop_reason == "max-iterations"
+
+    X, oracle_rng = X0, np.random.default_rng(5)
+    for record in result.records:
+        W = forward(X)
+        assert record.misfit == pytest.approx(obs.whitened_misfit(obs.y - W.mean(axis=1)),
+                                              rel=1e-12)
+        if record.upsilon is not None:
+            X, upsilon = explicit_update(X, layout, W, obs, controls, oracle_rng)
+            assert upsilon == record.upsilon
+    error = np.abs(np.asarray(result.ensemble.members) - X).max() / np.abs(X).max()
+    assert 0 < error < 1e-12
+
+
+def test_span_members_form_each_layout_block_with_its_own_product(monkeypatch):
+    rng = np.random.default_rng(2)
+    J = 40
+    layout = PackingLayout(blocks=(("a", 11), ("b", 3)))
+    U0 = rng.standard_normal((layout.dim, J))
+    A = rng.standard_normal((J, J))
+    span = SpanEnsemble(Ensemble(U0, layout), A, (1.0, 1.0))
+
+    def product(rows, cols):
+        return np.vstack([U0[:11][rows] @ A[:, cols], U0[11:][rows] @ A[:, cols]])
+
+    every = slice(None)
+    assert np.asarray(span.members).tobytes() == product(every, every).tobytes()
+    assert span.members[11:].tobytes() == (U0[11:] @ A).tobytes()
+    assert span.members[3].tobytes() == (U0[3] @ A).tobytes()
+    assert span.members[:, 7].tobytes() == (U0 @ A[:, 7]).tobytes()
+
+    formed = []
+    form = SpanMembers._form
+
+    def spy(self, start, stop):
+        formed.append((start, stop))
+        return form(self, start, stop)
+
+    monkeypatch.setattr(SpanMembers, "_form", spy)
+    for width, blocks in ((4, [(0, 16), (16, 32), (32, 40)]),
+                          (20, [(0, 20), (20, 40)]),
+                          (6, [(0, 18), (18, 36), (36, 40)])):
+        members, formed[:] = span.members, []
+        for start in range(0, J, width):
+            chunk = members[:, start:start + width]
+            first, stop = next(b for b in blocks
+                               if b[0] <= start and min(start + width, J) <= b[1])
+            assert chunk.tobytes() == product(every, slice(first, stop))[
+                :, start - first:start - first + width].tobytes()
+        assert formed == blocks
+
+
+def test_an_update_forms_only_the_blocks_that_may_overflow(monkeypatch):
     rng = np.random.default_rng(5)
-    layout = PackingLayout(blocks=(("a", 9), ("b", 4), ("c", 1)))
-    ens = Ensemble(rng.standard_normal((layout.dim, 6)), layout)
-    obs = toy_obs(3, gamma_scale=1e-2, y=rng.standard_normal(3))
-    out = np.empty_like(ens.members)
+    J = 6
+    layout = PackingLayout(blocks=(("big", 9), ("small", 4)))
+    U0 = np.vstack([1e306 * rng.uniform(1.0, 3.0, (9, J)), rng.standard_normal((4, J))])
+    span = SpanEnsemble.of(Ensemble(U0, layout))
     scanned = []
     isfinite = np.isfinite
 
     def spy(array, *args, **kwargs):
-        if isinstance(array, np.ndarray) and np.shares_memory(array, out):
-            scanned.append(array.shape)
+        scanned.append(np.shape(array))
         return isfinite(array, *args, **kwargs)
 
     monkeypatch.setattr(np, "isfinite", spy)
-    new, _ = eki_step(ens, lambda M: M[:3], obs, EkiControls(), rng, out=out)
-    assert new.members is out
-    assert scanned == [(9, 6), (4, 6), (1, 6)]
+    # max |U_0 A| <= 3e306 x 20 stays below half the float64 range: A alone
+    assert span.advanced(19.0 * np.eye(J)).coefficients[0, 0] == 20.0
+    assert scanned == [(J, J)]
+    # 3e306 x 40 may pass it: the big block is formed and scanned, and holds
+    scanned.clear()
+    span.advanced(39.0 * np.eye(J))
+    assert scanned == [(J, J), (9, J)]
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match="non-finite"):
+        span.advanced(99.0 * np.eye(J))
 
 
-def test_updates_hold_two_ensembles_and_one_block_at_their_peak():
-    rows, J, n_obs = 20_000, 20, 30
+def test_an_iteration_holds_the_initial_ensemble_and_one_formed_block_at_its_peak():
+    rows, J, n_obs = 10_000, 20, 30
     rng = np.random.default_rng(4)
     picks = np.linspace(0, 2 * rows - 1, n_obs).astype(int)
     obs = toy_obs(n_obs, gamma_scale=1e-2, y=rng.standard_normal(n_obs), noise_level=1e-12)
@@ -382,15 +519,16 @@ def test_updates_hold_two_ensembles_and_one_block_at_their_peak():
     try:
         ens = Ensemble(rng.standard_normal((2 * rows, J)),
                        PackingLayout(blocks=(("a", rows), ("b", rows))))
-        result = run_inversion(ens, lambda M: M[picks], obs,
-                               EkiControls(max_outer_iterations=3), rng)
+        result = run_inversion(ens, chunked(lambda M: M[picks], 4), obs,
+                               EkiControls(max_outer_iterations=1), rng)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert result.stop_reason == "max-iterations"
-    # the initial and the working ensemble, the largest block and its C_xw
-    bound = 2 * ens.members.nbytes + rows * J * 8 + rows * n_obs * 8
-    assert peak < 1.1 * bound
+    # U_0, one formed block of 16 members, and 256 KiB for A, the outputs
+    # and the update's other (n_obs, J) and (J, J) arrays: no second ensemble
+    block = 2 * rows * SpanMembers.BLOCK_MEMBERS * 8
+    assert peak < ens.members.nbytes + block + 256 * 1024
 
 
 def test_inversion_reports_hooks():
@@ -398,7 +536,7 @@ def test_inversion_reports_hooks():
     ens, fwd, obs = linear_toy(rng)
     result = run_inversion(
         ens, fwd, obs, EkiControls(max_outer_iterations=2), rng,
-        error_fn=lambda M: np.linalg.norm(M.mean(axis=1)),
+        error_fn=lambda M: np.linalg.norm(np.asarray(M).mean(axis=1)),
         hyper_means_fn=lambda M: {"alpha": float(M[0].mean())})
     for rec in result.records:
         assert rec.rel_error is not None

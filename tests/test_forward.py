@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
+
+from ekinv.eki import EkiControls, Ensemble, PackingLayout, run_inversion
 
 from ekinv.grid import Field, build_domain, check_members, dirichlet_spectrum, white_noise
 from ekinv.forward import (
@@ -359,9 +363,9 @@ def test_source_solve_of_a_stack_equals_solve_banded_bit_for_bit():
         assert problem._ab.tobytes() == ab.tobytes()
 
 
-def test_decode_failure_names_the_first_failing_member():
-    # the block runs each check over all its members before the next
-    # check; member 2 fails only the later check, member 4 the earlier one
+def two_check_forward():
+    """A forward map whose decode checks row 0 of every member of a block,
+    then row 1, before it decodes any member."""
     domain = build_domain(1, [10.0], 10)
 
     def decode_block(block):
@@ -370,8 +374,14 @@ def test_decode_failure_names_the_first_failing_member():
         fields = np.repeat(block[:1].T, domain.n_interior, axis=1)
         return DecodedBlock(domain, fields, fields)
 
-    fwd = CompositeForward(decode_block, SourceProblem1D(domain).solve,
-                           point_observations(domain, 3))
+    return CompositeForward(decode_block, SourceProblem1D(domain).solve,
+                            point_observations(domain, 3))
+
+
+def test_decode_failure_names_the_first_failing_member():
+    # the block runs each check over all its members before the next
+    # check; member 2 fails only the later check, member 4 the earlier one
+    fwd = two_check_forward()
     members = np.zeros((2, 7))
     members[1, 2] = members[0, 4] = 99.0
     with pytest.raises(ForwardError, match=r"^member 2, decode: late check$"):
@@ -380,6 +390,22 @@ def test_decode_failure_names_the_first_failing_member():
     with pytest.raises(ForwardError, match=r"^member 4, decode: early check$"):
         fwd(members)
     assert fwd.report_mean is None
+
+
+@pytest.mark.parametrize("bad", [7, 16, 19])
+def test_a_decode_failure_in_a_lazily_formed_block_names_its_member(bad):
+    # run_inversion hands the forward map members formed from U_0 A; chunks
+    # of 3 read blocks of 18 members, so member 7 fails inside the first
+    # block, member 16 in its last chunk and member 19 in the second block
+    fwd = two_check_forward()
+    fwd.chunk = 3
+    obs = replace(fwd.obs, y=np.zeros(3), noise_level=1.0)
+    members = np.zeros((2, 20))
+    members[1, bad] = 99.0
+    result = run_inversion(Ensemble(members, PackingLayout((("u", 1), ("v", 1)))), fwd, obs,
+                           EkiControls(), np.random.default_rng(0))
+    assert result.stop_reason == "aborted"
+    assert result.message == f"forward evaluation failed: member {bad}, decode: late check"
 
 
 @pytest.mark.parametrize("chunk", [3, 7])

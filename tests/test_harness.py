@@ -118,6 +118,23 @@ def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys
     assert sum(harness.memory_estimate(config).values()) >= peak
 
 
+@pytest.mark.parametrize("coefficient_map, line", [
+    ("exp", "764.7 MiB per process = initial ensemble 547.5 MiB + formed block 43.8 MiB"),
+    ("channel", "1,356.0 MiB per process = initial ensemble 1,095.0 MiB + formed block 87.6 MiB"),
+])
+def test_the_paper_scale_estimate_counts_one_ensemble_and_one_formed_block(
+        tmp_path, capsys, coefficient_map, line):
+    # n = 600, J = 200: a block of 16 members, the coefficients and no
+    # second ensemble
+    path = tmp_path / "paper.ini"
+    path.write_text("[experiment]\nmodel_problem = darcy\nparameterization = noncentered-hier\n"
+                    f"coefficient_map = {coefficient_map}\n", encoding="utf-8")
+    assert cli(["validate", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"# memory estimate: {line} + coefficients 0.3 MiB + observation operator 0.1 MiB"
+        " + forward chunk 88.2 MiB + mean fields 84.9 MiB")
+
+
 def test_run_warns_when_its_processes_may_exceed_the_available_memory(tmp_path, capsys,
                                                                        monkeypatch):
     estimate = sum(harness.memory_estimate(tiny_darcy(tmp_path, "run")).values())
@@ -609,167 +626,170 @@ def test_a_forward_evaluation_builds_no_field(tmp_path, monkeypatch, case):
 # with them the synthetic data, moved by up to 5e-12 relative.  They were
 # re-pinned again when the mollifiers were cut per axis and held as two 1D
 # factors: the synthetic data moved by up to 1.2e-8 relative (9.3e-6, under
-# 1e-3 noise standard deviations), the final misfits by up to 3.6e-9.
+# 1e-3 noise standard deviations), the final misfits by up to 3.6e-9.  Every
+# row was re-pinned when the ensemble came to be held as U_0 A: the same
+# Upsilon, records and stops, the CSV values within 1.8e-14 relative and the
+# .bin values within 2.7e-14 of their largest entry.
 GOLDEN_FILES = {
     "source1d-plain-identity-scalar": {
-        "init_00/mean_field.bin": "7f82ee1f7f53eb26a8042c5e8216993f8a11751327e5f9fae7e39690b91d29d6",
-        "init_00/records.csv": "f753605bce0753e201be4c7d828f06de9640bf58b97fc7e47dc3ffd99ed91f22",
+        "init_00/mean_field.bin": "ffc54406f3322c74c808a815ecab6d1f466e20a38412dd9a669c30505b21a459",
+        "init_00/records.csv": "2aafa8032dc9a6ccc4aa62248fbade6c236897cbee134abab3c98e9839297821",
         "init_00/snapshot_iter_000.bin": "b92e3d36e495708165742e744971c904789e7b33420bc0e97347d9a445f3f987",
-        "init_00/snapshot_iter_001.bin": "82d6b1fd6ee571fce6463497efebad491a73368b6902973d826f63ab2a8c7003",
-        "init_00/snapshot_iter_002.bin": "7f82ee1f7f53eb26a8042c5e8216993f8a11751327e5f9fae7e39690b91d29d6",
-        "init_01/mean_field.bin": "21136b1f961abea9f852fb27a2c6d1cbc9f798765d98691bfed1e130574edb41",
+        "init_00/snapshot_iter_001.bin": "2298eb3fc044ffc5166f23e53f5520fd8aa1d23a714048bb7d63185214b413ad",
+        "init_00/snapshot_iter_002.bin": "ffc54406f3322c74c808a815ecab6d1f466e20a38412dd9a669c30505b21a459",
+        "init_01/mean_field.bin": "382c4990365019b003745ea1d4d3980d689d64516443a872f2b073e2e5800da0",
         "init_01/records.csv": "8d7a1614b0f1902991a5ecbdfd9330278ccb2e7245b4c5589396da14436b01d2",
         "init_01/snapshot_iter_000.bin": "667f7f0c3fe4bb07044e5df0782d648f31dadb1a2f6413cface8a29afaba1bea",
-        "init_01/snapshot_iter_001.bin": "5ec9feacfbc9a6bc1341a172ebdc50be21fbb8abaa64c64149498aea85a01b1a",
-        "init_01/snapshot_iter_002.bin": "21136b1f961abea9f852fb27a2c6d1cbc9f798765d98691bfed1e130574edb41",
+        "init_01/snapshot_iter_001.bin": "b4028a8837f0813ffce63571e55a69edf885db81ad8b21e3b01905ca0a3e29f7",
+        "init_01/snapshot_iter_002.bin": "382c4990365019b003745ea1d4d3980d689d64516443a872f2b073e2e5800da0",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-plain-identity-field-gauss": {
-        "init_00/mean_field.bin": "85935cd1565b7340c730f87eeec1faf6b6469470fb469a2d080c056b3f8d55b0",
-        "init_00/records.csv": "811dc7608e4a7e671c5545abb3a2d9890a2c9319a99d926594277b897a198727",
+        "init_00/mean_field.bin": "a5941cea8e6c3edd643b3f6320a0cc9da076316ac5e991bbffe43fe6421544f7",
+        "init_00/records.csv": "b6df62f102722aa45923cb3aa7be03666ec288da23c2d89c188fb5e97b2b627a",
         "init_00/snapshot_iter_000.bin": "01b551505e04d2916b0b693a23bf7077eb513dcfb80c524813075adb8adb7bb4",
-        "init_00/snapshot_iter_001.bin": "b4f7302dbd3c5781ae897afa82b1042baa2bd77916595233263aaf92410d3f87",
-        "init_00/snapshot_iter_002.bin": "85935cd1565b7340c730f87eeec1faf6b6469470fb469a2d080c056b3f8d55b0",
-        "init_01/mean_field.bin": "81603fab541edce9c9e6b20de242c18e0a0deb0ed03162f287058d057d908f2a",
-        "init_01/records.csv": "4ed6912420e5d6a814eee5237b49b3de811f8473a7f8bca2f0ab5a9d8ea5fb90",
+        "init_00/snapshot_iter_001.bin": "875f47ed69787d1c4dc637c3d317cb7a8b42e4b891ba86ca555d630e597919ea",
+        "init_00/snapshot_iter_002.bin": "a5941cea8e6c3edd643b3f6320a0cc9da076316ac5e991bbffe43fe6421544f7",
+        "init_01/mean_field.bin": "6550e494bb0a4cde4adb27fa48d98b87895b9ee29408beea3344d6c59c48eef3",
+        "init_01/records.csv": "4292e13189d029b30cda6a50f25d477ea99c649e97b3b5d72e59bc822cd0e4e3",
         "init_01/snapshot_iter_000.bin": "ab570158c1000e6d2657102e22cd5e3b61ae445932850b33985c101fa621b5e1",
-        "init_01/snapshot_iter_001.bin": "f2e7a33f7fc33c3782091f6ee36e3d61097596f8457c08f48b948b853c55129f",
-        "init_01/snapshot_iter_002.bin": "81603fab541edce9c9e6b20de242c18e0a0deb0ed03162f287058d057d908f2a",
+        "init_01/snapshot_iter_001.bin": "368d4821351905e3190d90a951a6ae2481f5ee784915cfcfbf7a14b1572f5c86",
+        "init_01/snapshot_iter_002.bin": "6550e494bb0a4cde4adb27fa48d98b87895b9ee29408beea3344d6c59c48eef3",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-plain-identity-field-cauchy": {
-        "init_00/mean_field.bin": "5600402218ea0505fcd3c80d5b0b0360779a429282430485671311a7e5802867",
-        "init_00/records.csv": "92988fb45e2f1eadd59ba49e797d4f72d42b4057247adcce0672991bd20746f8",
+        "init_00/mean_field.bin": "bed820b8ea27ca2c0cd381fb0451468934b2a515fa68601ab771f1617362a5d9",
+        "init_00/records.csv": "143555468b220664e65d1218e5a7678b964e05657803882af49ada1bf6b1e2ed",
         "init_00/snapshot_iter_000.bin": "89f7fd2e8aedf33fce903c1947f7220bc1f67770ade9a4aaf0c6ddc72c855531",
-        "init_00/snapshot_iter_001.bin": "8f55fb06a12e33c875ca2cf958d18953b5885b2f821622095c9ac4cf9c706d32",
-        "init_00/snapshot_iter_002.bin": "5600402218ea0505fcd3c80d5b0b0360779a429282430485671311a7e5802867",
-        "init_01/mean_field.bin": "28d76976ce59f0e85361f295f2e77fb56e043cfa20048684ad37eb9ff2b8ddad",
-        "init_01/records.csv": "7b861c2f5f7eb797084c3bf37f2f43472a4b5ff24ebd86ee0e55bf5387920bd8",
+        "init_00/snapshot_iter_001.bin": "7c832c14836f4d3de275c2c7776b21bf1f2f9419a27310e8e7eb76ec3ff5e6d0",
+        "init_00/snapshot_iter_002.bin": "bed820b8ea27ca2c0cd381fb0451468934b2a515fa68601ab771f1617362a5d9",
+        "init_01/mean_field.bin": "3dd909090f822d7b64830aa6d1a2964c9ec39937e97d6c2c2ca3844ba92b034f",
+        "init_01/records.csv": "df19f5d86d91fe7bf516c629dbb638e3546f8b1d9bc1934bcefd0da2db339840",
         "init_01/snapshot_iter_000.bin": "ac18124a2c06e857bad314db5c73b50943d7af3b31dedd3b8ad9ebc0c4b2d342",
-        "init_01/snapshot_iter_001.bin": "098162d1d6bc7c31922f16ea4de4b65bba191d2742a407a381be50009b9be953",
-        "init_01/snapshot_iter_002.bin": "28d76976ce59f0e85361f295f2e77fb56e043cfa20048684ad37eb9ff2b8ddad",
+        "init_01/snapshot_iter_001.bin": "28c6258d43adf8f244c7385e100a3ccac0024eacd3e8a0d001216bbbd53cb19f",
+        "init_01/snapshot_iter_002.bin": "3dd909090f822d7b64830aa6d1a2964c9ec39937e97d6c2c2ca3844ba92b034f",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-centered-hier-identity": {
-        "init_00/hypers.csv": "7a8f3a45818e2bda909d53ed40074c885a11d60484e57911ff0cb3a0f7a9fbdb",
-        "init_00/mean_field.bin": "9c0391824a09827940a124d292652fbe99affffb0bc829ef49a16e304bfe59a0",
-        "init_00/records.csv": "fb22f46a51b2d625e1c7757aa02fe782ba730d3484a4b6f09d03deb894c30cd7",
+        "init_00/hypers.csv": "433788a852cdf763666262bf965fe2762a8145af3ade05a67bfebed844cf0790",
+        "init_00/mean_field.bin": "08da3f5aa1bd9690cc722a17fd9398a8d51ff70e0f2d576cb64217a6223928e9",
+        "init_00/records.csv": "644c0a67ec1db9f1bee9fbf419746d9e642732c7024378ae7a01a1b040f76691",
         "init_00/snapshot_iter_000.bin": "f11860aac6e4c3097afbd835c5e475a8854154d756964f30a3f9235052a11d9a",
-        "init_00/snapshot_iter_001.bin": "cb6ca5d1ba61e961e88f12fdf038453393168ada6a218e8e628e56a665ea73ba",
-        "init_00/snapshot_iter_002.bin": "9c0391824a09827940a124d292652fbe99affffb0bc829ef49a16e304bfe59a0",
-        "init_01/hypers.csv": "3497d763759143df3836cdbef143a639e40988baacc3299116688f06f42d7cfe",
-        "init_01/mean_field.bin": "9766f1316c94e1a79583d9312dc006642132e03521add50ea936698e08f59237",
-        "init_01/records.csv": "34a0a8c3aaca5a33037b2f729a08bf0cfaef5a949afca993f7085a76e12c0527",
+        "init_00/snapshot_iter_001.bin": "d13436b58f1148a0f88197084e3476a0e9fb4b8b9ecfb890f0339cc96ee03c31",
+        "init_00/snapshot_iter_002.bin": "08da3f5aa1bd9690cc722a17fd9398a8d51ff70e0f2d576cb64217a6223928e9",
+        "init_01/hypers.csv": "2c0fefe1702b7800ef828b067ec083e8d1b02bf20854ed92abccc8c0e6a7c48d",
+        "init_01/mean_field.bin": "affdee9d289098f913b61904a7492e7604d04be8186a1690219c35e68ef5fc61",
+        "init_01/records.csv": "396f1c9ab52a994c310077450cfaff9374bc8e0a32ffc1fc465e9066bba52483",
         "init_01/snapshot_iter_000.bin": "d483cc8483be8a17ebc06e32c22526c8548e070e2c3c8b48e3fdb4f5e21932a3",
-        "init_01/snapshot_iter_001.bin": "d36461898fe3ad4d1b3474a1f884810c06bd3891e147961ce62e333930058162",
-        "init_01/snapshot_iter_002.bin": "9766f1316c94e1a79583d9312dc006642132e03521add50ea936698e08f59237",
+        "init_01/snapshot_iter_001.bin": "92950dbb0acb9a063f764e9599527c7294c628e9dbd744143a40a457386ffa9a",
+        "init_01/snapshot_iter_002.bin": "affdee9d289098f913b61904a7492e7604d04be8186a1690219c35e68ef5fc61",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-hier-identity": {
         "init_00/hypers.csv": "1d8ebffcc5d4803b49bb2f67192928c6362d6b1a17bea7ab35ddf61c27879dc5",
-        "init_00/mean_field.bin": "e442350d5fb1ffad8c8ca8f938cc51ab4fe4598bb4d1fb8aafdca04ecf6a25c6",
-        "init_00/records.csv": "72fae7f6d1bebd434ab6258ad1803fce6114bbc92a03c195e718ffd68d22ec1c",
+        "init_00/mean_field.bin": "ec175d6a9b3cb49865016b01f6372ba34be772214c1312391155261bfa4e639c",
+        "init_00/records.csv": "7012e07b6b52339ed351929bd596d39c2bfdb3d2df0f053d7f85a45ed54f6fec",
         "init_00/snapshot_iter_000.bin": "880aa3c2b8de613426d8dcb0e730cf632a1c856182798adf47d15c51392d2cbc",
-        "init_00/snapshot_iter_001.bin": "e4f2ca1bd25150cc750fbeeb5e02c887e317da448c3f83776c215783db1c6865",
-        "init_00/snapshot_iter_002.bin": "e442350d5fb1ffad8c8ca8f938cc51ab4fe4598bb4d1fb8aafdca04ecf6a25c6",
+        "init_00/snapshot_iter_001.bin": "e7f8559e0b3c81122697dacc0686c1e56f07e9c61e1facbb99bb3f7da7e8e5fb",
+        "init_00/snapshot_iter_002.bin": "ec175d6a9b3cb49865016b01f6372ba34be772214c1312391155261bfa4e639c",
         "init_01/hypers.csv": "678e0b421dc934f5e326e038f7c430990c714d7b3407ac427318b00e326d7a9a",
-        "init_01/mean_field.bin": "3acb7e89de87e7602a890998696d1929a9831a335bc42517f33f2ca4e46aaf55",
+        "init_01/mean_field.bin": "5ce181b91773b9cf8eb5dc28c1b10e46aa4f0e6d0f6fed72c38cf46124fca331",
         "init_01/records.csv": "77db1bf643ba136f182cb68d0690c9f17366d6bdf10f209e7ca84983fa739944",
         "init_01/snapshot_iter_000.bin": "44afc73e02d8714ca52a006498674edef40e297b84c5b9eb7a5d8f99e1e7efd5",
-        "init_01/snapshot_iter_001.bin": "dd55c0ccfc779c98905f447c883a91526b2f7a69813c8992fd526e58efa44464",
-        "init_01/snapshot_iter_002.bin": "3acb7e89de87e7602a890998696d1929a9831a335bc42517f33f2ca4e46aaf55",
+        "init_01/snapshot_iter_001.bin": "5732e66aa2508848c5d1c874d29a57e3c2b09d82fa733f57670ff640920406ae",
+        "init_01/snapshot_iter_002.bin": "5ce181b91773b9cf8eb5dc28c1b10e46aa4f0e6d0f6fed72c38cf46124fca331",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-field-gauss-identity": {
-        "init_00/mean_field.bin": "18df3a77891b3751de217ce5b122ed9502bb4fe6c4732c6cc87285cb37e247ef",
-        "init_00/records.csv": "39fff3699a91b184cbd129f88b120600ab899d8d2ddf131ed3112c108d43b083",
+        "init_00/mean_field.bin": "b084d2c72642ee3150dfeccfcefc3368c6bf8d14906c1861c72e47824ba3c9a6",
+        "init_00/records.csv": "04b76ee1c5070a565440a72b447b84ae608b96738418f9ca0c73d84ba8f8d0fc",
         "init_00/snapshot_iter_000.bin": "42486f68f563a850f28f26ad06d21efcad31258afb400760170b6f1d55e0500a",
-        "init_00/snapshot_iter_001.bin": "35a7396051a81bb69d1ec082739b1acaae30c1c6df3f852c26170957dfa9e8ef",
-        "init_00/snapshot_iter_002.bin": "18df3a77891b3751de217ce5b122ed9502bb4fe6c4732c6cc87285cb37e247ef",
-        "init_01/mean_field.bin": "59a235f3b6a47416e6dbce811be85a7b0e6053e74069b5b4a3106cdf75f8a263",
-        "init_01/records.csv": "4066c40a0dd340e9719be9b011a881eb2b7185c2648b3a3efcccd44aa046f73e",
+        "init_00/snapshot_iter_001.bin": "fa4e941366e5edf7d110665717d1143c10c19a4516877e7e3571ae9584c47c9c",
+        "init_00/snapshot_iter_002.bin": "b084d2c72642ee3150dfeccfcefc3368c6bf8d14906c1861c72e47824ba3c9a6",
+        "init_01/mean_field.bin": "67659d984fa9e79229ad98fc25aebd1976df73df9bd59730ad8bef49798b0248",
+        "init_01/records.csv": "80ed510e510b677426de6d04c289513a16b2242d0549633c0b1dabb76c490cd7",
         "init_01/snapshot_iter_000.bin": "be8ceb3ee3a70c60f53429871930d4d70972fe68aeddeb327e7975f7ae75a3bb",
-        "init_01/snapshot_iter_001.bin": "3f91535bb928709504451c1aa2008e324e7d93be47f5999ddeb19d3495ef728e",
-        "init_01/snapshot_iter_002.bin": "59a235f3b6a47416e6dbce811be85a7b0e6053e74069b5b4a3106cdf75f8a263",
+        "init_01/snapshot_iter_001.bin": "afcd63f0218f1267619cf0e2396db0c788e27ab1b5f897fcd232a4f1d4c25ee7",
+        "init_01/snapshot_iter_002.bin": "67659d984fa9e79229ad98fc25aebd1976df73df9bd59730ad8bef49798b0248",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-field-cauchy-identity": {
-        "init_00/mean_field.bin": "8c5ced0b24bd3bf183b2ea4d9832d968be420f40151a017eee03bd5ec9e59f46",
-        "init_00/records.csv": "1f98c40cbd8470e2c2126fca657cf4581c64a2b0465a5d23cb3864c4d0903ed6",
+        "init_00/mean_field.bin": "0800972d14f100826ce565ff0e8350cc9d20233889a52b9c4a17cebf1a5eb362",
+        "init_00/records.csv": "534714c9a67a5eac65d0577540f5bfb08dd7487a3a54183cb3af25b8b8c2ac6d",
         "init_00/snapshot_iter_000.bin": "2d3706f92db6a7d251a741864e6c78702a2cdd2da263428ee1bc7c3f02e9ef77",
-        "init_00/snapshot_iter_001.bin": "e3237d9b1eeea4d0fb0f5f61521935a257eb6dfa254ab1eb56a821133214c28e",
-        "init_00/snapshot_iter_002.bin": "8c5ced0b24bd3bf183b2ea4d9832d968be420f40151a017eee03bd5ec9e59f46",
-        "init_01/mean_field.bin": "dba1a567d03c43df6e217fc9c3b6106f5ae63034fdcdc2ca489d04ecddcf1c82",
-        "init_01/records.csv": "72c5c1313c2a290666c3e059b18c4c55b4de758924f7483314d0bf65caec7d72",
+        "init_00/snapshot_iter_001.bin": "2a8332c07b2cdee26725f45ce0a3fc5132808b2e4174b9149ca7ceeeeff55011",
+        "init_00/snapshot_iter_002.bin": "0800972d14f100826ce565ff0e8350cc9d20233889a52b9c4a17cebf1a5eb362",
+        "init_01/mean_field.bin": "86414c7b6b2135bfc186bc01343d30d659167be08d7616892843eb83106fd5e2",
+        "init_01/records.csv": "fe2d29314800fc75defc3d44762fe1ccbea8818d4a4ce7602c8c8298572bbebe",
         "init_01/snapshot_iter_000.bin": "60083ec0123f40997c2a87a679be424842405e3d4c85ef7d582e22b48a15d5c0",
-        "init_01/snapshot_iter_001.bin": "b191109950aefc624be0401b45954ed262ab7a5516986c73b9af0849e30f85f1",
-        "init_01/snapshot_iter_002.bin": "dba1a567d03c43df6e217fc9c3b6106f5ae63034fdcdc2ca489d04ecddcf1c82",
+        "init_01/snapshot_iter_001.bin": "f47d3320c2f9fd703b02e978b3a8a91abe10f2dfbe9603d0f23eaaf0d870a307",
+        "init_01/snapshot_iter_002.bin": "86414c7b6b2135bfc186bc01343d30d659167be08d7616892843eb83106fd5e2",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "darcy-plain-exp": {
-        "init_00/mean_field.bin": "3b1c9493e673619c1d9b3b59a1321be62cee57f34effbd808cafa7317d8ccea7",
+        "init_00/mean_field.bin": "52a5e9b440065ecf30a99e129c30b1bef9a0a3fb5c94a96c65322e77ae0b4089",
         "init_00/records.csv": "4bb0f837267ca134036c16017b1e78038e0bc00e4ab35ecb1516c7ef2c4f3ee7",
         "init_00/snapshot_iter_000.bin": "9f1cecfa218e000a927625b6551cc271742b53112f82d59ddfa6ee7305d0beef",
-        "init_00/snapshot_iter_001.bin": "ba46313db7c58e0c3cdea1ecc045cf47175804c01fb815147006e329f8709f20",
-        "init_00/snapshot_iter_002.bin": "3b1c9493e673619c1d9b3b59a1321be62cee57f34effbd808cafa7317d8ccea7",
-        "init_01/mean_field.bin": "4d833e39c9fd464ea138d980749c2397f88d59fd521b2b9bc4eb7c951a164553",
-        "init_01/records.csv": "6342978374c2e911f22a6a2f19c8fa91630450df00e7fed5d6c9484495c3de2d",
+        "init_00/snapshot_iter_001.bin": "1741d09092e12f6390ecc394cc5b22cea8c9c0184dee13409453ca2a7bc26b04",
+        "init_00/snapshot_iter_002.bin": "52a5e9b440065ecf30a99e129c30b1bef9a0a3fb5c94a96c65322e77ae0b4089",
+        "init_01/mean_field.bin": "a1729db5905ebe3a2bdfca5c419ae9f89ad8660bc59f33fbec2351dcc5e71531",
+        "init_01/records.csv": "67cfeff6d54908e611e7dc697fd0b597fa75fe49782584d8ede2c2ea9f4ef66a",
         "init_01/snapshot_iter_000.bin": "c67182c20ade0048beda934731837e520a85013ab1f3de1f9f235777e9c72fc1",
-        "init_01/snapshot_iter_001.bin": "c4f0acf71195c87bd38390383b89df5b90034671532b4092e84c52e52bcefb7f",
-        "init_01/snapshot_iter_002.bin": "4d833e39c9fd464ea138d980749c2397f88d59fd521b2b9bc4eb7c951a164553",
+        "init_01/snapshot_iter_001.bin": "dde583a1b3aaa316f70d9d1d856b7c6072cb664920923aea8c079061f92dcc21",
+        "init_01/snapshot_iter_002.bin": "a1729db5905ebe3a2bdfca5c419ae9f89ad8660bc59f33fbec2351dcc5e71531",
         "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-plain-exp-field-gauss": {
-        "init_00/mean_field.bin": "c48fb9838947c9ac3bfce2dcd2bfed6cea919fc0f54f7c6f429a732e4e226885",
-        "init_00/records.csv": "6ef2eaaaa5888dd8e662526fa9115bd7ceabf647a166d388a1ba12ba4f924fd1",
+        "init_00/mean_field.bin": "dc5d42419fe26496d4a1cfe5d5d645bfa646da5cf4aa5c2e230fe223987ce131",
+        "init_00/records.csv": "704011987b7ce64c981ffa6bb3461e3996b44e11e3d60a815ef8cb6074118263",
         "init_00/snapshot_iter_000.bin": "7560ebc32d15ab3532876c00a6752f73950bc558b811d0d6e6368d614bc137bd",
-        "init_00/snapshot_iter_001.bin": "80ca67d5bd98d1b17179945016bf10508a12a8238720b12f360610c0fd388ebd",
-        "init_00/snapshot_iter_002.bin": "c48fb9838947c9ac3bfce2dcd2bfed6cea919fc0f54f7c6f429a732e4e226885",
-        "init_01/mean_field.bin": "ae9583cd0a3f8f9ffb151861b217a618327c675ca7e27fb923bd58f962f1c699",
-        "init_01/records.csv": "75014940cc727ce5eb50f4227f97c4a9f5cf01972e58301dfb86c36c00a4348b",
+        "init_00/snapshot_iter_001.bin": "ad7309fb82e19bc696f7be089a09bb5ee3fc3f014b82a9f9662525c0a248aa0e",
+        "init_00/snapshot_iter_002.bin": "dc5d42419fe26496d4a1cfe5d5d645bfa646da5cf4aa5c2e230fe223987ce131",
+        "init_01/mean_field.bin": "adf9aefad822b8cf5dc3ff646fd68536f6734dc77bee1f2a15c064b33a3bed3b",
+        "init_01/records.csv": "43e258795ae6beb743ec96efb757a65cc3568d7b8b14a3779eb1455d1161b34b",
         "init_01/snapshot_iter_000.bin": "8ab6723a8d8dcbad341ad7c50258358e17b06dd4e5bd01923b8fbaf08955df21",
-        "init_01/snapshot_iter_001.bin": "589a04cd2a793a7e8a519f96e761048b3b632e8c011d81c7cb0923843d9ef3e8",
-        "init_01/snapshot_iter_002.bin": "ae9583cd0a3f8f9ffb151861b217a618327c675ca7e27fb923bd58f962f1c699",
+        "init_01/snapshot_iter_001.bin": "7ebaea267a25d3b1145010ebf8bbd497d87c22cbd32ed32b027469558831a0e8",
+        "init_01/snapshot_iter_002.bin": "adf9aefad822b8cf5dc3ff646fd68536f6734dc77bee1f2a15c064b33a3bed3b",
         "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-centered-hier-exp": {
         "init_00/hypers.csv": "84b7b4c7ff76893124a0c868e9e43041113d457d345f3b23a78636f749305963",
-        "init_00/mean_field.bin": "2a35e25375422b6fac7ba178965b003aec593c8f5edab2279401c5df90ec56f7",
-        "init_00/records.csv": "0200df3b1f0ad9cdb80461e8f41da7eb760a766b9318dec06c2df13353081684",
+        "init_00/mean_field.bin": "8dde2b3801d6423f2a30bb7fd68639cdac3c30fd28323e8228fc74f6ff52d074",
+        "init_00/records.csv": "a7e92b0cf7e17e3653b563ab320e80ee628e65da5109075c33d9599355c571ec",
         "init_00/snapshot_iter_000.bin": "4ddbc7bf6da5566e575ec71ffc0cf065c1a83f1099bb05609811463148b1e81e",
-        "init_00/snapshot_iter_001.bin": "438e8d58486516d5aa1f685110cbc680d64c5aa73111c23d431770565d0d60a7",
-        "init_00/snapshot_iter_002.bin": "2a35e25375422b6fac7ba178965b003aec593c8f5edab2279401c5df90ec56f7",
-        "init_01/hypers.csv": "47390442a3f4f784f03e9045b9578eb199f5a3ad064d166de694aebb576180d0",
-        "init_01/mean_field.bin": "07fba44137999dd0ed58f061d65c04701ff12120fe3c0148f7a281e49a210513",
-        "init_01/records.csv": "653073232426961bff5118a8f277a1e63ac6278332b4d38a17367a6aa5d16676",
+        "init_00/snapshot_iter_001.bin": "8886c10bfa17c3648f23326c93c1b83644b720014692c3822a4ddc6aa2349eb1",
+        "init_00/snapshot_iter_002.bin": "8dde2b3801d6423f2a30bb7fd68639cdac3c30fd28323e8228fc74f6ff52d074",
+        "init_01/hypers.csv": "c963e02bdabc48a9edd46d952b2a4a3c7f2b841a1b4bfa32de60547728825c21",
+        "init_01/mean_field.bin": "bc2e8a7381a23104b42d532568e25c54c98e2e4320cfcdb1131f708f172f42f4",
+        "init_01/records.csv": "9b928f5f9504a7944467abb30b0cd82e556c078105cefa85a79a95b0db96a65f",
         "init_01/snapshot_iter_000.bin": "cda2820f0789f89f49ac665a6deb454f9b7c7a31888cb524d040b15e383ca100",
-        "init_01/snapshot_iter_001.bin": "954a74be01716225df72f9eb83ae73efd7326ab578c6a02f5335afd27639be57",
-        "init_01/snapshot_iter_002.bin": "07fba44137999dd0ed58f061d65c04701ff12120fe3c0148f7a281e49a210513",
+        "init_01/snapshot_iter_001.bin": "2a9f517f7ea7901ffe5c58fc3efdceb1da173fbbc16750fc9bd82cba99ebb168",
+        "init_01/snapshot_iter_002.bin": "bc2e8a7381a23104b42d532568e25c54c98e2e4320cfcdb1131f708f172f42f4",
         "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-noncentered-hier-exp": {
         "init_00/hypers.csv": "b177c92c9cbb632a16ae5a648c17f7c16bd9c3fddc32cf39a921c137660ea0c2",
-        "init_00/mean_field.bin": "0ae8af53514f86df0893599a014155b48eb56914d8da796c4db2d9684b913906",
-        "init_00/records.csv": "1276cade0b18ff87b54384a4f8bbea24da634653860df08ca87ab7150cc0dcfd",
+        "init_00/mean_field.bin": "7a5aa67bf9dbfa77b033085bd954d82fd324022da961bfa3865fef7ac98f81eb",
+        "init_00/records.csv": "cc4bef43ca1914d86bbb859aaa98bd25ce4f2a6bcafd27f6edd1485d37a7dddf",
         "init_00/snapshot_iter_000.bin": "c2b938e164daed70c57770096a9464c9dab6f1439ccf84ea1918a3b7d5d1a867",
-        "init_00/snapshot_iter_001.bin": "7325d2fedbfc3a9d3ada5b762697493692098a7fe09016ff0877902935c1b73b",
-        "init_00/snapshot_iter_002.bin": "0ae8af53514f86df0893599a014155b48eb56914d8da796c4db2d9684b913906",
+        "init_00/snapshot_iter_001.bin": "5924427de81a86f787b9b080860e9557678a3a0fb8c6a25847e17055339adef2",
+        "init_00/snapshot_iter_002.bin": "7a5aa67bf9dbfa77b033085bd954d82fd324022da961bfa3865fef7ac98f81eb",
         "init_01/hypers.csv": "64f9069bbf67d05f9fac2214bfed1143e750424658c36148d36f8d5a275e009b",
-        "init_01/mean_field.bin": "a84f66e0a03cbc4dcf0ed5bbb002b4a1fd8e639e0d202a87e07d292a43367545",
-        "init_01/records.csv": "78a180d4af497ebde13e43cbf8cf78329dec0dc6567310be7ba25d566090f42b",
+        "init_01/mean_field.bin": "84c315d0236e4d628c8b55966ddb87c9675b4024a412675ae45256fcb17afef0",
+        "init_01/records.csv": "4992d8f39b6cb79c45ddf439e6fbfec33eb12e54f03bc415c3ab48a8982ac404",
         "init_01/snapshot_iter_000.bin": "229df3099742af594a6d78239d1d3b668951692a1068fc9bc9a7a5ce86458f36",
-        "init_01/snapshot_iter_001.bin": "922e2bf202552baabd591e959599f60f123d44a6a671ede1cdf5a88a11cb16a0",
-        "init_01/snapshot_iter_002.bin": "a84f66e0a03cbc4dcf0ed5bbb002b4a1fd8e639e0d202a87e07d292a43367545",
+        "init_01/snapshot_iter_001.bin": "93b97c0cd38ec129495101cb4b48db4fd30a029ccb3ed778a2d1d2fc8012a5bb",
+        "init_01/snapshot_iter_002.bin": "84c315d0236e4d628c8b55966ddb87c9675b4024a412675ae45256fcb17afef0",
         "observations.csv": "856c7bba3ea9a394dea8041af89f23f6ddcbf695dbad80004f433f6759bdf3cd",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
@@ -788,15 +808,15 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-centered-hier-level-set": {
-        "init_00/hypers.csv": "39c16bb70d697da7f00f1a71b9ead7aa020b9b3f10853ec3e865516035f4e0c1",
+        "init_00/hypers.csv": "8412729dc6eeb1505a18979ecef91536f8dd83757198bb091289b1d1875f580b",
         "init_00/mean_field.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
-        "init_00/records.csv": "85dab4e295e8228dcc3bb49ba764e2ba544340fe0c5e086efcd3acaf334f58de",
+        "init_00/records.csv": "6f5fd4a3fccf60774ca4fbb4e52f9e217d768c0268e1bd5a91f08e56a451aa0a",
         "init_00/snapshot_iter_000.bin": "7d04f28e9445c25b4c9191222aa011f13cfd9515ab44d269f521979c801781fe",
         "init_00/snapshot_iter_001.bin": "ae1f717d1f06dff54e75912bb6686084b1fadd3074b105f6ef0a01f86f948d62",
         "init_00/snapshot_iter_002.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
-        "init_01/hypers.csv": "6f61f8ddf7571f15811c11747280e8c8ddf9a48557c616cc5551b25d6da0980e",
+        "init_01/hypers.csv": "e0284053fd1421704dfd2cead09c025dfdbb7c2a24f7435bdfcf3a0240d82184",
         "init_01/mean_field.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
-        "init_01/records.csv": "f01aef16b286d751c346cc6e2486d69a33a1ec04608215af9bde3a5009b5d6a4",
+        "init_01/records.csv": "67a6b051a9ffd7bf4eabb33d704a43c6b257e9f2885d09bfa07d54fd909f0c45",
         "init_01/snapshot_iter_000.bin": "1c5c673b855e563be4271e10798e0121c1e124d918dc3ea51bfff7743b573996",
         "init_01/snapshot_iter_001.bin": "7aa36c001df667faacaa4425fbc481341a5562f82d23c66947d529754c674ed8",
         "init_01/snapshot_iter_002.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
@@ -804,9 +824,9 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-noncentered-hier-level-set": {
-        "init_00/hypers.csv": "feb01e0cf18673ca1a2f8157e2314341d7fcc64b280d2ee384fb110815550cf0",
+        "init_00/hypers.csv": "88c8849fd997fd20d5e60f1bfd7458f3c6a612bd6fd9cc91b5e452c2732caa3b",
         "init_00/mean_field.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
-        "init_00/records.csv": "289dff9ffe7a50393b97fd074ec95d06de80ed70fe8049d452f1c5cd52c8e3db",
+        "init_00/records.csv": "56604bf09726b6b7762575b27154e6dda3072479cf3e02049ec50ebee3b2a5b7",
         "init_00/snapshot_iter_000.bin": "7b04b4c15f74fa34e485e0abda3c0c766cdc7ef6c8cf373539798684eb5f3768",
         "init_00/snapshot_iter_001.bin": "105461c58f4716dcba2990c4651f11bee9a17cd2123b002ea77741e04ba29bad",
         "init_00/snapshot_iter_002.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
@@ -820,50 +840,50 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-plain-channel": {
-        "init_00/hypers.csv": "f7200a229580ac50cb0dada49ba264f9069b073a530a3dca1c55610081ef88c2",
-        "init_00/mean_field.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
-        "init_00/records.csv": "e373d3ebd217fcb071e677505e338d7b707daf6ff21b1b3d4baa6b5856c56212",
+        "init_00/hypers.csv": "da4368b1864723a7e733fa33e783e08db5a3299c50d0c8bac944c27240657fd7",
+        "init_00/mean_field.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
+        "init_00/records.csv": "fa871301020a06a95aaef61d6b3adf1888565f21356009ab334cf5c84b20701f",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
-        "init_00/snapshot_iter_001.bin": "110b34ec2624707d4d63de3ec94724d6de8f948f5a005674fd19156e7198190f",
-        "init_00/snapshot_iter_002.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
-        "init_01/hypers.csv": "b6c8722b73b756f116810bef8d0772368785475254c3ca77680d087d738c2490",
-        "init_01/mean_field.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
-        "init_01/records.csv": "1e7355626cc4b52de3774a119068273921cba1359420f788d2a6f87d4ea9ba4b",
+        "init_00/snapshot_iter_001.bin": "5d461c7f17eac7a2c5be9bd8f1fbf59d5e0da0cb92668c82c27b37be99d72a4d",
+        "init_00/snapshot_iter_002.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
+        "init_01/hypers.csv": "a448ef356e7fa86f525e3a9afeebc8042e6060c23bcfd5e0712d593a94061968",
+        "init_01/mean_field.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
+        "init_01/records.csv": "465ab879e3e90ab1d2e7303d84d7ee76a84579fecbfb8875c808c5a0976f5e4a",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
-        "init_01/snapshot_iter_001.bin": "e37e48692bf87a00f3f0e54d14b2cc16267b93187d0ae6f666e85f5aafbd3d9b",
-        "init_01/snapshot_iter_002.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
+        "init_01/snapshot_iter_001.bin": "de25cfbaa56443179542a151625346e137ab883640f8275335c4b0e2a68bc481",
+        "init_01/snapshot_iter_002.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
         "observations.csv": "645f04f124ad199674c85d1c4c5a98736e9dc21a6c750b2ad4739f3258d257a0",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-centered-hier-channel": {
-        "init_00/hypers.csv": "93ad2e6b16fd873718db7926023fbfad03fe5520cb4cd5b9c0865ce5b4bbec66",
-        "init_00/mean_field.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
-        "init_00/records.csv": "e373d3ebd217fcb071e677505e338d7b707daf6ff21b1b3d4baa6b5856c56212",
+        "init_00/hypers.csv": "035e6ebe802501bf83fa0968fbe086b8ad30ab89773c10bad7c11c2bf9506b3e",
+        "init_00/mean_field.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
+        "init_00/records.csv": "fa871301020a06a95aaef61d6b3adf1888565f21356009ab334cf5c84b20701f",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
-        "init_00/snapshot_iter_001.bin": "110b34ec2624707d4d63de3ec94724d6de8f948f5a005674fd19156e7198190f",
-        "init_00/snapshot_iter_002.bin": "0530411cc01fb40c61fab9c0a64355df6681ff60608a6dfd6dded8f843121b0b",
-        "init_01/hypers.csv": "eca189bda32bbaca0be6e8f74b47c032e24ac4ce2a5bd3ddd440137652b35922",
-        "init_01/mean_field.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
-        "init_01/records.csv": "1e7355626cc4b52de3774a119068273921cba1359420f788d2a6f87d4ea9ba4b",
+        "init_00/snapshot_iter_001.bin": "5d461c7f17eac7a2c5be9bd8f1fbf59d5e0da0cb92668c82c27b37be99d72a4d",
+        "init_00/snapshot_iter_002.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
+        "init_01/hypers.csv": "7c805a9adc0a72aae6205bea61a755bed56400ca0c4fd8d577e57647ef0870ed",
+        "init_01/mean_field.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
+        "init_01/records.csv": "465ab879e3e90ab1d2e7303d84d7ee76a84579fecbfb8875c808c5a0976f5e4a",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
-        "init_01/snapshot_iter_001.bin": "e37e48692bf87a00f3f0e54d14b2cc16267b93187d0ae6f666e85f5aafbd3d9b",
-        "init_01/snapshot_iter_002.bin": "df63cb0f8350ffcd54356260e063520c3b0be35c083d730fa549b24712cd5a3b",
+        "init_01/snapshot_iter_001.bin": "de25cfbaa56443179542a151625346e137ab883640f8275335c4b0e2a68bc481",
+        "init_01/snapshot_iter_002.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
         "observations.csv": "645f04f124ad199674c85d1c4c5a98736e9dc21a6c750b2ad4739f3258d257a0",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-noncentered-hier-channel": {
-        "init_00/hypers.csv": "9ec59a67e212a4fc9f0831f2ec30c65b6da65c0b86b71e9c06bd4685c1359134",
-        "init_00/mean_field.bin": "338c486d77c580c6bcd51d9c1b044c10d89202d2000d272c98ab8efbfa78ed50",
+        "init_00/hypers.csv": "d011c5240bbd98873dc5e1329efa40093ba65ba301f69e590799b6990c15c3c1",
+        "init_00/mean_field.bin": "3514a4fd95563ba232f96fb53121ae43db6868da2e82f9289b8fe9489a934c50",
         "init_00/records.csv": "9bc1b1a482ff8cec8edc1fa1d1f9ad2d98e0b3c38f2bb650531db53817f56e84",
         "init_00/snapshot_iter_000.bin": "ba7bc8deb275a7b6454399ba4b0601cd0610221ead048839ab82d96be7072d2a",
         "init_00/snapshot_iter_001.bin": "88958bbf557dc30fb89651ad501553a37c399f341b948977620f301eeab307a1",
-        "init_00/snapshot_iter_002.bin": "338c486d77c580c6bcd51d9c1b044c10d89202d2000d272c98ab8efbfa78ed50",
-        "init_01/hypers.csv": "5ad5a530cdf2237d907ef749ca00b1eea93bd2cf0b8b29c933876b571cacf926",
-        "init_01/mean_field.bin": "8fec90efcff586b958413d8e84566ea71498587d51a8934246072695e941f143",
-        "init_01/records.csv": "d7d7ab4b8fcf72ae0b3c0f72f7a95acbe03091f3d1940b13554f1d97c8e40a94",
+        "init_00/snapshot_iter_002.bin": "3514a4fd95563ba232f96fb53121ae43db6868da2e82f9289b8fe9489a934c50",
+        "init_01/hypers.csv": "3dede7ef65371dfd446d6eabe775a423741923a2c2e72b932043e9ea7ecc186b",
+        "init_01/mean_field.bin": "a09130a67c23abd9ea4bcf9bca84fe3db7f120d2bb4714685dcf69aa7e4f4fa8",
+        "init_01/records.csv": "777c261103442977dfb9ea451b8a56e53c93be2f92ec62add5180c91cef4803c",
         "init_01/snapshot_iter_000.bin": "7501032850cfc713e832502bffa0a4685554cfba384c52348f60bdcf040b3ca6",
-        "init_01/snapshot_iter_001.bin": "d7d079f3edb8b969ffbd8eda31108a50c8a3db6f4126c0de20497d9078c26928",
-        "init_01/snapshot_iter_002.bin": "8fec90efcff586b958413d8e84566ea71498587d51a8934246072695e941f143",
+        "init_01/snapshot_iter_001.bin": "70b293739c16a6de6ea3efb1deb2fec02f81fe660047669d397041816bde7077",
+        "init_01/snapshot_iter_002.bin": "a09130a67c23abd9ea4bcf9bca84fe3db7f120d2bb4714685dcf69aa7e4f4fa8",
         "observations.csv": "645f04f124ad199674c85d1c4c5a98736e9dc21a6c750b2ad4739f3258d257a0",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
