@@ -215,15 +215,12 @@ class ExperimentConfig:
         return {sec: dict(keys) for sec, keys in self.sections.items()}
 
     def echo(self) -> str:
+        """The configuration as a configuration file that loads back to it."""
         lines = []
         for sec in sorted(self.sections):
             lines.append(f"[{sec}]")
-            for key in sorted(self.sections[sec]):
-                value = self.sections[sec][key]
-                if isinstance(value, tuple):
-                    value = ", ".join(f"{v:g}" if isinstance(v, float) else str(v)
-                                      for v in value)
-                lines.append(f"{key} = {value}")
+            lines += [f"{key} = {_as_text(value)}"
+                      for key, value in sorted(self.sections[sec].items())]
             lines.append("")
         return "\n".join(lines)
 
@@ -432,7 +429,7 @@ def load_config(path) -> ExperimentConfig:
 def _as_text(value) -> str:
     """A resolved value spelled as a configuration file spells it; floats
     keep every digit."""
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return ", ".join(map(repr, value))
     if isinstance(value, bool):
         return str(value).lower()

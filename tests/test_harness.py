@@ -1,11 +1,16 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ekinv
 from ekinv import harness, multigrid
 from ekinv.cli import cli
 from ekinv.config import ConfigError, ExperimentConfig, config_from_manifest, load_config
@@ -116,6 +121,52 @@ def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys
     finally:
         tracemalloc.stop()
     assert sum(harness.memory_estimate(config).values()) >= peak
+
+
+def test_validate_echoes_every_digit_of_a_bound(tmp_path, capsys):
+    path = tmp_path / "digits.ini"
+    path.write_text("[experiment]\nmodel_problem = darcy\nparameterization = centered-hier\n"
+                    "[prior]\nalpha_bounds = 1.23456789, 4\n", encoding="utf-8")
+    config = load_config(path)
+    assert config["prior"]["alpha_bounds"] == (1.23456789, 4.0)
+    assert cli(["validate", str(path)]) == 0
+    (tmp_path / "echo.ini").write_text(capsys.readouterr().out, encoding="utf-8")
+    assert load_config(tmp_path / "echo.ini").to_dict() == config.to_dict()
+
+
+def run_module(*args):
+    """``python -m ekinv.cli`` with ``args`` in a fresh interpreter."""
+    src = str(Path(ekinv.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-m", "ekinv.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+
+
+def test_the_module_entry_point_exits_with_the_cli_codes(tmp_path):
+    config = tiny_darcy(tmp_path, "valid")
+    done = run_module("validate", str(tmp_path / "valid.ini"))
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.startswith(config.echo() + "\n# memory estimate: ")
+    (tmp_path / "bad.ini").write_text("[experiment]\nmodel_problem = darcy\n"
+                                      "model_problem = source1d\n", encoding="utf-8")
+    done = run_module("validate", str(tmp_path / "bad.ini"))
+    assert done.returncode == 1
+    assert done.stderr.startswith("configuration error: config parse error in ")
+    done = run_module("run", str(tmp_path / "valid.ini"), "--parallel", "0")
+    assert done.returncode == 2
+    assert "--parallel: must be at least 1, got 0" in done.stderr
+    assert not (tmp_path / "valid").exists()
+
+
+def test_every_benchmark_workload_loads():
+    # the benchmark runs these files; a schema change must keep them loading
+    root = Path(__file__).resolve().parents[1]
+    workloads = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))["workloads"]
+    paths = sorted((root / "ekibench" / "workloads").glob("*.ini"))
+    assert [p.stem for p in paths] == sorted(w["name"] for w in workloads)
+    for path in paths:
+        assert load_config(path)["experiment"]["n_initializations"] == 1
 
 
 @pytest.mark.parametrize("coefficient_map, line", [
