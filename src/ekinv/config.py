@@ -3,7 +3,7 @@
 Configuration files are INI-style (one section per module, ``key = value``),
 parsed strictly: duplicate or unknown keys are fatal, every default is
 materialized into the resolved configuration, and the resolved configuration
-plus the master seed determine every output byte.  A run manifest stores the
+plus the master seed determine every file a run inventories.  A run manifest stores the
 resolved configuration and is parsed back through the same checks.
 """
 
@@ -125,7 +125,6 @@ SCHEMA = {
         "n_initializations": (int, 10),
         "master_seed": (parse_seed, 0),
         "out_dir": (str, "auto"),
-        "record_walltime": (_parse_bool, False),
         "snapshots": (_parse_snapshots, "auto"),
     },
     "eki": {

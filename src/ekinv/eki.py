@@ -259,9 +259,10 @@ class IterationRecord:
     iteration: int
     misfit: float
     rel_error: float | None = None
-    upsilon: float | None = None
+    upsilon: float | None = None          # None: no update followed
+    upsilon_trials: int | None = None
     hyper_means: dict = field(default_factory=dict)
-    wall_ms: float | None = None
+    wall_ms: float | None = None          # set when the iteration ends
 
 
 @dataclass(frozen=True)
@@ -348,13 +349,15 @@ def eki_step(ensemble: Ensemble | SpanEnsemble, forward_map, obs, controls: EkiC
 
 
 def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
-                  rng: np.random.Generator, error_fn=None, hyper_means_fn=None,
-                  record_walltime: bool = False) -> InversionResult:
+                  rng: np.random.Generator, error_fn=None, hyper_means_fn=None
+                  ) -> InversionResult:
     """Iterate :func:`eki_step` until the discrepancy principle is met.
 
     ``error_fn(members)`` and ``hyper_means_fn(members)`` are optional
     reporting hooks evaluated every iteration (relative error against a known
-    truth; decoded hyperparameter ensemble means).
+    truth; decoded hyperparameter ensemble means).  Every record carries the
+    wall time of its iteration: forming the members, the forward map, the
+    hooks and the update, which the last record does not make.
 
     ``ensemble`` is never written: the run holds it as U_0 and each iterate
     as a :class:`SpanEnsemble`.  The forward map and the hooks receive its
@@ -370,7 +373,7 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     stop_reason, message = "max-iterations", ""
     n = 0
     while True:
-        t0 = time.perf_counter() if record_walltime else None
+        t0 = time.perf_counter()
         members = current.members
         try:
             W = forward_map(members)
@@ -390,18 +393,16 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         records.append(record)
         if misfit <= threshold:
             stop_reason = "discrepancy"
+        elif n < controls.max_outer_iterations:
+            try:
+                current, info = eki_step(current, forward_map, obs, controls, rng, outputs=W)
+                record.upsilon, record.upsilon_trials = info.upsilon, info.trials
+            except (UpsilonSearchError, RuntimeError, ValueError,
+                    np.linalg.LinAlgError) as exc:
+                stop_reason, message = "aborted", str(exc)
+        record.wall_ms = 1000.0 * (time.perf_counter() - t0)
+        if record.upsilon is None:   # no update: the run ends at this iterate
             break
-        if n >= controls.max_outer_iterations:
-            stop_reason = "max-iterations"
-            break
-        try:
-            current, info = eki_step(current, forward_map, obs, controls, rng, outputs=W)
-        except (UpsilonSearchError, RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            stop_reason, message = "aborted", str(exc)
-            break
-        record.upsilon = info.upsilon
-        if record_walltime:
-            record.wall_ms = 1000.0 * (time.perf_counter() - t0)
         n += 1
     return InversionResult(ensemble=current, records=records,
                            stop_reason=stop_reason, message=message)

@@ -1,11 +1,12 @@
 """Truth synthesis, parameterization wiring, and the inversion runner.
 
 The resolved configuration (:mod:`ekinv.config`) plus the master seed
-determine every output byte.  Each experiment draws one truth and one data
-realization, then runs the inversion from several independent initial
-ensembles, writing per-iteration records (CSV), decoded mean fields (flat
-binary with a 3-integer shape header), hyperparameter trajectories (CSV),
-and a JSON manifest that can be re-run verbatim.
+determine every file in the manifest's SHA-256 inventory.  Each experiment
+draws one truth and one data realization, then runs the inversion from
+several independent initial ensembles, writing per-iteration records with
+the hyperparameter means (CSV), decoded mean fields (flat binary with a
+3-integer shape header), and a JSON manifest that can be re-run verbatim and
+also holds what is not deterministic: the wall time of every iteration.
 """
 
 from __future__ import annotations
@@ -432,22 +433,17 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
         return setup.domain.norm(mean_history[-1] - truth.field.values) / truth.field.norm()
 
     result = run_inversion(ensemble, param.forward, obs, controls, rng,
-                           error_fn=error_fn, hyper_means_fn=param.hyper_means,
-                           record_walltime=exp["record_walltime"])
+                           error_fn=error_fn, hyper_means_fn=param.hyper_means)
 
     out_dir = Path(exp["out_dir"]) / f"init_{index:02d}"
     out_dir.mkdir(parents=True, exist_ok=True)
     records = result.records
-    write_csv(out_dir / "records.csv",
-              ("iter", "misfit", "rel_error", "upsilon", "alpha_mean", "tau_mean", "wall_ms"),
-              [(r.iteration, r.misfit, r.rel_error, r.upsilon, r.hyper_means.get("alpha"),
-                r.hyper_means.get("tau"), r.wall_ms) for r in records])
-    files = [str(out_dir / "records.csv")]
     names = sorted({name for r in records for name in r.hyper_means})
-    if names:
-        write_csv(out_dir / "hypers.csv", ("iter", *names),
-                  [(r.iteration, *(r.hyper_means.get(n) for n in names)) for r in records])
-        files.append(str(out_dir / "hypers.csv"))
+    write_csv(out_dir / "records.csv",
+              ("iter", "misfit", "rel_error", "upsilon", "upsilon_trials", *names),
+              [(r.iteration, r.misfit, r.rel_error, r.upsilon, r.upsilon_trials,
+                *(r.hyper_means[n] for n in names)) for r in records])
+    files = [str(out_dir / "records.csv")]
     if mean_history:
         write_field_file(out_dir / "mean_field.bin", setup.domain, mean_history[-1])
         files.append(str(out_dir / "mean_field.bin"))
@@ -464,6 +460,7 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
         "n_records": len(records),
         "final_misfit": final.misfit if final else None,
         "final_rel_error": final.rel_error if final else None,
+        "wall_ms": [r.wall_ms for r in records],
         "files": files,
     }
 
@@ -530,9 +527,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
         "noise_level": obs.noise_level,
         "truth_hypers": truth.hypers,
         "initializations": [
-            {key: res[key] for key in ("index", "stop_reason", "message",
-                                       "n_records", "final_misfit", "final_rel_error")}
-            for res in results
+            {key: value for key, value in res.items() if key != "files"} for res in results
         ],
         "files": inventory,
     }

@@ -353,6 +353,8 @@ def test_inversion_aborts_on_a_nonfinite_update_at_its_last_iterate():
     assert result.message == "ensemble update produced non-finite members"
     assert len(result.records) > 1
     assert result.records[-1].upsilon is None
+    # the aborted update's time is the last record's
+    assert all(isinstance(r.wall_ms, float) and r.wall_ms > 0 for r in result.records)
     assert np.all(np.isfinite(result.ensemble.members))
     assert result.records[-1].misfit == obs.whitened_misfit(
         obs.y - result.ensemble.members[:1].mean(axis=1))
@@ -397,9 +399,13 @@ def test_the_run_is_the_step_iterated_bit_for_bit(J, n_obs):
     assert result.stop_reason == "max-iterations"
 
     span, step_rng = SpanEnsemble.of(Ensemble(X0, layout)), np.random.default_rng(1)
+    infos = []
     for _ in range(3):
-        span, _ = eki_step(span, forward, obs, controls, step_rng)
+        span, info = eki_step(span, forward, obs, controls, step_rng)
+        infos.append((info.upsilon, info.trials))
     assert result.ensemble.coefficients.tobytes() == span.coefficients.tobytes()
+    assert [(r.upsilon, r.upsilon_trials) for r in result.records] == infos + [(None, None)]
+    assert all(isinstance(r.wall_ms, float) and r.wall_ms > 0 for r in result.records)
 
 
 def explicit_update(members, layout, W, obs, controls, rng):

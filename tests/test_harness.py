@@ -72,6 +72,7 @@ def test_solver_failure_reaches_the_manifest(tmp_path, monkeypatch):
     for init in manifest["initializations"]:
         assert init["stop_reason"] == "aborted"
         assert init["n_records"] == 0
+        assert init["wall_ms"] == []
         assert init["message"].startswith(
             "forward evaluation failed: member 0, solve: MG-PCG did not converge "
             "within 1 iterations (relative residual ")
@@ -589,7 +590,6 @@ def csv_columns(path):
 @pytest.mark.parametrize("section, key, value", [
     ("eki", "noise_level_convention", "expected"),
     ("observations", "noise_free", True),
-    ("experiment", "record_walltime", True),
 ])
 def test_run_options_change_what_they_name(tmp_path, section, key, value):
     case = MATRIX[0]
@@ -601,21 +601,37 @@ def test_run_options_change_what_they_name(tmp_path, section, key, value):
     if key == "noise_level_convention":
         assert manifest["noise_level"] == np.sqrt(MATRIX_GRID["source1d"][1])
         assert manifest["files"]["observations.csv"] == golden["observations.csv"]
-    elif key == "noise_free":
+    else:
         setup, truth, _, _ = harness._prepare(config)
         clean = setup.obs_template.matrix @ setup.solver.solve(truth.pde_field).values
         assert manifest["noise_level"] == 0.0
         assert np.array(csv_columns(run / "observations.csv")["y"], dtype=float).tobytes() == \
             clean.tobytes()
-    else:
-        assert {name: sha for name, sha in manifest["files"].items()
-                if not name.endswith("records.csv")} == \
-            {name: sha for name, sha in golden.items() if not name.endswith("records.csv")}
-        for index in range(2):
-            records = csv_columns(run / f"init_{index:02d}" / "records.csv")
-            assert [bool(ms) for ms in records["wall_ms"]] == \
-                [bool(upsilon) for upsilon in records["upsilon"]] == [True, True, False]
-            assert all(float(ms) > 0 for ms in records["wall_ms"] if ms)
+
+
+def test_a_rerun_manifest_differs_only_in_the_wall_times(tmp_path):
+    # the records hold the hyperparameter means and the Upsilon trials; the
+    # wall time of each iteration lives in the manifest, outside the inventory
+    case = ("source1d", "centered-hier", "identity", None)
+    config = matrix_config(tmp_path, *case)
+    manifests = []
+    for _ in range(2):
+        harness.run_experiment(config)
+        manifests.append(json.loads((tmp_path / "run" / "manifest.json").read_text("utf-8")))
+        for init in manifests[-1]["initializations"]:
+            wall_ms = init.pop("wall_ms")
+            assert len(wall_ms) == init["n_records"] == 3
+            assert all(isinstance(ms, float) and ms > 0 for ms in wall_ms)
+    assert manifests[0] == manifests[1]
+    assert manifests[0]["files"] == GOLDEN_FILES[case_name(case)]
+    upsilon0 = config["eki"]["upsilon0"]
+    for index in range(2):
+        records = csv_columns(tmp_path / "run" / f"init_{index:02d}" / "records.csv")
+        assert list(records) == ["iter", "misfit", "rel_error", "upsilon", "upsilon_trials",
+                                 "alpha", "tau"]
+        assert records["upsilon_trials"][-1] == records["upsilon"][-1] == ""
+        assert [float(u) for u in records["upsilon"][:-1]] == \
+            [upsilon0 * 2.0 ** (int(n) - 1) for n in records["upsilon_trials"][:-1]]
 
 
 def same_bits(a, b) -> bool:
@@ -670,9 +686,7 @@ def test_a_forward_evaluation_builds_no_field(tmp_path, monkeypatch, case):
 
 
 # Manifest inventories (file -> SHA-256) of every matrix case, taken before
-# the parameterizations were built from one table.  The two hypers.csv files
-# of darcy-plain-channel came later, when plain channel runs began to report
-# the ensemble means of their geometry d1-d5.  The ten darcy rows were
+# the parameterizations were built from one table.  The ten darcy rows were
 # re-pinned when the multigrid V-cycle moved to float32: the pressures, and
 # with them the synthetic data, moved by up to 5e-12 relative.  They were
 # re-pinned again when the mollifiers were cut per axis and held as two 1D
@@ -680,16 +694,21 @@ def test_a_forward_evaluation_builds_no_field(tmp_path, monkeypatch, case):
 # 1e-3 noise standard deviations), the final misfits by up to 3.6e-9.  Every
 # row was re-pinned when the ensemble came to be held as U_0 A: the same
 # Upsilon, records and stops, the CSV values within 1.8e-14 relative and the
-# .bin values within 2.7e-14 of their largest entry.
+# .bin values within 2.7e-14 of their largest entry.  Every records.csv was
+# re-pinned, and the separate table of hyperparameter means dropped, when
+# records.csv became the one per-iteration table: it took that table's columns
+# and an upsilon_trials column, and lost its fixed (alpha, tau) mean columns
+# and its wall times, which the manifest holds.  Every cell it kept, and every
+# other file, is byte for byte as before.
 GOLDEN_FILES = {
     "source1d-plain-identity-scalar": {
         "init_00/mean_field.bin": "ffc54406f3322c74c808a815ecab6d1f466e20a38412dd9a669c30505b21a459",
-        "init_00/records.csv": "2aafa8032dc9a6ccc4aa62248fbade6c236897cbee134abab3c98e9839297821",
+        "init_00/records.csv": "1b91c4dfd58f9782743de906223acb20815828b0c76287b7670c6d1cb46ded9e",
         "init_00/snapshot_iter_000.bin": "b92e3d36e495708165742e744971c904789e7b33420bc0e97347d9a445f3f987",
         "init_00/snapshot_iter_001.bin": "2298eb3fc044ffc5166f23e53f5520fd8aa1d23a714048bb7d63185214b413ad",
         "init_00/snapshot_iter_002.bin": "ffc54406f3322c74c808a815ecab6d1f466e20a38412dd9a669c30505b21a459",
         "init_01/mean_field.bin": "382c4990365019b003745ea1d4d3980d689d64516443a872f2b073e2e5800da0",
-        "init_01/records.csv": "8d7a1614b0f1902991a5ecbdfd9330278ccb2e7245b4c5589396da14436b01d2",
+        "init_01/records.csv": "54928dba8f4acd06fe2e20c5302fad854d0c4e7391a5c55bcd08f37e42d94aee",
         "init_01/snapshot_iter_000.bin": "667f7f0c3fe4bb07044e5df0782d648f31dadb1a2f6413cface8a29afaba1bea",
         "init_01/snapshot_iter_001.bin": "b4028a8837f0813ffce63571e55a69edf885db81ad8b21e3b01905ca0a3e29f7",
         "init_01/snapshot_iter_002.bin": "382c4990365019b003745ea1d4d3980d689d64516443a872f2b073e2e5800da0",
@@ -698,12 +717,12 @@ GOLDEN_FILES = {
     },
     "source1d-plain-identity-field-gauss": {
         "init_00/mean_field.bin": "a5941cea8e6c3edd643b3f6320a0cc9da076316ac5e991bbffe43fe6421544f7",
-        "init_00/records.csv": "b6df62f102722aa45923cb3aa7be03666ec288da23c2d89c188fb5e97b2b627a",
+        "init_00/records.csv": "0eccde9fe9fb9be64fafc520cd789167b507af8d6b44df53ccc5151b69fc2b78",
         "init_00/snapshot_iter_000.bin": "01b551505e04d2916b0b693a23bf7077eb513dcfb80c524813075adb8adb7bb4",
         "init_00/snapshot_iter_001.bin": "875f47ed69787d1c4dc637c3d317cb7a8b42e4b891ba86ca555d630e597919ea",
         "init_00/snapshot_iter_002.bin": "a5941cea8e6c3edd643b3f6320a0cc9da076316ac5e991bbffe43fe6421544f7",
         "init_01/mean_field.bin": "6550e494bb0a4cde4adb27fa48d98b87895b9ee29408beea3344d6c59c48eef3",
-        "init_01/records.csv": "4292e13189d029b30cda6a50f25d477ea99c649e97b3b5d72e59bc822cd0e4e3",
+        "init_01/records.csv": "05495ea4031467756efa7e935b97c0667d0abfdc0fd4a9b6ab0fdba012d9639b",
         "init_01/snapshot_iter_000.bin": "ab570158c1000e6d2657102e22cd5e3b61ae445932850b33985c101fa621b5e1",
         "init_01/snapshot_iter_001.bin": "368d4821351905e3190d90a951a6ae2481f5ee784915cfcfbf7a14b1572f5c86",
         "init_01/snapshot_iter_002.bin": "6550e494bb0a4cde4adb27fa48d98b87895b9ee29408beea3344d6c59c48eef3",
@@ -712,12 +731,12 @@ GOLDEN_FILES = {
     },
     "source1d-plain-identity-field-cauchy": {
         "init_00/mean_field.bin": "bed820b8ea27ca2c0cd381fb0451468934b2a515fa68601ab771f1617362a5d9",
-        "init_00/records.csv": "143555468b220664e65d1218e5a7678b964e05657803882af49ada1bf6b1e2ed",
+        "init_00/records.csv": "2e3b2da280afba8b208f17e6d091077521636a0a0430bfea85de062d2e8a4634",
         "init_00/snapshot_iter_000.bin": "89f7fd2e8aedf33fce903c1947f7220bc1f67770ade9a4aaf0c6ddc72c855531",
         "init_00/snapshot_iter_001.bin": "7c832c14836f4d3de275c2c7776b21bf1f2f9419a27310e8e7eb76ec3ff5e6d0",
         "init_00/snapshot_iter_002.bin": "bed820b8ea27ca2c0cd381fb0451468934b2a515fa68601ab771f1617362a5d9",
         "init_01/mean_field.bin": "3dd909090f822d7b64830aa6d1a2964c9ec39937e97d6c2c2ca3844ba92b034f",
-        "init_01/records.csv": "df19f5d86d91fe7bf516c629dbb638e3546f8b1d9bc1934bcefd0da2db339840",
+        "init_01/records.csv": "6736363ae316f9f114ca3b8dbbffed420d17c3abbdbe645102c07a1486e9c0da",
         "init_01/snapshot_iter_000.bin": "ac18124a2c06e857bad314db5c73b50943d7af3b31dedd3b8ad9ebc0c4b2d342",
         "init_01/snapshot_iter_001.bin": "28c6258d43adf8f244c7385e100a3ccac0024eacd3e8a0d001216bbbd53cb19f",
         "init_01/snapshot_iter_002.bin": "3dd909090f822d7b64830aa6d1a2964c9ec39937e97d6c2c2ca3844ba92b034f",
@@ -725,15 +744,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-centered-hier-identity": {
-        "init_00/hypers.csv": "433788a852cdf763666262bf965fe2762a8145af3ade05a67bfebed844cf0790",
         "init_00/mean_field.bin": "08da3f5aa1bd9690cc722a17fd9398a8d51ff70e0f2d576cb64217a6223928e9",
-        "init_00/records.csv": "644c0a67ec1db9f1bee9fbf419746d9e642732c7024378ae7a01a1b040f76691",
+        "init_00/records.csv": "4fa91f17bf54feda08c56d38cfa40c40edb1cae5b983423ff834106dd205d97c",
         "init_00/snapshot_iter_000.bin": "f11860aac6e4c3097afbd835c5e475a8854154d756964f30a3f9235052a11d9a",
         "init_00/snapshot_iter_001.bin": "d13436b58f1148a0f88197084e3476a0e9fb4b8b9ecfb890f0339cc96ee03c31",
         "init_00/snapshot_iter_002.bin": "08da3f5aa1bd9690cc722a17fd9398a8d51ff70e0f2d576cb64217a6223928e9",
-        "init_01/hypers.csv": "2c0fefe1702b7800ef828b067ec083e8d1b02bf20854ed92abccc8c0e6a7c48d",
         "init_01/mean_field.bin": "affdee9d289098f913b61904a7492e7604d04be8186a1690219c35e68ef5fc61",
-        "init_01/records.csv": "396f1c9ab52a994c310077450cfaff9374bc8e0a32ffc1fc465e9066bba52483",
+        "init_01/records.csv": "4b14a32ceafd44aa94d0c61c979211fcfd5dbe7f5f8f804388b033006b5c3acc",
         "init_01/snapshot_iter_000.bin": "d483cc8483be8a17ebc06e32c22526c8548e070e2c3c8b48e3fdb4f5e21932a3",
         "init_01/snapshot_iter_001.bin": "92950dbb0acb9a063f764e9599527c7294c628e9dbd744143a40a457386ffa9a",
         "init_01/snapshot_iter_002.bin": "affdee9d289098f913b61904a7492e7604d04be8186a1690219c35e68ef5fc61",
@@ -741,15 +758,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-hier-identity": {
-        "init_00/hypers.csv": "1d8ebffcc5d4803b49bb2f67192928c6362d6b1a17bea7ab35ddf61c27879dc5",
         "init_00/mean_field.bin": "ec175d6a9b3cb49865016b01f6372ba34be772214c1312391155261bfa4e639c",
-        "init_00/records.csv": "7012e07b6b52339ed351929bd596d39c2bfdb3d2df0f053d7f85a45ed54f6fec",
+        "init_00/records.csv": "41a496708c1b1b3e5e3b1182f5c0250b38eb6020cb494faf9bac23fe896e4e68",
         "init_00/snapshot_iter_000.bin": "880aa3c2b8de613426d8dcb0e730cf632a1c856182798adf47d15c51392d2cbc",
         "init_00/snapshot_iter_001.bin": "e7f8559e0b3c81122697dacc0686c1e56f07e9c61e1facbb99bb3f7da7e8e5fb",
         "init_00/snapshot_iter_002.bin": "ec175d6a9b3cb49865016b01f6372ba34be772214c1312391155261bfa4e639c",
-        "init_01/hypers.csv": "678e0b421dc934f5e326e038f7c430990c714d7b3407ac427318b00e326d7a9a",
         "init_01/mean_field.bin": "5ce181b91773b9cf8eb5dc28c1b10e46aa4f0e6d0f6fed72c38cf46124fca331",
-        "init_01/records.csv": "77db1bf643ba136f182cb68d0690c9f17366d6bdf10f209e7ca84983fa739944",
+        "init_01/records.csv": "6524866f29142e09949326640863929073a64346cdf59bff104c3026cbaeda66",
         "init_01/snapshot_iter_000.bin": "44afc73e02d8714ca52a006498674edef40e297b84c5b9eb7a5d8f99e1e7efd5",
         "init_01/snapshot_iter_001.bin": "5732e66aa2508848c5d1c874d29a57e3c2b09d82fa733f57670ff640920406ae",
         "init_01/snapshot_iter_002.bin": "5ce181b91773b9cf8eb5dc28c1b10e46aa4f0e6d0f6fed72c38cf46124fca331",
@@ -758,12 +773,12 @@ GOLDEN_FILES = {
     },
     "source1d-noncentered-field-gauss-identity": {
         "init_00/mean_field.bin": "b084d2c72642ee3150dfeccfcefc3368c6bf8d14906c1861c72e47824ba3c9a6",
-        "init_00/records.csv": "04b76ee1c5070a565440a72b447b84ae608b96738418f9ca0c73d84ba8f8d0fc",
+        "init_00/records.csv": "4334753e9a13cb2341cf4d82127346cd1905df4b2cb788120ed46f0a18095816",
         "init_00/snapshot_iter_000.bin": "42486f68f563a850f28f26ad06d21efcad31258afb400760170b6f1d55e0500a",
         "init_00/snapshot_iter_001.bin": "fa4e941366e5edf7d110665717d1143c10c19a4516877e7e3571ae9584c47c9c",
         "init_00/snapshot_iter_002.bin": "b084d2c72642ee3150dfeccfcefc3368c6bf8d14906c1861c72e47824ba3c9a6",
         "init_01/mean_field.bin": "67659d984fa9e79229ad98fc25aebd1976df73df9bd59730ad8bef49798b0248",
-        "init_01/records.csv": "80ed510e510b677426de6d04c289513a16b2242d0549633c0b1dabb76c490cd7",
+        "init_01/records.csv": "36bc08fee6e483644d4996a3780438581c7bcd4f99944af5fdc13d88dd3d12e4",
         "init_01/snapshot_iter_000.bin": "be8ceb3ee3a70c60f53429871930d4d70972fe68aeddeb327e7975f7ae75a3bb",
         "init_01/snapshot_iter_001.bin": "afcd63f0218f1267619cf0e2396db0c788e27ab1b5f897fcd232a4f1d4c25ee7",
         "init_01/snapshot_iter_002.bin": "67659d984fa9e79229ad98fc25aebd1976df73df9bd59730ad8bef49798b0248",
@@ -772,12 +787,12 @@ GOLDEN_FILES = {
     },
     "source1d-noncentered-field-cauchy-identity": {
         "init_00/mean_field.bin": "0800972d14f100826ce565ff0e8350cc9d20233889a52b9c4a17cebf1a5eb362",
-        "init_00/records.csv": "534714c9a67a5eac65d0577540f5bfb08dd7487a3a54183cb3af25b8b8c2ac6d",
+        "init_00/records.csv": "cee008e5361a40832809eeae2e3f4c47b43f12c04bb1778a32f91b7d0d6af963",
         "init_00/snapshot_iter_000.bin": "2d3706f92db6a7d251a741864e6c78702a2cdd2da263428ee1bc7c3f02e9ef77",
         "init_00/snapshot_iter_001.bin": "2a8332c07b2cdee26725f45ce0a3fc5132808b2e4174b9149ca7ceeeeff55011",
         "init_00/snapshot_iter_002.bin": "0800972d14f100826ce565ff0e8350cc9d20233889a52b9c4a17cebf1a5eb362",
         "init_01/mean_field.bin": "86414c7b6b2135bfc186bc01343d30d659167be08d7616892843eb83106fd5e2",
-        "init_01/records.csv": "fe2d29314800fc75defc3d44762fe1ccbea8818d4a4ce7602c8c8298572bbebe",
+        "init_01/records.csv": "50717fb6987210398ec65bf18c1cff2968a47e29f9a7af53d52e6eee9c0eba01",
         "init_01/snapshot_iter_000.bin": "60083ec0123f40997c2a87a679be424842405e3d4c85ef7d582e22b48a15d5c0",
         "init_01/snapshot_iter_001.bin": "f47d3320c2f9fd703b02e978b3a8a91abe10f2dfbe9603d0f23eaaf0d870a307",
         "init_01/snapshot_iter_002.bin": "86414c7b6b2135bfc186bc01343d30d659167be08d7616892843eb83106fd5e2",
@@ -786,12 +801,12 @@ GOLDEN_FILES = {
     },
     "darcy-plain-exp": {
         "init_00/mean_field.bin": "52a5e9b440065ecf30a99e129c30b1bef9a0a3fb5c94a96c65322e77ae0b4089",
-        "init_00/records.csv": "4bb0f837267ca134036c16017b1e78038e0bc00e4ab35ecb1516c7ef2c4f3ee7",
+        "init_00/records.csv": "83f6c7c4129ced9e0a14e31b66ebb518d441876f22c7f0c72316b06ca2c04be3",
         "init_00/snapshot_iter_000.bin": "9f1cecfa218e000a927625b6551cc271742b53112f82d59ddfa6ee7305d0beef",
         "init_00/snapshot_iter_001.bin": "1741d09092e12f6390ecc394cc5b22cea8c9c0184dee13409453ca2a7bc26b04",
         "init_00/snapshot_iter_002.bin": "52a5e9b440065ecf30a99e129c30b1bef9a0a3fb5c94a96c65322e77ae0b4089",
         "init_01/mean_field.bin": "a1729db5905ebe3a2bdfca5c419ae9f89ad8660bc59f33fbec2351dcc5e71531",
-        "init_01/records.csv": "67cfeff6d54908e611e7dc697fd0b597fa75fe49782584d8ede2c2ea9f4ef66a",
+        "init_01/records.csv": "26a6d90c835522728b669b5d18037327139471315f9f1950efe500ea1b5518b4",
         "init_01/snapshot_iter_000.bin": "c67182c20ade0048beda934731837e520a85013ab1f3de1f9f235777e9c72fc1",
         "init_01/snapshot_iter_001.bin": "dde583a1b3aaa316f70d9d1d856b7c6072cb664920923aea8c079061f92dcc21",
         "init_01/snapshot_iter_002.bin": "a1729db5905ebe3a2bdfca5c419ae9f89ad8660bc59f33fbec2351dcc5e71531",
@@ -800,12 +815,12 @@ GOLDEN_FILES = {
     },
     "darcy-plain-exp-field-gauss": {
         "init_00/mean_field.bin": "dc5d42419fe26496d4a1cfe5d5d645bfa646da5cf4aa5c2e230fe223987ce131",
-        "init_00/records.csv": "704011987b7ce64c981ffa6bb3461e3996b44e11e3d60a815ef8cb6074118263",
+        "init_00/records.csv": "fafa84136f30b38bd4801b9bbe5269ce738d700d99d92efc52b3442ed1d1ca94",
         "init_00/snapshot_iter_000.bin": "7560ebc32d15ab3532876c00a6752f73950bc558b811d0d6e6368d614bc137bd",
         "init_00/snapshot_iter_001.bin": "ad7309fb82e19bc696f7be089a09bb5ee3fc3f014b82a9f9662525c0a248aa0e",
         "init_00/snapshot_iter_002.bin": "dc5d42419fe26496d4a1cfe5d5d645bfa646da5cf4aa5c2e230fe223987ce131",
         "init_01/mean_field.bin": "adf9aefad822b8cf5dc3ff646fd68536f6734dc77bee1f2a15c064b33a3bed3b",
-        "init_01/records.csv": "43e258795ae6beb743ec96efb757a65cc3568d7b8b14a3779eb1455d1161b34b",
+        "init_01/records.csv": "480427676f028c4a34d08822edb47df5ff6ca3389fa9a1d8b6e5813f3795d243",
         "init_01/snapshot_iter_000.bin": "8ab6723a8d8dcbad341ad7c50258358e17b06dd4e5bd01923b8fbaf08955df21",
         "init_01/snapshot_iter_001.bin": "7ebaea267a25d3b1145010ebf8bbd497d87c22cbd32ed32b027469558831a0e8",
         "init_01/snapshot_iter_002.bin": "adf9aefad822b8cf5dc3ff646fd68536f6734dc77bee1f2a15c064b33a3bed3b",
@@ -813,15 +828,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-centered-hier-exp": {
-        "init_00/hypers.csv": "84b7b4c7ff76893124a0c868e9e43041113d457d345f3b23a78636f749305963",
         "init_00/mean_field.bin": "8dde2b3801d6423f2a30bb7fd68639cdac3c30fd28323e8228fc74f6ff52d074",
-        "init_00/records.csv": "a7e92b0cf7e17e3653b563ab320e80ee628e65da5109075c33d9599355c571ec",
+        "init_00/records.csv": "e3bdc6dd4fd78fbc9de17dd8d991197aa796159ab07c0cda3b052ddae484ec36",
         "init_00/snapshot_iter_000.bin": "4ddbc7bf6da5566e575ec71ffc0cf065c1a83f1099bb05609811463148b1e81e",
         "init_00/snapshot_iter_001.bin": "8886c10bfa17c3648f23326c93c1b83644b720014692c3822a4ddc6aa2349eb1",
         "init_00/snapshot_iter_002.bin": "8dde2b3801d6423f2a30bb7fd68639cdac3c30fd28323e8228fc74f6ff52d074",
-        "init_01/hypers.csv": "c963e02bdabc48a9edd46d952b2a4a3c7f2b841a1b4bfa32de60547728825c21",
         "init_01/mean_field.bin": "bc2e8a7381a23104b42d532568e25c54c98e2e4320cfcdb1131f708f172f42f4",
-        "init_01/records.csv": "9b928f5f9504a7944467abb30b0cd82e556c078105cefa85a79a95b0db96a65f",
+        "init_01/records.csv": "204b835bb8319d22fa04650f181d2d710332523b4126e9ab3cc9e1cde62dedc9",
         "init_01/snapshot_iter_000.bin": "cda2820f0789f89f49ac665a6deb454f9b7c7a31888cb524d040b15e383ca100",
         "init_01/snapshot_iter_001.bin": "2a9f517f7ea7901ffe5c58fc3efdceb1da173fbbc16750fc9bd82cba99ebb168",
         "init_01/snapshot_iter_002.bin": "bc2e8a7381a23104b42d532568e25c54c98e2e4320cfcdb1131f708f172f42f4",
@@ -829,15 +842,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-noncentered-hier-exp": {
-        "init_00/hypers.csv": "b177c92c9cbb632a16ae5a648c17f7c16bd9c3fddc32cf39a921c137660ea0c2",
         "init_00/mean_field.bin": "7a5aa67bf9dbfa77b033085bd954d82fd324022da961bfa3865fef7ac98f81eb",
-        "init_00/records.csv": "cc4bef43ca1914d86bbb859aaa98bd25ce4f2a6bcafd27f6edd1485d37a7dddf",
+        "init_00/records.csv": "167eb4090bcb473d9e7aa8f9dd61bb816ae24b3f8f3bd3f7907f27705a2f5391",
         "init_00/snapshot_iter_000.bin": "c2b938e164daed70c57770096a9464c9dab6f1439ccf84ea1918a3b7d5d1a867",
         "init_00/snapshot_iter_001.bin": "5924427de81a86f787b9b080860e9557678a3a0fb8c6a25847e17055339adef2",
         "init_00/snapshot_iter_002.bin": "7a5aa67bf9dbfa77b033085bd954d82fd324022da961bfa3865fef7ac98f81eb",
-        "init_01/hypers.csv": "64f9069bbf67d05f9fac2214bfed1143e750424658c36148d36f8d5a275e009b",
         "init_01/mean_field.bin": "84c315d0236e4d628c8b55966ddb87c9675b4024a412675ae45256fcb17afef0",
-        "init_01/records.csv": "4992d8f39b6cb79c45ddf439e6fbfec33eb12e54f03bc415c3ab48a8982ac404",
+        "init_01/records.csv": "146134036049d692622d2119cfeab4075246df4cfc9494b4c81e54fd357980b7",
         "init_01/snapshot_iter_000.bin": "229df3099742af594a6d78239d1d3b668951692a1068fc9bc9a7a5ce86458f36",
         "init_01/snapshot_iter_001.bin": "93b97c0cd38ec129495101cb4b48db4fd30a029ccb3ed778a2d1d2fc8012a5bb",
         "init_01/snapshot_iter_002.bin": "84c315d0236e4d628c8b55966ddb87c9675b4024a412675ae45256fcb17afef0",
@@ -846,12 +857,12 @@ GOLDEN_FILES = {
     },
     "darcy-plain-level-set": {
         "init_00/mean_field.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
-        "init_00/records.csv": "239bc7914ec6caf524e5aa29a5bc536293aff4c9338b977cf993eaf14184bd53",
+        "init_00/records.csv": "9f0143529406ce07f70e3d701e11098ba436dec62a7f671c894d2354ba738ed7",
         "init_00/snapshot_iter_000.bin": "f474d56b848c34dafbcfd181e41644a7f1fc97fc6c2aee30896e90e271126203",
         "init_00/snapshot_iter_001.bin": "8a79fc02bc4c7a32909330d3aaee67b088329e65c95f733f86631e39b6dc63e7",
         "init_00/snapshot_iter_002.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
         "init_01/mean_field.bin": "e76fdfd68944913d7d37958adf76946681858c994ea3a8cb48bca1f78fb80482",
-        "init_01/records.csv": "c77e10e0bd46ca0850c5df6853c09031154a8cf5272996485b40588a5a88224f",
+        "init_01/records.csv": "2e34d2826aaace3eade97fb362e2bc176993d3b119b0c1d33aa224f13008b1d5",
         "init_01/snapshot_iter_000.bin": "cff4202bc9c6fb9b4ac733e2343f0bb267a4155eaeedb253636bfdeebb5c81b1",
         "init_01/snapshot_iter_001.bin": "a0c4a7b76d7df63decd4075b295d453db0d3cee49e900c0fc9e3caa13c6ddc8c",
         "init_01/snapshot_iter_002.bin": "e76fdfd68944913d7d37958adf76946681858c994ea3a8cb48bca1f78fb80482",
@@ -859,15 +870,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-centered-hier-level-set": {
-        "init_00/hypers.csv": "8412729dc6eeb1505a18979ecef91536f8dd83757198bb091289b1d1875f580b",
         "init_00/mean_field.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
-        "init_00/records.csv": "6f5fd4a3fccf60774ca4fbb4e52f9e217d768c0268e1bd5a91f08e56a451aa0a",
+        "init_00/records.csv": "a5fca2029e7fae76f1400af641d88fadf932990f40c14311dedb9cb3eb3620de",
         "init_00/snapshot_iter_000.bin": "7d04f28e9445c25b4c9191222aa011f13cfd9515ab44d269f521979c801781fe",
         "init_00/snapshot_iter_001.bin": "ae1f717d1f06dff54e75912bb6686084b1fadd3074b105f6ef0a01f86f948d62",
         "init_00/snapshot_iter_002.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
-        "init_01/hypers.csv": "e0284053fd1421704dfd2cead09c025dfdbb7c2a24f7435bdfcf3a0240d82184",
         "init_01/mean_field.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
-        "init_01/records.csv": "67a6b051a9ffd7bf4eabb33d704a43c6b257e9f2885d09bfa07d54fd909f0c45",
+        "init_01/records.csv": "3abdab8465f868c07a3e202bc3398902d3215c701eb4e62a7cf80eb12f8b4183",
         "init_01/snapshot_iter_000.bin": "1c5c673b855e563be4271e10798e0121c1e124d918dc3ea51bfff7743b573996",
         "init_01/snapshot_iter_001.bin": "7aa36c001df667faacaa4425fbc481341a5562f82d23c66947d529754c674ed8",
         "init_01/snapshot_iter_002.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
@@ -875,15 +884,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-noncentered-hier-level-set": {
-        "init_00/hypers.csv": "88c8849fd997fd20d5e60f1bfd7458f3c6a612bd6fd9cc91b5e452c2732caa3b",
         "init_00/mean_field.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
-        "init_00/records.csv": "56604bf09726b6b7762575b27154e6dda3072479cf3e02049ec50ebee3b2a5b7",
+        "init_00/records.csv": "b3c44c210a51ecf7967ec293db705a6c3c7b29a9aa6dde81a112e09c021d606d",
         "init_00/snapshot_iter_000.bin": "7b04b4c15f74fa34e485e0abda3c0c766cdc7ef6c8cf373539798684eb5f3768",
         "init_00/snapshot_iter_001.bin": "105461c58f4716dcba2990c4651f11bee9a17cd2123b002ea77741e04ba29bad",
         "init_00/snapshot_iter_002.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
-        "init_01/hypers.csv": "27e4511143f87ab89aa3002ec5dec535dc13fedafd5fca7455d41229966c8379",
         "init_01/mean_field.bin": "0b334cf3bcfdde92fd660a7b1b5031328128be3c54a9c25806ab9bdee93484d5",
-        "init_01/records.csv": "aef0706fcd84c10745d00e9163683681d4a05bbfe881bb5d29c2a27af7c1dfd2",
+        "init_01/records.csv": "f0553ca9e6fc1bab71e4f18daf84c0ba0b64795c22b2b62c818eb7d1d6c7cae5",
         "init_01/snapshot_iter_000.bin": "3523705427d32734945f45e1b09596b35ef5330cf94284c8da8edeb9b4ddf812",
         "init_01/snapshot_iter_001.bin": "7452a4e6b1bac0b78ad125192d739389938ea90dd5b6b19522efcc31f0fd4c46",
         "init_01/snapshot_iter_002.bin": "0b334cf3bcfdde92fd660a7b1b5031328128be3c54a9c25806ab9bdee93484d5",
@@ -891,15 +898,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-plain-channel": {
-        "init_00/hypers.csv": "da4368b1864723a7e733fa33e783e08db5a3299c50d0c8bac944c27240657fd7",
         "init_00/mean_field.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
-        "init_00/records.csv": "fa871301020a06a95aaef61d6b3adf1888565f21356009ab334cf5c84b20701f",
+        "init_00/records.csv": "5f550222a296e1d866802a5cddabceedef863fcef3c38792948f650a3d004f46",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
         "init_00/snapshot_iter_001.bin": "5d461c7f17eac7a2c5be9bd8f1fbf59d5e0da0cb92668c82c27b37be99d72a4d",
         "init_00/snapshot_iter_002.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
-        "init_01/hypers.csv": "a448ef356e7fa86f525e3a9afeebc8042e6060c23bcfd5e0712d593a94061968",
         "init_01/mean_field.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
-        "init_01/records.csv": "465ab879e3e90ab1d2e7303d84d7ee76a84579fecbfb8875c808c5a0976f5e4a",
+        "init_01/records.csv": "7f71e8bd99f5ef95dd6a9093a77fea0b39c152fc5f94b8e7fb39b237c52a1833",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
         "init_01/snapshot_iter_001.bin": "de25cfbaa56443179542a151625346e137ab883640f8275335c4b0e2a68bc481",
         "init_01/snapshot_iter_002.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
@@ -907,15 +912,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-centered-hier-channel": {
-        "init_00/hypers.csv": "035e6ebe802501bf83fa0968fbe086b8ad30ab89773c10bad7c11c2bf9506b3e",
         "init_00/mean_field.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
-        "init_00/records.csv": "fa871301020a06a95aaef61d6b3adf1888565f21356009ab334cf5c84b20701f",
+        "init_00/records.csv": "aae327a16f6aeb5441ec65d3bdd64944cd6921ed19c253477146c4fc644a106d",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
         "init_00/snapshot_iter_001.bin": "5d461c7f17eac7a2c5be9bd8f1fbf59d5e0da0cb92668c82c27b37be99d72a4d",
         "init_00/snapshot_iter_002.bin": "ba98cfd3f75291ab8bd7d8d513e83e1b14404d3a69f3fad34a00fde1caca5240",
-        "init_01/hypers.csv": "7c805a9adc0a72aae6205bea61a755bed56400ca0c4fd8d577e57647ef0870ed",
         "init_01/mean_field.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
-        "init_01/records.csv": "465ab879e3e90ab1d2e7303d84d7ee76a84579fecbfb8875c808c5a0976f5e4a",
+        "init_01/records.csv": "93c25cc232f7e40c88f7514f3ce965bd4fa681dcf1cd13092d6ff2013a80771b",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
         "init_01/snapshot_iter_001.bin": "de25cfbaa56443179542a151625346e137ab883640f8275335c4b0e2a68bc481",
         "init_01/snapshot_iter_002.bin": "b1e4ba7c70549286f479cc60d6ba6f1a1ebb0314c002e4f8182d2788356708f3",
@@ -923,15 +926,13 @@ GOLDEN_FILES = {
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-noncentered-hier-channel": {
-        "init_00/hypers.csv": "d011c5240bbd98873dc5e1329efa40093ba65ba301f69e590799b6990c15c3c1",
         "init_00/mean_field.bin": "3514a4fd95563ba232f96fb53121ae43db6868da2e82f9289b8fe9489a934c50",
-        "init_00/records.csv": "9bc1b1a482ff8cec8edc1fa1d1f9ad2d98e0b3c38f2bb650531db53817f56e84",
+        "init_00/records.csv": "fd72b25edbd48753340fb70536b18eb4a09466db0f683ab6a2596c93ba9ef26f",
         "init_00/snapshot_iter_000.bin": "ba7bc8deb275a7b6454399ba4b0601cd0610221ead048839ab82d96be7072d2a",
         "init_00/snapshot_iter_001.bin": "88958bbf557dc30fb89651ad501553a37c399f341b948977620f301eeab307a1",
         "init_00/snapshot_iter_002.bin": "3514a4fd95563ba232f96fb53121ae43db6868da2e82f9289b8fe9489a934c50",
-        "init_01/hypers.csv": "3dede7ef65371dfd446d6eabe775a423741923a2c2e72b932043e9ea7ecc186b",
         "init_01/mean_field.bin": "a09130a67c23abd9ea4bcf9bca84fe3db7f120d2bb4714685dcf69aa7e4f4fa8",
-        "init_01/records.csv": "777c261103442977dfb9ea451b8a56e53c93be2f92ec62add5180c91cef4803c",
+        "init_01/records.csv": "4585180494418682c678e6128168b2ef944953ea99122be2aef646a8b5dc89e8",
         "init_01/snapshot_iter_000.bin": "7501032850cfc713e832502bffa0a4685554cfba384c52348f60bdcf040b3ca6",
         "init_01/snapshot_iter_001.bin": "70b293739c16a6de6ea3efb1deb2fec02f81fe660047669d397041816bde7077",
         "init_01/snapshot_iter_002.bin": "a09130a67c23abd9ea4bcf9bca84fe3db7f120d2bb4714685dcf69aa7e4f4fa8",
