@@ -145,13 +145,14 @@ def cli(argv=None) -> int:
 
         # report
         summary = summarize_run(args.run_dir)
-        header = f"{'init':>4} {'stop_reason':>14} {'iters':>6} {'misfit':>12} {'rel_error':>12}"
-        print(header)
+        print(f"{'init':>4} {'stop_reason':>14} {'iters':>6} {'misfit':>12} {'rel_error':>12} "
+              f"{'median_iter_ms':>14}")
         for row in summary["rows"]:
-            misfit = "-" if row["final_misfit"] is None else f"{row['final_misfit']:.5g}"
-            err = "-" if row["final_rel_error"] is None else f"{row['final_rel_error']:.5g}"
+            misfit, err, ms = ("-" if row[key] is None else f"{row[key]:{spec}}" for key, spec in
+                               (("final_misfit", ".5g"), ("final_rel_error", ".5g"),
+                                ("median_iter_ms", ".1f")))
             print(f"{row['index']:>4} {row['stop_reason']:>14} {row['iterations']:>6} "
-                  f"{misfit:>12} {err:>12}")
+                  f"{misfit:>12} {err:>12} {ms:>14}")
         stats = {k: summary[k] for k in
                  ("n_discrepancy", "rel_error_min", "rel_error_median", "rel_error_max")}
         print(json.dumps(stats, indent=2, sort_keys=True))

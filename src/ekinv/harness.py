@@ -547,7 +547,8 @@ def summarize_run(run_dir) -> dict:
         manifest = json.load(handle)
     rows = [{"index": init["index"], "stop_reason": init["stop_reason"],
              "iterations": max(init["n_records"] - 1, 0), "final_misfit": init["final_misfit"],
-             "final_rel_error": init["final_rel_error"]}
+             "final_rel_error": init["final_rel_error"],
+             "median_iter_ms": float(np.median(init["wall_ms"])) if init.get("wall_ms") else None}
             for init in manifest["initializations"]]
     errors = [r["final_rel_error"] for r in rows if r["final_rel_error"] is not None]
     summary = {
@@ -557,7 +558,8 @@ def summarize_run(run_dir) -> dict:
         "rel_error_median": float(np.median(errors)) if errors else None,
         "rel_error_max": max(errors) if errors else None,
     }
-    columns = ("index", "stop_reason", "iterations", "final_misfit", "final_rel_error")
+    columns = ("index", "stop_reason", "iterations", "final_misfit", "final_rel_error",
+               "median_iter_ms")
     write_csv(run_dir / "summary.csv", columns, [[r[c] for c in columns] for r in rows])
     return summary
 

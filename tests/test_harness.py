@@ -59,7 +59,7 @@ def test_serial_and_parallel_runs_write_identical_files(tmp_path, monkeypatch):
     assert serial["files"] == parallel["files"]
 
 
-def test_solver_failure_reaches_the_manifest(tmp_path, monkeypatch):
+def test_solver_failure_reaches_the_manifest(tmp_path, monkeypatch, capsys):
     # the truth solve converges; the cap then drops to one iteration
     build_parameterization = harness.build_parameterization
 
@@ -80,7 +80,8 @@ def test_solver_failure_reaches_the_manifest(tmp_path, monkeypatch):
     # an initialization that aborts before its first record made no iterations
     assert cli(["report", str(tmp_path / "capped")]) == 0
     summary = (tmp_path / "capped" / "summary.csv").read_text(encoding="utf-8")
-    assert summary.splitlines()[1:] == ["0,aborted,0,,", "1,aborted,0,,"]
+    assert summary.splitlines()[1:] == ["0,aborted,0,,,", "1,aborted,0,,,"]
+    assert capsys.readouterr().out.splitlines()[1].split() == ["0", "aborted", "0", "-", "-", "-"]
 
 
 def test_cli_exit_codes(tmp_path, capsys):
@@ -559,14 +560,15 @@ def test_report_writes_the_manifest_values_exactly(tmp_path, capsys):
     manifest = harness.run_experiment(matrix_config(tmp_path, *MATRIX[0]))
     assert cli(["report", str(tmp_path / "run")]) == 0
     lines = (tmp_path / "run" / "summary.csv").read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "index,stop_reason,iterations,final_misfit,final_rel_error"
+    assert lines[0] == "index,stop_reason,iterations,final_misfit,final_rel_error,median_iter_ms"
     assert len(lines) == 3
     for line, init in zip(lines[1:], manifest["initializations"]):
-        index, stop_reason, iterations, misfit, error = line.split(",")
+        index, stop_reason, iterations, misfit, error, ms = line.split(",")
         assert (int(index), stop_reason, int(iterations)) == \
             (init["index"], init["stop_reason"], init["n_records"] - 1)
         assert float(misfit) == init["final_misfit"]
         assert float(error) == init["final_rel_error"]
+        assert float(ms) == np.median(init["wall_ms"])
     assert "max-iterations" in capsys.readouterr().out
 
 
