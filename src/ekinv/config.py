@@ -3,8 +3,8 @@
 Configuration files are INI-style (one section per module, ``key = value``),
 parsed strictly: duplicate or unknown keys are fatal, every default is
 materialized into the resolved configuration, and the resolved configuration
-plus the master seed determine every file a run inventories.  A run manifest stores the
-resolved configuration and is parsed back through the same checks.
+plus the master seed determine every file a run inventories.  A run manifest
+stores the resolved configuration and is parsed back through the same checks.
 """
 
 from __future__ import annotations
