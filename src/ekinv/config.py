@@ -16,14 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .eki import EkiControls
-from .forward import (
-    ObservationModel,
-    mollified_observations,
-    point_observations,
-)
-from .grid import Domain, SpectralBasis, build_domain, dirichlet_spectrum
-from .param_maps import LevelSetSpec, NoncenteredMap
-from .priors import GMap, MaternSpec
+from .forward import ObservationModel, mollified_observations, point_observations
+from .grid import Domain, build_domain
+from .priors import MaternSpec
 
 
 class ConfigError(ValueError):
@@ -43,15 +38,15 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.replace(",", " ").split())
-
-
-def _parse_four_floats(text: str) -> tuple[float, ...]:
-    values = _parse_floats(text)
-    if len(values) != 4:
-        raise ConfigError(f"expected four numbers, got {text!r}")
-    return values
+    return tuple(_parse_float(part) for part in text.replace(",", " ").split())
 
 
 def _parse_bounds(text: str) -> tuple[float, float]:
@@ -75,7 +70,7 @@ def _int_or_auto(text: str):
 
 
 def _float_or_auto(text: str):
-    return "auto" if text.strip() == "auto" else float(text)
+    return "auto" if text.strip() == "auto" else _parse_float(text)
 
 
 def parse_seed(text) -> int:
@@ -111,11 +106,6 @@ def _parse_snapshots(text: str) -> str:
 PARAMETERIZATIONS = ("plain", "centered-hier", "noncentered-hier",
                      "noncentered-field-gauss", "noncentered-field-cauchy")
 
-# the coefficient map each kind of truth is pushed through; with
-# coefficient_map = auto the truth is the kind of the configured map
-TRUTH_MAPS = {"step-profile": "identity", "matern-exp": "exp",
-              "matern-threshold": "level-set", "channel-draw": "channel"}
-
 SCHEMA = {
     "experiment": {
         "model_problem": (_choice("source1d", "darcy"), None),
@@ -128,9 +118,9 @@ SCHEMA = {
         "snapshots": (_parse_snapshots, "auto"),
     },
     "eki": {
-        "rho": (float, 0.8),
+        "rho": (_parse_float, 0.8),
         "zeta": (_float_or_auto, "auto"),
-        "upsilon0": (float, 1.0),
+        "upsilon0": (_parse_float, 1.0),
         "max_outer_iterations": (int, 30),
         "max_doublings": (int, 60),
         "perturb_observations": (_parse_bool, True),
@@ -138,63 +128,28 @@ SCHEMA = {
     },
     "grid": {
         "n_cells": (_int_or_auto, "auto"),
-        "coordinate_scaling": (_choice("normalized", "physical"), "normalized"),
     },
     "observations": {
         "n_obs": (_int_or_auto, "auto"),
-        "mollifier_sigma_frac": (float, 0.06),
-        "gamma_scale": (float, 1e-4),
+        "gamma_scale": (_parse_float, 1e-4),
         "noise_free": (_parse_bool, False),
     },
     "prior": {
         "alpha_bounds": (_parse_bounds, (1.3, 4.0)),
         "tau_bounds": (_parse_bounds, (5.0, 30.0)),
-        "sigma2": (float, 1.0),
-        "mean": (float, 0.0),
+        "sigma2": (_parse_float, 1.0),
+        "mean": (_parse_float, 0.0),
         "plain_prior": (_choice("auto", "scalar", "field-gauss", "field-cauchy"), "auto"),
     },
-    "field_hyper": {
-        "v_alpha": (float, 2.0),
-        "v_tau": (float, 4.0),
-        "v_sigma2": (float, 60.0),
-        "v_mean": (float, -0.5),
-        "cauchy_delta": (float, 0.5),
-        "g_rational_params": (_parse_four_floats, (4.0, 0.0, 1.0, 0.0)),
-        "g_floor_frac": (float, 1e-6),
-        "g_cap_frac": (float, 10.0),
-        "nonstationary_alpha": (float, 2.0),
-    },
-    "level_set": {
-        "kappa_minus": (float, 1.0),
-        "kappa_plus": (float, 10.0),
-        "threshold": (float, 0.0),
-    },
-    "channel": {
-        "d1_bounds": (_parse_bounds, (0.0, 1.0)),
-        "d2_bounds": (_parse_bounds, (2.0, 13.0)),
-        "d3_bounds": (_parse_bounds, (0.4, 1.0)),
-        "d4_bounds": (_parse_bounds, (0.0, 1.0)),
-        "d5_bounds": (_parse_bounds, (0.1, 0.3)),
-        "log_kappa_out_mean": (float, 1.0),
-        "log_kappa_in_mean": (float, 4.0),
-        "alpha1_bounds": (_parse_bounds, (1.3, 3.0)),
-        "tau1_bounds": (_parse_bounds, (8.0, 30.0)),
-        "alpha2_bounds": (_parse_bounds, (1.3, 3.0)),
-        "tau2_bounds": (_parse_bounds, (8.0, 30.0)),
-    },
     "truth": {
-        "kind": (_choice("auto", *TRUTH_MAPS), "auto"),
-        "alpha_true": (float, 3.0),
-        "tau_true": (float, 10.0),
-        "channel_truth_hypers": (_parse_four_floats, (2.0, 2.8, 30.0, 10.0)),
+        "alpha_true": (_parse_float, 3.0),
+        "tau_true": (_parse_float, 10.0),
     },
     "sample_prior": {
         "mode": (_choice("matern-tau-sweep", "matern-alpha-sweep",
                          "field-gauss", "field-cauchy"), "matern-tau-sweep"),
         "taus": (_parse_floats, (10.0, 25.0, 50.0, 100.0)),
         "alphas": (_parse_floats, (1.1, 1.3, 1.5, 1.9)),
-        "alpha_fixed": (float, 1.6),
-        "tau_fixed": (float, 15.0),
         "n_samples": (int, 1),
         "n_cells": (int, 128),
     },
@@ -240,18 +195,8 @@ def model_domain(model: str, n_cells) -> Domain:
     return build_domain(1, 10.0, n_cells) if model == "source1d" else build_domain(2, 6.0, n_cells)
 
 
-def noncentered_map_from(config, basis: SpectralBasis, kind: str) -> NoncenteredMap:
-    """The non-centered transform of a configuration's "field-gauss" or
-    "field-cauchy" hyperprior on ``basis``."""
-    fh = config["field_hyper"]
-    floor, cap = (fh[key] * max(basis.domain.extents) for key in ("g_floor_frac", "g_cap_frac"))
-    if kind == "field-gauss":
-        v_spec = MaternSpec(fh["v_alpha"], fh["v_tau"], fh["v_sigma2"], fh["v_mean"])
-        hyper = dict(g=GMap("exp", floor, cap), field_spec=v_spec)
-    else:
-        hyper = dict(g=GMap("rational", floor, cap, fh["g_rational_params"]),
-                     cauchy_delta=fh["cauchy_delta"])
-    return NoncenteredMap(basis=basis, nonstationary_alpha=fh["nonstationary_alpha"], **hyper)
+# the alpha a tau sweep holds, and the tau an alpha sweep holds
+TAU_SWEEP_ALPHA, ALPHA_SWEEP_TAU = 1.6, 15.0
 
 
 def sample_prior_grid(config) -> tuple[Domain, list[tuple[float, float]]]:
@@ -261,9 +206,13 @@ def sample_prior_grid(config) -> tuple[Domain, list[tuple[float, float]]]:
     sp = config["sample_prior"]
     if sp["mode"] in ("field-gauss", "field-cauchy"):
         return model_domain("source1d", config["grid"]["n_cells"]), []
-    sweep = ([(sp["alpha_fixed"], tau) for tau in sp["taus"]] if sp["mode"] == "matern-tau-sweep"
-             else [(alpha, sp["tau_fixed"]) for alpha in sp["alphas"]])
+    sweep = ([(TAU_SWEEP_ALPHA, tau) for tau in sp["taus"]] if sp["mode"] == "matern-tau-sweep"
+             else [(alpha, ALPHA_SWEEP_TAU) for alpha in sp["alphas"]])
     return build_domain(2, [1.0, 1.0], sp["n_cells"]), sweep
+
+
+# the mollifiers' width as a fraction of the box's longest side
+MOLLIFIER_SIGMA_FRAC = 0.06
 
 
 def observation_model(config, domain: Domain) -> ObservationModel:
@@ -274,21 +223,17 @@ def observation_model(config, domain: Domain) -> ObservationModel:
     if domain.dim == 1:
         return point_observations(domain, obs["n_obs"], obs["gamma_scale"])
     return mollified_observations(domain, int(round(np.sqrt(obs["n_obs"]))),
-                                  obs["mollifier_sigma_frac"] * max(domain.extents),
-                                  obs["gamma_scale"])
+                                  MOLLIFIER_SIGMA_FRAC * max(domain.extents), obs["gamma_scale"])
 
 
 def _check_values(sections: dict) -> None:
     """Build what a run builds from the configured values, so that a value
     their own checks reject stops here, not midway through a run: the grid
-    and the observations as configured, the rest on the model's coarsest
-    grid, each (alpha, tau) box at its lower corner, each
-    (alpha, tau) of a channel truth and of the sample-prior sweep, and the
-    field maps of sample-prior on its own grid."""
+    and the observations as configured, the truth's (alpha, tau) and the
+    prior box's lower corner in the model's dimension, and the sample-prior sweep."""
     model = sections["experiment"]["model_problem"]
-    domain = model_domain(model, 2)
-    p, t, ch = sections["prior"], sections["truth"], sections["channel"]
-    kinds = ("field-gauss", "field-cauchy") if domain.dim == 1 else ("field-gauss",)
+    dim = model_domain(model, 2).dim
+    p, t = sections["prior"], sections["truth"]
 
     def sample_prior():
         sp = sections["sample_prior"]
@@ -297,35 +242,13 @@ def _check_values(sections: dict) -> None:
         for alpha, tau in sample_prior_grid(sections)[1]:   # after building the grid
             MaternSpec(alpha, tau).validate(2)
 
-    def field_hyper():
-        # the run's maps on the checking grid, and a field mode of
-        # sample-prior on the grid it draws on, whatever the model
-        for kind in kinds:
-            noncentered_map_from(sections, dirichlet_spectrum(domain), kind)
-        mode = sections["sample_prior"]["mode"]
-        if mode in ("field-gauss", "field-cauchy"):
-            noncentered_map_from(sections, dirichlet_spectrum(sample_prior_grid(sections)[0]),
-                                 mode)
-
-    def channel_truth():
-        if t["kind"] == "channel-draw":
-            a1, a2, t1, t2 = t["channel_truth_hypers"]
-            MaternSpec(a1, t1).validate(domain.dim)
-            MaternSpec(a2, t2).validate(domain.dim)
-
     checks = {
         "[grid]": lambda: model_domain(model, sections["grid"]["n_cells"]),
         "[observations]": lambda: observation_model(
             sections, model_domain(model, sections["grid"]["n_cells"])),
-        "[level_set]": lambda: LevelSetSpec(**sections["level_set"]),
         "[prior], [truth]": lambda: MaternSpec(t["alpha_true"], t["tau_true"], p["sigma2"],
-                                               p["mean"]).validate(domain.dim),
-        "[truth]": channel_truth,
-        "[prior]": lambda: MaternSpec(p["alpha_bounds"][0],
-                                      p["tau_bounds"][0]).validate(domain.dim),
-        "[channel]": lambda: [MaternSpec(ch[f"alpha{i}_bounds"][0], ch[f"tau{i}_bounds"][0])
-                              .validate(domain.dim) for i in (1, 2)],
-        "[field_hyper]": field_hyper,
+                                               p["mean"]).validate(dim),
+        "[prior]": lambda: MaternSpec(p["alpha_bounds"][0], p["tau_bounds"][0]).validate(dim),
         "[sample_prior]": sample_prior,
     }
     for where, check in checks.items():
@@ -378,9 +301,6 @@ def _resolve(sections: dict) -> dict:
     if model == "darcy" and sections["prior"]["plain_prior"] == "field-cauchy":
         raise ConfigError("prior.plain_prior = field-cauchy is a one-dimensional "
                           "prior; darcy takes scalar or field-gauss")
-
-    if sections["truth"]["kind"] == "auto":
-        sections["truth"]["kind"] = next(k for k, m in TRUTH_MAPS.items() if m == cmap)
 
     _check_values(sections)
     if exp["out_dir"] == "auto":

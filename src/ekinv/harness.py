@@ -23,12 +23,10 @@ from . import __version__
 # load_config is re-exported: the benchmark loads its configurations through
 # this module
 from .config import (  # noqa: F401
-    TRUTH_MAPS,
     ExperimentConfig,
     controls_from,
     load_config,
     model_domain,
-    noncentered_map_from,
     observation_model,
     sample_prior_grid,
     snapshot_iterations,
@@ -44,7 +42,16 @@ from .forward import (
     synthesize_data,
 )
 from .grid import Domain, Field, SpectralBasis, dirichlet_spectrum, white_noise
-from .param_maps import LevelSetSpec, channel_values, coefficient_map, noncentered_matern
+from .param_maps import (
+    CHANNEL_GEOMETRY_BOUNDS,
+    CHANNEL_HYPER_BOUNDS,
+    CHANNEL_MEANS,
+    CHANNEL_TRUTH_HYPERS,
+    channel_values,
+    coefficient_map,
+    noncentered_map,
+    noncentered_matern,
+)
 from .priors import MaternSpec, sqrt_cov, unconstrained_to_hyper
 
 
@@ -77,7 +84,7 @@ class ModelSetup:
     """Grid, solver, and observation functionals for one model problem."""
 
     domain: Domain
-    basis: SpectralBasis   # in the configured coordinate scaling
+    basis: SpectralBasis
     solver: object
     obs_template: ObservationModel
 
@@ -86,28 +93,26 @@ def build_model_setup(config: ExperimentConfig) -> ModelSetup:
     model = config["experiment"]["model_problem"]
     domain = model_domain(model, config["grid"]["n_cells"])
     solver = SourceProblem1D(domain) if model == "source1d" else DarcyProblem(domain)
-    return ModelSetup(domain, dirichlet_spectrum(domain, config["grid"]["coordinate_scaling"]),
-                      solver, observation_model(config, domain))
+    return ModelSetup(domain, dirichlet_spectrum(domain), solver, observation_model(config, domain))
 
 
 def make_truth(config: ExperimentConfig, setup: ModelSetup,
                rng: np.random.Generator) -> TruthBundle:
-    """Synthesize the configured truth, deterministic per seed: a field u
-    pushed through the coefficient map of its kind (``TRUTH_MAPS``)."""
-    t = config["truth"]
+    """Synthesize the truth of the configured coefficient map, deterministic
+    per seed: the step profile, a channel of two Matern fields, or one Matern field."""
+    t, cmap = config["truth"], config["experiment"]["coefficient_map"]
 
     def draw(alpha, tau, sigma2, mean):
         return sqrt_cov(MaternSpec(alpha, tau, sigma2, mean), setup.basis,
                         white_noise(setup.domain, rng))
 
-    if t["kind"] == "step-profile":
+    if cmap == "identity":
         u, hypers = step_profile(setup.domain.interior_coords(0)), {}
-    elif t["kind"] == "channel-draw":
-        ch = config["channel"]
-        a1, a2, t1, t2 = t["channel_truth_hypers"]
-        d = np.array([rng.uniform(*ch[f"d{i}_bounds"]) for i in range(1, 6)])
-        outside = draw(a1, t1, 1.0, ch["log_kappa_out_mean"])   # drawn before the inside
-        inside = draw(a2, t2, 1.0, ch["log_kappa_in_mean"])
+    elif cmap == "channel":
+        (a1, t1), (a2, t2) = CHANNEL_TRUTH_HYPERS
+        d = np.array([rng.uniform(lo, hi) for lo, hi in CHANNEL_GEOMETRY_BOUNDS])
+        outside = draw(a1, t1, 1.0, CHANNEL_MEANS[0])   # drawn before the inside
+        inside = draw(a2, t2, 1.0, CHANNEL_MEANS[1])
         u = channel_values(d, inside, outside, setup.domain)
         hypers = {"alpha1": a1, "tau1": t1, "alpha2": a2, "tau2": t2,
                   **{f"d{i}": float(v) for i, v in enumerate(d, start=1)}}
@@ -115,7 +120,7 @@ def make_truth(config: ExperimentConfig, setup: ModelSetup,
         p = config["prior"]
         u = draw(t["alpha_true"], t["tau_true"], p["sigma2"], p["mean"])
         hypers = {"alpha": t["alpha_true"], "tau": t["tau_true"]}
-    pde, report = coefficient_map(TRUTH_MAPS[t["kind"]], LevelSetSpec(**config["level_set"]))(u)
+    pde, report = coefficient_map(cmap)(u)
     return TruthBundle(field=Field(setup.domain, report), pde_field=Field(setup.domain, pde),
                        hypers=hypers)
 
@@ -167,18 +172,17 @@ def _latent_fields(config: ExperimentConfig) -> list[LatentField]:
         p = config["prior"]
         return [LatentField("u", p["mean"], p["sigma2"],
                             (p["alpha_bounds"], p["tau_bounds"]), ("alpha", "tau"))]
-    ch = config["channel"]
-    return [LatentField("log_kappa_out", ch["log_kappa_out_mean"], 1.0,
-                        (ch["alpha1_bounds"], ch["tau1_bounds"]), ("alpha1", "tau1")),
-            LatentField("log_kappa_in", ch["log_kappa_in_mean"], 1.0,
-                        (ch["alpha2_bounds"], ch["tau2_bounds"]), ("alpha2", "tau2"))]
+    return [LatentField("log_kappa_out", CHANNEL_MEANS[0], 1.0, CHANNEL_HYPER_BOUNDS,
+                        ("alpha1", "tau1")),
+            LatentField("log_kappa_in", CHANNEL_MEANS[1], 1.0, CHANNEL_HYPER_BOUNDS,
+                        ("alpha2", "tau2"))]
 
 
 def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLayout:
     """The blocks of a packed member of :func:`build_parameterization`."""
     par = config["experiment"]["parameterization"]
     if par.startswith("noncentered-field"):
-        ncm = noncentered_map_from(config, basis, par.removeprefix("noncentered-"))
+        ncm = noncentered_map(basis, par.removeprefix("noncentered-"))
         return PackingLayout(blocks=(("xi", basis.n_modes), ("hyper", ncm.n_hyper)))
     fields = _latent_fields(config)
     size = basis.n_modes if par == "noncentered-hier" else basis.domain.n_interior
@@ -195,7 +199,7 @@ def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     map (:func:`ekinv.eki.run_inversion`), and every recorded mean field."""
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
-    layout = packing_layout(config, dirichlet_spectrum(domain, grid["coordinate_scaling"]))
+    layout = packing_layout(config, dirichlet_spectrum(domain))
     block = SpanMembers.block_members(CompositeForward.chunk_members(domain.n_interior), J)
     return {"initial ensemble": layout.dim * J * 8,
             "formed block": layout.dim * block * 8,
@@ -232,14 +236,13 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     J = config["experiment"]["n_ensemble"]
     fields = _latent_fields(config)
     bounds = np.array([b for f in fields for b in f.bounds])
-    geometry = (np.array([config["channel"][f"d{i}_bounds"] for i in range(1, 6)])
-                if cmap == "channel" else None)
+    geometry = np.array(CHANNEL_GEOMETRY_BOUNDS) if cmap == "channel" else None
     noncentered = par == "noncentered-hier"
     bounded = par in ("centered-hier", "noncentered-hier")   # packs (alpha, tau)
     field_valued = par.startswith("noncentered-field")
 
     if field_valued:
-        ncm = noncentered_map_from(config, basis, par.removeprefix("noncentered-"))
+        ncm = noncentered_map(basis, par.removeprefix("noncentered-"))
     layout = packing_layout(config, basis)
     sl = layout.slices()
 
@@ -261,7 +264,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
         d = unconstrained_to_hyper(d, geometry) if noncentered else d
         return channel_values(d, us[1], us[0], domain)
 
-    to_coefficients = coefficient_map(cmap, LevelSetSpec(**config["level_set"]))
+    to_coefficients = coefficient_map(cmap)
 
     def decode_block(block):
         return DecodedBlock(domain, *to_coefficients(unmapped(block)))
@@ -289,7 +292,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
             def realize(xi, theta_raw):
                 return noncentered_matern(basis, xi, theta_raw, f.bounds, f.sigma2, f.mean)
         else:
-            ncm = noncentered_map_from(config, basis, kind)
+            ncm = noncentered_map(basis, kind)
             draw_hyper, realize = ncm.sample_hyper_latents, ncm.realize
 
         def sample_initial(rng):
@@ -574,7 +577,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
 
     mode = sp["mode"]
     domain, sweep = sample_prior_grid(config)
-    basis = dirichlet_spectrum(domain, config["grid"]["coordinate_scaling"])
+    basis = dirichlet_spectrum(domain)
     columns = ("x", "value") if domain.dim == 1 else ("x1", "x2", "value")
     coords = [x.ravel() for x in domain.interior_meshgrid()]
 
@@ -583,7 +586,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
         written.append(str(out_dir / name))
 
     if mode in ("field-gauss", "field-cauchy"):
-        ncm = noncentered_map_from(config, basis, mode)
+        ncm = noncentered_map(basis, mode)
         for s in range(sp["n_samples"]):
             theta_raw = ncm.sample_hyper_latents(rng)
             u = ncm.realize(white_noise(domain, rng), theta_raw)

@@ -14,7 +14,8 @@ through the prior that the hyperparameters theta select, so that ensemble
 updates on (xi, theta) move the realized field out of any fixed linear span.
 :func:`noncentered_matern` is T for a stationary Matern field with scalar
 (alpha, tau); :class:`NoncenteredMap` is T for a field-valued
-hyperparameter that sets a nonstationary length scale.
+hyperparameter that sets a nonstationary length scale, and
+:func:`noncentered_map` builds it under the runs' field hyperprior.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .priors import (
     cauchy_knot_count,
     cauchy_path,
     nonstationary_sqrt,
-    operator_power,
     sqrt_cov,
     unconstrained_to_hyper,
 )
@@ -73,20 +73,32 @@ def exp_map(u: Field) -> Field:
     return Field(u.domain, exp_values(u.values))
 
 
-def coefficient_map(name: str, level_set: LevelSetSpec):
+# the conductivities of the level-set map, thresholded at zero
+LEVEL_SET = LevelSetSpec(kappa_minus=1.0, kappa_plus=10.0)
+
+
+def coefficient_map(name: str):
     """u -> (coefficients, report field) of a coefficient map.
 
     "identity" gives (u, u); "exp" and "channel" give (exp u, u), where
     for the channel u is the log permeability the geometry composed;
     "level-set" gives (kappa, log kappa) with kappa thresholded at the
-    levels of ``level_set``.  u is one field's values or a stack of them.
+    levels of ``LEVEL_SET``.  u is one field's values or a stack of them.
     """
     def threshold(u):
-        kappa = level_set_values(u, level_set)
+        kappa = level_set_values(u, LEVEL_SET)
         return kappa, np.log(kappa)
 
     return {"identity": lambda u: (u, u), "level-set": threshold,
             "exp": lambda u: (exp_values(u), u), "channel": lambda u: (exp_values(u), u)}[name]
+
+
+# the channel prior: a uniform box per geometry scalar d1, ..., d5, and the
+# log permeability's mean outside and inside, with one (alpha, tau) box for both
+CHANNEL_GEOMETRY_BOUNDS = ((0.0, 1.0), (2.0, 13.0), (0.4, 1.0), (0.0, 1.0), (0.1, 0.3))
+CHANNEL_MEANS = (1.0, 4.0)                          # outside, inside
+CHANNEL_HYPER_BOUNDS = ((1.3, 3.0), (8.0, 30.0))    # alpha, tau
+CHANNEL_TRUTH_HYPERS = ((2.0, 30.0), (2.8, 10.0))   # the truth's (alpha, tau) outside, inside
 
 
 def channel_values(d: np.ndarray, inside: np.ndarray, outside: np.ndarray,
@@ -159,9 +171,7 @@ class NoncenteredMap:
         if (self.field_spec is None) == (self.cauchy_delta is None):
             raise ValueError("give exactly one of field_spec (Gaussian v) "
                              "and cauchy_delta (Cauchy walk)")
-        operator_power(self.nonstationary_alpha)
         if self.field_spec is not None:
-            self.field_spec.validate(self.basis.domain.dim)
             self.n_hyper = self.basis.n_modes
         else:
             self.n_hyper = cauchy_knot_count(self.basis.domain, self.cauchy_delta)
@@ -193,3 +203,20 @@ class NoncenteredMap:
                              f"got {theta_raw.shape[-1]}")
         return nonstationary_sqrt(self.nonstationary_alpha, self.length_scale(theta_raw),
                                   xi, self.basis)
+
+
+# the field hyperprior: the Matern prior of a Gaussian v, the knot spacing
+# of a Cauchy walk, and g's floor and cap as fractions of the box's longest
+# side (the rational g takes GMap's default (a, b, c, d))
+V_SPEC = MaternSpec(alpha=2.0, tau=4.0, sigma2=60.0, mean=-0.5)
+CAUCHY_DELTA = 0.5
+G_FLOOR_FRAC, G_CAP_FRAC = 1e-6, 10.0
+
+
+def noncentered_map(basis: SpectralBasis, kind: str) -> NoncenteredMap:
+    """The non-centered transform of the "field-gauss" or "field-cauchy"
+    hyperprior on ``basis``."""
+    floor, cap = (frac * max(basis.domain.extents) for frac in (G_FLOOR_FRAC, G_CAP_FRAC))
+    if kind == "field-gauss":
+        return NoncenteredMap(basis=basis, g=GMap("exp", floor, cap), field_spec=V_SPEC)
+    return NoncenteredMap(basis=basis, g=GMap("rational", floor, cap), cauchy_delta=CAUCHY_DELTA)

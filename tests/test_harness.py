@@ -15,6 +15,7 @@ from ekinv import harness, multigrid
 from ekinv.cli import cli
 from ekinv.config import ConfigError, ExperimentConfig, config_from_manifest, load_config
 from ekinv.grid import Field, build_domain
+from ekinv.param_maps import CAUCHY_DELTA
 
 TINY_DARCY = """
 [experiment]
@@ -304,17 +305,14 @@ def test_manifest_from_another_schema_fails_loudly(tmp_path):
 
 
 def test_field_cauchy_prior_samples_have_cauchy_increments(tmp_path):
-    delta = 0.5
+    delta = CAUCHY_DELTA
     path = tmp_path / "prior.ini"
-    path.write_text(f"""
+    path.write_text("""
 [experiment]
 model_problem = source1d
 
 [grid]
 n_cells = 100
-
-[field_hyper]
-cauchy_delta = {delta}
 
 [sample_prior]
 mode = field-cauchy
@@ -347,7 +345,21 @@ n_samples = 120
     ("model_problem = darcy\n[eki]\nrho = 1.0", r"eki.rho must lie in \(0, 1\)"),
     ("model_problem = darcy\n[eki]\nrho = 0.0", r"eki.rho must lie in \(0, 1\)"),
     ("model_problem = darcy\n[eki]\nrho = 0.5\nzeta = 2.0", "eki.zeta must exceed 1/rho = 2"),
-    ("model_problem = darcy\n[eki]\nzeta = nan", "eki.zeta must exceed 1/rho = 1.25, got nan"),
+    ("model_problem = darcy\n[eki]\nzeta = nan",
+     r"\[eki\] zeta: expected a finite number, got 'nan'$"),
+    # every configured number is finite
+    ("model_problem = darcy\n[eki]\nzeta = inf",
+     r"\[eki\] zeta: expected a finite number, got 'inf'$"),
+    ("model_problem = darcy\n[eki]\nupsilon0 = inf",
+     r"\[eki\] upsilon0: expected a finite number, got 'inf'$"),
+    ("model_problem = darcy\n[prior]\ntau_bounds = 5 inf",
+     r"\[prior\] tau_bounds: expected a finite number, got 'inf'$"),
+    ("model_problem = darcy\n[observations]\ngamma_scale = inf",
+     r"\[observations\] gamma_scale: expected a finite number, got 'inf'$"),
+    ("model_problem = darcy\n[prior]\nsigma2 = inf",
+     r"\[prior\] sigma2: expected a finite number, got 'inf'$"),
+    ("model_problem = darcy\n[prior]\nmean = nan",
+     r"\[prior\] mean: expected a finite number, got 'nan'$"),
     ("model_problem = darcy\nn_ensemble = 1", "n_ensemble must be at least 2"),
     ("model_problem = darcy\nn_initializations = 0", "n_initializations must be at least 1"),
     ("model_problem = darcy\n[bogus]\nkey = 1", r"unknown section \[bogus\]"),
@@ -359,31 +371,8 @@ n_samples = 120
      "eki.max_doublings must be at least 1, got 0"),
     ("model_problem = darcy\n[eki]\nmax_outer_iterations = -1",
      "eki.max_outer_iterations must not be negative, got -1"),
-    ("model_problem = source1d\n[field_hyper]\nnonstationary_alpha = 3",
-     r"\[field_hyper\] alpha/2 must be a positive integer, got alpha=3.0"),
-    ("model_problem = source1d\n[field_hyper]\nv_sigma2 = -1",
-     r"\[field_hyper\] sigma2 must be positive, got -1.0"),
-    ("model_problem = source1d\n[field_hyper]\ng_rational_params = -1 0 1 0",
-     r"\[field_hyper\] rational g requires a, c > 0"),
-    ("model_problem = source1d\n[field_hyper]\ng_rational_params = 4 0 1",
-     "g_rational_params: expected four numbers"),
-    ("model_problem = source1d\n[field_hyper]\ncauchy_delta = 20",
-     r"\[field_hyper\] delta=20.0 is too large for the domain length 10.0"),
-    ("model_problem = source1d\n[field_hyper]\ng_floor_frac = 20",
-     r"\[field_hyper\] g needs 0 < floor <= cap, got floor 200.0, cap 100.0"),
-    ("model_problem = darcy\n[level_set]\nkappa_minus = 10",
-     r"\[level_set\] conductivity levels must be distinct"),
-    ("model_problem = darcy\n[level_set]\nkappa_minus = -1",
-     r"\[level_set\] conductivity levels must be positive"),
     ("model_problem = darcy\n[prior]\nsigma2 = -1", "sigma2 must be positive, got -1.0"),
     ("model_problem = darcy\n[truth]\nalpha_true = 0.5", "alpha must exceed d/2 = 1.0, got 0.5"),
-    ("model_problem = darcy\n[truth]\nchannel_truth_hypers = 2 2.8 30",
-     "channel_truth_hypers: expected four numbers"),
-    # the channel truth's (alpha1, tau1) and (alpha2, tau2)
-    ("model_problem = darcy\ncoefficient_map = channel\n[truth]\nchannel_truth_hypers = 1 2.8 30 10",
-     r"\[truth\] alpha must exceed d/2 = 1.0, got 1.0$"),
-    ("model_problem = darcy\ncoefficient_map = channel\n[truth]\nchannel_truth_hypers = 2 2.8 30 0",
-     r"\[truth\] tau must be positive, got 0.0$"),
     # each (alpha, tau) box at its lower corner
     ("model_problem = darcy\nparameterization = centered-hier\n[prior]\nalpha_bounds = 0.5 1.05",
      r"\[prior\] alpha must exceed d/2 = 1.0, got 0.5$"),
@@ -391,8 +380,6 @@ n_samples = 120
      r"\[prior\] alpha must exceed d/2 = 0.5, got 0.2$"),
     ("model_problem = darcy\nparameterization = noncentered-hier\n[prior]\ntau_bounds = -5 3",
      r"\[prior\] tau must be positive, got -5.0$"),
-    ("model_problem = darcy\ncoefficient_map = channel\n[channel]\nalpha1_bounds = 0.5 1.2",
-     r"\[channel\] alpha must exceed d/2 = 1.0, got 0.5$"),
     ("model_problem = darcy\nsnapshots = every",
      r"\[experiment\] snapshots: expected auto, none or iteration numbers, got 'every'"),
     ("model_problem = darcy\n[grid]\nn_cells = 1",
@@ -411,10 +398,6 @@ n_samples = 120
      r"\[observations\] gamma_scale must be positive, got -1.0"),
     ("model_problem = darcy\n[observations]\ngamma_scale = 0",
      r"\[observations\] gamma_scale must be positive, got 0.0"),
-    ("model_problem = darcy\n[observations]\nmollifier_sigma_frac = 0",
-     r"\[observations\] the mollifier sigma must be positive, got 0.0"),
-    ("model_problem = darcy\n[observations]\nmollifier_sigma_frac = -0.06",
-     r"\[observations\] the mollifier sigma must be positive, got -0.36"),
     ("model_problem = darcy\nmaster_seed = -3",
      r"\[experiment\] master_seed: must be non-negative, got -3$"),
     # [sample_prior]: the sweep on its own grid, and the number of samples
@@ -426,9 +409,6 @@ n_samples = 120
      r"\[sample_prior\] alpha must exceed d/2 = 1.0, got 0.8$"),
     ("model_problem = source1d\n[sample_prior]\nmode = field-gauss\nn_samples = 0",
      r"\[sample_prior\] n_samples must be at least 1, got 0$"),
-    # a field mode's hyperprior on the grid sample-prior draws on, whatever the model
-    ("model_problem = darcy\n[sample_prior]\nmode = field-cauchy\n[field_hyper]\ncauchy_delta = -1",
-     r"\[field_hyper\] delta must be positive, got -1.0$"),
 ])
 def test_invalid_configurations_raise_config_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.ini"

@@ -8,9 +8,10 @@ from ekinv.param_maps import (
     channel_values,
     exp_map,
     level_set_values,
+    noncentered_map,
     noncentered_matern,
 )
-from ekinv.priors import GMap, MaternSpec, apply_sqrt_cov
+from ekinv.priors import MaternSpec, apply_sqrt_cov
 
 
 @pytest.fixture(scope="module")
@@ -191,9 +192,9 @@ def test_noncentered_continuity_in_tau():
     assert 5.0 < d6 / d7 < 20.0
 
 
-# floor and cap as the default configuration sets them on [0, 10]
-G_EXP = GMap("exp", 1e-5, 100.0)
-G_RATIONAL = GMap("rational", 1e-5, 100.0, (4.0, 0.0, 1.0, 0.0))
+# the g maps that runs use on [0, 10]
+G_EXP, G_RATIONAL = (noncentered_map(dirichlet_spectrum(build_domain(1, 10.0, 20)), kind).g
+                     for kind in ("field-gauss", "field-cauchy"))
 
 
 def test_noncentered_field_gauss_kind():

@@ -6,6 +6,7 @@ import scipy.special
 import scipy.stats
 
 from ekinv.grid import Field, MemberError, build_domain, dirichlet_spectrum, white_noise
+from ekinv.param_maps import noncentered_map
 from ekinv.priors import (
     GMap,
     MaternSpec,
@@ -372,9 +373,9 @@ def test_cauchy_heavy_tail(cauchy_increments):
 # g maps
 
 
-# floor and cap as the default configuration sets them on [0, 10]
-EXP = GMap("exp", 1e-6 * 10.0, 10.0 * 10.0)
-RATIONAL = GMap("rational", 1e-6 * 10.0, 10.0 * 10.0, (4.0, 0.0, 1.0, 0.0))
+# the g maps that runs use on [0, 10]
+EXP, RATIONAL = (noncentered_map(dirichlet_spectrum(build_domain(1, 10.0, 20)), kind).g
+                 for kind in ("field-gauss", "field-cauchy"))
 
 
 def test_g_exp_identity_at_zero():

@@ -1,9 +1,12 @@
 """Every import in the ekinv sources, in their tests and in the benchmark
-(``ekibench``, scanned read-only) is used.
+(``ekibench``, scanned read-only) is used, and so is every module-level
+function, class and constant of the sources.
 
 A stdlib ``ast`` scan in place of a linter: an imported name counts as used
 when the module reads it (or lists it in ``__all__``); ``import a.b`` counts
-when the module reads ``a.b`` or an attribute below it.
+when the module reads ``a.b`` or an attribute below it.  A name a source
+module defines counts as used when any scanned module reads a name or an
+attribute of that spelling.
 """
 
 import ast
@@ -72,6 +75,49 @@ def test_the_benchmark_imports_nothing_it_does_not_use():
     modules = sorted(BENCHMARK.glob("*.py"))
     assert len(modules) > 5
     assert [line for path in modules for line in unused_imports(path)] == []
+
+
+def defined_names(path: Path) -> list[str]:
+    """The functions, classes and assigned names at the top level of a
+    module, but no dunder name such as ``__all__``, which Python reads."""
+    names = []
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [name for name in names if not (name.startswith("__") and name.endswith("__"))]
+
+
+def names_read(paths) -> set[str]:
+    """Every name and attribute that the modules at ``paths`` read."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def test_sources_define_nothing_that_nothing_reads():
+    modules = sorted(SOURCES.glob("*.py"))
+    read = names_read(modules + sorted(TESTS.glob("*.py")) + sorted(BENCHMARK.glob("*.py")))
+    defined = [(path.stem, name) for path in modules for name in defined_names(path)]
+    assert len(defined) > 100
+    assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
+
+
+def test_the_scan_finds_a_name_that_nothing_reads(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text("LIMIT, SCALE = 1, 2\nTABLE: dict = {}\n"
+                    "def used():\n    return SCALE\n"
+                    "def unused():\n    return used()\n"
+                    "class Unused:\n    pass\n", encoding="utf-8")
+    assert [name for name in defined_names(path) if name not in names_read([path])] == \
+        ["LIMIT", "TABLE", "unused", "Unused"]
 
 
 def test_the_scan_finds_an_unused_import(tmp_path):
