@@ -364,6 +364,25 @@ n_samples = 120
     ("model_problem = darcy\nn_initializations = 0", "n_initializations must be at least 1"),
     ("model_problem = darcy\n[bogus]\nkey = 1", r"unknown section \[bogus\]"),
     ("model_problem = darcy\n[eki]\nfrobnicate = 1", r"unknown key 'frobnicate' in \[eki\]"),
+    # the fixed model setup is not configurable: a key it had is rejected,
+    # even at the value that is now its constant
+    ("model_problem = darcy\ncoefficient_map = channel\n[channel]\nalpha1_bounds = 1.3 3.0",
+     r"unknown section \[channel\]"),
+    ("model_problem = source1d\n[field_hyper]\ncauchy_delta = 0.5",
+     r"unknown section \[field_hyper\]"),
+    ("model_problem = darcy\ncoefficient_map = level-set\n[level_set]\nkappa_minus = 1.0",
+     r"unknown section \[level_set\]"),
+    ("model_problem = darcy\n[truth]\nkind = matern-exp", r"unknown key 'kind' in \[truth\]"),
+    ("model_problem = darcy\ncoefficient_map = channel\n[truth]\n"
+     "channel_truth_hypers = 2 2.8 30 10", r"unknown key 'channel_truth_hypers' in \[truth\]"),
+    ("model_problem = darcy\n[grid]\ncoordinate_scaling = normalized",
+     r"unknown key 'coordinate_scaling' in \[grid\]"),
+    ("model_problem = darcy\n[observations]\nmollifier_sigma_frac = 0.06",
+     r"unknown key 'mollifier_sigma_frac' in \[observations\]"),
+    ("model_problem = darcy\n[sample_prior]\nmode = matern-tau-sweep\nalpha_fixed = 1.6",
+     r"unknown key 'alpha_fixed' in \[sample_prior\]"),
+    ("model_problem = darcy\n[sample_prior]\nmode = matern-alpha-sweep\ntau_fixed = 15",
+     r"unknown key 'tau_fixed' in \[sample_prior\]"),
     ("model_problem = darcy\n[prior]\nplain_prior = field-cauchy",
      "prior.plain_prior = field-cauchy is a one-dimensional prior"),
     ("model_problem = darcy\n[eki]\nupsilon0 = 0", "eki.upsilon0 must be positive, got 0.0"),
