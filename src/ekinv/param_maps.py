@@ -43,7 +43,6 @@ class LevelSetSpec:
 
     kappa_minus: float
     kappa_plus: float
-    threshold: float = 0.0
 
     def __post_init__(self):
         if self.kappa_minus <= 0 or self.kappa_plus <= 0:
@@ -53,8 +52,8 @@ class LevelSetSpec:
 
 
 def level_set_values(u: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
-    """kappa = kappa_plus where u > threshold, kappa_minus where u <= threshold."""
-    return np.where(u > spec.threshold, spec.kappa_plus, spec.kappa_minus)
+    """kappa = kappa_plus where u > 0, kappa_minus where u <= 0."""
+    return np.where(u > 0, spec.kappa_plus, spec.kappa_minus)
 
 
 def exp_values(u: np.ndarray) -> np.ndarray:
@@ -150,7 +149,8 @@ class NoncenteredMap:
     white noise in the sine basis for a Gaussian v (``field_spec``), or the
     raw increments of a Cauchy walk with knot spacing ``cauchy_delta``.
     Exactly one of the two is given.  u then solves the nonstationary
-    operator equation with length scale ell = g(v).  Scalar (alpha, tau)
+    operator equation of order ``NONSTATIONARY_ALPHA`` with length scale
+    ell = g(v).  Scalar (alpha, tau)
     hyperparameters are :func:`noncentered_matern`'s.
 
     The Cauchy walk is stored as its raw Cauchy(0, delta) increments, not as
@@ -164,7 +164,6 @@ class NoncenteredMap:
     g: GMap
     field_spec: MaternSpec | None = None
     cauchy_delta: float | None = None
-    nonstationary_alpha: float = 2.0
     n_hyper: int = field(init=False)   # number of hyperparameter latents
 
     def __post_init__(self):
@@ -172,6 +171,7 @@ class NoncenteredMap:
             raise ValueError("give exactly one of field_spec (Gaussian v) "
                              "and cauchy_delta (Cauchy walk)")
         if self.field_spec is not None:
+            self.field_spec.validate(self.basis.domain.dim)
             self.n_hyper = self.basis.n_modes
         else:
             self.n_hyper = cauchy_knot_count(self.basis.domain, self.cauchy_delta)
@@ -201,13 +201,15 @@ class NoncenteredMap:
         if theta_raw.shape[-1] != self.n_hyper:
             raise ValueError(f"expected {self.n_hyper} hyperparameter latents, "
                              f"got {theta_raw.shape[-1]}")
-        return nonstationary_sqrt(self.nonstationary_alpha, self.length_scale(theta_raw),
+        return nonstationary_sqrt(NONSTATIONARY_ALPHA, self.length_scale(theta_raw),
                                   xi, self.basis)
 
 
 # the field hyperprior: the Matern prior of a Gaussian v, the knot spacing
 # of a Cauchy walk, and g's floor and cap as fractions of the box's longest
-# side (the rational g takes GMap's default (a, b, c, d))
+# side (the rational g takes GMap's default (a, b, c, d)); u's operator
+# power is NONSTATIONARY_ALPHA / 2
+NONSTATIONARY_ALPHA = 2.0
 V_SPEC = MaternSpec(alpha=2.0, tau=4.0, sigma2=60.0, mean=-0.5)
 CAUCHY_DELTA = 0.5
 G_FLOOR_FRAC, G_CAP_FRAC = 1e-6, 10.0

@@ -3,11 +3,6 @@ import pytest
 
 from ekinv.grid import Field, build_domain, dirichlet_spectrum
 from ekinv.param_maps import (
-    CHANNEL_GEOMETRY_BOUNDS,
-    CHANNEL_HYPER_BOUNDS,
-    CHANNEL_TRUTH_HYPERS,
-    LEVEL_SET,
-    V_SPEC,
     LevelSetSpec,
     NoncenteredMap,
     channel_values,
@@ -128,40 +123,14 @@ def test_channel_two_values_for_constant_fields(square):
 def test_channel_prior_box_area_fraction():
     domain = build_domain(2, [6.0, 6.0], [60, 60])
     rng = np.random.default_rng(14)
-    lows, highs = np.array(CHANNEL_GEOMETRY_BOUNDS).T
+    lows = np.array([0.0, 2.0, 0.4, 0.0, 0.1])
+    highs = np.array([1.0, 13.0, 1.0, 1.0, 0.3])
     interior = 0
     n_draws = 1000
     for _ in range(n_draws):
         frac = np.count_nonzero(channel_mask(rng.uniform(lows, highs), domain)) / domain.n_interior
         interior += 0.0 < frac < 1.0
     assert interior >= 0.99 * n_draws
-
-
-# ---------------------------------------------------------------------------
-# the fixed model setup: each constant passes the checks it had as a key
-
-
-def test_the_level_set_conductivities_are_positive_and_ordered():
-    assert 0 < LEVEL_SET.kappa_minus < LEVEL_SET.kappa_plus
-    assert LEVEL_SET.threshold == 0.0
-
-
-def test_the_channel_geometry_boxes_are_proper():
-    lows, highs = np.array(CHANNEL_GEOMETRY_BOUNDS).T
-    assert np.all(lows < highs)
-    assert lows[4] > 0   # d5 is a half-width
-
-
-def test_the_channel_hyper_box_lower_corner_is_a_matern_prior():
-    (alpha_lo, _), (tau_lo, _) = CHANNEL_HYPER_BOUNDS
-    MaternSpec(alpha_lo, tau_lo).validate(2)
-
-
-def test_the_channel_truth_hypers_lie_in_the_channel_prior_box():
-    for alpha, tau in CHANNEL_TRUTH_HYPERS:
-        MaternSpec(alpha, tau).validate(2)
-        for value, (lo, hi) in zip((alpha, tau), CHANNEL_HYPER_BOUNDS):
-            assert lo <= value <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -248,16 +217,6 @@ def test_noncentered_field_cauchy_kind():
     # zero latents: v = 0 path, rational g capped, still finite
     u0 = ncm.realize(rng.standard_normal(basis.n_modes), np.zeros(19))
     assert np.all(np.isfinite(u0))
-
-
-@pytest.mark.parametrize("kind", ["field-gauss", "field-cauchy"])
-def test_the_field_hyperprior_realizes_on_the_coarsest_source1d_grid(kind):
-    V_SPEC.validate(1)
-    basis = dirichlet_spectrum(build_domain(1, 10.0, 2))
-    ncm = noncentered_map(basis, kind)
-    rng = np.random.default_rng(8)
-    u = ncm.realize(rng.standard_normal(basis.n_modes), ncm.sample_hyper_latents(rng))
-    assert u.shape == (1,) and np.all(np.isfinite(u))
 
 
 def test_noncentered_map_takes_exactly_one_hyperprior():
