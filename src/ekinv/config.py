@@ -29,15 +29,6 @@ class ConfigError(ValueError):
 # configuration schema
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "yes", "on", "1"):
-        return True
-    if lowered in ("false", "no", "off", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
-
-
 def _parse_float(text: str) -> float:
     value = float(text)
     if not np.isfinite(value):
@@ -123,8 +114,6 @@ SCHEMA = {
         "upsilon0": (_parse_float, 1.0),
         "max_outer_iterations": (int, 30),
         "max_doublings": (int, 60),
-        "perturb_observations": (_parse_bool, True),
-        "noise_level_convention": (_choice("realized", "expected"), "realized"),
     },
     "grid": {
         "n_cells": (_int_or_auto, "auto"),
@@ -132,7 +121,6 @@ SCHEMA = {
     "observations": {
         "n_obs": (_int_or_auto, "auto"),
         "gamma_scale": (_parse_float, 1e-4),
-        "noise_free": (_parse_bool, False),
     },
     "prior": {
         "alpha_bounds": (_parse_bounds, (1.3, 4.0)),
@@ -186,8 +174,7 @@ def controls_from(config) -> EkiControls:
     return EkiControls(rho=eki["rho"], zeta=None if eki["zeta"] == "auto" else eki["zeta"],
                        upsilon0=eki["upsilon0"],
                        max_outer_iterations=eki["max_outer_iterations"],
-                       max_doublings=eki["max_doublings"],
-                       perturb_observations=eki["perturb_observations"])
+                       max_doublings=eki["max_doublings"])
 
 
 def model_domain(model: str, n_cells) -> Domain:
@@ -350,8 +337,6 @@ def _as_text(value) -> str:
     keep every digit."""
     if isinstance(value, (list, tuple)):
         return ", ".join(map(repr, value))
-    if isinstance(value, bool):
-        return str(value).lower()
     return repr(value) if isinstance(value, float) else str(value)
 
 

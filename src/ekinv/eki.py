@@ -308,23 +308,16 @@ def select_upsilon(C_ww: np.ndarray, gamma: np.ndarray, residual: np.ndarray,
         f"(lhs={lhs:.3e}); the output ensemble may be ill-conditioned")
 
 
-def eki_step(ensemble: Ensemble | SpanEnsemble, forward_map, obs, controls: EkiControls,
-             rng: np.random.Generator, outputs: np.ndarray | None = None
-             ) -> tuple[Ensemble | SpanEnsemble, StepInfo]:
-    """One analysis update of every ensemble member.
+def eki_step(span: SpanEnsemble, W: np.ndarray, obs, controls: EkiControls,
+             rng: np.random.Generator) -> tuple[SpanEnsemble, StepInfo]:
+    """One analysis update of every member of ``span``.
 
-    ``forward_map`` maps a (dim, J) matrix to an (n_obs, J) output matrix;
-    ``obs`` supplies the data vector and noise covariance.  Precomputed
-    ``outputs`` skip the forward evaluation.  A :class:`SpanEnsemble`
-    comes back with new coefficients; an :class:`Ensemble` comes back as a
-    new, formed one.  ``ensemble`` is left unchanged.  Raises RuntimeError
-    when an updated member is not finite.
+    ``W`` holds the members' forward outputs, one (n_obs,) column each;
+    ``obs`` supplies the data vector and noise covariance.  Returns the
+    ensemble with new coefficients; ``span`` is left unchanged.  Raises
+    RuntimeError when an updated member is not finite.
     """
-    span = ensemble if isinstance(ensemble, SpanEnsemble) else SpanEnsemble.of(ensemble)
     J = span.n_members
-    W = forward_map(ensemble.members) if outputs is None else np.asarray(outputs, dtype=float)
-    if not np.all(np.isfinite(W)):
-        raise RuntimeError("forward outputs contain non-finite values")
     y = obs.y
     gamma = obs.gamma
     w_bar = W.mean(axis=1)
@@ -343,9 +336,7 @@ def eki_step(ensemble: Ensemble | SpanEnsemble, forward_map, obs, controls: EkiC
     D = Ac.T @ S
     D /= J - 1
     D -= D.mean(axis=0)   # P D
-    updated = span.advanced(D)
-    return (updated if span is ensemble else Ensemble(np.asarray(updated.members), span.layout),
-            StepInfo(upsilon=upsilon, trials=trials))
+    return span.advanced(D), StepInfo(upsilon=upsilon, trials=trials)
 
 
 def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
@@ -395,7 +386,7 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
             stop_reason = "discrepancy"
         elif n < controls.max_outer_iterations:
             try:
-                current, info = eki_step(current, forward_map, obs, controls, rng, outputs=W)
+                current, info = eki_step(current, W, obs, controls, rng)
                 record.upsilon, record.upsilon_trials = info.upsilon, info.trials
             except (UpsilonSearchError, RuntimeError, ValueError,
                     np.linalg.LinAlgError) as exc:

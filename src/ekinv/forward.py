@@ -406,14 +406,12 @@ def observe(p: Field | np.ndarray, model: ObservationModel) -> np.ndarray:
 
 
 def synthesize_data(model: ObservationModel, truth_output: np.ndarray,
-                    rng: np.random.Generator, noise_free: bool = False) -> ObservationModel:
+                    rng: np.random.Generator) -> ObservationModel:
     """Attach y = G(truth) + eta, eta ~ N(0, Gamma), recording the realized
     whitened noise norm as the noise level."""
     truth_output = np.asarray(truth_output, dtype=float)
     if truth_output.shape != (model.n_obs,):
         raise ValueError(f"expected {model.n_obs} outputs, got {truth_output.shape}")
-    if noise_free:
-        return replace(model, y=truth_output.copy(), noise_level=0.0)
     z = rng.standard_normal(model.n_obs)
     eta = model.gamma_chol @ z
     return replace(model, y=truth_output + eta, noise_level=float(np.linalg.norm(z)))

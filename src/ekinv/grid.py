@@ -23,9 +23,6 @@ import scipy.fft
 import scipy.linalg.lapack
 import scipy.sparse
 
-# coordinate conventions of the priors drawn in a SpectralBasis
-SCALINGS = ("normalized", "physical")
-
 
 def _as_tuple(value, dim: int, name: str) -> tuple:
     if np.isscalar(value):
@@ -139,11 +136,6 @@ class Field:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("field values must all be finite")
 
-    @property
-    def grid(self) -> np.ndarray:
-        """Values reshaped to the interior grid (x1-major)."""
-        return self.values.reshape(self.domain.interior_shape)
-
     def norm(self) -> float:
         return self.domain.norm(self.values)
 
@@ -156,17 +148,14 @@ class SpectralBasis:
     lambda_k = sum_a (k_a pi / L_a)^2.  Synthesis and analysis are exact
     inverses implemented with type-I discrete sine transforms.
 
-    The basis holds the coordinate convention of the priors drawn in it,
-    ``scaling`` (one of :data:`SCALINGS`), as the eigenvalues and volume
-    factor a prior's per-mode scale reads.  "normalized": the unit box's
-    sum_a (k_a pi)^2 and the box's volume, so a prior is the unit-box field
-    transported to the box and tau, alpha mean the same on any box.
-    "physical": the box's own eigenvalues and 1.
+    The basis holds the coordinate convention of the priors drawn in it, as
+    the eigenvalues and volume factor a prior's per-mode scale reads: the
+    unit box's sum_a (k_a pi)^2 and the box's volume, so a prior is the
+    unit-box field transported to the box and tau, alpha mean the same on
+    any box.
     """
 
-    def __init__(self, domain: Domain, scaling: str = "normalized"):
-        if scaling not in SCALINGS:
-            raise ValueError(f"scaling must be one of {SCALINGS}, got {scaling!r}")
+    def __init__(self, domain: Domain):
         self.domain = domain
         shape = domain.interior_shape
         k_axes = [np.arange(1, n) for n in domain.n_cells]
@@ -183,11 +172,8 @@ class SpectralBasis:
         order = np.lexsort(tuple(ks[:, a] for a in reversed(range(domain.dim))) + (lam_phys,))
         self.k_indices = ks[order]
         self.eigenvalues = lam_phys[order]
-        if scaling == "normalized":
-            self.prior_eigenvalues = lam_norm[order]
-            self.prior_volume = float(np.prod(domain.extents))
-        else:
-            self.prior_eigenvalues, self.prior_volume = self.eigenvalues, 1.0
+        self.prior_eigenvalues = lam_norm[order]
+        self.prior_volume = float(np.prod(domain.extents))
         self._order = order
         self._kgrid_shape = shape
 
@@ -233,10 +219,9 @@ class SpectralBasis:
         return kgrid.ravel()[self._order]
 
 
-def dirichlet_spectrum(domain: Domain, scaling: str = "normalized") -> SpectralBasis:
-    """All Dirichlet sine eigenpairs representable at the grid resolution,
-    for priors in the coordinate convention ``scaling``."""
-    return SpectralBasis(domain, scaling)
+def dirichlet_spectrum(domain: Domain) -> SpectralBasis:
+    """All Dirichlet sine eigenpairs representable at the grid resolution."""
+    return SpectralBasis(domain)
 
 
 def white_noise(domain: Domain, rng: np.random.Generator) -> np.ndarray:

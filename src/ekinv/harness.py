@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -407,7 +407,7 @@ def _prepare(config: ExperimentConfig):
     setup = build_model_setup(config)
     seqs = np.random.SeedSequence(exp["master_seed"]).spawn(2 + exp["n_initializations"])
     truth = make_truth(config, setup, np.random.default_rng(seqs[0]))
-    obs = _attach_data(config, setup, truth, np.random.default_rng(seqs[1]))
+    obs = _attach_data(setup, truth, np.random.default_rng(seqs[1]))
     return setup, truth, obs, seqs[2:]
 
 
@@ -468,14 +468,10 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
     }
 
 
-def _attach_data(config: ExperimentConfig, setup: ModelSetup, truth: TruthBundle,
+def _attach_data(setup: ModelSetup, truth: TruthBundle,
                  rng: np.random.Generator) -> ObservationModel:
     clean = setup.obs_template.matrix @ setup.solver.solve(truth.pde_field).values
-    obs = synthesize_data(setup.obs_template, clean, rng,
-                          noise_free=config["observations"]["noise_free"])
-    if config["eki"]["noise_level_convention"] == "expected":
-        obs = replace(obs, noise_level=float(np.sqrt(obs.n_obs)))
-    return obs
+    return synthesize_data(setup.obs_template, clean, rng)
 
 
 def concurrent_initializations(config: ExperimentConfig, parallel: int) -> int:

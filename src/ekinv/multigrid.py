@@ -292,13 +292,11 @@ def _smooth(level: _Level, color: np.ndarray, x: np.ndarray, b: np.ndarray,
 
 
 def _vcycle(levels: list[_Level], coarsest: _Coarsest, b: np.ndarray,
-            work: list[_Work] | None = None) -> np.ndarray:
-    """One V-cycle on the stack b, returned in the finest buffer of ``work``
-    (a workspace of b's dtype is allocated when none is given)."""
+            work: list[_Work]) -> np.ndarray:
+    """One V-cycle on the stack b, returned in the finest buffer of ``work``,
+    a workspace of b's dtype."""
     if not levels:
         return coarsest.solve(b)
-    if work is None:
-        work = _workspace(levels, coarsest, b.dtype)
     level, w = levels[0], work[0]
     x = np.multiply(level.red, b, out=w.x)
     _smooth(level, level.black, x, b, w)

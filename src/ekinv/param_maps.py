@@ -37,23 +37,13 @@ from .priors import (
 )
 
 
-@dataclass(frozen=True)
-class LevelSetSpec:
-    """Binary conductivity levels for thresholding a latent field."""
-
-    kappa_minus: float
-    kappa_plus: float
-
-    def __post_init__(self):
-        if self.kappa_minus <= 0 or self.kappa_plus <= 0:
-            raise ValueError("conductivity levels must be positive")
-        if self.kappa_minus == self.kappa_plus:
-            raise ValueError("conductivity levels must be distinct")
+# the conductivities of the level-set map, thresholded at zero
+KAPPA_MINUS, KAPPA_PLUS = 1.0, 10.0
 
 
-def level_set_values(u: np.ndarray, spec: LevelSetSpec) -> np.ndarray:
-    """kappa = kappa_plus where u > 0, kappa_minus where u <= 0."""
-    return np.where(u > 0, spec.kappa_plus, spec.kappa_minus)
+def level_set_values(u: np.ndarray) -> np.ndarray:
+    """kappa = KAPPA_PLUS where u > 0, KAPPA_MINUS where u <= 0."""
+    return np.where(u > 0, KAPPA_PLUS, KAPPA_MINUS)
 
 
 def exp_values(u: np.ndarray) -> np.ndarray:
@@ -72,20 +62,17 @@ def exp_map(u: Field) -> Field:
     return Field(u.domain, exp_values(u.values))
 
 
-# the conductivities of the level-set map, thresholded at zero
-LEVEL_SET = LevelSetSpec(kappa_minus=1.0, kappa_plus=10.0)
-
-
 def coefficient_map(name: str):
     """u -> (coefficients, report field) of a coefficient map.
 
     "identity" gives (u, u); "exp" and "channel" give (exp u, u), where
     for the channel u is the log permeability the geometry composed;
-    "level-set" gives (kappa, log kappa) with kappa thresholded at the
-    levels of ``LEVEL_SET``.  u is one field's values or a stack of them.
+    "level-set" gives (kappa, log kappa) with kappa thresholded at
+    ``KAPPA_MINUS`` and ``KAPPA_PLUS``.  u is one field's values or a stack
+    of them.
     """
     def threshold(u):
-        kappa = level_set_values(u, LEVEL_SET)
+        kappa = level_set_values(u)
         return kappa, np.log(kappa)
 
     return {"identity": lambda u: (u, u), "level-set": threshold,
@@ -207,7 +194,7 @@ class NoncenteredMap:
 
 # the field hyperprior: the Matern prior of a Gaussian v, the knot spacing
 # of a Cauchy walk, and g's floor and cap as fractions of the box's longest
-# side (the rational g takes GMap's default (a, b, c, d)); u's operator
+# side (the rational g's (a, b, c, d) are priors.RATIONAL_G); u's operator
 # power is NONSTATIONARY_ALPHA / 2
 NONSTATIONARY_ALPHA = 2.0
 V_SPEC = MaternSpec(alpha=2.0, tau=4.0, sigma2=60.0, mean=-0.5)

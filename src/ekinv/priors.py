@@ -7,9 +7,8 @@ Stationary fields follow the shifted-Laplacian covariance
 realized spectrally: the coefficient of sine mode k is N(0, (tau^2 +
 lambda_k)^(-alpha)), so sampling is an exact diagonal scaling of white noise.
 The eigenvalues lambda_k and the volume factor are those of the basis's
-coordinate convention (:class:`ekinv.grid.SpectralBasis`): the unit box's
-transported to the physical box ("normalized"), or the box's own
-("physical").
+coordinate convention (:class:`ekinv.grid.SpectralBasis`): the unit box's,
+transported to the physical box.
 
 Nonstationary fields solve the variable-coefficient operator equation
 
@@ -157,29 +156,29 @@ def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
 # length-scale maps
 
 
+# (a, b, c, d) of the rational g
+RATIONAL_G = (4.0, 0.0, 1.0, 0.0)
+
+
 @dataclass(frozen=True)
 class GMap:
     """Positivity-inducing map from a hyperparameter field v to ell.
 
-    ``exp`` is ell = exp(v); ``rational`` is ell = a/(b + c|v|) + d.  The
-    output is clipped to [floor, cap], 0 < floor <= cap, which guards the
-    rational map's singularity at v = 0 when b = d = 0 and keeps assembled
-    operators well conditioned.
+    ``exp`` is ell = exp(v); ``rational`` is ell = a/(b + c|v|) + d with
+    (a, b, c, d) = :data:`RATIONAL_G`.  The output is clipped to
+    [floor, cap], 0 < floor <= cap, which guards the rational map's
+    singularity at v = 0 and keeps assembled operators well conditioned.
     """
 
     kind: str
     floor: float
     cap: float
-    params: tuple[float, float, float, float] = (4.0, 0.0, 1.0, 0.0)
 
     def __post_init__(self):
         if self.kind not in ("exp", "rational"):
             raise ValueError(f"unknown g kind {self.kind!r}")
         if not 0 < self.floor <= self.cap:
             raise ValueError(f"g needs 0 < floor <= cap, got floor {self.floor}, cap {self.cap}")
-        a, b, c, d = self.params
-        if self.kind == "rational" and (a <= 0 or c <= 0 or b < 0 or d < 0):
-            raise ValueError(f"rational g requires a, c > 0 and b, d >= 0, got {self.params}")
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         """ell = g(v) at every value of v: one field or a stack of them."""
@@ -187,7 +186,7 @@ class GMap:
             with np.errstate(over="ignore"):
                 raw = np.exp(v)
         else:
-            a, b, c, d = self.params
+            a, b, c, d = RATIONAL_G
             with np.errstate(divide="ignore"):
                 raw = a / (b + c * np.abs(v)) + d
         return np.clip(raw, self.floor, self.cap)

@@ -89,6 +89,17 @@ def plain_ensemble(X):
     return Ensemble(X, PackingLayout(blocks=(("state", X.shape[0]),)))
 
 
+def plain_span(X):
+    """The plain ensemble of X as a run holds it: U_0 = X, A = I."""
+    return SpanEnsemble.of(plain_ensemble(X))
+
+
+def step(span, forward_map, obs, controls, rng):
+    """:func:`eki_step` on the outputs of ``forward_map`` at the members of
+    ``span``, as :func:`run_inversion` calls it."""
+    return eki_step(span, forward_map(span.members), obs, controls, rng)
+
+
 # ---------------------------------------------------------------------------
 # covariances
 
@@ -206,12 +217,11 @@ def test_upsilon_search_factorizes_with_jitter_where_cholesky_fails(monkeypatch)
 
 def test_step_is_fixed_point_for_zero_residuals():
     X = np.tile(np.array([1.0, -2.0])[:, None], (1, 4))
-    ens = plain_ensemble(X)
     H = np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]])
     obs = toy_obs(3, y=H @ X[:, 0])
     controls = EkiControls(perturb_observations=False)
-    new, info = eki_step(ens, lambda M: H @ M, obs, controls, np.random.default_rng(0))
-    np.testing.assert_array_equal(new.members, X)
+    new, info = step(plain_span(X), lambda M: H @ M, obs, controls, np.random.default_rng(0))
+    np.testing.assert_array_equal(np.asarray(new.members), X)
     assert info.upsilon == controls.upsilon0
 
 
@@ -224,13 +234,13 @@ def test_step_matches_closed_form_kalman_update():
     obs = toy_obs(2, gamma_scale=0.05, y=y)
     # rho this small accepts the first trial, Upsilon = upsilon0
     controls = EkiControls(perturb_observations=False, rho=1e-12, upsilon0=1.0)
-    new, info = eki_step(plain_ensemble(X), lambda M: H @ M, obs, controls, rng)
+    new, info = step(plain_span(X), lambda M: H @ M, obs, controls, rng)
     assert info.upsilon == 1.0
 
     W = H @ X
     C_uw, C_ww = empirical_covariances(X, W)
     oracle = X + C_uw @ np.linalg.solve(C_ww + obs.gamma, y[:, None] - W)
-    np.testing.assert_allclose(new.members, oracle, atol=1e-10)
+    np.testing.assert_allclose(np.asarray(new.members), oracle, atol=1e-10)
 
 
 def test_step_preserves_span_nonlinear():
@@ -244,12 +254,12 @@ def test_step_preserves_span_nonlinear():
 
     obs = toy_obs(5, gamma_scale=0.01, y=rng.standard_normal(5))
     controls = EkiControls()
-    ens = plain_ensemble(X0)
+    span = plain_span(X0)
     for _ in range(10):
-        ens, _ = eki_step(ens, forward, obs, controls, rng)
-    residual = ens.members - Q @ (Q.T @ ens.members)
-    assert np.max(np.linalg.norm(residual, axis=0)
-                  / np.linalg.norm(ens.members, axis=0)) < 1e-8
+        span, _ = step(span, forward, obs, controls, rng)
+    X = np.asarray(span.members)
+    residual = X - Q @ (Q.T @ X)
+    assert np.max(np.linalg.norm(residual, axis=0) / np.linalg.norm(X, axis=0)) < 1e-8
 
 
 def test_step_gauge_invariance_under_permutation():
@@ -262,11 +272,12 @@ def test_step_gauge_invariance_under_permutation():
     perm = rng.permutation(dim)
     inv = np.argsort(perm)
 
-    base, _ = eki_step(plain_ensemble(X), lambda M: M_map @ M, obs, controls,
-                       np.random.default_rng(77))
-    permuted, _ = eki_step(plain_ensemble(X[perm]), lambda M: M_map[:, perm] @ M,
-                           obs, controls, np.random.default_rng(77))
-    np.testing.assert_allclose(permuted.members[inv], base.members, rtol=1e-12, atol=1e-12)
+    base, _ = step(plain_span(X), lambda M: M_map @ M, obs, controls,
+                   np.random.default_rng(77))
+    permuted, _ = step(plain_span(X[perm]), lambda M: M_map[:, perm] @ M,
+                       obs, controls, np.random.default_rng(77))
+    np.testing.assert_allclose(np.asarray(permuted.members)[inv], np.asarray(base.members),
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -368,9 +379,12 @@ def test_inversion_and_step_leave_the_callers_ensemble_unwritten():
     result = run_inversion(ens, fwd, obs, EkiControls(max_outer_iterations=3), rng)
     assert [r.upsilon is not None for r in result.records] == [True] * 3 + [False]
     assert ens.members.tobytes() == before
-    new, _ = eki_step(ens, fwd, obs, EkiControls(), rng)
+    span = SpanEnsemble.of(ens)
+    coefficients = span.coefficients.tobytes()
+    new, _ = step(span, fwd, obs, EkiControls(), rng)
     assert ens.members.tobytes() == before
-    assert not np.shares_memory(new.members, ens.members)
+    assert span.coefficients.tobytes() == coefficients
+    assert new.initial is ens and new.coefficients.tobytes() != coefficients
 
 
 def chunked(fn, width):
@@ -401,7 +415,7 @@ def test_the_run_is_the_step_iterated_bit_for_bit(J, n_obs):
     span, step_rng = SpanEnsemble.of(Ensemble(X0, layout)), np.random.default_rng(1)
     infos = []
     for _ in range(3):
-        span, info = eki_step(span, forward, obs, controls, step_rng)
+        span, info = step(span, forward, obs, controls, step_rng)
         infos.append((info.upsilon, info.trials))
     assert result.ensemble.coefficients.tobytes() == span.coefficients.tobytes()
     assert [(r.upsilon, r.upsilon_trials) for r in result.records] == infos + [(None, None)]
@@ -589,11 +603,11 @@ def test_discrete_step_converges_to_ode_at_rate_h():
         upsilon = 1.0 / ((J - 1) * h)
         controls = EkiControls(perturb_observations=False, rho=1e-12, upsilon0=upsilon,
                                max_outer_iterations=10**9)
-        ens = plain_ensemble(X0)
+        span = plain_span(X0)
         for _ in range(int(round(T / h))):
-            ens, info = eki_step(ens, lambda M: H @ M, obs, controls, rng)
+            span, info = step(span, lambda M: H @ M, obs, controls, rng)
             assert info.upsilon == upsilon
-        return ens.members
+        return np.asarray(span.members)
 
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3):
@@ -624,17 +638,17 @@ def test_centered_hierarchy_u_block_is_bitwise_identical_to_plain():
     H = rng.standard_normal((5, dim_u))
     obs = toy_obs(5, gamma_scale=1e-3, y=rng.standard_normal(5), noise_level=1e-9)
 
-    plain = plain_ensemble(U0.copy())
-    packed = Ensemble(np.vstack([U0, theta0]),
-                      PackingLayout(blocks=(("state", dim_u), ("hyper", 2))))
+    plain = plain_span(U0.copy())
+    packed = SpanEnsemble.of(Ensemble(np.vstack([U0, theta0]),
+                                      PackingLayout(blocks=(("state", dim_u), ("hyper", 2)))))
     controls = EkiControls(max_outer_iterations=5)
 
-    ens_a, ens_b = plain, packed
+    span_a, span_b = plain, packed
     rng_a, rng_b = np.random.default_rng(99), np.random.default_rng(99)
     for _ in range(5):
-        ens_a, _ = eki_step(ens_a, lambda M: H @ M, obs, controls, rng_a)
-        ens_b, _ = eki_step(ens_b, lambda M: H @ M[:dim_u], obs, controls, rng_b)
-        np.testing.assert_array_equal(ens_b.members[:dim_u], ens_a.members)
+        span_a, _ = step(span_a, lambda M: H @ M, obs, controls, rng_a)
+        span_b, _ = step(span_b, lambda M: H @ M[:dim_u], obs, controls, rng_b)
+        np.testing.assert_array_equal(span_b.members[:dim_u], np.asarray(span_a.members))
 
 
 def test_noncentered_step_escapes_initial_field_span():
@@ -661,11 +675,11 @@ def test_noncentered_step_escapes_initial_field_span():
     layout = PackingLayout(blocks=(("xi", m), ("hyper", 2)))
     truth = rng.standard_normal(m)
     data = synthesize_data(obs, fwd(np.concatenate([truth, [0.1, -0.3]])[:, None])[:, 0], rng)
-    ens = Ensemble(X0, layout)
+    span = SpanEnsemble.of(Ensemble(X0, layout))
 
     fields0 = np.stack([fwd.decode(X0[:, j]).values for j in range(6)], axis=1)
     Q, _ = np.linalg.qr(fields0)
-    ens1, _ = eki_step(ens, lambda M: fwd(M), data, EkiControls(), rng)
+    ens1, _ = step(span, fwd, data, EkiControls(), rng)
     fields1 = np.stack([fwd.decode(ens1.members[:, j]).values for j in range(6)], axis=1)
     residual = fields1 - Q @ (Q.T @ fields1)
     rel = np.linalg.norm(residual, axis=0) / np.linalg.norm(fields1, axis=0)

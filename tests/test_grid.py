@@ -42,7 +42,7 @@ def test_field_validation():
     with pytest.raises(ValueError):
         Field(d, np.full(7, np.nan))
     f = Field(d, np.ones(7))
-    assert f.grid.shape == (7,)
+    assert f.values.shape == (7,)
 
 
 def test_continuum_eigenvalues():
@@ -139,20 +139,13 @@ def test_synthesis_of_a_stack_equals_one_field_at_a_time(dim, n):
     assert info.value.index == 3
 
 
-def test_basis_holds_the_prior_convention_and_rejects_an_unknown_one():
+def test_basis_holds_the_unit_box_prior_convention():
     domain = build_domain(2, [6.0, 3.0], [8, 6])
-    normalized, physical = SpectralBasis(domain), dirichlet_spectrum(domain, "physical")
-    np.testing.assert_array_equal(normalized.k_indices, physical.k_indices)
-    k = normalized.k_indices
-    np.testing.assert_allclose(normalized.prior_eigenvalues, np.pi**2 * (k**2).sum(axis=1),
+    basis = SpectralBasis(domain)
+    k = basis.k_indices
+    np.testing.assert_allclose(basis.prior_eigenvalues, np.pi**2 * (k**2).sum(axis=1),
                                rtol=1e-14)
-    assert normalized.prior_volume == 18.0
-    assert physical.prior_eigenvalues is physical.eigenvalues and physical.prior_volume == 1.0
-    for scaling in ("Normalized", "unit", ""):
-        with pytest.raises(ValueError, match="scaling must be one of"):
-            SpectralBasis(domain, scaling)
-        with pytest.raises(ValueError, match="scaling must be one of"):
-            dirichlet_spectrum(domain, scaling)
+    assert basis.prior_volume == 18.0
 
 
 def test_tridiagonal_solve_equals_solve_banded_bit_for_bit():

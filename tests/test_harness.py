@@ -383,6 +383,13 @@ n_samples = 120
      r"unknown key 'alpha_fixed' in \[sample_prior\]"),
     ("model_problem = darcy\n[sample_prior]\nmode = matern-alpha-sweep\ntau_fixed = 15",
      r"unknown key 'tau_fixed' in \[sample_prior\]"),
+    # the run options that only tests set are gone too
+    ("model_problem = darcy\n[eki]\nperturb_observations = false",
+     r"unknown key 'perturb_observations' in \[eki\]"),
+    ("model_problem = darcy\n[eki]\nnoise_level_convention = realized",
+     r"unknown key 'noise_level_convention' in \[eki\]"),
+    ("model_problem = darcy\n[observations]\nnoise_free = false",
+     r"unknown key 'noise_free' in \[observations\]"),
     ("model_problem = darcy\n[prior]\nplain_prior = field-cauchy",
      "prior.plain_prior = field-cauchy is a one-dimensional prior"),
     ("model_problem = darcy\n[eki]\nupsilon0 = 0", "eki.upsilon0 must be positive, got 0.0"),
@@ -587,28 +594,6 @@ def test_snapshot_schedules_write_the_listed_iterations(tmp_path, schedule, kept
 def csv_columns(path):
     header, *rows = path.read_text(encoding="utf-8").splitlines()
     return dict(zip(header.split(","), zip(*(row.split(",") for row in rows))))
-
-
-@pytest.mark.parametrize("section, key, value", [
-    ("eki", "noise_level_convention", "expected"),
-    ("observations", "noise_free", True),
-])
-def test_run_options_change_what_they_name(tmp_path, section, key, value):
-    case = MATRIX[0]
-    config = matrix_config(tmp_path, *case)
-    config[section][key] = value
-    manifest = harness.run_experiment(config)
-    golden = GOLDEN_FILES[case_name(case)]
-    run = tmp_path / "run"
-    if key == "noise_level_convention":
-        assert manifest["noise_level"] == np.sqrt(MATRIX_GRID["source1d"][1])
-        assert manifest["files"]["observations.csv"] == golden["observations.csv"]
-    else:
-        setup, truth, _, _ = harness._prepare(config)
-        clean = setup.obs_template.matrix @ setup.solver.solve(truth.pde_field).values
-        assert manifest["noise_level"] == 0.0
-        assert np.array(csv_columns(run / "observations.csv")["y"], dtype=float).tobytes() == \
-            clean.tobytes()
 
 
 def test_a_rerun_manifest_differs_only_in_the_wall_times(tmp_path):

@@ -11,7 +11,7 @@ from ekinv.forward import (
     mollified_observations,
 )
 from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
-from ekinv.param_maps import LevelSetSpec, channel_values, exp_map, exp_values, level_set_values
+from ekinv.param_maps import channel_values, exp_map, exp_values, level_set_values
 from ekinv.priors import MaternSpec, apply_sqrt_cov
 
 CHANNEL = np.array([0.2, 6.0, 0.6, 0.3, 0.2])
@@ -25,7 +25,7 @@ def coefficient(domain, kind, seed=0):
     if kind == "lognormal":
         return exp_map(u)
     if kind == "level-set":
-        return Field(domain, level_set_values(u.values, LevelSetSpec(1.0, 10.0)))
+        return Field(domain, level_set_values(u.values))
     return exp_map(Field(domain, channel_values(CHANNEL, 4.0, 1.0, domain)))
 
 
@@ -176,7 +176,9 @@ def whole_array_solve(tx, ty, b, unknown):
             coarsest = coarsest.take(keep)
             if active.size == 0:
                 return out
-        z = scale * size * multigrid._vcycle(levels, coarsest, (r / size).astype(np.float32))
+        work = multigrid._workspace(levels, coarsest, np.float32)
+        z = scale * size * multigrid._vcycle(levels, coarsest, (r / size).astype(np.float32),
+                                             work)
         rz_new = dot(r, z)
         d = z + (rz_new / rz)[:, None, None] * d
         rz = rz_new
@@ -237,12 +239,13 @@ def test_vcycle_is_symmetric_positive_definite(shape, dtype, rtol):
     assert levels
     assert {a.dtype for level in levels for a in level} | {coarsest.inverse.dtype} == {
         np.dtype(np.float32)}
+    work = multigrid._workspace(levels, coarsest, dtype)
     ids = np.flatnonzero(unknown)
     M = np.empty((ids.size, ids.size))
     for col, k in enumerate(ids):
         e = np.zeros((1, n1 + 1, n2 + 1), dtype=dtype)
         e.flat[k] = 1.0
-        z = multigrid._vcycle(levels, coarsest, e)
+        z = multigrid._vcycle(levels, coarsest, e, work)
         assert z.dtype == dtype
         M[:, col] = z.ravel()[ids]
     assert np.abs(M - M.T).max() <= rtol * np.abs(M).max()

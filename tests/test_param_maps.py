@@ -3,7 +3,8 @@ import pytest
 
 from ekinv.grid import Field, build_domain, dirichlet_spectrum
 from ekinv.param_maps import (
-    LevelSetSpec,
+    KAPPA_MINUS,
+    KAPPA_PLUS,
     NoncenteredMap,
     channel_values,
     exp_map,
@@ -28,40 +29,29 @@ def field_of(domain, values):
 
 
 def test_level_set_constant_positive(square):
-    spec = LevelSetSpec(kappa_minus=1.0, kappa_plus=2.0)
-    kappa = level_set_values(field_of(square, 1.0).values, spec)
-    np.testing.assert_array_equal(kappa, 2.0)
+    kappa = level_set_values(field_of(square, 1.0).values)
+    np.testing.assert_array_equal(kappa, KAPPA_PLUS)
 
 
 def test_level_set_zero_goes_to_minus(square):
-    spec = LevelSetSpec(kappa_minus=1.0, kappa_plus=2.0)
-    kappa = level_set_values(field_of(square, 0.0).values, spec)
-    np.testing.assert_array_equal(kappa, 1.0)
+    kappa = level_set_values(field_of(square, 0.0).values)
+    np.testing.assert_array_equal(kappa, KAPPA_MINUS)
 
 
 def test_level_set_checkerboard_measure(square):
     rng = np.random.default_rng(8)
     u = Field(square, np.where(rng.uniform(size=square.n_interior) < 0.5, -1.0, 1.0))
-    spec = LevelSetSpec(kappa_minus=3.0, kappa_plus=7.0)
-    kappa = level_set_values(u.values, spec)
-    assert np.count_nonzero(kappa == 7.0) == np.count_nonzero(u.values > 0)
-    assert set(np.unique(kappa)) == {3.0, 7.0}
+    kappa = level_set_values(u.values)
+    assert np.count_nonzero(kappa == KAPPA_PLUS) == np.count_nonzero(u.values > 0)
+    assert set(np.unique(kappa)) == {KAPPA_MINUS, KAPPA_PLUS}
 
 
 def test_level_set_invariant_under_positive_rescaling(square):
     rng = np.random.default_rng(1)
     u = Field(square, rng.standard_normal(square.n_interior))
-    spec = LevelSetSpec(kappa_minus=1.0, kappa_plus=10.0)
-    base = level_set_values(u.values, spec)
+    base = level_set_values(u.values)
     for c in (0.01, 3.0, 1e6):
-        np.testing.assert_array_equal(level_set_values(c * u.values, spec), base)
-
-
-def test_level_set_spec_validation():
-    with pytest.raises(ValueError):
-        LevelSetSpec(kappa_minus=0.0, kappa_plus=1.0)
-    with pytest.raises(ValueError):
-        LevelSetSpec(kappa_minus=2.0, kappa_plus=2.0)
+        np.testing.assert_array_equal(level_set_values(c * u.values), base)
 
 
 # ---------------------------------------------------------------------------
