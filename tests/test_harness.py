@@ -206,6 +206,14 @@ def test_run_warns_when_its_processes_may_exceed_the_available_memory(tmp_path, 
     assert "may run out of memory" in err
 
 
+def test_run_warns_of_nothing_where_the_available_memory_cannot_be_read(tmp_path, capsys,
+                                                                        monkeypatch):
+    tiny_darcy(tmp_path, "run")
+    monkeypatch.setattr("ekinv.cli.MEMINFO", str(tmp_path / "missing"))
+    assert cli(["run", str(tmp_path / "run.ini"), "--max-iter", "0"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.fixture
 def pool_workers(monkeypatch):
     """The worker count of every pool a run opens; the pools map in this
@@ -406,6 +414,11 @@ n_samples = 120
      r"\[prior\] alpha must exceed d/2 = 0.5, got 0.2$"),
     ("model_problem = darcy\nparameterization = noncentered-hier\n[prior]\ntau_bounds = -5 3",
      r"\[prior\] tau must be positive, got -5.0$"),
+    ("parameterization = plain", r"experiment.model_problem is required$"),
+    ("model_problem = darcy\n[prior]\nalpha_bounds = 3 2",
+     r"\[prior\] alpha_bounds: bounds need two increasing numbers, got '3 2'$"),
+    ("model_problem = darcy\n[prior]\ntau_bounds = 5",
+     r"\[prior\] tau_bounds: bounds need two increasing numbers, got '5'$"),
     ("model_problem = darcy\nsnapshots = every",
      r"\[experiment\] snapshots: expected auto, none or iteration numbers, got 'every'"),
     ("model_problem = darcy\n[grid]\nn_cells = 1",
