@@ -72,26 +72,13 @@ def parse_seed(text) -> int:
     return seed
 
 
-def snapshot_iterations(schedule: str, n_records: int) -> list[int]:
+def snapshot_iterations(n_records: int) -> list[int]:
     """The iterations, of a run with ``n_records`` records, whose mean field
-    the run keeps: under "auto" at most five, evenly spread, under "none"
-    none, under a list of numbers the listed ones that exist."""
-    if schedule == "none" or n_records == 0:
-        return []
-    if schedule == "auto":
-        if n_records <= 5:
-            return list(range(n_records))
-        return sorted({int(round(t)) for t in np.linspace(0, n_records - 1, 5)})
-    try:
-        wanted = [int(part) for part in schedule.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"expected auto, none or iteration numbers, got {schedule!r}") from None
-    return sorted({n for n in wanted if 0 <= n < n_records})
-
-
-def _parse_snapshots(text: str) -> str:
-    snapshot_iterations(text, 1)   # rejects a schedule a run could not read
-    return text
+    the run keeps: at most five, evenly spread, the first and the last
+    among them."""
+    if n_records <= 5:
+        return list(range(n_records))
+    return sorted({int(round(t)) for t in np.linspace(0, n_records - 1, 5)})
 
 
 PARAMETERIZATIONS = ("plain", "centered-hier", "noncentered-hier",
@@ -106,14 +93,12 @@ SCHEMA = {
         "n_initializations": (int, 10),
         "master_seed": (parse_seed, 0),
         "out_dir": (str, "auto"),
-        "snapshots": (_parse_snapshots, "auto"),
     },
     "eki": {
         "rho": (_parse_float, 0.8),
         "zeta": (_float_or_auto, "auto"),
         "upsilon0": (_parse_float, 1.0),
         "max_outer_iterations": (int, 30),
-        "max_doublings": (int, 60),
     },
     "grid": {
         "n_cells": (_int_or_auto, "auto"),
@@ -173,8 +158,7 @@ def controls_from(config) -> EkiControls:
     eki = config["eki"]
     return EkiControls(rho=eki["rho"], zeta=None if eki["zeta"] == "auto" else eki["zeta"],
                        upsilon0=eki["upsilon0"],
-                       max_outer_iterations=eki["max_outer_iterations"],
-                       max_doublings=eki["max_doublings"])
+                       max_outer_iterations=eki["max_outer_iterations"])
 
 
 def model_domain(model: str, n_cells) -> Domain:

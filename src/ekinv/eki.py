@@ -218,21 +218,24 @@ class SpanMembers:
         return out
 
 
+# the Upsilon trials of one step: upsilon0 up to 2^59 upsilon0
+MAX_DOUBLINGS = 60
+
+
 @dataclass(frozen=True)
 class EkiControls:
     """Regularization and stopping controls.
 
     ``zeta`` defaults to 1.1 / rho, strictly above the admissible floor 1/rho.
     Every step selects one Upsilon from the unperturbed mean residual by
-    doubling ``upsilon0`` at most ``max_doublings`` times.
+    doubling ``upsilon0`` at most :data:`MAX_DOUBLINGS` times, and updates
+    each member towards its own perturbed copy of the data.
     """
 
     rho: float = 0.8
     zeta: float | None = None
     upsilon0: float = 1.0
     max_outer_iterations: int = 30
-    max_doublings: int = 60
-    perturb_observations: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.rho < 1.0:
@@ -244,8 +247,6 @@ class EkiControls:
         if self.max_outer_iterations < 0:
             raise ValueError("max_outer_iterations must not be negative, "
                              f"got {self.max_outer_iterations}")
-        if self.max_doublings < 1:
-            raise ValueError(f"max_doublings must be at least 1, got {self.max_doublings}")
 
     @property
     def zeta_value(self) -> float:
@@ -293,18 +294,18 @@ def select_upsilon(C_ww: np.ndarray, gamma: np.ndarray, residual: np.ndarray,
     """Smallest Upsilon = 2^i upsilon0 satisfying the selection inequality.
 
     Returns (upsilon, number of trials).  Raises :class:`UpsilonSearchError`
-    after ``max_doublings`` failed trials.
+    after :data:`MAX_DOUBLINGS` failed trials.
     """
     r = np.asarray(residual, dtype=float)
     lhs = controls.rho * np.sqrt(r @ np.linalg.solve(gamma, r))
-    for i in range(controls.max_doublings):
+    for i in range(MAX_DOUBLINGS):
         upsilon = 2.0**i * controls.upsilon0
         x = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), r)
         rhs = upsilon * np.sqrt(x @ gamma @ x)
         if lhs <= rhs:
             return upsilon, i + 1
     raise UpsilonSearchError(
-        f"no admissible Upsilon within {controls.max_doublings} doublings "
+        f"no admissible Upsilon within {MAX_DOUBLINGS} doublings "
         f"(lhs={lhs:.3e}); the output ensemble may be ill-conditioned")
 
 
@@ -313,7 +314,8 @@ def eki_step(span: SpanEnsemble, W: np.ndarray, obs, controls: EkiControls,
     """One analysis update of every member of ``span``.
 
     ``W`` holds the members' forward outputs, one (n_obs,) column each;
-    ``obs`` supplies the data vector and noise covariance.  Returns the
+    ``obs`` supplies the data vector and noise covariance; ``rng`` draws
+    each member's perturbed data y + Gamma^(1/2) eta_j.  Returns the
     ensemble with new coefficients; ``span`` is left unchanged.  Raises
     RuntimeError when an updated member is not finite.
     """
@@ -324,10 +326,7 @@ def eki_step(span: SpanEnsemble, W: np.ndarray, obs, controls: EkiControls,
     Ac = W - w_bar[:, None]
     C_ww = Ac @ Ac.T / (J - 1)
 
-    if controls.perturb_observations:
-        Y = y[:, None] + obs.gamma_chol @ rng.standard_normal((obs.n_obs, J))
-    else:
-        Y = np.broadcast_to(y[:, None], (obs.n_obs, J))
+    Y = y[:, None] + obs.gamma_chol @ rng.standard_normal((obs.n_obs, J))
     R = Y - W
 
     upsilon, trials = select_upsilon(C_ww, gamma, y - w_bar, controls)

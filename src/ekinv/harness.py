@@ -450,7 +450,7 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
     if mean_history:
         write_field_file(out_dir / "mean_field.bin", setup.domain, mean_history[-1])
         files.append(str(out_dir / "mean_field.bin"))
-        for it in snapshot_iterations(exp["snapshots"], len(mean_history)):
+        for it in snapshot_iterations(len(mean_history)):
             snap = out_dir / f"snapshot_iter_{it:03d}.bin"
             write_field_file(snap, setup.domain, mean_history[it])
             files.append(str(snap))

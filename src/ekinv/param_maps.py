@@ -136,9 +136,9 @@ class NoncenteredMap:
     white noise in the sine basis for a Gaussian v (``field_spec``), or the
     raw increments of a Cauchy walk with knot spacing ``cauchy_delta``.
     Exactly one of the two is given.  u then solves the nonstationary
-    operator equation of order ``NONSTATIONARY_ALPHA`` with length scale
-    ell = g(v).  Scalar (alpha, tau)
-    hyperparameters are :func:`noncentered_matern`'s.
+    operator equation (I - diag(ell^2) Laplace_h) u = ell^(d/2) xi with
+    length scale ell = g(v) (:func:`ekinv.priors.nonstationary_sqrt`).
+    Scalar (alpha, tau) hyperparameters are :func:`noncentered_matern`'s.
 
     The Cauchy walk is stored as its raw Cauchy(0, delta) increments, not as
     N(0, 1) latents mapped through the Cauchy quantile function.  This keeps
@@ -188,15 +188,12 @@ class NoncenteredMap:
         if theta_raw.shape[-1] != self.n_hyper:
             raise ValueError(f"expected {self.n_hyper} hyperparameter latents, "
                              f"got {theta_raw.shape[-1]}")
-        return nonstationary_sqrt(NONSTATIONARY_ALPHA, self.length_scale(theta_raw),
-                                  xi, self.basis)
+        return nonstationary_sqrt(self.length_scale(theta_raw), xi, self.basis)
 
 
 # the field hyperprior: the Matern prior of a Gaussian v, the knot spacing
 # of a Cauchy walk, and g's floor and cap as fractions of the box's longest
-# side (the rational g's (a, b, c, d) are priors.RATIONAL_G); u's operator
-# power is NONSTATIONARY_ALPHA / 2
-NONSTATIONARY_ALPHA = 2.0
+# side (the rational g's (a, b, c, d) are priors.RATIONAL_G)
 V_SPEC = MaternSpec(alpha=2.0, tau=4.0, sigma2=60.0, mean=-0.5)
 CAUCHY_DELTA = 0.5
 G_FLOOR_FRAC, G_CAP_FRAC = 1e-6, 10.0

@@ -12,10 +12,12 @@ transported to the physical box.
 
 Nonstationary fields solve the variable-coefficient operator equation
 
-    (I - diag(ell(x)^2) Laplace_h)^(alpha/2) u = ell(x)^(d/2) xi
+    (I - diag(ell(x)^2) Laplace_h) u = ell(x)^(d/2) xi,
 
-for even integer alpha, where the length-scale field ell = g(v) is driven by
-a hyperparameter field v (Gaussian or a heavy-tailed Cauchy random walk).
+one solve: at a constant ell = 1/tau its covariance is that of the
+stationary field with alpha = 2, up to a constant factor.  The length-scale
+field ell = g(v) is driven by a hyperparameter field v (Gaussian or a
+heavy-tailed Cauchy random walk).
 
 Scalar hyperparameters with uniform priors are carried through the inversion
 in an unconstrained representation via the normal-quantile bijection, so that
@@ -99,9 +101,8 @@ def assemble_shifted_operator(ell: Field) -> scipy.sparse.csr_matrix:
             + scipy.sparse.diags(ell.values**2) @ L).tocsr()
 
 
-def _solve_operator_power(ell: np.ndarray, rhs: np.ndarray, power: int,
-                          domain: Domain) -> np.ndarray:
-    u = rhs
+def _solve_shifted(ell: np.ndarray, rhs: np.ndarray, domain: Domain) -> np.ndarray:
+    """Solve (I + diag(ell^2) L_h) u = rhs for one member."""
     if domain.dim == 1:
         # tridiagonal: row i of A is ell_i^2 times row i of L_h plus one on
         # the diagonal.  Its band takes the same products and sums as the
@@ -111,27 +112,13 @@ def _solve_operator_power(ell: np.ndarray, rhs: np.ndarray, power: int,
         ab[0, 1:] = ell2[:-1] * (-1.0 / h**2)
         ab[1, :] = 1.0 + ell2 * (2.0 / h**2)
         ab[2, :-1] = ell2[1:] * (-1.0 / h**2)
-        for _ in range(power):
-            u = solve_tridiagonal(ab, u)
-        return u
+        return solve_tridiagonal(ab, rhs)
     lu = scipy.sparse.linalg.splu(assemble_shifted_operator(Field(domain, ell)).tocsc())
-    for _ in range(power):
-        u = lu.solve(u)
-    return u
+    return lu.solve(rhs)
 
 
-def operator_power(alpha: float) -> int:
-    """alpha/2 of a nonstationary prior, which must be a positive integer:
-    integer operator powers are applied by repeated solves."""
-    half = alpha / 2
-    if abs(half - round(half)) > 1e-12 or round(half) < 1:
-        raise ValueError(f"alpha/2 must be a positive integer, got alpha={alpha}")
-    return int(round(half))
-
-
-def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
-                       basis: SpectralBasis) -> np.ndarray:
-    """Solve (I - diag(ell^2) Laplace_h)^(alpha/2) u = ell^(d/2) xi.
+def nonstationary_sqrt(ell: np.ndarray, xi: np.ndarray, basis: SpectralBasis) -> np.ndarray:
+    """Solve (I - diag(ell^2) Laplace_h) u = ell^(d/2) xi.
 
     ``ell`` holds length-scale values and ``xi`` white-noise coefficients in
     the sine basis, for one field or as (B, ·) stacks with one member per
@@ -140,13 +127,12 @@ def nonstationary_sqrt(alpha: float, ell: np.ndarray, xi: np.ndarray,
     :class:`ekinv.grid.MemberError` naming the first member with a
     nonpositive length scale or a non-finite solution.
     """
-    power = operator_power(alpha)
     domain = basis.domain
     check_members(np.all(ell > 0, axis=-1), "length-scale field must be strictly positive")
     rhs = ell ** (domain.dim / 2) * basis.synthesize(xi)
     u = np.empty_like(rhs)
     for index in np.ndindex(rhs.shape[:-1]):
-        u[index] = _solve_operator_power(ell[index], rhs[index], power, domain)
+        u[index] = _solve_shifted(ell[index], rhs[index], domain)
     check_members(np.all(np.isfinite(u), axis=-1),
                   "nonstationary solve produced non-finite values")
     return u

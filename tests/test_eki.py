@@ -94,6 +94,15 @@ def plain_span(X):
     return SpanEnsemble.of(plain_ensemble(X))
 
 
+class ZeroDraws:
+    """A generator whose every normal draw is zero: each member's perturbed
+    data y + Gamma^(1/2) eta_j is then exactly y, the deterministic dynamics
+    that the closed-form and continuous-time references describe."""
+
+    def standard_normal(self, size):
+        return np.zeros(size)
+
+
 def step(span, forward_map, obs, controls, rng):
     """:func:`eki_step` on the outputs of ``forward_map`` at the members of
     ``span``, as :func:`run_inversion` calls it."""
@@ -170,8 +179,10 @@ def test_upsilon_monotone_in_doubling():
 
 
 def test_upsilon_search_exhaustion():
-    controls = EkiControls(rho=0.999, upsilon0=1e-12, max_doublings=3)
-    with pytest.raises(UpsilonSearchError):
+    # Upsilon Gamma stays below 2^59 1e-20 < 1e-2 against C = 1e8, so every
+    # trial fails
+    controls = EkiControls(rho=0.999, upsilon0=1e-12)
+    with pytest.raises(UpsilonSearchError, match="within 60 doublings"):
         select_upsilon(np.array([[1e8]]), np.array([[1e-8]]), np.array([1.0]), controls)
 
 
@@ -219,8 +230,8 @@ def test_step_is_fixed_point_for_zero_residuals():
     X = np.tile(np.array([1.0, -2.0])[:, None], (1, 4))
     H = np.array([[1.0, 0.0], [0.3, 0.7], [0.0, 1.0]])
     obs = toy_obs(3, y=H @ X[:, 0])
-    controls = EkiControls(perturb_observations=False)
-    new, info = step(plain_span(X), lambda M: H @ M, obs, controls, np.random.default_rng(0))
+    controls = EkiControls()
+    new, info = step(plain_span(X), lambda M: H @ M, obs, controls, ZeroDraws())
     np.testing.assert_array_equal(np.asarray(new.members), X)
     assert info.upsilon == controls.upsilon0
 
@@ -233,8 +244,8 @@ def test_step_matches_closed_form_kalman_update():
     y = np.array([0.7, -0.4])
     obs = toy_obs(2, gamma_scale=0.05, y=y)
     # rho this small accepts the first trial, Upsilon = upsilon0
-    controls = EkiControls(perturb_observations=False, rho=1e-12, upsilon0=1.0)
-    new, info = step(plain_span(X), lambda M: H @ M, obs, controls, rng)
+    controls = EkiControls(rho=1e-12, upsilon0=1.0)
+    new, info = step(plain_span(X), lambda M: H @ M, obs, controls, ZeroDraws())
     assert info.upsilon == 1.0
 
     W = H @ X
@@ -295,8 +306,8 @@ def linear_toy(rng, J=40, noise_level=1e-3):
 def test_inversion_misfit_decreases_monotonically():
     rng = np.random.default_rng(1)
     ens, fwd, obs = linear_toy(rng, noise_level=2e-2)
-    controls = EkiControls(rho=0.8, perturb_observations=False, max_outer_iterations=60)
-    result = run_inversion(ens, fwd, obs, controls, rng)
+    controls = EkiControls(rho=0.8, max_outer_iterations=60)
+    result = run_inversion(ens, fwd, obs, controls, ZeroDraws())
     misfits = [r.misfit for r in result.records]
     assert result.stop_reason == "discrepancy"
     assert all(b <= a + 1e-12 for a, b in zip(misfits, misfits[1:]))
@@ -601,11 +612,10 @@ def test_discrete_step_converges_to_ode_at_rate_h():
     def discrete_final(h):
         # rho this small accepts the first trial, Upsilon = upsilon0
         upsilon = 1.0 / ((J - 1) * h)
-        controls = EkiControls(perturb_observations=False, rho=1e-12, upsilon0=upsilon,
-                               max_outer_iterations=10**9)
+        controls = EkiControls(rho=1e-12, upsilon0=upsilon, max_outer_iterations=10**9)
         span = plain_span(X0)
         for _ in range(int(round(T / h))):
-            span, info = step(span, lambda M: H @ M, obs, controls, rng)
+            span, info = step(span, lambda M: H @ M, obs, controls, ZeroDraws())
             assert info.upsilon == upsilon
         return np.asarray(span.members)
 

@@ -223,12 +223,12 @@ def test_nonstationary_constant_ell_exact_algebra():
 
     domain = build_domain(1, [1.0], 64)
     basis = dirichlet_spectrum(domain)
-    ell0, alpha = 0.2, 2.0
+    ell0 = 0.2
     rng = np.random.default_rng(3)
     xi = white_noise(domain, rng)
-    u = nonstationary_sqrt(alpha, np.full(domain.n_interior, ell0), xi, basis)
+    u = nonstationary_sqrt(np.full(domain.n_interior, ell0), xi, basis)
     lam_disc = np.array([discrete_eigenvalue(domain, k) for k in basis.k_indices])
-    expected = ell0**0.5 * (1 + ell0**2 * lam_disc) ** (-alpha / 2) * xi
+    expected = ell0**0.5 / (1 + ell0**2 * lam_disc) * xi
     np.testing.assert_allclose(basis.analysis(u), expected, atol=1e-10)
 
 
@@ -243,7 +243,7 @@ def test_nonstationary_constant_ell_matches_stationary_convention():
     n_draws = 10_000
     ell = np.full(domain.n_interior, ell0)
     coeffs = np.stack([
-        basis.analysis(nonstationary_sqrt(alpha, ell, white_noise(domain, rng), basis))
+        basis.analysis(nonstationary_sqrt(ell, white_noise(domain, rng), basis))
         for _ in range(n_draws)])
     stationary = tau ** (alpha - 0.5) * coefficient_scale(MaternSpec(alpha=alpha, tau=tau), basis)
     rel = np.abs(coeffs.var(axis=0)[:10] - stationary[:10] ** 2) / stationary[:10] ** 2
@@ -259,27 +259,18 @@ def test_nonstationary_1d_band_solve_matches_sparse_operator():
     ell = Field(domain, np.exp(rng.standard_normal(domain.n_interior)))
     xi = white_noise(domain, rng)
     A = assemble_shifted_operator(ell).tocsc()
-    expected = ell.values**0.5 * basis.synthesize(xi)
-    for _ in range(2):
-        expected = scipy.sparse.linalg.spsolve(A, expected)
-    u = nonstationary_sqrt(4.0, ell.values, xi, basis)
+    expected = scipy.sparse.linalg.spsolve(A, ell.values**0.5 * basis.synthesize(xi))
+    u = nonstationary_sqrt(ell.values, xi, basis)
     np.testing.assert_allclose(u, expected, rtol=1e-12, atol=1e-14)
     with pytest.raises(ValueError):
-        nonstationary_sqrt(2.0, np.zeros(domain.n_interior), xi, basis)
+        nonstationary_sqrt(np.zeros(domain.n_interior), xi, basis)
 
 
 def test_nonstationary_zero_noise():
     domain = build_domain(1, [1.0], 32)
     basis = dirichlet_spectrum(domain)
-    u = nonstationary_sqrt(2.0, np.full(domain.n_interior, 0.5), np.zeros(basis.n_modes), basis)
+    u = nonstationary_sqrt(np.full(domain.n_interior, 0.5), np.zeros(basis.n_modes), basis)
     np.testing.assert_allclose(u, 0.0, atol=1e-14)
-
-
-def test_nonstationary_rejects_fractional_alpha():
-    domain = build_domain(1, [1.0], 16)
-    basis = dirichlet_spectrum(domain)
-    with pytest.raises(ValueError):
-        nonstationary_sqrt(1.5, np.full(domain.n_interior, 0.5), np.zeros(basis.n_modes), basis)
 
 
 def test_nonstationary_local_correlation_length():
@@ -289,7 +280,7 @@ def test_nonstationary_local_correlation_length():
     x = domain.interior_coords(0)
     ell = np.where(x < 0.5, 0.02, 0.1)
     rng = np.random.default_rng(19)
-    draws = np.stack([nonstationary_sqrt(2.0, ell, white_noise(domain, rng), basis)
+    draws = np.stack([nonstationary_sqrt(ell, white_noise(domain, rng), basis)
                       for _ in range(1000)])
 
     def correlation(i, j):
@@ -306,7 +297,7 @@ def test_nonstationary_sqrt_runs_2d():
     domain = build_domain(2, [1.0, 1.0], [24, 24])
     basis = dirichlet_spectrum(domain)
     ell = GMap("exp", 1e-6, 10.0)(np.zeros(domain.n_interior))
-    u = nonstationary_sqrt(2.0, ell, white_noise(domain, np.random.default_rng(0)), basis)
+    u = nonstationary_sqrt(ell, white_noise(domain, np.random.default_rng(0)), basis)
     assert np.all(np.isfinite(u)) and domain.norm(u) > 0
 
 
@@ -472,14 +463,14 @@ def test_nonstationary_stack_solves_each_member_as_alone(n_cells):
     rng = np.random.default_rng(6)
     ell = np.exp(rng.uniform(-1.0, 0.5, (5, domain.n_interior)))
     xi = rng.standard_normal((5, basis.n_modes))
-    stack = nonstationary_sqrt(2.0, ell, xi, basis)
+    stack = nonstationary_sqrt(ell, xi, basis)
     for b in range(5):
-        alone = nonstationary_sqrt(2.0, ell[b], xi[b], basis)
+        alone = nonstationary_sqrt(ell[b], xi[b], basis)
         assert stack[b].tobytes() == alone.tobytes()
 
     ell[[2, 3], 0] = 0.0
     with pytest.raises(MemberError, match="strictly positive") as info:
-        nonstationary_sqrt(2.0, ell, xi, basis)
+        nonstationary_sqrt(ell, xi, basis)
     assert info.value.index == 2
 
 
