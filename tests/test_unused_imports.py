@@ -1,6 +1,7 @@
 """Every import in the ekinv sources, in their tests and in the benchmark
 (``ekibench``, scanned read-only) is used, and so is every module-level
-function, class and constant of the sources.
+function, class and constant of the sources; and no source module is
+longer than :data:`MAX_MODULE_LINES`.
 
 A stdlib ``ast`` scan in place of a linter: an imported name counts as used
 when the module reads it (or lists it in ``__all__``); ``import a.b`` counts
@@ -21,6 +22,9 @@ BENCHMARK = TESTS.parent / "ekibench"
 # (module, name) pairs imported only so that other code can import them from
 # that module: the benchmark loads its configurations through harness.
 RE_EXPORTS = {("harness", "load_config")}
+
+# a module past this length is split or cut down, not grown further
+MAX_MODULE_LINES = 600
 
 
 def dotted(node) -> str | None:
@@ -108,6 +112,14 @@ def test_sources_define_nothing_that_nothing_reads():
     defined = [(path.stem, name) for path in modules for name in defined_names(path)]
     assert len(defined) > 100
     assert [f"{stem}.{name}" for stem, name in defined if name not in read] == []
+
+
+def test_no_source_module_exceeds_the_line_limit():
+    modules = sorted(SOURCES.glob("*.py"))
+    assert len(modules) > 5
+    lengths = {path.name: len(path.read_text(encoding="utf-8").splitlines())
+               for path in modules}
+    assert {name: n for name, n in lengths.items() if n > MAX_MODULE_LINES} == {}
 
 
 def test_the_scan_finds_a_name_that_nothing_reads(tmp_path):
