@@ -607,12 +607,12 @@ def test_report_writes_the_manifest_values_exactly(tmp_path, capsys):
     assert "max-iterations" in capsys.readouterr().out
 
 
-def test_snapshots_keep_at_most_five_iterations_with_the_first_and_last():
-    # the golden rows stop at 3 records; 31 is a run at the default cap of 30
-    expected = {0: [], 1: [0], 5: [0, 1, 2, 3, 4], 6: [0, 1, 2, 4, 5], 7: [0, 2, 3, 4, 6],
-                31: [0, 8, 15, 22, 30]}
-    for n_records, kept in expected.items():
-        assert snapshot_iterations(n_records) == kept
+# the golden rows stop at 3 records; 31 is a run at the default cap of 30
+@pytest.mark.parametrize("n_records,kept", [
+    (0, []), (1, [0]), (5, [0, 1, 2, 3, 4]), (6, [0, 1, 2, 4, 5]), (7, [0, 2, 3, 4, 6]),
+    (31, [0, 8, 15, 22, 30])])
+def test_snapshots_keep_at_most_five_iterations_with_the_first_and_last(n_records, kept):
+    assert snapshot_iterations(n_records) == kept
 
 
 def csv_columns(path):
