@@ -21,7 +21,11 @@ on the coarsest grid.  The V-cycle runs in float32; the conjugate-gradient
 vectors, the stopping test and the returned pressure are float64.  The
 stacks are C-ordered, and a solve allocates one set of work buffers that
 every iteration writes into, rounding as whole-array expressions would.
-Each member stops on its own at a relative residual of 1e-10.  The
+Each member stops on its own.  A problem built with its observation model
+hands the solver the observation functionals: a member then stops once its
+observations have settled to a thousandth of the smallest noise standard
+deviation over two iterations and its relative residual is at most 1e-8.
+Without them a member stops at a relative residual of 1e-10.  The
 discretization is held once, as node-grid arrays.  The reference that tests
 factorize is one sparse 5-point operator over every node, built from them
 with its own harmonic-mean faces; :meth:`DarcyProblem.assemble` is its
@@ -79,7 +83,9 @@ class DarcyProblem:
     ``bc="paper"`` selects the groundwater configuration described in the
     module docstring.  ``bc="dirichlet"`` prescribes ``dirichlet_fn`` on the
     whole boundary and ``source_fn`` in the interior (manufactured-solution
-    override); both callables take coordinate arrays.
+    override); both callables take coordinate arrays.  ``observations``, a
+    2D observation model such as :func:`mollified_observations` gives, is
+    what the pressures will be read through.
 
     :meth:`solve` takes one conductivity field, or a (B, n_interior) array of
     conductivities, one member per row, and returns a field or a (B,
@@ -87,11 +93,16 @@ class DarcyProblem:
     (B, n1 + 1, n2 + 1) node stack: face transmissibilities
     are harmonic means of the node conductivities, the Dirichlet data enter
     the right-hand side through the same stencil, and multigrid-preconditioned
-    conjugate gradients run on the stack until every member's residual is
-    below 1e-10 of its right-hand side (:func:`ekinv.multigrid.solve`, which
-    raises :class:`ekinv.multigrid.ConvergenceError` naming the member that
-    does not get there).  A member's pressure does not depend on what it is
-    batched with.  :meth:`assemble` builds the same system as a sparse matrix.
+    conjugate gradients run on the stack until every member has stopped
+    (:func:`ekinv.multigrid.solve`, which raises
+    :class:`ekinv.multigrid.ConvergenceError` naming the member that does not
+    and the stop test it failed).  Given ``observations``, a member stops once
+    its observations, laid on the node grid, have settled to within
+    ``multigrid.SETTLED`` of the smallest noise standard deviation over
+    ``multigrid.DELAY`` iterations and its residual is at most 1e-8 of its
+    right-hand side; without them, once its residual is at most 1e-10 of it.
+    A member's pressure does not depend on what it is batched with.
+    :meth:`assemble` builds the same system as a sparse matrix.
     """
 
     DIRICHLET_PRESSURE = 100.0
@@ -99,7 +110,8 @@ class DarcyProblem:
 
     def __init__(self, domain: Domain, bc: str = "paper",
                  dirichlet_fn: Callable | None = None,
-                 source_fn: Callable | None = None):
+                 source_fn: Callable | None = None,
+                 observations: ObservationModel | None = None):
         if domain.dim != 2:
             raise ValueError("the Darcy problem is two-dimensional")
         if bc not in ("paper", "dirichlet"):
@@ -111,6 +123,11 @@ class DarcyProblem:
         self.dirichlet_fn = dirichlet_fn
         self.source_fn = source_fn
         self._build_static()
+        # the interior factors, zero on the boundary nodes, and the smallest
+        # noise standard deviation
+        self._observed = None if observations is None else multigrid.Observed(
+            *(np.pad(f, ((0, 0), (1, 1))) for f in observations.matrix.factors),
+            float(np.sqrt(np.diag(observations.gamma).min())))
 
     # -- static discretization data -------------------------------------
 
@@ -218,7 +235,7 @@ class DarcyProblem:
         tx, ty = self._faces(knode)
         boundary = np.broadcast_to(self._boundary, knode.shape)
         b = self._rhs_nodes - multigrid.apply(tx, ty, boundary) * self._unknown
-        return multigrid.solve(tx, ty, b, self._unknown) + self._boundary
+        return multigrid.solve(tx, ty, b, self._unknown, self._observed) + self._boundary
 
     def solve_full(self, kappa: Field) -> np.ndarray:
         """Pressure on the full node grid, Dirichlet values filled in."""

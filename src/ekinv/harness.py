@@ -92,8 +92,10 @@ class ModelSetup:
 def build_model_setup(config: ExperimentConfig) -> ModelSetup:
     model = config["experiment"]["model_problem"]
     domain = model_domain(model, config["grid"]["n_cells"])
-    solver = SourceProblem1D(domain) if model == "source1d" else DarcyProblem(domain)
-    return ModelSetup(domain, dirichlet_spectrum(domain), solver, observation_model(config, domain))
+    obs = observation_model(config, domain)
+    solver = (SourceProblem1D(domain) if model == "source1d"
+              else DarcyProblem(domain, observations=obs))
+    return ModelSetup(domain, dirichlet_spectrum(domain), solver, obs)
 
 
 def make_truth(config: ExperimentConfig, setup: ModelSetup,

@@ -33,9 +33,26 @@ halves the bytes the memory-bound fine-level passes move.  Conjugate
 gradients keep the iterate, the residual, the search direction, the inner
 products, their own faces and the stopping test in float64: the residual is
 rounded to float32 on its way into the V-cycle and the correction widened
-back.  Every member stops on its own once |r| <= TOLERANCE |b| and leaves the
-working stack, so a member's iterates do not depend on what it is batched
-with, and the returned solution is float64.
+back.  The returned solution is float64.
+
+Every member stops on its own and leaves the working stack, so a member's
+iterates do not depend on what it is batched with.  Without observation
+functionals a member stops once |r| <= TOLERANCE |b|.  Given the functionals
+K that its solution is read through and the noise standard deviation sigma
+of those observations (:class:`Observed`), it stops at the first iteration
+m >= DELAY at which both
+
+    max_i |K (x_m - x_(m - DELAY))|_i < SETTLED sigma   and
+    |r_m| <= SETTLED_RESIDUAL |b|
+
+hold.  The change over DELAY iterations is a delayed estimate of the error
+left in the observations, after Hestenes & Stiefel; Strakos & Tichy (ETNA 13,
+2002) showed such estimates to be reliable in finite precision.  Each
+member's K x_m is a pair of matrix products of its own, so this stop does not
+depend on the batch either.  Both stops test the recursively updated
+residual.  At high coefficient contrast the true residual can stay above
+TOLERANCE |b| for every float64 solution, while the observations still
+settle.
 
 Every stack is C-ordered (a right-hand side laid out otherwise is copied),
 so the result does not depend on b's layout.  A solve allocates one set of
@@ -50,20 +67,49 @@ from typing import NamedTuple
 
 import numpy as np
 
-TOLERANCE = 1e-10      # relative residual at which a member stops
-MAX_ITERATIONS = 100   # PCG iteration cap per member
-COARSEST_CELLS = 4     # coarsen until no axis has more cells than this
+TOLERANCE = 1e-10         # relative residual at which an unobserved member stops
+SETTLED_RESIDUAL = 1e-8   # relative residual an observed member must reach as well
+SETTLED = 1e-3            # observation change, in noise standard deviations, that has settled
+DELAY = 2                 # iterations over which the observation change is taken
+MAX_ITERATIONS = 100      # PCG iteration cap per member
+COARSEST_CELLS = 4        # coarsen until no axis has more cells than this
+
+
+class Observed(NamedTuple):
+    """Separable observation functionals laid on the node grid: a member's
+    node grid X is observed as kx X ky^T.  ``sigma`` is the smallest noise
+    standard deviation of those observations."""
+
+    kx: np.ndarray   # (m1, N1)
+    ky: np.ndarray   # (m2, N2)
+    sigma: float
+
+    def of(self, x: np.ndarray) -> np.ndarray:
+        """(B, m1, m2) observations of a (B, N1, N2) stack, member by member."""
+        return np.matmul(self.kx, np.matmul(x, self.ky.T))
 
 
 class ConvergenceError(RuntimeError):
-    """A member did not reach the tolerance; ``index`` is its position in the stack."""
+    """A member did not stop within the cap; ``index`` is its position in the
+    stack.  The message names the test it failed: a ``residual`` above
+    ``tolerance``, or observations whose last ``change`` over DELAY
+    iterations, in noise standard deviations, has not fallen below SETTLED
+    (None when no observations were watched)."""
 
-    def __init__(self, index: int, iterations: int, residual: float):
+    def __init__(self, index: int, iterations: int, residual: float,
+                 tolerance: float = TOLERANCE, change: float | None = None):
         self.index = index
         self.iterations = iterations
         self.residual = residual
+        self.change = change
+        failed = []
+        if not residual <= tolerance:
+            failed.append(f"relative residual {residual:.3e} above {tolerance:g}")
+        if change is not None and not change < SETTLED:
+            failed.append(f"observations not settled: the last change over {DELAY} "
+                          f"iterations is {change:.3e} sigma, not below {SETTLED:g}")
         super().__init__(f"MG-PCG did not converge within {iterations} iterations "
-                         f"(relative residual {residual:.3e})")
+                         f"({'; '.join(failed)})")
 
 
 def _along(axis: int, s: slice) -> tuple:
@@ -313,14 +359,17 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->b", x, x))
 
 
-def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
-          ) -> np.ndarray:
+def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray,
+          observed: Observed | None = None) -> np.ndarray:
     """x with A x = b for every member of the stack, zero off ``unknown``.
 
-    ``b``, in any memory layout, must vanish off ``unknown``; the result is
-    C-ordered float64, and only the preconditioner works in float32.  Raises
-    :class:`ConvergenceError` for the first member still short of the tolerance
-    after ``MAX_ITERATIONS`` iterations, or whose residual stops being finite.
+    Without ``observed`` each member stops at |r| <= TOLERANCE |b|; with it,
+    once its observations have settled and |r| <= SETTLED_RESIDUAL |b| (see
+    the module docstring).  ``b``, in any memory layout, must vanish off
+    ``unknown``; the result is C-ordered float64, and only the preconditioner
+    works in float32.  Raises :class:`ConvergenceError` for the first member
+    still short of its stop after ``MAX_ITERATIONS`` iterations, or whose
+    residual stops being finite.
     """
     b = np.ascontiguousarray(b)
     bnorm = _norm(b)
@@ -342,10 +391,20 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
     z, q, rhs = np.empty(b.shape), np.empty(b.shape), np.empty(b.shape, np.float32)
     unknown = unknown.astype(np.float64)   # the mask's products, without a cast per use
     rz = np.ones(b.shape[0])
+    tolerance = TOLERANCE if observed is None else SETTLED_RESIDUAL
+    seen = []                             # K x of the last DELAY iterates, oldest first
+    change = np.full(b.shape[0], np.inf)  # max_i |K (x_m - x_(m - DELAY))|_i
     iteration = 0
     while True:
         rnorm = _norm(r)
-        done = rnorm <= TOLERANCE * bnorm
+        done = rnorm <= tolerance * bnorm
+        if observed is not None:
+            y = observed.of(x)
+            if iteration >= DELAY:
+                change = np.abs(y - seen.pop(0)).max(axis=(1, 2))
+            seen.append(y)
+            # a zero residual is exact: nothing is left to settle
+            done &= (change < SETTLED * observed.sigma) | (rnorm == 0)
         if done.any():
             for k in np.flatnonzero(done):   # one by one: no stack-sized copy
                 out[active[k]] = x[k]
@@ -353,8 +412,9 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
             m = np.count_nonzero(keep)
             if m == 0:
                 return out
-            active, bnorm, rnorm, rz, size, widen, tx, ty = (
-                a[keep] for a in (active, bnorm, rnorm, rz, size, widen, tx, ty))
+            active, bnorm, rnorm, rz, size, widen, tx, ty, change = (
+                a[keep] for a in (active, bnorm, rnorm, rz, size, widen, tx, ty, change))
+            seen = [y[keep] for y in seen]
             levels = [level.take(keep) for level in levels]
             coarsest = coarsest.take(keep)
             x, r, d = x[keep], r[keep], d[keep]
@@ -363,7 +423,9 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray
         failed = ~np.isfinite(rnorm) | (iteration == MAX_ITERATIONS)
         if failed.any():
             k = int(np.argmax(failed))
-            raise ConvergenceError(int(active[k]), iteration, float(rnorm[k] / bnorm[k]))
+            raise ConvergenceError(int(active[k]), iteration, float(rnorm[k] / bnorm[k]),
+                                   tolerance, None if observed is None
+                                   else float(change[k] / observed.sigma))
         np.divide(r, size, out=rhs)
         np.multiply(widen, _vcycle(levels, coarsest, rhs, work), out=z)
         rz_new = np.einsum("bij,bij->b", r, z)
