@@ -91,17 +91,18 @@ class Observed(NamedTuple):
 
 class ConvergenceError(RuntimeError):
     """A member did not stop within the cap; ``index`` is its position in the
-    stack.  The message names the test it failed: a ``residual`` above
-    ``tolerance``, or observations whose last ``change`` over DELAY
+    stack.  The message names the test it failed: a relative ``residual``
+    above its tolerance, or observations whose last ``change`` over DELAY
     iterations, in noise standard deviations, has not fallen below SETTLED
     (None when no observations were watched)."""
 
     def __init__(self, index: int, iterations: int, residual: float,
-                 tolerance: float = TOLERANCE, change: float | None = None):
+                 change: float | None = None):
         self.index = index
         self.iterations = iterations
         self.residual = residual
         self.change = change
+        tolerance = TOLERANCE if change is None else SETTLED_RESIDUAL
         failed = []
         if not residual <= tolerance:
             failed.append(f"relative residual {residual:.3e} above {tolerance:g}")
@@ -424,7 +425,7 @@ def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray,
         if failed.any():
             k = int(np.argmax(failed))
             raise ConvergenceError(int(active[k]), iteration, float(rnorm[k] / bnorm[k]),
-                                   tolerance, None if observed is None
+                                   None if observed is None
                                    else float(change[k] / observed.sigma))
         np.divide(r, size, out=rhs)
         np.multiply(widen, _vcycle(levels, coarsest, rhs, work), out=z)
