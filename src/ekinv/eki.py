@@ -12,7 +12,10 @@ an initial guess until
 
     rho |Gamma^(-1/2) r| <= Upsilon |Gamma^(1/2) (C_ww + Upsilon Gamma)^(-1) r|
 
-holds (a Levenberg-Marquardt-style inflation).
+holds (a Levenberg-Marquardt-style inflation).  With C_ww V = Gamma V Lam,
+V^T Gamma V = I and c = V^T r it reads rho |c| <= Upsilon |c / (lam + Upsilon)|,
+whose right side grows with Upsilon: one generalized eigendecomposition per
+step decides every trial, and no trial factorizes C_ww + Upsilon Gamma.
 
 Every update is a linear combination of current members, so iterates remain
 in the linear span of the initial ensemble U_0: X_n = U_0 A_n with a J x J
@@ -280,29 +283,20 @@ class InversionResult:
     message: str = ""
 
 
-def _factorize(C_ww: np.ndarray, gamma: np.ndarray, upsilon: float):
-    M = C_ww + upsilon * gamma
-    try:
-        return scipy.linalg.cho_factor(M)
-    except np.linalg.LinAlgError:
-        jitter = 1e-12 * np.trace(M) / M.shape[0]
-        return scipy.linalg.cho_factor(M + jitter * np.eye(M.shape[0]))
-
-
 def select_upsilon(C_ww: np.ndarray, gamma: np.ndarray, residual: np.ndarray,
                    controls: EkiControls) -> tuple[float, int]:
-    """Smallest Upsilon = 2^i upsilon0 satisfying the selection inequality.
+    """Smallest Upsilon = 2^i upsilon0 satisfying the selection inequality,
+    every trial decided in the eigenbasis of (C_ww, Gamma) from one ``eigh``.
 
     Returns (upsilon, number of trials).  Raises :class:`UpsilonSearchError`
-    after :data:`MAX_DOUBLINGS` failed trials.
-    """
-    r = np.asarray(residual, dtype=float)
-    lhs = controls.rho * np.sqrt(r @ np.linalg.solve(gamma, r))
+    after :data:`MAX_DOUBLINGS` failed trials."""
+    lam, V = scipy.linalg.eigh(C_ww, gamma)
+    lam = np.maximum(lam, 0.0)   # C_ww is positive semi-definite
+    c2 = (V.T @ np.asarray(residual, dtype=float)) ** 2
+    lhs = controls.rho * np.sqrt(c2.sum())
     for i in range(MAX_DOUBLINGS):
         upsilon = 2.0**i * controls.upsilon0
-        x = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), r)
-        rhs = upsilon * np.sqrt(x @ gamma @ x)
-        if lhs <= rhs:
+        if lhs <= upsilon * np.sqrt(np.sum(c2 / (lam + upsilon) ** 2)):
             return upsilon, i + 1
     raise UpsilonSearchError(
         f"no admissible Upsilon within {MAX_DOUBLINGS} doublings "
@@ -321,7 +315,6 @@ def eki_step(span: SpanEnsemble, W: np.ndarray, obs, controls: EkiControls,
     """
     J = span.n_members
     y = obs.y
-    gamma = obs.gamma
     w_bar = W.mean(axis=1)
     Ac = W - w_bar[:, None]
     C_ww = Ac @ Ac.T / (J - 1)
@@ -329,8 +322,14 @@ def eki_step(span: SpanEnsemble, W: np.ndarray, obs, controls: EkiControls,
     Y = y[:, None] + obs.gamma_chol @ rng.standard_normal((obs.n_obs, J))
     R = Y - W
 
-    upsilon, trials = select_upsilon(C_ww, gamma, y - w_bar, controls)
-    S = scipy.linalg.cho_solve(_factorize(C_ww, gamma, upsilon), R)
+    upsilon, trials = select_upsilon(C_ww, obs.gamma, y - w_bar, controls)
+    M = C_ww + upsilon * obs.gamma
+    try:
+        factor = scipy.linalg.cho_factor(M)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * np.trace(M) / M.shape[0]
+        factor = scipy.linalg.cho_factor(M + jitter * np.eye(M.shape[0]))
+    S = scipy.linalg.cho_solve(factor, R)
 
     D = Ac.T @ S
     D /= J - 1

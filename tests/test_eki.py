@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from ekinv.eki import (
+    MAX_DOUBLINGS,
     EkiControls,
     Ensemble,
     PackingLayout,
     SpanEnsemble,
     SpanMembers,
+    StepInfo,
     UpsilonSearchError,
     eki_step,
     run_inversion,
@@ -162,10 +164,15 @@ def test_upsilon_scalar_doubling_bound():
 def test_upsilon_monotone_in_doubling():
     rng = np.random.default_rng(6)
     controls = EkiControls(rho=0.7, upsilon0=1.0)
-    for _ in range(20):
+    minimal = 0
+    for case in range(40):
         B = rng.standard_normal((4, 4))
         C = B @ B.T
-        gamma = np.diag(rng.uniform(0.5, 2.0, size=4))
+        if case < 20:
+            gamma = np.diag(rng.uniform(0.5, 2.0, size=4))
+        else:   # dense: the generalized eigenproblem proper
+            G = rng.standard_normal((4, 4))
+            gamma = G @ G.T + 0.5 * np.eye(4)
         r = rng.standard_normal(4)
         lhs = controls.rho * np.sqrt(r @ np.linalg.solve(gamma, r))
 
@@ -174,8 +181,14 @@ def test_upsilon_monotone_in_doubling():
             return u * np.sqrt(x @ gamma @ x)
 
         ups, _ = select_upsilon(C, gamma, r, controls)
-        for k in range(1, 6):
+        for k in range(6):
             assert lhs <= rhs_at(ups * 2**k) * (1 + 1e-12)
+        # the first admissible doubling: Upsilon / 2 fails, at the benchmark's
+        # slack (ekibench/checks.py UPSILON_RTOL)
+        if ups != controls.upsilon0:
+            assert lhs > rhs_at(ups / 2) * (1 - 1e-9)
+            minimal += 1
+    assert minimal >= 10
 
 
 def test_upsilon_search_exhaustion():
@@ -186,24 +199,58 @@ def test_upsilon_search_exhaustion():
         select_upsilon(np.array([[1e8]]), np.array([[1e-8]]), np.array([1.0]), controls)
 
 
-def test_upsilon_search_factorizes_with_jitter_where_cholesky_fails(monkeypatch):
-    # more outputs than J - 1 make C_ww singular; with Gamma = 1e-20 I the
-    # rounding of C_ww outweighs Upsilon Gamma, and Cholesky fails
-    rng = np.random.default_rng(0)
+def test_upsilon_search_accepts_no_doubling_that_fails_the_exact_inequality():
+    # J=50, 64 outputs, Gamma = 1e-20 I and a residual mostly in the outputs'
+    # span: exactly, no doubling is admissible; a Cholesky solve per trial of
+    # C_ww + Upsilon Gamma (condition about 1e16) accepted Upsilon = 2^15,
+    # where lhs / rhs is 4.59
+    rng = np.random.default_rng(13)
     J, n_obs, g = 50, 64, 1e-20
     W = rng.standard_normal((n_obs, J))
     Ac = W - W.mean(axis=1, keepdims=True)
     C_ww = Ac @ Ac.T / (J - 1)
     U, s, _ = np.linalg.svd(Ac)
     rank = J - 1
+    residual = (0.3 * U[:, :rank] @ rng.standard_normal(rank)
+                + 0.1 * U[:, rank:] @ rng.standard_normal(n_obs - rank))
+    controls = EkiControls()
+    # the selection inequality in the eigenbasis of C_ww = U diag(lam) U^T
+    lam = np.zeros(n_obs)
+    lam[:rank] = s[:rank] ** 2 / (J - 1)
+    c = U.T @ residual
+    lhs = controls.rho * np.linalg.norm(c) / np.sqrt(g)
+    upsilons = controls.upsilon0 * 2.0 ** np.arange(MAX_DOUBLINGS)
+    rhs = [u * np.sqrt(g) * np.linalg.norm(c / (lam + u * g)) for u in upsilons]
+    assert max(rhs) < 0.25 * lhs
+    with pytest.raises(UpsilonSearchError):
+        select_upsilon(C_ww, g * np.eye(n_obs), residual, controls)
+
+
+def test_upsilon_search_factorizes_with_jitter_where_cholesky_fails(monkeypatch):
+    # more outputs than J - 1 make C_ww singular; with Gamma = 1e-20 I the
+    # rounding of C_ww outweighs Upsilon Gamma, and Cholesky of
+    # C_ww + Upsilon Gamma fails.  The search decides in the eigenbasis and
+    # factorizes nothing; the update's solve takes the jitter retry.
+    rng = np.random.default_rng(0)
+    J, n_obs, g = 50, 64, 1e-20
+    W = rng.standard_normal((n_obs, J))
+    w_bar = W.mean(axis=1)
+    Ac = W - w_bar[:, None]
+    C_ww = Ac @ Ac.T / (J - 1)
+    U, s, _ = np.linalg.svd(Ac)
+    rank = J - 1
     assert s[rank - 1] > 1e-8 * s[0] > s[rank]
     # a residual outside the outputs' span: exactly, every Upsilon passes;
-    # the jittered factors of the failed trials reject them
-    residual = U[:, rank:] @ rng.standard_normal(n_obs - rank)
-    failures = []
+    # rounded, the null eigenvalues of (C_ww, Gamma) reach about 6e4, so the
+    # search needs more than one trial
+    obs = toy_obs(n_obs, gamma_scale=g,
+                  y=w_bar + U[:, rank:] @ rng.standard_normal(n_obs - rank))
+    residual = obs.y - w_bar
+    factorized, failures = [], []
     cho_factor = scipy.linalg.cho_factor
 
     def counted(M, *args, **kwargs):
+        factorized.append(M.shape)
         try:
             return cho_factor(M, *args, **kwargs)
         except np.linalg.LinAlgError:
@@ -212,14 +259,23 @@ def test_upsilon_search_factorizes_with_jitter_where_cholesky_fails(monkeypatch)
 
     monkeypatch.setattr(scipy.linalg, "cho_factor", counted)
     controls = EkiControls()
-    upsilon, trials = select_upsilon(C_ww, g * np.eye(n_obs), residual, controls)
-    assert failures and len(failures) == trials - 1
+    upsilon, trials = select_upsilon(C_ww, obs.gamma, residual, controls)
+    assert factorized == [] and trials > 1
     # the selection inequality, in the eigenbasis of C_ww = U diag(lam) U^T
     lam = np.zeros(n_obs)
     lam[:rank] = s[:rank] ** 2 / (J - 1)
     x = U @ ((U.T @ residual) / (lam + upsilon * g))
     lhs = controls.rho * np.linalg.norm(residual) / np.sqrt(g)
     assert lhs <= upsilon * np.sqrt(g) * np.linalg.norm(x)
+
+    # the update at Upsilon = upsilon0, where C_ww's rounding (eigenvalues
+    # down to about -1e-15) outweighs Upsilon Gamma under both the SkylakeX
+    # and the Haswell OpenBLAS kernels; rho this small accepts the first trial
+    span = plain_span(rng.standard_normal((3, J)))
+    new, info = eki_step(span, W, obs, EkiControls(rho=1e-12), ZeroDraws())
+    assert info == StepInfo(upsilon=1.0, trials=1)
+    assert len(failures) == 1 and len(factorized) == 2
+    assert np.all(np.isfinite(new.coefficients))
 
 
 # ---------------------------------------------------------------------------
