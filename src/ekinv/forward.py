@@ -63,6 +63,7 @@ interior pressure grid and Kx, Ky the two (n, n - 1) factors; the dense
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -340,8 +341,9 @@ class ObservationModel:
     def n_obs(self) -> int:
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def gamma_chol(self) -> np.ndarray:
+        """Lower Cholesky factor of Gamma, factored on first read."""
         return np.linalg.cholesky(self.gamma)
 
     def whitened_misfit(self, residual: np.ndarray) -> float:

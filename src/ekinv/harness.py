@@ -47,9 +47,9 @@ from .param_maps import (
     CHANNEL_HYPER_BOUNDS,
     CHANNEL_MEANS,
     CHANNEL_TRUTH_HYPERS,
+    NoncenteredMap,
     channel_values,
     coefficient_map,
-    noncentered_map,
     noncentered_matern,
 )
 from .priors import MaternSpec, sqrt_cov, unconstrained_to_hyper
@@ -184,7 +184,7 @@ def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLay
     """The blocks of a packed member of :func:`build_parameterization`."""
     par = config["experiment"]["parameterization"]
     if par.startswith("noncentered-field"):
-        ncm = noncentered_map(basis, par.removeprefix("noncentered-"))
+        ncm = NoncenteredMap(basis, par.removeprefix("noncentered-"))
         return PackingLayout(blocks=(("xi", basis.n_modes), ("hyper", ncm.n_hyper)))
     fields = _latent_fields(config)
     size = basis.n_modes if par == "noncentered-hier" else basis.domain.n_interior
@@ -244,7 +244,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
     field_valued = par.startswith("noncentered-field")
 
     if field_valued:
-        ncm = noncentered_map(basis, par.removeprefix("noncentered-"))
+        ncm = NoncenteredMap(basis, par.removeprefix("noncentered-"))
     layout = packing_layout(config, basis)
     sl = layout.slices()
 
@@ -294,7 +294,7 @@ def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
             def realize(xi, theta_raw):
                 return noncentered_matern(basis, xi, theta_raw, f.bounds, f.sigma2, f.mean)
         else:
-            ncm = noncentered_map(basis, kind)
+            ncm = NoncenteredMap(basis, kind)
             draw_hyper, realize = ncm.sample_hyper_latents, ncm.realize
 
         def sample_initial(rng):
@@ -584,7 +584,7 @@ def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
         written.append(str(out_dir / name))
 
     if mode in ("field-gauss", "field-cauchy"):
-        ncm = noncentered_map(basis, mode)
+        ncm = NoncenteredMap(basis, mode)
         for s in range(sp["n_samples"]):
             theta_raw = ncm.sample_hyper_latents(rng)
             u = ncm.realize(white_noise(domain, rng), theta_raw)

@@ -13,9 +13,10 @@ The non-centered transform T(xi, theta) maps independent white noise xi
 through the prior that the hyperparameters theta select, so that ensemble
 updates on (xi, theta) move the realized field out of any fixed linear span.
 :func:`noncentered_matern` is T for a stationary Matern field with scalar
-(alpha, tau); :class:`NoncenteredMap` is T for a field-valued
-hyperparameter that sets a nonstationary length scale, and
-:func:`noncentered_map` builds it under the runs' field hyperprior.
+(alpha, tau).  :class:`NoncenteredMap` is T under the field hyperprior, a
+field-valued length scale ell = g(v), in one of its two fixed kinds:
+"field-gauss" (a Gaussian v, ell = exp(v)) or "field-cauchy" (a Cauchy
+walk v, ell = 4/|v|).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 
 from .grid import Domain, Field, SpectralBasis, check_members
 from .priors import (
-    GMap,
     MaternSpec,
     cauchy_knot_count,
     cauchy_path,
@@ -127,18 +127,26 @@ def noncentered_matern(basis: SpectralBasis, xi: np.ndarray, theta_raw: np.ndarr
     return sqrt_cov(MaternSpec(alpha, tau, sigma2, mean), basis, xi)
 
 
+# the field hyperprior: the Matern prior of a Gaussian v, the knot spacing
+# of a Cauchy walk, and g's floor and cap as fractions of the box's longest side
+V_SPEC = MaternSpec(alpha=2.0, tau=4.0, sigma2=60.0, mean=-0.5)
+CAUCHY_DELTA = 0.5
+G_FLOOR_FRAC, G_CAP_FRAC = 1e-6, 10.0
+
+
 @dataclass
 class NoncenteredMap:
-    """Deterministic transform T: (xi, theta_raw) -> field u for a
-    field-valued hyperprior.
+    """Deterministic transform T: (xi, theta_raw) -> field u under the field
+    hyperprior ``kind``, "field-gauss" or "field-cauchy".
 
-    theta_raw carries the driving noise of the hyperparameter field v:
-    white noise in the sine basis for a Gaussian v (``field_spec``), or the
-    raw increments of a Cauchy walk with knot spacing ``cauchy_delta``.
-    Exactly one of the two is given.  u then solves the nonstationary
-    operator equation (I - diag(ell^2) Laplace_h) u = ell^(d/2) xi with
-    length scale ell = g(v) (:func:`ekinv.priors.nonstationary_sqrt`).
-    Scalar (alpha, tau) hyperparameters are :func:`noncentered_matern`'s.
+    theta_raw carries the driving noise of the hyperparameter field v: for
+    "field-gauss", white noise in the sine basis of a Gaussian v with prior
+    :data:`V_SPEC`; for "field-cauchy", the raw increments of a 1D Cauchy
+    walk with knot spacing :data:`CAUCHY_DELTA`.  u then solves the
+    nonstationary operator equation (I - diag(ell^2) Laplace_h) u =
+    ell^(d/2) xi with length scale ell = :meth:`g` (v)
+    (:func:`ekinv.priors.nonstationary_sqrt`).  Scalar (alpha, tau)
+    hyperparameters are :func:`noncentered_matern`'s.
 
     The Cauchy walk is stored as its raw Cauchy(0, delta) increments, not as
     N(0, 1) latents mapped through the Cauchy quantile function.  This keeps
@@ -148,34 +156,41 @@ class NoncenteredMap:
     """
 
     basis: SpectralBasis
-    g: GMap
-    field_spec: MaternSpec | None = None
-    cauchy_delta: float | None = None
+    kind: str
     n_hyper: int = field(init=False)   # number of hyperparameter latents
 
     def __post_init__(self):
-        if (self.field_spec is None) == (self.cauchy_delta is None):
-            raise ValueError("give exactly one of field_spec (Gaussian v) "
-                             "and cauchy_delta (Cauchy walk)")
-        if self.field_spec is not None:
-            self.field_spec.validate(self.basis.domain.dim)
-            self.n_hyper = self.basis.n_modes
+        self.n_hyper = (self.basis.n_modes if self.kind == "field-gauss"
+                        else cauchy_knot_count(self.basis.domain, CAUCHY_DELTA))
+
+    def g(self, v: np.ndarray) -> np.ndarray:
+        """ell = g(v) at every value of v, one field or a stack of them:
+        exp(v) for "field-gauss", 4/|v| for "field-cauchy".  ell is clipped
+        to G_FLOOR_FRAC and G_CAP_FRAC times the box's longest side, which
+        guards 4/|v|'s singularity at v = 0 and keeps the operators well
+        conditioned."""
+        if self.kind == "field-gauss":
+            with np.errstate(over="ignore"):
+                raw = np.exp(v)
         else:
-            self.n_hyper = cauchy_knot_count(self.basis.domain, self.cauchy_delta)
+            with np.errstate(divide="ignore"):
+                raw = 4.0 / np.abs(v)
+        floor, cap = (frac * max(self.basis.domain.extents) for frac in (G_FLOOR_FRAC, G_CAP_FRAC))
+        return np.clip(raw, floor, cap)
 
     def hyper_field(self, theta_raw: np.ndarray) -> np.ndarray:
         """Values of the realized hyperparameter field v, for one member or
         a stack of latents (one member per row)."""
-        if self.field_spec is not None:
-            return sqrt_cov(self.field_spec, self.basis, theta_raw)
-        return cauchy_path(self.basis.domain, self.cauchy_delta, theta_raw)
+        if self.kind == "field-gauss":
+            return sqrt_cov(V_SPEC, self.basis, theta_raw)
+        return cauchy_path(self.basis.domain, CAUCHY_DELTA, theta_raw)
 
     def sample_hyper_latents(self, rng: np.random.Generator) -> np.ndarray:
         """One prior draw of the hyperparameter latents: Gaussian-field
         noise, or Cauchy(0, delta) walk increments."""
-        if self.cauchy_delta is not None:
-            return self.cauchy_delta * rng.standard_cauchy(self.n_hyper)
-        return rng.standard_normal(self.n_hyper)
+        if self.kind == "field-gauss":
+            return rng.standard_normal(self.n_hyper)
+        return CAUCHY_DELTA * rng.standard_cauchy(self.n_hyper)
 
     def length_scale(self, theta_raw: np.ndarray) -> np.ndarray:
         """Values of ell = g(v), shaped like :meth:`hyper_field`."""
@@ -189,20 +204,3 @@ class NoncenteredMap:
             raise ValueError(f"expected {self.n_hyper} hyperparameter latents, "
                              f"got {theta_raw.shape[-1]}")
         return nonstationary_sqrt(self.length_scale(theta_raw), xi, self.basis)
-
-
-# the field hyperprior: the Matern prior of a Gaussian v, the knot spacing
-# of a Cauchy walk, and g's floor and cap as fractions of the box's longest
-# side (the rational g's (a, b, c, d) are priors.RATIONAL_G)
-V_SPEC = MaternSpec(alpha=2.0, tau=4.0, sigma2=60.0, mean=-0.5)
-CAUCHY_DELTA = 0.5
-G_FLOOR_FRAC, G_CAP_FRAC = 1e-6, 10.0
-
-
-def noncentered_map(basis: SpectralBasis, kind: str) -> NoncenteredMap:
-    """The non-centered transform of the "field-gauss" or "field-cauchy"
-    hyperprior on ``basis``."""
-    floor, cap = (frac * max(basis.domain.extents) for frac in (G_FLOOR_FRAC, G_CAP_FRAC))
-    if kind == "field-gauss":
-        return NoncenteredMap(basis=basis, g=GMap("exp", floor, cap), field_spec=V_SPEC)
-    return NoncenteredMap(basis=basis, g=GMap("rational", floor, cap), cauchy_delta=CAUCHY_DELTA)

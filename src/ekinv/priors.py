@@ -1,4 +1,4 @@
-"""Gaussian random field priors and hyperparameter machinery.
+"""Gaussian random field priors, the nonstationary sampler and the Cauchy walk.
 
 Stationary fields follow the shifted-Laplacian covariance
 
@@ -15,9 +15,11 @@ Nonstationary fields solve the variable-coefficient operator equation
     (I - diag(ell(x)^2) Laplace_h) u = ell(x)^(d/2) xi,
 
 one solve: at a constant ell = 1/tau its covariance is that of the
-stationary field with alpha = 2, up to a constant factor.  The length-scale
-field ell = g(v) is driven by a hyperparameter field v (Gaussian or a
-heavy-tailed Cauchy random walk).
+stationary field with alpha = 2, up to a constant factor.  A 1D Cauchy
+random walk, piecewise constant between equally spaced knots, is the
+heavy-tailed alternative to a Gaussian hyperparameter field.  The field
+hyperprior that turns either into ell lives in :mod:`ekinv.param_maps`
+(:class:`ekinv.param_maps.NoncenteredMap`).
 
 Scalar hyperparameters with uniform priors are carried through the inversion
 in an unconstrained representation via the normal-quantile bijection, so that
@@ -139,60 +141,13 @@ def nonstationary_sqrt(ell: np.ndarray, xi: np.ndarray, basis: SpectralBasis) ->
 
 
 # ---------------------------------------------------------------------------
-# length-scale maps
-
-
-# (a, b, c, d) of the rational g
-RATIONAL_G = (4.0, 0.0, 1.0, 0.0)
-
-
-@dataclass(frozen=True)
-class GMap:
-    """Positivity-inducing map from a hyperparameter field v to ell.
-
-    ``exp`` is ell = exp(v); ``rational`` is ell = a/(b + c|v|) + d with
-    (a, b, c, d) = :data:`RATIONAL_G`.  The output is clipped to
-    [floor, cap], 0 < floor <= cap, which guards the rational map's
-    singularity at v = 0 and keeps assembled operators well conditioned.
-    """
-
-    kind: str
-    floor: float
-    cap: float
-
-    def __post_init__(self):
-        if self.kind not in ("exp", "rational"):
-            raise ValueError(f"unknown g kind {self.kind!r}")
-        if not 0 < self.floor <= self.cap:
-            raise ValueError(f"g needs 0 < floor <= cap, got floor {self.floor}, cap {self.cap}")
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        """ell = g(v) at every value of v: one field or a stack of them."""
-        if self.kind == "exp":
-            with np.errstate(over="ignore"):
-                raw = np.exp(v)
-        else:
-            a, b, c, d = RATIONAL_G
-            with np.errstate(divide="ignore"):
-                raw = a / (b + c * np.abs(v)) + d
-        return np.clip(raw, self.floor, self.cap)
-
-
-# ---------------------------------------------------------------------------
 # Cauchy random walk hyperprior (1D)
 
 
 def cauchy_knot_count(domain: Domain, delta: float) -> int:
-    """Number of increment knots delta, 2*delta, ... strictly inside the domain."""
-    if domain.dim != 1:
-        raise ValueError("the Cauchy process prior is one-dimensional")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    n = int(np.ceil(domain.extents[0] / delta)) - 1
-    if n < 1:
-        raise ValueError(f"delta={delta} is too large for the domain length "
-                         f"{domain.extents[0]}")
-    return n
+    """Number of increment knots delta, 2*delta, ... strictly inside the
+    domain's first side."""
+    return int(np.ceil(domain.extents[0] / delta)) - 1
 
 
 def cauchy_path(domain: Domain, delta: float, increments: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ from ekinv.param_maps import (
     channel_values,
     exp_map,
     level_set_values,
-    noncentered_map,
     noncentered_matern,
 )
 from ekinv.priors import MaternSpec, apply_sqrt_cov
@@ -182,14 +181,9 @@ def test_noncentered_continuity_in_tau():
     assert 5.0 < d6 / d7 < 20.0
 
 
-# the g maps that runs use on [0, 10]
-G_EXP, G_RATIONAL = (noncentered_map(dirichlet_spectrum(build_domain(1, 10.0, 20)), kind).g
-                     for kind in ("field-gauss", "field-cauchy"))
-
-
 def test_noncentered_field_gauss_kind():
     basis = dirichlet_spectrum(build_domain(1, [10.0], 100))
-    ncm = NoncenteredMap(basis=basis, g=G_EXP, field_spec=MaternSpec(alpha=2.0, tau=5.0))
+    ncm = NoncenteredMap(basis, "field-gauss")
     assert ncm.n_hyper == basis.n_modes
     rng = np.random.default_rng(6)
     u = ncm.realize(rng.standard_normal(basis.n_modes),
@@ -199,7 +193,7 @@ def test_noncentered_field_gauss_kind():
 
 def test_noncentered_field_cauchy_kind():
     basis = dirichlet_spectrum(build_domain(1, [10.0], 100))
-    ncm = NoncenteredMap(basis=basis, g=G_RATIONAL, cauchy_delta=0.5)
+    ncm = NoncenteredMap(basis, "field-cauchy")
     assert ncm.n_hyper == 19
     rng = np.random.default_rng(6)
     u = ncm.realize(rng.standard_normal(basis.n_modes), rng.standard_normal(19))
@@ -207,13 +201,3 @@ def test_noncentered_field_cauchy_kind():
     # zero latents: v = 0 path, rational g capped, still finite
     u0 = ncm.realize(rng.standard_normal(basis.n_modes), np.zeros(19))
     assert np.all(np.isfinite(u0))
-
-
-def test_noncentered_map_takes_exactly_one_hyperprior():
-    basis = dirichlet_spectrum(build_domain(1, [10.0], 20))
-    with pytest.raises(ValueError, match="exactly one of field_spec"):
-        NoncenteredMap(basis=basis, g=G_EXP)
-    with pytest.raises(ValueError, match="exactly one of field_spec"):
-        NoncenteredMap(basis=basis, g=G_EXP, field_spec=MaternSpec(alpha=2.0, tau=5.0),
-                       cauchy_delta=0.5)
-

@@ -6,9 +6,8 @@ import scipy.special
 import scipy.stats
 
 from ekinv.grid import Field, MemberError, build_domain, dirichlet_spectrum, white_noise
-from ekinv.param_maps import noncentered_map
+from ekinv.param_maps import NoncenteredMap
 from ekinv.priors import (
-    GMap,
     MaternSpec,
     apply_sqrt_cov,
     assemble_shifted_operator,
@@ -296,7 +295,7 @@ def test_nonstationary_local_correlation_length():
 def test_nonstationary_sqrt_runs_2d():
     domain = build_domain(2, [1.0, 1.0], [24, 24])
     basis = dirichlet_spectrum(domain)
-    ell = GMap("exp", 1e-6, 10.0)(np.zeros(domain.n_interior))
+    ell = np.ones(domain.n_interior)
     u = nonstationary_sqrt(ell, white_noise(domain, np.random.default_rng(0)), basis)
     assert np.all(np.isfinite(u)) and domain.norm(u) > 0
 
@@ -331,12 +330,6 @@ def test_cauchy_path_shape_and_start():
     assert np.ptp(v[inside]) == 0.0
 
 
-def test_cauchy_rejects_oversized_delta():
-    domain = build_domain(1, [10.0], 100)
-    with pytest.raises(ValueError):
-        cauchy_knot_count(domain, 11.0)
-
-
 def test_cauchy_increment_sign_balance(cauchy_increments):
     _, incs = cauchy_increments
     n = len(incs)
@@ -368,7 +361,7 @@ def test_cauchy_heavy_tail(cauchy_increments):
 
 
 # the g maps that runs use on [0, 10]
-EXP, RATIONAL = (noncentered_map(dirichlet_spectrum(build_domain(1, 10.0, 20)), kind).g
+EXP, RATIONAL = (NoncenteredMap(dirichlet_spectrum(build_domain(1, 10.0, 20)), kind).g
                  for kind in ("field-gauss", "field-cauchy"))
 
 
@@ -396,15 +389,6 @@ def test_g_rational_singularity_capped():
 def test_g_rational_floor():
     ell = RATIONAL(np.full(15, 1e12))
     np.testing.assert_allclose(ell, 1e-6 * 10.0)  # floored
-
-
-def test_g_rejects_bad_floor_cap_and_kind():
-    with pytest.raises(ValueError, match="0 < floor <= cap"):
-        GMap("exp", 20.0, 10.0)
-    with pytest.raises(ValueError, match="0 < floor <= cap"):
-        GMap("exp", 0.0, 10.0)
-    with pytest.raises(ValueError, match="unknown g kind"):
-        GMap("log", 1e-6, 10.0)
 
 
 # ---------------------------------------------------------------------------
