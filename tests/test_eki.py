@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -534,6 +535,22 @@ def test_gamma_is_factored_once_per_observation_model(monkeypatch):
     assert result.stop_reason == "max-iterations"
     # three updates' perturbed data and four misfits read one factor
     assert len(factored) == 1
+
+
+def test_a_replaced_observation_model_factors_its_own_gamma():
+    # the cached factor belongs to its instance: a model that replace()
+    # builds with Gamma scaled by 4 reads a factor scaled by 2, not the old one
+    rng = np.random.default_rng(5)
+    G = rng.standard_normal((5, 5))
+    obs = ObservationModel(centers=np.zeros((5, 1)), matrix=np.eye(5), gamma=G @ G.T + np.eye(5))
+    L = obs.gamma_chol
+    scaled = replace(obs, gamma=4.0 * obs.gamma)
+    np.testing.assert_array_equal(scaled.gamma_chol, np.linalg.cholesky(4.0 * obs.gamma))
+    np.testing.assert_allclose(scaled.gamma_chol, 2.0 * L, rtol=1e-14, atol=0)
+    residual = rng.standard_normal(5)
+    assert scaled.whitened_misfit(residual) == pytest.approx(obs.whitened_misfit(residual) / 2,
+                                                              rel=1e-14)
+    assert obs.gamma_chol is L
 
 
 def explicit_update(members, layout, W, obs, controls, rng):

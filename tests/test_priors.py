@@ -391,6 +391,14 @@ def test_g_rational_floor():
     np.testing.assert_allclose(ell, 1e-6 * 10.0)  # floored
 
 
+def test_g_clips_to_fractions_of_the_longest_side():
+    # on a 2 x 5 box the floor and cap are 1e-6 and 10 times 5, the longer
+    # side; exp(v) over- and underflows there without a warning
+    g = NoncenteredMap(dirichlet_spectrum(build_domain(2, [2.0, 5.0], [6, 8])), "field-gauss").g
+    ell = g(np.array([-1e3, -20.0, 0.0, 3.0, 1e3]))
+    np.testing.assert_array_equal(ell, [1e-6 * 5.0, 1e-6 * 5.0, 1.0, np.exp(3.0), 10.0 * 5.0])
+
+
 # ---------------------------------------------------------------------------
 # uniform-prior bijections
 
