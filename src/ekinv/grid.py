@@ -105,6 +105,10 @@ class MemberError(ValueError):
         self.index = index
         super().__init__(message)
 
+    def __reduce__(self):
+        # rebuilt from both arguments, so it survives a process boundary
+        return type(self), (self.index, self.args[0])
+
 
 def check_members(ok, message: str, got=None) -> None:
     """Raise :class:`MemberError` for the first member whose ``ok`` is False.

@@ -160,6 +160,9 @@ class NoncenteredMap:
     n_hyper: int = field(init=False)   # number of hyperparameter latents
 
     def __post_init__(self):
+        if self.kind not in ("field-gauss", "field-cauchy"):
+            raise ValueError(f"the field hyperprior kind must be 'field-gauss' or "
+                             f"'field-cauchy', got {self.kind!r}")
         self.n_hyper = (self.basis.n_modes if self.kind == "field-gauss"
                         else cauchy_knot_count(self.basis.domain, CAUCHY_DELTA))
 

@@ -1,3 +1,7 @@
+import multiprocessing
+import pickle
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -136,6 +140,23 @@ def test_synthesis_of_a_stack_equals_one_field_at_a_time(dim, n):
     coeffs[0, [3, 5]] = 1e308
     with pytest.raises(MemberError, match="must all be finite") as info:
         basis.synthesize(coeffs.T)
+    assert info.value.index == 3
+
+
+def test_member_error_survives_pickling():
+    error = pickle.loads(pickle.dumps(MemberError(4, "conductivity must be strictly positive")))
+    assert type(error) is MemberError
+    assert (error.index, str(error)) == (4, "conductivity must be strictly positive")
+
+
+def fail_at(index):
+    raise MemberError(index, "raised in a worker")
+
+
+def test_member_error_raised_in_a_worker_reaches_the_caller():
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+        with pytest.raises(MemberError, match="^raised in a worker$") as info:
+            pool.submit(fail_at, 3).result()
     assert info.value.index == 3
 
 

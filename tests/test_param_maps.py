@@ -191,6 +191,13 @@ def test_noncentered_field_gauss_kind():
     assert np.all(np.isfinite(u)) and basis.domain.norm(u) > 0
 
 
+def test_noncentered_map_rejects_an_unknown_kind():
+    basis = dirichlet_spectrum(build_domain(1, [10.0], 100))
+    with pytest.raises(ValueError, match="must be 'field-gauss' or 'field-cauchy', "
+                                         "got 'field-gaus'"):
+        NoncenteredMap(basis, "field-gaus")
+
+
 def test_noncentered_field_cauchy_kind():
     basis = dirichlet_spectrum(build_domain(1, [10.0], 100))
     ncm = NoncenteredMap(basis, "field-cauchy")
