@@ -2,7 +2,8 @@
 
 Subcommands:
   validate <config>      parse, validate, and echo the resolved configuration,
-                         with the per-process memory estimate as a comment
+                         with the per-initialization memory estimate as a
+                         comment
   run <config|manifest>  run all initializations and write outputs; warns when
                          the initializations run at once (--parallel, at most
                          n_initializations) times the memory estimate exceed
@@ -56,7 +57,7 @@ def _memory_line(config) -> str:
     """The memory estimate as an INI comment line."""
     terms = memory_estimate(config)
     parts = " + ".join(f"{name} {_mib(size)}" for name, size in terms.items())
-    return f"# memory estimate: {_mib(sum(terms.values()))} per process = {parts}"
+    return f"# memory estimate: {_mib(sum(terms.values()))} per initialization = {parts}"
 
 
 def _mem_available() -> int | None:
@@ -71,7 +72,7 @@ def _mem_available() -> int | None:
 
 def _warn_if_short_of_memory(config, parallel: int) -> None:
     parallel = concurrent_initializations(config, parallel)
-    need = parallel * sum(memory_estimate(config).values())
+    need = parallel * sum(memory_estimate(config, parallel).values())
     available = _mem_available()
     if available is not None and need > available:
         print(f"warning: --parallel {parallel} x the memory estimate needs {_mib(need)}, "
@@ -93,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out-dir", help="override the output directory")
     p_run.add_argument("--parallel", type=int, default=1,
-                       help="number of concurrent initializations")
+                       help="number of concurrent initializations; the CPUs they "
+                            "leave idle become each initialization's Darcy solve workers")
     p_run.add_argument("--max-iter", type=int, help="override max outer iterations")
 
     p_sample = sub.add_parser("sample-prior", help="write prior field realizations")

@@ -39,17 +39,6 @@ sources is solved in one call of LAPACK's tridiagonal solver
 (:func:`ekinv.grid.solve_tridiagonal`, which the 1D prior decode also calls)
 with one right-hand side per source.
 
-The composite forward map works one chunk of about 64 k grid values at a
-time (one member per chunk on large grids, many on small ones).  It decodes
-a chunk of packed members in one batched pass into a (B, n_interior) array,
-hands that array to the solver as it is, and observes each row of the
-(B, n_interior) solution array the solver returns.  A chunk
-amortises the per-call array overhead on small grids and keeps the working
-set small on large ones.  The decoding pass also yields each member's
-report-scale field; the map sums these in member order, so one evaluation
-also gives the ensemble mean that reporting needs, and each member is
-decoded once per evaluation.
-
 Observations are linear functionals held as one factor per grid axis
 (:class:`SeparableOperator`): in 1D a single matrix of pointwise evaluations
 (linear interpolation between the two nearest nodes, exact at grid nodes),
@@ -58,6 +47,9 @@ truncated at six standard deviations along their own axis and renormalized
 to unit discrete mass.  A 2D member is observed as Kx P Ky^T, with P its
 interior pressure grid and Kx, Ky the two (n, n - 1) factors; the dense
 (n^2, (n - 1)^2) matrix is never built.
+
+The composite forward map of an ensemble, observe . solve . decode, is
+:mod:`ekinv.composite`.
 """
 
 from __future__ import annotations
@@ -71,7 +63,7 @@ import scipy.linalg
 import scipy.sparse
 
 from . import multigrid
-from .grid import Domain, Field, MemberError, check_members, discrete_eigenvalue, solve_tridiagonal
+from .grid import Domain, Field, check_members, discrete_eigenvalue, solve_tridiagonal
 
 
 def _harmonic(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -102,7 +94,9 @@ class DarcyProblem:
     ``multigrid.SETTLED`` of the smallest noise standard deviation over
     ``multigrid.DELAY`` iterations and its residual is at most 1e-8 of its
     right-hand side; without them, once its residual is at most 1e-10 of it.
-    A member's pressure does not depend on what it is batched with.
+    A member's pressure does not depend on what it is batched with, apart
+    from the last bits of a one-member stack on the finer grids (see
+    :mod:`ekinv.multigrid`).
     :meth:`assemble` builds the same system as a sparse matrix.
     """
 
@@ -434,144 +428,3 @@ def synthesize_data(model: ObservationModel, truth_output: np.ndarray,
     z = rng.standard_normal(model.n_obs)
     eta = model.gamma_chol @ z
     return replace(model, y=truth_output + eta, noise_level=float(np.linalg.norm(z)))
-
-
-# ---------------------------------------------------------------------------
-# composite forward map
-
-
-class ForwardError(RuntimeError):
-    """A forward evaluation failed; the message names the member(s) and the
-    phase (decode, solve or observe)."""
-
-
-@dataclass
-class DecodedBlock:
-    """Decoded members, one row each: the coefficients the solver consumes
-    and the report-scale fields (u, or log kappa) errors are measured on."""
-
-    domain: Domain
-    coefficients: np.ndarray   # (B, n_interior)
-    report: np.ndarray         # (B, n_interior)
-
-
-class CompositeForward:
-    """G = observe . solve . decode for packed ensemble member vectors.
-
-    ``decode_block`` decodes a (state_dim, B) block of packed members, one
-    column each, into a :class:`DecodedBlock` in one batched pass.  The
-    solver takes the block's (B, n_interior) coefficient array as it is and
-    returns a (B, n_interior) array of solutions.  An ensemble is
-    decoded, solved and observed one chunk of members at a time, so no more
-    than one chunk of decoded coefficients is held at once.  A chunk holds
-    about ``CHUNK_UNKNOWNS`` grid values: many members on a small grid, one
-    member from about n = 256 on a 2D grid.  The same pass sums the members'
-    report fields in member order, so an evaluation leaves the ensemble mean
-    of the report fields in ``report_mean`` and reporting decodes nothing
-    again.  Observation stays one operator product per member: one
-    product over the whole chunk rounds differently.
-    """
-
-    # On the darcy-channel (n=64) and darcy-exp (n=128) benchmark workloads
-    # 2^16 ran 10-25 % faster per iteration than 2^14.
-    CHUNK_UNKNOWNS = 1 << 16
-    # Float64 arrays of one chunk's node grids that an evaluation holds at
-    # its peak, the outputs included (tracemalloc): 19-23 on darcy grids of
-    # 16-256 cells per axis, 1-5 on the 1000-cell source1d grid.  Rounded up
-    # for the grid's static data and spectral basis, which no estimate term
-    # counts.
-    CHUNK_ARRAYS = 32
-
-    def __init__(self, decode_block: Callable[[np.ndarray], DecodedBlock],
-                 solver: Callable[[np.ndarray], np.ndarray],
-                 obs: ObservationModel):
-        self.decode_block = decode_block
-        self.solver = solver
-        self.obs = obs
-        self.chunk = self.chunk_members(obs.matrix.shape[1])
-        self.report_mean: np.ndarray | None = None
-
-    @classmethod
-    def chunk_members(cls, n_grid: int) -> int:
-        """Members per chunk on a grid of ``n_grid`` values."""
-        return max(1, cls.CHUNK_UNKNOWNS // n_grid)
-
-    @classmethod
-    def chunk_bytes(cls, domain: Domain, n_members: int) -> int:
-        """Peak bytes of evaluating ``n_members`` members on ``domain`` one
-        chunk at a time; the solvers work on every node of the grid."""
-        nodes = int(np.prod([n + 1 for n in domain.n_cells]))
-        return (cls.CHUNK_ARRAYS * min(n_members, cls.chunk_members(domain.n_interior))
-                * nodes * 8)
-
-    def decode(self, members: np.ndarray) -> DecodedBlock | Field:
-        """The :class:`DecodedBlock` of a (state_dim, B) block; a single
-        member decodes as the one-column block and gives its coefficient
-        field."""
-        if members.ndim == 2:
-            return self.decode_block(members)
-        block = self.decode_block(members[:, None])
-        return Field(block.domain, block.coefficients[0])
-
-    def decoded_chunks(self, members: np.ndarray):
-        """(member indices, decoded block) of each chunk of a (state_dim, J)
-        ensemble, in member order.
-
-        Raises :class:`ForwardError` naming the first member that fails to
-        decode."""
-        J = members.shape[1]
-        for start in range(0, J, self.chunk):
-            cols = range(start, min(start + self.chunk, J))
-            yield cols, self._decode_chunk(members, cols)
-
-    def _decode_chunk(self, members: np.ndarray, cols: range) -> DecodedBlock:
-        try:
-            return self.decode(members[:, cols.start:cols.stop])
-        except MemberError as exc:
-            # the block ran each check over all members before the next, so
-            # a member ahead of this one may still fail a later check
-            if exc.index:
-                self._decode_chunk(members, cols[:exc.index])
-            raise ForwardError(f"member {cols[exc.index]}, decode: {exc}") from exc
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            raise ForwardError(f"members {cols[0]}-{cols[-1]}, decode: {exc}") from exc
-
-    def __call__(self, members: np.ndarray) -> np.ndarray:
-        """Outputs for a (state_dim, J) ensemble matrix, one column per member.
-
-        Raises :class:`ForwardError` naming the failing member and phase.
-        """
-        J = members.shape[1]
-        out = np.empty((self.obs.n_obs, J))
-        self.report_mean = None
-        report_sum = np.zeros(self.obs.matrix.shape[1])
-        for cols, block in self.decoded_chunks(members):
-            add_rows(report_sum, block.report)
-            for j, output in zip(cols, self._chunk_outputs(block, cols)):
-                out[:, j] = output
-        self.report_mean = report_sum / J
-        return out
-
-    def _chunk_outputs(self, block: DecodedBlock, cols: range) -> list[np.ndarray]:
-        try:
-            solutions = self.solver(block.coefficients)
-        except (multigrid.ConvergenceError, MemberError) as exc:
-            raise ForwardError(f"member {cols[exc.index]}, solve: {exc}") from exc
-        except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-            raise ForwardError(f"members {cols[0]}-{cols[-1]}, solve: {exc}") from exc
-        return [_in_phase("observe", j, observe, p, self.obs)
-                for j, p in zip(cols, solutions)]
-
-
-def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
-    """Add the rows of a stack into ``total`` one after another: the order in
-    which ``np.mean(axis=0)`` sums a stack of fields."""
-    for row in rows:
-        total += row
-
-
-def _in_phase(phase: str, member: int, fn, *args):
-    try:
-        return fn(*args)
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        raise ForwardError(f"member {member}, {phase}: {exc}") from exc

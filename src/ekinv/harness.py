@@ -31,8 +31,9 @@ from .config import (  # noqa: F401
     sample_prior_grid,
     snapshot_iterations,
 )
+from .composite import CompositeForward, usable_cpus
 from .eki import Ensemble, SpanMembers, run_inversion
-from .forward import CompositeForward, ObservationModel, synthesize_data
+from .forward import ObservationModel, synthesize_data
 from .grid import Domain, dirichlet_spectrum, white_noise
 # the runner calls these through this module's namespace, where the
 # benchmark and the tests replace them
@@ -120,8 +121,10 @@ def _prepare(config: ExperimentConfig):
     return setup, truth, obs, seqs[2:]
 
 
-def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> dict:
-    """Run one initialization.  Deterministic given (config, index).
+def _run_single_initialization(config_dict: dict, index: int, workers: int,
+                               prepared=None) -> dict:
+    """Run one initialization, its Darcy chunks solved in ``workers``
+    processes (:func:`solve_workers`).  Deterministic given (config, index).
 
     ``prepared`` is what :func:`_prepare` returns for this config; a worker
     process passes none and builds its own."""
@@ -144,8 +147,9 @@ def _run_single_initialization(config_dict: dict, index: int, prepared=None) -> 
         mean_history.append(param.forward.report_mean)
         return setup.domain.norm(mean_history[-1] - truth.field.values) / truth.field.norm()
 
-    result = run_inversion(ensemble, param.forward, obs, controls, rng,
-                           error_fn=error_fn, hyper_means_fn=param.hyper_means)
+    with param.forward.solving_in(workers):
+        result = run_inversion(ensemble, param.forward, obs, controls, rng,
+                               error_fn=error_fn, hyper_means_fn=param.hyper_means)
 
     out_dir = Path(exp["out_dir"]) / f"init_{index:02d}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -183,22 +187,27 @@ def _attach_data(setup: ModelSetup, truth: TruthBundle,
     return synthesize_data(setup.obs_template, clean, rng)
 
 
-def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
-    """Bytes one process is expected to hold at its peak, by term: the initial
-    ensemble, its (J, J) coefficients and the members last formed for the forward
-    map (:func:`ekinv.eki.run_inversion`), and every recorded mean field."""
+def memory_estimate(config: ExperimentConfig, parallel: int = 1) -> dict[str, int]:
+    """Bytes one initialization is expected to hold at its peak under
+    ``parallel``, by term.  Its own process holds the initial ensemble, its
+    (J, J) coefficients and the members last formed for the forward map
+    (:func:`ekinv.eki.run_inversion`), one forward chunk and every recorded
+    mean field.  Each of its solve workers (:func:`solve_workers`), if it has
+    more than one, holds a forward chunk of its own."""
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain))
     block = SpanMembers.block_members(CompositeForward.chunk_members(domain.n_interior), J)
-    return {"initial ensemble": layout.dim * J * 8,
+    terms = {"initial ensemble": layout.dim * J * 8,
             "formed block": layout.dim * block * 8,
             "coefficients": J * J * 8,
             "observation operator": observation_model(config, domain).matrix.nbytes,
             "forward chunk": CompositeForward.chunk_bytes(domain, J),
             "mean fields": (config["eki"]["max_outer_iterations"] + 1) * domain.n_interior * 8}
-
-
+    workers = solve_workers(config, parallel)
+    if workers > 1:
+        terms["solve workers"] = workers * terms["forward chunk"]
+    return terms
 
 
 def concurrent_initializations(config: ExperimentConfig, parallel: int) -> int:
@@ -206,11 +215,28 @@ def concurrent_initializations(config: ExperimentConfig, parallel: int) -> int:
     return min(parallel, config["experiment"]["n_initializations"])
 
 
+def solve_workers(config: ExperimentConfig, parallel: int) -> int:
+    """Processes that solve the Darcy chunks of each initialization under
+    ``parallel``: the CPUs this process may run on, shared among the
+    initializations that run at once, and no more than the chunks of one
+    evaluation.  With one, the initialization solves its chunks itself, as
+    it does every 1D source solve, which takes too small a share of an
+    iteration to pay for the traffic."""
+    exp = config["experiment"]
+    if exp["model_problem"] != "darcy":
+        return 1
+    n_interior = model_domain("darcy", config["grid"]["n_cells"]).n_interior
+    chunks = -(-exp["n_ensemble"] // CompositeForward.chunk_members(n_interior))
+    return max(1, min(usable_cpus() // concurrent_initializations(config, parallel), chunks))
+
+
 def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
     """Run all initializations and write outputs plus a manifest.
 
     With one initialization at a time they run in this process, on its prepared
-    truth and data; with more, each in a worker process.  Returns the manifest
+    truth and data; with more, each in a worker process.  Each solves its
+    Darcy chunks in the processes :func:`solve_workers` gives it, and shuts
+    them down before it returns, however it ends.  Returns the manifest
     dictionary.  Individual initialization failures are recorded with
     stop_reason "aborted"; the run continues.
     """
@@ -231,12 +257,13 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
 
     indices = list(range(exp["n_initializations"]))
     workers = concurrent_initializations(config, parallel)
+    solvers = solve_workers(config, parallel)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single_initialization,
-                                    [config.to_dict()] * len(indices), indices))
+            results = list(pool.map(_run_single_initialization, [config.to_dict()] * len(indices),
+                                    indices, [solvers] * len(indices)))
     else:
-        results = [_run_single_initialization(config.to_dict(), i, prepared)
+        results = [_run_single_initialization(config.to_dict(), i, solvers, prepared)
                    for i in indices]
 
     inventory = {}

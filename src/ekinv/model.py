@@ -15,15 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig, model_domain, observation_model
+from .composite import CompositeForward, DecodedBlock, add_rows
 from .eki import PackingLayout
-from .forward import (
-    CompositeForward,
-    DarcyProblem,
-    DecodedBlock,
-    ObservationModel,
-    SourceProblem1D,
-    add_rows,
-)
+from .forward import DarcyProblem, ObservationModel, SourceProblem1D
 from .grid import Domain, Field, SpectralBasis, dirichlet_spectrum, white_noise
 from .param_maps import (
     CHANNEL_GEOMETRY_BOUNDS,

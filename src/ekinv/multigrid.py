@@ -36,7 +36,10 @@ rounded to float32 on its way into the V-cycle and the correction widened
 back.  The returned solution is float64.
 
 Every member stops on its own and leaves the working stack, so a member's
-iterates do not depend on what it is batched with.  Without observation
+iterates do not depend on what it is batched with among stacks of two or
+more members.  A one-member stack can differ in the last bits: from 97
+nodes per side, ``np.einsum("bij,bij->b")`` sums a single member's inner
+products in another order than a stack's.  Without observation
 functionals a member stops once |r| <= TOLERANCE |b|.  Given the functionals
 K that its solution is read through and the noise standard deviation sigma
 of those observations (:class:`Observed`), it stops at the first iteration
@@ -111,6 +114,10 @@ class ConvergenceError(RuntimeError):
                           f"iterations is {change:.3e} sigma, not below {SETTLED:g}")
         super().__init__(f"MG-PCG did not converge within {iterations} iterations "
                          f"({'; '.join(failed)})")
+
+    def __reduce__(self):
+        # rebuilt from its fields, so it survives a process boundary
+        return type(self), (self.index, self.iterations, self.residual, self.change)
 
 
 def _along(axis: int, s: slice) -> tuple:

@@ -785,7 +785,8 @@ def test_noncentered_step_escapes_initial_field_span():
     # after one update of (xi, theta), the realized fields T(xi, theta) leave
     # the span of the initial realized fields
     from ekinv.grid import build_domain, dirichlet_spectrum
-    from ekinv.forward import CompositeForward, DecodedBlock, SourceProblem1D, point_observations
+    from ekinv.composite import CompositeForward, DecodedBlock
+    from ekinv.forward import SourceProblem1D, point_observations
     from ekinv.param_maps import noncentered_matern
 
     domain = build_domain(1, [10.0], 50)

@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ekinv.composite import CompositeForward, DecodedBlock, ForwardError
 from ekinv.eki import EkiControls, Ensemble, PackingLayout, run_inversion
 
 from ekinv.grid import Field, build_domain, check_members, dirichlet_spectrum, white_noise
 from ekinv.forward import (
-    CompositeForward,
     DarcyProblem,
-    DecodedBlock,
-    ForwardError,
     SourceProblem1D,
     mollified_observations,
     observe,

@@ -1,17 +1,13 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg
 
 from ekinv import multigrid
+from ekinv.composite import CompositeForward, DecodedBlock, ForwardError
 from ekinv.config import MOLLIFIER_SIGMA_FRAC
-from ekinv.forward import (
-    CompositeForward,
-    DarcyProblem,
-    DecodedBlock,
-    ForwardError,
-    mollified_observations,
-    observe,
-)
+from ekinv.forward import DarcyProblem, mollified_observations, observe
 from ekinv.grid import Field, build_domain, dirichlet_spectrum, white_noise
 from ekinv.param_maps import channel_values, exp_map, exp_values, level_set_values
 from ekinv.priors import MaternSpec, apply_sqrt_cov
@@ -369,6 +365,32 @@ def test_nonconvergence_names_member_iterations_and_residual(monkeypatch):
     assert info.value.change is None
     assert "within 1 iterations (relative residual" in str(info.value)
     assert "observations" not in str(info.value)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "CHANGES FOUND on the one-member rounding: from 97 nodes per side "
+    "np.einsum('bij,bij->b') sums a one-member stack in another order than a stack of two "
+    "or more, so a member solved alone differs in its last bits from the same member solved "
+    "in a chunk"))
+def test_member_alone_equals_member_in_a_chunk_at_n128():
+    domain = build_domain(2, [6.0, 6.0], [128, 128])
+    darcy = problem(domain, "paper", paper_observations(domain))
+    tx, ty, b = darcy_stack(darcy, [coefficient(domain, kind, seed) for seed, kind in enumerate(
+        ["lognormal", "level-set", "channel"])])
+    together = multigrid.solve(tx, ty, b, darcy._unknown, darcy._observed)
+    for k in range(len(b)):
+        alone = multigrid.solve(tx[k:k + 1], ty[k:k + 1], b[k:k + 1], darcy._unknown,
+                                darcy._observed)
+        np.testing.assert_array_equal(together[k], alone[0])
+
+
+@pytest.mark.parametrize("change", [None, 2.5e-3])
+def test_convergence_error_survives_pickling(change):
+    error = multigrid.ConvergenceError(5, 100, 3e-7, change)
+    copy = pickle.loads(pickle.dumps(error))
+    assert type(copy) is multigrid.ConvergenceError
+    assert (copy.index, copy.iterations, copy.residual, copy.change) == (5, 100, 3e-7, change)
+    assert str(copy) == str(error)
 
 
 @pytest.mark.parametrize("cap, residual_failed", [(7, True), (8, False)])
