@@ -19,11 +19,14 @@ calls hold the GIL, so two threads gained little where two processes
 nearly halved the solve time.  A chunk keeps its members wherever it is
 solved, so the outputs keep their bits.
 
-The workers are forked.  A forked worker inherits the chunk solve as it
-stands in this process, with the problem's grids, the observation model
-and anything wrapped around them: nothing is pickled but each task's
-coefficients and member indices, and nothing is imported again.  A spawned
-worker would re-import numpy and scipy and receive the solver pickled.
+The workers are forked, not spawned.  A forked worker inherits the chunk
+solve as it stands in this process, with the problem's grids, the
+observation model and anything wrapped around them: nothing is pickled but
+each task's coefficients and member indices, and nothing is imported
+again.  A spawned worker would re-import numpy and scipy, and it would need
+the solver pickled, which a nested or wrapped solver cannot be.  The
+executor forks all its workers at the first task, before it starts its own
+thread, and the process that starts it runs no other Python thread.
 """
 
 from __future__ import annotations
@@ -134,7 +137,7 @@ class CompositeForward:
         self.obs = obs
         self.chunk = self.chunk_members(obs.matrix.shape[1])
         self.report_mean: np.ndarray | None = None
-        self.workers = 1
+        self._workers = 1
         self._pool = None
 
     @classmethod
@@ -188,11 +191,11 @@ class CompositeForward:
         ``workers`` processes; with one, in this process.  The pool starts at
         the first evaluation and is shut down when the block ends, however
         it ends."""
-        self.workers = workers
+        self._workers = workers
         try:
             yield self
         finally:
-            self.workers = 1
+            self._workers = 1
             if self._pool is not None:
                 self._pool.shutdown(cancel_futures=True)
                 self._pool = None
@@ -207,12 +210,12 @@ class CompositeForward:
         out = np.empty((self.obs.n_obs, J))
         self.report_mean = None
         report_sum = np.zeros(self.obs.matrix.shape[1])
-        if self.workers > 1 and self._pool is None:
+        if self._workers > 1 and self._pool is None:
             # fork: the workers inherit this map as it stands (module docstring)
             self._pool = ProcessPoolExecutor(
-                self.workers, mp_context=multiprocessing.get_context("fork"),
+                self._workers, mp_context=multiprocessing.get_context("fork"),
                 initializer=_install, initargs=(self._solve_chunk,))
-        in_flight = 0 if self._pool is None else self.workers   # while the next decodes
+        in_flight = 0 if self._pool is None else self._workers   # while the next decodes
         pending = deque()   # (member indices, outputs callable) of unwritten chunks
         chunks = self.decoded_chunks(members)
         while True:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import time
 
 import numpy as np
 import pytest
@@ -217,10 +218,20 @@ def test_a_member_that_fails_to_solve_reads_before_a_later_one_that_fails_to_dec
     assert error_of(fwd, members, 2).startswith("member 7, decode: exp map")
 
 
-def test_a_dead_worker_aborts_the_evaluation_naming_its_chunk():
+@pytest.mark.parametrize("late_decode_s", [0.0, 0.3])
+def test_a_dead_worker_aborts_the_evaluation_naming_its_chunk(late_decode_s):
+    # a late decode submits the third chunk to a pool already broken
     def dies(kappas):
         os._exit(1)
 
     fwd = constant_forward(dies)
+    decode_block = fwd.decode_block
+
+    def late(block):
+        if block[0, 0] > 6:
+            time.sleep(late_decode_s)
+        return decode_block(block)
+
+    fwd.decode_block = late
     assert error_of(fwd, np.arange(1.0, 9.0)[None, :], 2).startswith(
         "members 0-2, solve: A process in the process pool was terminated abruptly")

@@ -179,24 +179,16 @@ def test_every_benchmark_workload_loads():
         assert load_config(path)["experiment"]["n_initializations"] == 1
 
 
-@pytest.fixture
-def cpus(monkeypatch):
-    """Sets the number of CPUs this process may run on, as ekinv reads it."""
-    def use(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return use
-
-
 @pytest.mark.parametrize("coefficient_map, line", [
     ("exp", "764.7 MiB per initialization = initial ensemble 547.5 MiB + formed block 43.8 MiB"),
     ("channel",
      "1,356.0 MiB per initialization = initial ensemble 1,095.0 MiB + formed block 87.6 MiB"),
 ])
 def test_the_paper_scale_estimate_counts_one_ensemble_and_one_formed_block(
-        tmp_path, capsys, cpus, coefficient_map, line):
+        tmp_path, capsys, monkeypatch, coefficient_map, line):
     # n = 600, J = 200: a block of 16 members, the coefficients and no
     # second ensemble; one CPU, so no solve workers
-    cpus(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     path = tmp_path / "paper.ini"
     path.write_text("[experiment]\nmodel_problem = darcy\nparameterization = noncentered-hier\n"
                     f"coefficient_map = {coefficient_map}\n", encoding="utf-8")
