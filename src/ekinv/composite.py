@@ -24,9 +24,10 @@ solve as it stands in this process, with the problem's grids, the
 observation model and anything wrapped around them: nothing is pickled but
 each task's coefficients and member indices, and nothing is imported
 again.  A spawned worker would re-import numpy and scipy, and it would need
-the solver pickled, which a nested or wrapped solver cannot be.  The
-executor forks all its workers at the first task, before it starts its own
-thread, and the process that starts it runs no other Python thread.
+the solver pickled, which a nested or wrapped solver cannot be.  From
+Python 3.11 the executor forks all its workers at the first task, before
+it starts its own thread, and the process that starts it runs no other
+Python thread.
 """
 
 from __future__ import annotations
