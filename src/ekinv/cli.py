@@ -4,10 +4,11 @@ Subcommands:
   validate <config>      parse, validate, and echo the resolved configuration,
                          with the per-initialization memory estimate as a
                          comment
-  run <config|manifest>  run all initializations and write outputs; warns when
-                         the initializations run at once (--parallel, at most
-                         n_initializations) times the memory estimate exceed
-                         the memory available
+  run <config|manifest>  run all initializations and write outputs, splitting
+                         the CPUs between initializations run at once and
+                         their Darcy solve workers; warns when one
+                         initialization's memory estimate exceeds the memory
+                         available
   sample-prior <config>  write prior field realizations as gridded CSV
   report <run-dir>       aggregate a finished run into a summary table
 
@@ -21,10 +22,8 @@ import json
 import sys
 
 from .config import ConfigError, config_from_manifest, controls_from, load_config, parse_seed
-from .harness import (concurrent_initializations, memory_estimate, run_experiment,
-                      sample_prior_fields, summarize_run)
-
-MEMINFO = "/proc/meminfo"
+from .harness import (mem_available, memory_estimate, run_experiment, sample_prior_fields,
+                      summarize_run)
 
 
 def _load(path: str):
@@ -60,24 +59,11 @@ def _memory_line(config) -> str:
     return f"# memory estimate: {_mib(sum(terms.values()))} per initialization = {parts}"
 
 
-def _mem_available() -> int | None:
-    """MemAvailable of ``MEMINFO`` in bytes, or None where it cannot be read."""
-    try:
-        with open(MEMINFO, encoding="ascii") as handle:
-            fields = dict(line.split(":", 1) for line in handle)
-        return int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError, ValueError, IndexError):
-        return None
-
-
-def _warn_if_short_of_memory(config, parallel: int) -> None:
-    parallel = concurrent_initializations(config, parallel)
-    need = parallel * sum(memory_estimate(config, parallel).values())
-    available = _mem_available()
+def _warn_if_short_of_memory(config) -> None:
+    need, available = sum(memory_estimate(config).values()), mem_available()
     if available is not None and need > available:
-        print(f"warning: --parallel {parallel} x the memory estimate needs {_mib(need)}, "
-              f"more than the {_mib(available)} available; the run may run out of memory",
-              file=sys.stderr)
+        print(f"warning: one initialization's memory estimate is {_mib(need)}, more than the "
+              f"{_mib(available)} available; the run may run out of memory", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,13 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate = sub.add_parser("validate", help="validate a configuration file")
     p_validate.add_argument("config")
 
-    p_run = sub.add_parser("run", help="run an experiment from a config or manifest")
+    p_run = sub.add_parser("run", help="run an experiment from a config or manifest, its "
+                                       "initializations and their Darcy solves sharing "
+                                       "the usable CPUs")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out-dir", help="override the output directory")
-    p_run.add_argument("--parallel", type=int, default=1,
-                       help="number of concurrent initializations; the CPUs they "
-                            "leave idle become each initialization's Darcy solve workers")
     p_run.add_argument("--max-iter", type=int, help="override max outer iterations")
 
     p_sample = sub.add_parser("sample-prior", help="write prior field realizations")
@@ -113,8 +98,6 @@ def cli(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "parallel", 1) < 1:
-            parser.error(f"argument --parallel: must be at least 1, got {args.parallel}")
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -128,8 +111,8 @@ def cli(argv=None) -> int:
         if args.command == "run":
             config = _load(args.config)
             _apply_overrides(config, args)
-            _warn_if_short_of_memory(config, args.parallel)
-            manifest = run_experiment(config, parallel=args.parallel)
+            _warn_if_short_of_memory(config)
+            manifest = run_experiment(config)
             out_dir = config["experiment"]["out_dir"]
             n_ok = sum(init["stop_reason"] == "discrepancy"
                        for init in manifest["initializations"])
@@ -156,7 +139,8 @@ def cli(argv=None) -> int:
             print(f"{row['index']:>4} {row['stop_reason']:>14} {row['iterations']:>6} "
                   f"{misfit:>12} {err:>12} {ms:>14}")
         stats = {k: summary[k] for k in
-                 ("n_discrepancy", "rel_error_min", "rel_error_median", "rel_error_max")}
+                 ("n_discrepancy", "rel_error_min", "rel_error_median", "rel_error_max",
+                  "processes")}
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
 

@@ -7,14 +7,16 @@ inversion from several independent initial ensembles, writing
 per-iteration records with the hyperparameter means (CSV), decoded mean
 fields (flat binary with a 3-integer shape header), and a JSON manifest that
 can be re-run verbatim and also holds what is not deterministic: the wall
-time of every iteration.
+time of every iteration, and the split of the CPUs it ran under.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
+import multiprocessing
+import os
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +33,7 @@ from .config import (  # noqa: F401
     sample_prior_grid,
     snapshot_iterations,
 )
-from .composite import CompositeForward, usable_cpus
+from .composite import CompositeForward, forked_pool
 from .eki import Ensemble, SpanMembers, run_inversion
 from .forward import ObservationModel, synthesize_data
 from .grid import Domain, dirichlet_spectrum, white_noise
@@ -121,16 +123,12 @@ def _prepare(config: ExperimentConfig):
     return setup, truth, obs, seqs[2:]
 
 
-def _run_single_initialization(config_dict: dict, index: int, workers: int,
-                               prepared=None) -> dict:
-    """Run one initialization, its Darcy chunks solved in ``workers``
-    processes (:func:`solve_workers`).  Deterministic given (config, index).
-
-    ``prepared`` is what :func:`_prepare` returns for this config; a worker
-    process passes none and builds its own."""
-    config = ExperimentConfig(config_dict)
-    exp = config["experiment"]
-    setup, truth, obs, seqs = prepared or _prepare(config)
+def _run_single_initialization(config: ExperimentConfig, prepared, workers: int,
+                               index: int) -> dict:
+    """Run one initialization on what :func:`_prepare` returned for
+    ``config``, its Darcy chunks solved in ``workers`` processes
+    (:func:`process_plan`).  Deterministic given (config, index)."""
+    setup, truth, obs, seqs = prepared
     param: Parameterization = build_parameterization(config, setup, obs)
 
     rng = np.random.default_rng(seqs[index])
@@ -151,7 +149,7 @@ def _run_single_initialization(config_dict: dict, index: int, workers: int,
         result = run_inversion(ensemble, param.forward, obs, controls, rng,
                                error_fn=error_fn, hyper_means_fn=param.hyper_means)
 
-    out_dir = Path(exp["out_dir"]) / f"init_{index:02d}"
+    out_dir = Path(config["experiment"]["out_dir"]) / f"init_{index:02d}"
     out_dir.mkdir(parents=True, exist_ok=True)
     records = result.records
     names = sorted({name for r in records for name in r.hyper_means})
@@ -187,13 +185,30 @@ def _attach_data(setup: ModelSetup, truth: TruthBundle,
     return synthesize_data(setup.obs_template, clean, rng)
 
 
-def memory_estimate(config: ExperimentConfig, parallel: int = 1) -> dict[str, int]:
-    """Bytes one initialization is expected to hold at its peak under
-    ``parallel``, by term.  Its own process holds the initial ensemble, its
-    (J, J) coefficients and the members last formed for the forward map
-    (:func:`ekinv.eki.run_inversion`), one forward chunk and every recorded
-    mean field.  Each of its solve workers (:func:`solve_workers`), if it has
-    more than one, holds a forward chunk of its own."""
+MEMINFO = "/proc/meminfo"
+
+
+def mem_available() -> int | None:
+    """MemAvailable of ``MEMINFO`` in bytes, or None where it cannot be read."""
+    try:
+        with open(MEMINFO, encoding="ascii") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
+
+
+def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
+    """Bytes one initialization is expected to hold at its peak, by term,
+    with the solve workers :func:`process_plan` gives it: the initial
+    ensemble, its (J, J) coefficients, the members last formed for the
+    forward map (:func:`ekinv.eki.run_inversion`), one forward chunk and
+    every recorded mean field, and a forward chunk per solve worker if it
+    has more than one."""
+    return _memory_terms(config, process_plan(config)[1])
+
+
+def _memory_terms(config: ExperimentConfig, workers: int) -> dict[str, int]:
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain))
@@ -204,41 +219,48 @@ def memory_estimate(config: ExperimentConfig, parallel: int = 1) -> dict[str, in
             "observation operator": observation_model(config, domain).matrix.nbytes,
             "forward chunk": CompositeForward.chunk_bytes(domain, J),
             "mean fields": (config["eki"]["max_outer_iterations"] + 1) * domain.n_interior * 8}
-    workers = solve_workers(config, parallel)
     if workers > 1:
         terms["solve workers"] = workers * terms["forward chunk"]
     return terms
 
 
-def concurrent_initializations(config: ExperimentConfig, parallel: int) -> int:
-    """Initializations run at once under ``parallel``: no more than there are."""
-    return min(parallel, config["experiment"]["n_initializations"])
+def process_plan(config: ExperimentConfig) -> tuple[int, int]:
+    """(initializations run at once, solve workers of each) on the CPUs
+    this process may run on, one where the platform cannot fork.
 
-
-def solve_workers(config: ExperimentConfig, parallel: int) -> int:
-    """Processes that solve the Darcy chunks of each initialization under
-    ``parallel``: the CPUs this process may run on, shared among the
-    initializations that run at once, and no more than the chunks of one
-    evaluation.  With one, the initialization solves its chunks itself, as
-    it does every 1D source solve, which takes too small a share of an
-    iteration to pay for the traffic."""
+    Initializations come first, as they need no traffic between processes:
+    one per CPU, no more than there are, and fewer while that many memory
+    estimates, solve workers included, exceed the memory available.  Each
+    solves its Darcy chunks on the CPUs left to it, in no more processes
+    than an evaluation has chunks, and its 1D source solves itself: they
+    take too small a share of an iteration to pay for the traffic."""
     exp = config["experiment"]
-    if exp["model_problem"] != "darcy":
-        return 1
-    n_interior = model_domain("darcy", config["grid"]["n_cells"]).n_interior
-    chunks = -(-exp["n_ensemble"] // CompositeForward.chunk_members(n_interior))
-    return max(1, min(usable_cpus() // concurrent_initializations(config, parallel), chunks))
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        cpus = os.cpu_count() or 1
+    if "fork" not in multiprocessing.get_all_start_methods():
+        cpus = 1
+    n_interior = model_domain(exp["model_problem"], config["grid"]["n_cells"]).n_interior
+    chunks = (-(-exp["n_ensemble"] // CompositeForward.chunk_members(n_interior))
+              if exp["model_problem"] == "darcy" else 1)
+    at_once = min(exp["n_initializations"], cpus)
+    available = mem_available() if at_once > 1 else None
+    while available is not None and at_once > 1 and available < at_once * sum(
+            _memory_terms(config, min(cpus // at_once, chunks)).values()):
+        at_once -= 1
+    return at_once, min(cpus // at_once, chunks)
 
 
-def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
+def run_experiment(config: ExperimentConfig) -> dict:
     """Run all initializations and write outputs plus a manifest.
 
-    With one initialization at a time they run in this process, on its prepared
-    truth and data; with more, each in a worker process.  Each solves its
-    Darcy chunks in the processes :func:`solve_workers` gives it, and shuts
-    them down before it returns, however it ends.  Returns the manifest
-    dictionary.  Individual initialization failures are recorded with
-    stop_reason "aborted"; the run continues.
+    The initializations and their Darcy chunk solves run in the processes
+    :func:`process_plan` gives them; those that run side by side are forked
+    from this process, with its set-up, truth and data.  Returns the
+    manifest dictionary, which records that split under "processes".
+    Individual initialization failures are recorded with stop_reason
+    "aborted"; the run continues.
     """
     exp = config["experiment"]
     prepared = _prepare(config)
@@ -255,16 +277,13 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
               ("index", *(("x1",) if setup.domain.dim == 1 else ("x1", "x2")), "y", "gamma"),
               [(i, *obs.centers[i], obs.y[i], obs.gamma[i, i]) for i in range(obs.n_obs)])
 
-    indices = list(range(exp["n_initializations"]))
-    workers = concurrent_initializations(config, parallel)
-    solvers = solve_workers(config, parallel)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_single_initialization, [config.to_dict()] * len(indices),
-                                    indices, [solvers] * len(indices)))
+    at_once, workers = process_plan(config)
+    run_one = partial(_run_single_initialization, config, prepared, workers)
+    if at_once > 1:
+        with forked_pool(at_once, run_one) as submit:
+            results = [wait() for wait in [submit(i) for i in range(exp["n_initializations"])]]
     else:
-        results = [_run_single_initialization(config.to_dict(), i, solvers, prepared)
-                   for i in indices]
+        results = list(map(run_one, range(exp["n_initializations"])))
 
     inventory = {}
     for name in ("truth_field.bin", "observations.csv"):
@@ -283,6 +302,7 @@ def run_experiment(config: ExperimentConfig, parallel: int = 1) -> dict:
             {key: value for key, value in res.items() if key != "files"} for res in results
         ],
         "files": inventory,
+        "processes": {"initializations_at_once": at_once, "solve_workers": workers},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
@@ -310,6 +330,7 @@ def summarize_run(run_dir) -> dict:
         "rel_error_min": min(errors) if errors else None,
         "rel_error_median": float(np.median(errors)) if errors else None,
         "rel_error_max": max(errors) if errors else None,
+        "processes": manifest.get("processes"),
     }
     columns = ("index", "stop_reason", "iterations", "final_misfit", "final_rel_error",
                "median_iter_ms")

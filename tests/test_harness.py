@@ -48,18 +48,25 @@ def tiny_darcy(tmp_path, name):
     return load_config(path)
 
 
-def test_serial_and_parallel_runs_write_identical_files(tmp_path, monkeypatch):
-    builds = []
+def test_serial_and_parallel_runs_write_identical_files(tmp_path, monkeypatch, cpus, meminfo):
+    # counted through a file: a forked initialization's calls do not reach
+    # this process's lists
+    builds = tmp_path / "builds"
     build_model_setup = harness.build_model_setup
 
     def counted(config):
-        builds.append(config)
+        with open(builds, "a", encoding="ascii") as handle:
+            handle.write(f"{os.getpid()}\n")
         return build_model_setup(config)
 
     monkeypatch.setattr(harness, "build_model_setup", counted)
+    cpus(1)
     serial = harness.run_experiment(tiny_darcy(tmp_path, "serial"))
-    assert len(builds) == 1
-    parallel = harness.run_experiment(tiny_darcy(tmp_path, "parallel"), parallel=2)
+    assert builds.read_text(encoding="ascii") == f"{os.getpid()}\n"
+    cpus(2)
+    parallel = harness.run_experiment(tiny_darcy(tmp_path, "parallel"))
+    assert parallel["processes"] == {"initializations_at_once": 2, "solve_workers": 1}
+    assert builds.read_text(encoding="ascii") == f"{os.getpid()}\n" * 2
     assert [init["stop_reason"] for init in serial["initializations"]] == \
         ["max-iterations"] * 2
     assert len(serial["files"]) > 2
@@ -108,15 +115,14 @@ def test_cli_exit_codes(tmp_path, capsys):
         assert cli([command, str(tmp_path / "valid.ini"), "--seed", seed, "--out-dir", never]) == 1
         assert f"--seed: must be non-negative, got {seed}" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
-    for parallel in ("0", "-2"):
-        assert cli(["run", str(tmp_path / "valid.ini"), "--parallel", parallel,
-                    "--out-dir", never]) == 2
-        assert f"--parallel: must be at least 1, got {parallel}" in capsys.readouterr().err
-        assert not (tmp_path / "never").exists()
+    assert cli(["run", str(tmp_path / "valid.ini"), "--parallel", "2", "--out-dir", never]) == 2
+    assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
     assert cli(["frobnicate"]) == 2
 
 
-def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys):
+def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys, cpus):
+    cpus(1)   # tracemalloc counts this process only: run the initializations here
     config = tiny_darcy(tmp_path, "run")
     assert cli(["validate", str(tmp_path / "run.ini")]) == 0
     echo = capsys.readouterr().out
@@ -163,9 +169,9 @@ def test_the_module_entry_point_exits_with_the_cli_codes(tmp_path):
     done = run_module("validate", str(tmp_path / "bad.ini"))
     assert done.returncode == 1
     assert done.stderr.startswith("configuration error: config parse error in ")
-    done = run_module("run", str(tmp_path / "valid.ini"), "--parallel", "0")
+    done = run_module("run", str(tmp_path / "valid.ini"), "--parallel", "2")
     assert done.returncode == 2
-    assert "--parallel: must be at least 1, got 0" in done.stderr
+    assert "unrecognized arguments: --parallel 2" in done.stderr
     assert not (tmp_path / "valid").exists()
 
 
@@ -198,80 +204,50 @@ def test_the_paper_scale_estimate_counts_one_ensemble_and_one_formed_block(
         " + forward chunk 88.2 MiB + mean fields 84.9 MiB")
 
 
-def test_run_warns_when_its_processes_may_exceed_the_available_memory(tmp_path, capsys,
-                                                                       monkeypatch):
+def manifest_of(run_dir):
+    return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
+
+
+def test_run_warns_when_one_initialization_may_exceed_the_available_memory(tmp_path, capsys,
+                                                                           cpus, meminfo):
+    cpus(2)
     estimate = sum(harness.memory_estimate(tiny_darcy(tmp_path, "run")).values())
-    meminfo = tmp_path / "meminfo"
-    meminfo.write_text(f"MemTotal: {10 * estimate // 1024} kB\n"
-                       f"MemAvailable: {estimate * 3 // 2 // 1024} kB\n", encoding="ascii")
-    monkeypatch.setattr("ekinv.cli.MEMINFO", str(meminfo))
     run = ["run", str(tmp_path / "run.ini"), "--max-iter", "0"]
+    meminfo(estimate * 3 // 2)
     assert cli(run + ["--out-dir", str(tmp_path / "one")]) == 0
     assert capsys.readouterr().err == ""
-    assert cli(run + ["--parallel", "2", "--out-dir", str(tmp_path / "two")]) == 0
+    assert manifest_of(tmp_path / "one")["processes"]["initializations_at_once"] == 1
+    meminfo(estimate // 2)
+    assert cli(run + ["--out-dir", str(tmp_path / "short")]) == 0
     err = capsys.readouterr().err
-    assert err.startswith("warning: --parallel 2 x the memory estimate needs ")
-    assert "may run out of memory" in err
+    assert err.startswith("warning: one initialization's memory estimate is ")
+    assert err.endswith(" available; the run may run out of memory\n")
+    assert err.count("\n") == 1
+    assert manifest_of(tmp_path / "short")["processes"]["initializations_at_once"] == 1
+    assert len(manifest_of(tmp_path / "short")["initializations"]) == 2
 
 
 def test_run_warns_of_nothing_where_the_available_memory_cannot_be_read(tmp_path, capsys,
-                                                                        monkeypatch):
+                                                                        monkeypatch, cpus):
+    cpus(2)
     tiny_darcy(tmp_path, "run")
-    monkeypatch.setattr("ekinv.cli.MEMINFO", str(tmp_path / "missing"))
+    monkeypatch.setattr(harness, "MEMINFO", str(tmp_path / "missing"))
     assert cli(["run", str(tmp_path / "run.ini"), "--max-iter", "0"]) == 0
     assert capsys.readouterr().err == ""
+    assert manifest_of(tmp_path / "run")["processes"]["initializations_at_once"] == 2
 
 
-@pytest.fixture
-def pool_workers(monkeypatch):
-    """The worker count of every pool a run opens; the pools map in this
-    process."""
-    workers = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return list(map(fn, *iterables))
-
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
-    return workers
-
-
-def test_a_run_opens_no_more_workers_than_it_has_initializations(tmp_path, pool_workers):
+def test_a_run_opens_no_more_workers_than_it_has_initializations(tmp_path, cpus, meminfo, pools):
+    cpus(4)
     two = tiny_darcy(tmp_path, "two")
     two["eki"]["max_outer_iterations"] = 0
-    harness.run_experiment(two, parallel=4)
-    assert pool_workers == [2]
+    harness.run_experiment(two)
+    assert pools == [2]
     one = tiny_darcy(tmp_path, "one")
     one["eki"]["max_outer_iterations"] = 0
     one["experiment"]["n_initializations"] = 1
-    harness.run_experiment(one, parallel=4)
-    assert pool_workers == [2]   # no pool: the one initialization ran serially
-
-
-def test_the_memory_warning_counts_the_initializations_that_run_at_once(tmp_path, capsys,
-                                                                        monkeypatch,
-                                                                        pool_workers):
-    estimate = sum(harness.memory_estimate(tiny_darcy(tmp_path, "run")).values())
-    meminfo = tmp_path / "meminfo"
-    monkeypatch.setattr("ekinv.cli.MEMINFO", str(meminfo))
-    run = ["run", str(tmp_path / "run.ini"), "--max-iter", "0", "--parallel", "3"]
-    meminfo.write_text(f"MemAvailable: {estimate * 5 // 2 // 1024} kB\n", encoding="ascii")
-    assert cli(run + ["--out-dir", str(tmp_path / "fits")]) == 0
-    assert capsys.readouterr().err == ""
-    meminfo.write_text(f"MemAvailable: {estimate * 3 // 2 // 1024} kB\n", encoding="ascii")
-    assert cli(run + ["--out-dir", str(tmp_path / "short")]) == 0
-    assert capsys.readouterr().err.startswith(
-        f"warning: --parallel 2 x the memory estimate needs {2 * estimate / 2**20:,.1f} MiB, ")
-    assert pool_workers == [2, 2]
+    harness.run_experiment(one)
+    assert pools == [2]   # no pool: one initialization, and one chunk to solve
 
 
 def test_cli_runs_and_validates_a_manifest_and_applies_the_seed(tmp_path, capsys):
