@@ -64,14 +64,16 @@ def forked_pool(workers: int, task: Callable):
     """Yields ``submit``: it hands ``task(*args)`` to one of ``workers``
     forked processes and returns a callable that waits for the result, or
     raises what the task raised or :class:`BrokenProcessPool` once a worker
-    has died.  When the block ends the pool's unstarted tasks are cancelled
-    and the pool is shut down."""
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_install, initargs=(task,))
+    has died.  The pool starts at the first ``submit``; when the block ends
+    its unstarted tasks are cancelled and it is shut down."""
+    pools = []
 
     def submit(*args):
+        if not pools:
+            pools.append(ProcessPoolExecutor(workers, initializer=_install, initargs=(task,),
+                                             mp_context=multiprocessing.get_context("fork")))
         try:
-            return pool.submit(_run, *args).result
+            return pools[0].submit(_run, *args).result
         except BrokenProcessPool as exc:
             failed = Future()
             failed.set_exception(exc)
@@ -80,7 +82,8 @@ def forked_pool(workers: int, task: Callable):
     try:
         yield submit
     finally:
-        pool.shutdown(cancel_futures=True)
+        for pool in pools:
+            pool.shutdown(cancel_futures=True)
 
 
 class ForwardError(RuntimeError):
@@ -138,7 +141,7 @@ class CompositeForward:
         self.chunk = self.chunk_members(obs.matrix.shape[1])
         self.report_mean: np.ndarray | None = None
         self._workers = 1
-        self._submit = None   # inside solving_in with more than one worker
+        self._submit = None   # inside solving_in
 
     @classmethod
     def chunk_members(cls, n_grid: int) -> int:
@@ -190,9 +193,6 @@ class CompositeForward:
         """Solve the chunks of every evaluation inside the block in
         ``workers`` forked processes (:func:`forked_pool`); with one, in this
         process."""
-        if workers == 1:
-            yield self
-            return
         with forked_pool(workers, self._solve_chunk) as self._submit:
             self._workers = workers
             try:
@@ -210,7 +210,7 @@ class CompositeForward:
         out = np.empty((self.obs.n_obs, J))
         self.report_mean = None
         report_sum = np.zeros(self.obs.matrix.shape[1])
-        in_flight = 0 if self._submit is None else self._workers   # while the next decodes
+        in_flight = self._workers if self._workers > 1 else 0   # while the next decodes
         pending = deque()   # (member indices, outputs callable) of unwritten chunks
         chunks = self.decoded_chunks(members)
         while True:
@@ -223,7 +223,7 @@ class CompositeForward:
                 raise
             add_rows(report_sum, block.report)
             pending.append((cols, partial(self._solve_chunk, block.coefficients, cols)
-                            if self._submit is None else
+                            if self._workers == 1 else
                             self._submit(block.coefficients, cols)))
             self._write(out, pending, in_flight)
         self._write(out, pending, 0)
