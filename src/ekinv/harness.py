@@ -226,7 +226,7 @@ def _memory_terms(config: ExperimentConfig, workers: int) -> dict[str, int]:
 
 def process_plan(config: ExperimentConfig) -> tuple[int, int]:
     """(initializations run at once, solve workers of each) on the CPUs
-    this process may run on, one where the platform cannot fork.
+    this process may run on, or on one where the platform cannot fork.
 
     Initializations come first, as they need no traffic between processes:
     one per CPU, no more than there are, and fewer while that many memory
