@@ -4,11 +4,10 @@ Subcommands:
   validate <config>      parse, validate, and echo the resolved configuration,
                          with the per-initialization memory estimate as a
                          comment
-  run <config|manifest>  run all initializations and write outputs, splitting
-                         the CPUs between initializations run at once and
-                         their Darcy solve workers; warns when one
-                         initialization's memory estimate exceeds the memory
-                         available
+  run <config|manifest>  run all initializations, one at a time, and write
+                         outputs, each solving its Darcy chunks on the usable
+                         CPUs; warns when the memory estimate exceeds the
+                         memory available
   sample-prior <config>  write prior field realizations as gridded CSV
   report <run-dir>       aggregate a finished run into a summary table
 
@@ -22,8 +21,9 @@ import json
 import sys
 
 from .config import ConfigError, config_from_manifest, controls_from, load_config, parse_seed
-from .harness import (mem_available, memory_estimate, run_experiment, sample_prior_fields,
-                      summarize_run)
+from .harness import memory_estimate, run_experiment, sample_prior_fields, summarize_run
+
+MEMINFO = "/proc/meminfo"
 
 
 def _load(path: str):
@@ -59,10 +59,20 @@ def _memory_line(config) -> str:
     return f"# memory estimate: {_mib(sum(terms.values()))} per initialization = {parts}"
 
 
+def _mem_available() -> int | None:
+    """MemAvailable of ``MEMINFO`` in bytes, or None where it cannot be read."""
+    try:
+        with open(MEMINFO, encoding="ascii") as handle:
+            fields = dict(line.split(":", 1) for line in handle)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError, IndexError):
+        return None
+
+
 def _warn_if_short_of_memory(config) -> None:
-    need, available = sum(memory_estimate(config).values()), mem_available()
+    need, available = sum(memory_estimate(config).values()), _mem_available()
     if available is not None and need > available:
-        print(f"warning: one initialization's memory estimate is {_mib(need)}, more than the "
+        print(f"warning: the memory estimate is {_mib(need)}, more than the "
               f"{_mib(available)} available; the run may run out of memory", file=sys.stderr)
 
 
@@ -76,8 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_validate.add_argument("config")
 
     p_run = sub.add_parser("run", help="run an experiment from a config or manifest, its "
-                                       "initializations and their Darcy solves sharing "
-                                       "the usable CPUs")
+                                       "Darcy solves on the usable CPUs")
     p_run.add_argument("config")
     p_run.add_argument("--seed", type=int, help="override the master seed")
     p_run.add_argument("--out-dir", help="override the output directory")

@@ -13,25 +13,28 @@ decoded once per evaluation.
 
 No chunk's solve depends on another's.  So an initialization may hand its
 Darcy chunk solves, with their observations, to worker processes on the
-CPUs that the initializations running at once leave idle, while it decodes
-the next chunk.  Processes, not threads: the V-cycle's many small numpy
-calls hold the GIL, so two threads gained little where two processes
-nearly halved the solve time.  A chunk keeps its members wherever it is
-solved, so the outputs keep their bits.
+CPUs this process may run on, while it decodes the next chunk.
+Processes, not threads: the V-cycle's many small numpy calls hold the
+GIL, so two threads gained little where two processes nearly halved the
+solve time.  A chunk keeps its members wherever it is solved, so the
+outputs keep their bits.
 
-These workers, and those that run initializations side by side
-(:func:`ekinv.harness.run_experiment`), are forked (:func:`forked_pool`).
-A forked worker inherits its task as it stands (an initialization the set-up,
-truth and data; a chunk solve the grids and observation model), so only
-the task's arguments and result are pickled: a wrapped solver cannot be.
-From Python 3.11 the executor forks every worker at the first task, before
-its own thread starts, and no process that starts a pool runs another
-Python thread.
+The workers are forked, not spawned.  A forked worker inherits the chunk
+solve as it stands in this process, with the problem's grids, the
+observation model and anything wrapped around them: nothing is pickled but
+each task's coefficients and member indices, and nothing is imported
+again.  A spawned worker would re-import numpy and scipy, and it would need
+the solver pickled, which a nested or wrapped solver cannot be.  From
+Python 3.11 the executor forks all its workers at the first task, before
+it starts its own thread, and the process that starts it runs no other
+Python thread.  Where the platform cannot fork, the runner asks for one
+worker (:func:`ekinv.harness.solve_workers`) and no pool starts.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -47,7 +50,15 @@ from .forward import ObservationModel
 from .grid import Domain, Field, MemberError
 
 
-_task = None   # in a worker: the task its pool was started with
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
+_task = None   # in a worker: the chunk solve its pool was started with
 
 
 def _install(task) -> None:
@@ -59,31 +70,17 @@ def _run(*args):
     return _task(*args)
 
 
-@contextmanager
-def forked_pool(workers: int, task: Callable):
-    """Yields ``submit``: it hands ``task(*args)`` to one of ``workers``
-    forked processes and returns a callable that waits for the result, or
-    raises what the task raised or :class:`BrokenProcessPool` once a worker
-    has died.  The pool starts at the first ``submit``; when the block ends
-    its unstarted tasks are cancelled and it is shut down."""
-    pools = []
-
-    def submit(*args):
-        if not pools:
-            pools.append(ProcessPoolExecutor(workers, initializer=_install, initargs=(task,),
-                                             mp_context=multiprocessing.get_context("fork")))
-        try:
-            return pools[0].submit(_run, *args).result
-        except BrokenProcessPool as exc:
-            failed = Future()
-            failed.set_exception(exc)
-            return failed.result
-
+def _submit(pool: ProcessPoolExecutor, *args):
+    """A callable that waits for ``task(*args)`` run in a worker and returns
+    its result or raises what it raised: :class:`BrokenProcessPool` once a
+    worker has died, even before this call."""
     try:
-        yield submit
-    finally:
-        for pool in pools:
-            pool.shutdown(cancel_futures=True)
+        return pool.submit(_run, *args).result
+    except BrokenProcessPool as exc:
+        failed = Future()
+        failed.set_exception(exc)
+        return failed.result
+
 
 
 class ForwardError(RuntimeError):
@@ -109,7 +106,8 @@ class CompositeForward:
     solver takes the block's (B, n_interior) coefficient array as it is and
     returns a (B, n_interior) array of solutions.  An ensemble is
     decoded, solved and observed one chunk of members at a time, so no more
-    than one chunk of decoded coefficients is held at once.  A chunk holds
+    than one chunk of decoded coefficients is held at once (workers + 1
+    inside :meth:`solving_in`).  A chunk holds
     about ``CHUNK_UNKNOWNS`` grid values: many members on a small grid, one
     member from about n = 256 on a 2D grid.  The same pass sums the members'
     report fields in member order, so an evaluation leaves the ensemble mean
@@ -118,8 +116,9 @@ class CompositeForward:
     product over the whole chunk rounds differently.
 
     Inside :meth:`solving_in` with more than one worker, each chunk's solve
-    and observations run in a worker, at most workers + 1 chunks in flight,
-    and this process writes the outputs back in member order.
+    and observations run in a forked worker process, at most workers + 1
+    chunks in flight, and this process writes the outputs back in member
+    order.
     """
 
     # On the darcy-channel (n=64) and darcy-exp (n=128) benchmark workloads
@@ -141,7 +140,7 @@ class CompositeForward:
         self.chunk = self.chunk_members(obs.matrix.shape[1])
         self.report_mean: np.ndarray | None = None
         self._workers = 1
-        self._submit = None   # inside solving_in
+        self._pool = None
 
     @classmethod
     def chunk_members(cls, n_grid: int) -> int:
@@ -191,14 +190,17 @@ class CompositeForward:
     @contextmanager
     def solving_in(self, workers: int):
         """Solve the chunks of every evaluation inside the block in
-        ``workers`` forked processes (:func:`forked_pool`); with one, in this
-        process."""
-        with forked_pool(workers, self._solve_chunk) as self._submit:
-            self._workers = workers
-            try:
-                yield self
-            finally:
-                self._submit, self._workers = None, 1
+        ``workers`` processes; with one, in this process.  The pool starts at
+        the first evaluation and is shut down when the block ends, however
+        it ends."""
+        self._workers = workers
+        try:
+            yield self
+        finally:
+            self._workers = 1
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = None
 
     def __call__(self, members: np.ndarray) -> np.ndarray:
         """Outputs for a (state_dim, J) ensemble matrix, one column per member.
@@ -210,7 +212,12 @@ class CompositeForward:
         out = np.empty((self.obs.n_obs, J))
         self.report_mean = None
         report_sum = np.zeros(self.obs.matrix.shape[1])
-        in_flight = self._workers if self._workers > 1 else 0   # while the next decodes
+        if self._workers > 1 and self._pool is None:
+            # fork: the workers inherit this map as it stands (module docstring)
+            self._pool = ProcessPoolExecutor(
+                self._workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_install, initargs=(self._solve_chunk,))
+        in_flight = 0 if self._pool is None else self._workers   # while the next decodes
         pending = deque()   # (member indices, outputs callable) of unwritten chunks
         chunks = self.decoded_chunks(members)
         while True:
@@ -223,8 +230,8 @@ class CompositeForward:
                 raise
             add_rows(report_sum, block.report)
             pending.append((cols, partial(self._solve_chunk, block.coefficients, cols)
-                            if self._workers == 1 else
-                            self._submit(block.coefficients, cols)))
+                            if self._pool is None else
+                            _submit(self._pool, block.coefficients, cols)))
             self._write(out, pending, in_flight)
         self._write(out, pending, 0)
         self.report_mean = report_sum / J

@@ -7,7 +7,7 @@ inversion from several independent initial ensembles, writing
 per-iteration records with the hyperparameter means (CSV), decoded mean
 fields (flat binary with a 3-integer shape header), and a JSON manifest that
 can be re-run verbatim and also holds what is not deterministic: the wall
-time of every iteration, and the split of the CPUs it ran under.
+time of every iteration, and the solve workers it ran with.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
-import os
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +31,7 @@ from .config import (  # noqa: F401
     sample_prior_grid,
     snapshot_iterations,
 )
-from .composite import CompositeForward, forked_pool
+from .composite import CompositeForward, usable_cpus
 from .eki import Ensemble, SpanMembers, run_inversion
 from .forward import ObservationModel, synthesize_data
 from .grid import Domain, dirichlet_spectrum, white_noise
@@ -127,7 +125,7 @@ def _run_single_initialization(config: ExperimentConfig, prepared, workers: int,
                                index: int) -> dict:
     """Run one initialization on what :func:`_prepare` returned for
     ``config``, its Darcy chunks solved in ``workers`` processes
-    (:func:`process_plan`).  Deterministic given (config, index)."""
+    (:func:`solve_workers`).  Deterministic given (config, index)."""
     setup, truth, obs, seqs = prepared
     param: Parameterization = build_parameterization(config, setup, obs)
 
@@ -185,30 +183,13 @@ def _attach_data(setup: ModelSetup, truth: TruthBundle,
     return synthesize_data(setup.obs_template, clean, rng)
 
 
-MEMINFO = "/proc/meminfo"
-
-
-def mem_available() -> int | None:
-    """MemAvailable of ``MEMINFO`` in bytes, or None where it cannot be read."""
-    try:
-        with open(MEMINFO, encoding="ascii") as handle:
-            fields = dict(line.split(":", 1) for line in handle)
-        return int(fields["MemAvailable"].split()[0]) * 1024
-    except (OSError, KeyError, ValueError, IndexError):
-        return None
-
-
 def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
-    """Bytes one initialization is expected to hold at its peak, by term,
-    with the solve workers :func:`process_plan` gives it: the initial
-    ensemble, its (J, J) coefficients, the members last formed for the
-    forward map (:func:`ekinv.eki.run_inversion`), one forward chunk and
-    every recorded mean field, and a forward chunk per solve worker if it
-    has more than one."""
-    return _memory_terms(config, process_plan(config)[1])
-
-
-def _memory_terms(config: ExperimentConfig, workers: int) -> dict[str, int]:
+    """Bytes one initialization is expected to hold at its peak, by term.
+    Its own process holds the initial ensemble, its (J, J) coefficients and
+    the members last formed for the forward map
+    (:func:`ekinv.eki.run_inversion`), one forward chunk and every recorded
+    mean field.  Each of its solve workers (:func:`solve_workers`), if it has
+    more than one, holds a forward chunk of its own."""
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain))
@@ -219,48 +200,36 @@ def _memory_terms(config: ExperimentConfig, workers: int) -> dict[str, int]:
             "observation operator": observation_model(config, domain).matrix.nbytes,
             "forward chunk": CompositeForward.chunk_bytes(domain, J),
             "mean fields": (config["eki"]["max_outer_iterations"] + 1) * domain.n_interior * 8}
+    workers = solve_workers(config)
     if workers > 1:
         terms["solve workers"] = workers * terms["forward chunk"]
     return terms
 
 
-def process_plan(config: ExperimentConfig) -> tuple[int, int]:
-    """(initializations run at once, solve workers of each) on the CPUs
-    this process may run on, or on one where the platform cannot fork.
-
-    Initializations come first, as they need no traffic between processes:
-    one per CPU, no more than there are, and fewer while that many memory
-    estimates, solve workers included, exceed the memory available.  Each
-    solves its Darcy chunks on the CPUs left to it, in no more processes
-    than an evaluation has chunks, and its 1D source solves itself: they
-    take too small a share of an iteration to pay for the traffic."""
+def solve_workers(config: ExperimentConfig) -> int:
+    """Processes that solve the Darcy chunks of each initialization: the
+    CPUs this process may run on, no more than the chunks of one evaluation,
+    and one where the platform cannot fork them.  With one, the
+    initialization solves its chunks itself, as it does every 1D source
+    solve, which takes too small a share of an iteration to pay for the
+    traffic."""
     exp = config["experiment"]
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:   # no CPU affinity on this platform
-        cpus = os.cpu_count() or 1
-    if "fork" not in multiprocessing.get_all_start_methods():
-        cpus = 1
-    n_interior = model_domain(exp["model_problem"], config["grid"]["n_cells"]).n_interior
-    chunks = (-(-exp["n_ensemble"] // CompositeForward.chunk_members(n_interior))
-              if exp["model_problem"] == "darcy" else 1)
-    at_once = min(exp["n_initializations"], cpus)
-    available = mem_available() if at_once > 1 else None
-    while available is not None and at_once > 1 and available < at_once * sum(
-            _memory_terms(config, min(cpus // at_once, chunks)).values()):
-        at_once -= 1
-    return at_once, min(cpus // at_once, chunks)
+    if exp["model_problem"] != "darcy" or "fork" not in multiprocessing.get_all_start_methods():
+        return 1
+    n_interior = model_domain("darcy", config["grid"]["n_cells"]).n_interior
+    chunks = -(-exp["n_ensemble"] // CompositeForward.chunk_members(n_interior))
+    return max(1, min(usable_cpus(), chunks))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
     """Run all initializations and write outputs plus a manifest.
 
-    The initializations and their Darcy chunk solves run in the processes
-    :func:`process_plan` gives them; those that run side by side are forked
-    from this process, with its set-up, truth and data.  Returns the
-    manifest dictionary, which records that split under "processes".
-    Individual initialization failures are recorded with stop_reason
-    "aborted"; the run continues.
+    The initializations run one at a time in this process, on its prepared
+    set-up, truth and data.  Each solves its Darcy chunks in the processes
+    :func:`solve_workers` gives it, and shuts them down before it returns,
+    however it ends.  Returns the manifest dictionary, which records the
+    solve workers under "processes".  Individual initialization failures
+    are recorded with stop_reason "aborted"; the run continues.
     """
     exp = config["experiment"]
     prepared = _prepare(config)
@@ -277,13 +246,9 @@ def run_experiment(config: ExperimentConfig) -> dict:
               ("index", *(("x1",) if setup.domain.dim == 1 else ("x1", "x2")), "y", "gamma"),
               [(i, *obs.centers[i], obs.y[i], obs.gamma[i, i]) for i in range(obs.n_obs)])
 
-    at_once, workers = process_plan(config)
-    run_one = partial(_run_single_initialization, config, prepared, workers)
-    if at_once > 1:
-        with forked_pool(at_once, run_one) as submit:
-            results = [wait() for wait in [submit(i) for i in range(exp["n_initializations"])]]
-    else:
-        results = list(map(run_one, range(exp["n_initializations"])))
+    workers = solve_workers(config)
+    results = [_run_single_initialization(config, prepared, workers, i)
+               for i in range(exp["n_initializations"])]
 
     inventory = {}
     for name in ("truth_field.bin", "observations.csv"):
@@ -302,7 +267,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             {key: value for key, value in res.items() if key != "files"} for res in results
         ],
         "files": inventory,
-        "processes": {"initializations_at_once": at_once, "solve_workers": workers},
+        "processes": {"solve_workers": workers},
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")

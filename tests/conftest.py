@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from ekinv import composite, harness
+from ekinv import composite
 
 
 @pytest.fixture
@@ -10,20 +10,6 @@ def cpus(monkeypatch):
     """Sets the number of CPUs this process may run on, as ekinv reads it."""
     def use(n):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-    return use
-
-
-@pytest.fixture
-def meminfo(tmp_path, monkeypatch):
-    """Sets the memory available, in bytes rounded up to whole kB, as ekinv
-    reads it; 1 TiB until set."""
-    path = tmp_path / "meminfo"
-    monkeypatch.setattr(harness, "MEMINFO", str(path))
-
-    def use(n_bytes):
-        path.write_text(f"MemTotal: {2**30} kB\nMemAvailable: {-(-n_bytes // 1024)} kB\n",
-                        encoding="ascii")
-    use(2**40)
     return use
 
 

@@ -51,8 +51,7 @@ def test_two_workers_give_the_inline_outputs_and_report_mean(tmp_path, cpus, poo
     inline = fwd(members)
     inline_mean = fwd.report_mean
     cpus(2)
-    assert harness.process_plan(config) == (1, 2)
-    with fwd.solving_in(2):
+    with fwd.solving_in(harness.solve_workers(config)):
         pooled = fwd(members)
         assert len(multiprocessing.active_children()) == 2
     assert pools == [2]
@@ -79,24 +78,22 @@ def two_initializations(tmp_path, name):
     return config
 
 
-def test_every_split_writes_the_same_files_and_leaves_no_worker(tmp_path, cpus, meminfo, pools,
-                                                               capsys):
+def test_every_cpu_count_writes_the_same_files_and_leaves_no_worker(tmp_path, cpus, pools,
+                                                                    capsys):
     manifests = {}
     for n in (1, 2, 4):
         cpus(n)
         manifests[n] = harness.run_experiment(two_initializations(tmp_path, f"cpus{n}"))
         assert multiprocessing.active_children() == []
     assert {n: m["processes"] for n, m in manifests.items()} == {
-        1: {"initializations_at_once": 1, "solve_workers": 1},
-        2: {"initializations_at_once": 2, "solve_workers": 1},
-        4: {"initializations_at_once": 2, "solve_workers": 2}}
-    assert pools == [2, 2]   # each initialization starts its solve pool in its own worker
+        1: {"solve_workers": 1}, 2: {"solve_workers": 2}, 4: {"solve_workers": 3}}
+    assert pools == [2, 2, 3, 3]   # one pool per initialization, which shuts it down
     assert [init["stop_reason"] for init in manifests[4]["initializations"]] == \
         ["max-iterations"] * 2
     assert manifests[1]["files"] == manifests[2]["files"] == manifests[4]["files"]
     assert cli(["report", str(tmp_path / "cpus4")]) == 0
     out = capsys.readouterr().out
-    assert json.loads(out[out.index("{"):])["processes"] == manifests[4]["processes"]
+    assert json.loads(out[out.index("{"):])["processes"] == {"solve_workers": 3}
 
 
 def test_a_platform_that_cannot_fork_runs_in_one_process(tmp_path, cpus, pools, monkeypatch):
@@ -105,12 +102,12 @@ def test_a_platform_that_cannot_fork_runs_in_one_process(tmp_path, cpus, pools, 
     manifest = harness.run_experiment(two_initializations(tmp_path, "run"))
     assert [init["stop_reason"] for init in manifest["initializations"]] == \
         ["max-iterations"] * 2
-    assert manifest["processes"] == {"initializations_at_once": 1, "solve_workers": 1}
+    assert manifest["processes"] == {"solve_workers": 1}
     assert pools == []
 
 
-def test_an_aborted_pooled_run_reads_as_inline_and_leaves_no_worker(tmp_path, cpus, meminfo,
-                                                                    pools, monkeypatch):
+def test_an_aborted_pooled_run_reads_as_inline_and_leaves_no_worker(tmp_path, cpus, pools,
+                                                                    monkeypatch):
     build_parameterization = harness.build_parameterization
 
     def capped(*args):   # after the truth solve, which converges
@@ -118,82 +115,56 @@ def test_an_aborted_pooled_run_reads_as_inline_and_leaves_no_worker(tmp_path, cp
         return build_parameterization(*args)
 
     monkeypatch.setattr(harness, "build_parameterization", capped)
-    runs = []
-    for n, config in ((1, chunked_darcy(tmp_path, "cpus1")),
-                      (2, chunked_darcy(tmp_path, "cpus2")),
-                      (4, two_initializations(tmp_path, "cpus4"))):
+    manifests = []
+    for n in (1, 2):
         cpus(n)
         monkeypatch.setattr(multigrid, "MAX_ITERATIONS", 100)
-        runs.extend(harness.run_experiment(config)["initializations"])
+        manifests.append(harness.run_experiment(chunked_darcy(tmp_path, f"cpus{n}")))
         assert multiprocessing.active_children() == []
-    assert pools == [2, 2]
-    inline, pooled, *initializations = runs
-    assert [init["stop_reason"] for init in runs] == ["aborted"] * 4
-    assert inline["message"].startswith(
+    assert pools == [2]
+    (inline,), (pooled,) = (m["initializations"] for m in manifests)
+    assert pooled["stop_reason"] == "aborted"
+    assert pooled["message"].startswith(
         "forward evaluation failed: member 0, solve: MG-PCG did not converge within 1 iterations")
-    assert pooled["message"] == initializations[0]["message"] == inline["message"]
+    assert pooled["message"] == inline["message"]
 
 
-def test_a_run_that_raises_leaves_no_worker(tmp_path, cpus, meminfo, pools, monkeypatch):
+def test_a_run_that_raises_leaves_no_worker(tmp_path, cpus, pools, monkeypatch):
     def fails_after_one_evaluation(ensemble, forward_map, *args, **kwargs):
         forward_map(ensemble.members)
         raise KeyError("stop")
 
     monkeypatch.setattr(harness, "run_inversion", fails_after_one_evaluation)
-    for n, config in ((2, chunked_darcy(tmp_path, "solves")),
-                      (4, two_initializations(tmp_path, "initializations"))):
-        cpus(n)
-        with pytest.raises(KeyError, match="stop"):
-            harness.run_experiment(config)
-        assert multiprocessing.active_children() == []
-    assert pools == [2, 2]
+    cpus(2)
+    with pytest.raises(KeyError, match="stop"):
+        harness.run_experiment(chunked_darcy(tmp_path, "run"))
+    assert pools == [2]
+    assert multiprocessing.active_children() == []
 
 
-def test_the_plan_runs_initializations_first_and_stops_at_the_chunks(tmp_path, cpus, meminfo):
+def test_solve_workers_use_the_cpus_and_stop_at_the_chunks(tmp_path, cpus):
     config = chunked_darcy(tmp_path, "run")   # three chunks
-    exp = config["experiment"]
     cpus(1)
-    assert harness.process_plan(config) == (1, 1)
+    assert harness.solve_workers(config) == 1
     cpus(8)
-    assert harness.process_plan(config) == (1, 3)
-    for n_initializations, plan in ((2, (2, 3)), (4, (4, 2)), (16, (8, 1))):
-        exp["n_initializations"] = n_initializations
-        assert harness.process_plan(config) == plan
-    cpus(3)
-    exp["n_initializations"] = 4
-    assert harness.process_plan(config) == (3, 1)   # fewer CPUs than initializations
-    exp["n_initializations"] = 1
-    exp["n_ensemble"] = 4   # one chunk
-    assert harness.process_plan(config) == (1, 1)
-    exp["n_ensemble"] = 200   # four chunks of the 1D grid's 65 members
-    exp["model_problem"] = "source1d"
+    assert harness.solve_workers(config) == 3
+    config["experiment"]["n_initializations"] = 4   # run one at a time
+    assert harness.solve_workers(config) == 3
+    cpus(2)
+    assert harness.solve_workers(config) == 2
+    config["experiment"]["n_ensemble"] = 4   # one chunk
+    assert harness.solve_workers(config) == 1
+    config["experiment"]["n_ensemble"] = 200   # four chunks of the 1D grid's 65 members
+    config["experiment"]["model_problem"] = "source1d"
     config["grid"]["n_cells"] = 1000
-    assert harness.process_plan(config) == (1, 1)
+    assert harness.solve_workers(config) == 1
 
 
-def test_the_plan_runs_no_more_initializations_at_once_than_fit_in_memory(tmp_path, cpus,
-                                                                          meminfo):
-    config = two_initializations(tmp_path, "run")   # three chunks
-    cpus(4)
-    two_workers = sum(harness._memory_terms(config, 2).values())
-    for available, plan in ((2 * two_workers, (2, 2)), (2 * two_workers - 1024, (1, 3)),
-                            (0, (1, 3))):
-        meminfo(available)
-        assert harness.process_plan(config) == plan
-    config["experiment"].update(n_ensemble=4, n_initializations=4)   # one chunk
-    one = sum(harness.memory_estimate(config).values())
-    for at_once in (4, 3, 2, 1):
-        meminfo((at_once + 1) * one - 1024)
-        assert harness.process_plan(config) == (at_once, 1)
-
-
-def test_the_estimate_counts_a_chunk_per_solve_worker(tmp_path, cpus, meminfo):
-    config = two_initializations(tmp_path, "run")
+def test_the_estimate_counts_a_chunk_per_solve_worker(tmp_path, cpus):
+    config = chunked_darcy(tmp_path, "run")
     cpus(1)
     one = harness.memory_estimate(config)
     cpus(2)
-    assert harness.memory_estimate(config) == one   # two at once, one CPU each
-    config["experiment"]["n_initializations"] = 1
     two = harness.memory_estimate(config)
     assert two == dict(one, **{"solve workers": 2 * one["forward chunk"]})
 

@@ -48,25 +48,25 @@ def tiny_darcy(tmp_path, name):
     return load_config(path)
 
 
-def test_serial_and_parallel_runs_write_identical_files(tmp_path, monkeypatch, cpus, meminfo):
-    # counted through a file: a forked initialization's calls do not reach
-    # this process's lists
-    builds = tmp_path / "builds"
+def test_serial_and_parallel_runs_write_identical_files(tmp_path, monkeypatch, cpus):
+    builds = []
     build_model_setup = harness.build_model_setup
 
     def counted(config):
-        with open(builds, "a", encoding="ascii") as handle:
-            handle.write(f"{os.getpid()}\n")
+        builds.append(config)
         return build_model_setup(config)
 
     monkeypatch.setattr(harness, "build_model_setup", counted)
-    cpus(1)
-    serial = harness.run_experiment(tiny_darcy(tmp_path, "serial"))
-    assert builds.read_text(encoding="ascii") == f"{os.getpid()}\n"
-    cpus(2)
-    parallel = harness.run_experiment(tiny_darcy(tmp_path, "parallel"))
-    assert parallel["processes"] == {"initializations_at_once": 2, "solve_workers": 1}
-    assert builds.read_text(encoding="ascii") == f"{os.getpid()}\n" * 2
+    runs = {}
+    for n, name in ((1, "serial"), (2, "parallel")):
+        cpus(n)
+        config = tiny_darcy(tmp_path, name)
+        config["grid"]["n_cells"] = 128   # two chunks of four members
+        runs[name] = harness.run_experiment(config)
+    assert len(builds) == 2   # once per run, shared by its two initializations
+    serial, parallel = runs["serial"], runs["parallel"]
+    assert (serial["processes"], parallel["processes"]) == \
+        ({"solve_workers": 1}, {"solve_workers": 2})
     assert [init["stop_reason"] for init in serial["initializations"]] == \
         ["max-iterations"] * 2
     assert len(serial["files"]) > 2
@@ -122,7 +122,7 @@ def test_cli_exit_codes(tmp_path, capsys):
 
 
 def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys, cpus):
-    cpus(1)   # tracemalloc counts this process only: run the initializations here
+    cpus(1)   # tracemalloc counts this process only: solve the chunks here
     config = tiny_darcy(tmp_path, "run")
     assert cli(["validate", str(tmp_path / "run.ini")]) == 0
     echo = capsys.readouterr().out
@@ -208,46 +208,31 @@ def manifest_of(run_dir):
     return json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))
 
 
-def test_run_warns_when_one_initialization_may_exceed_the_available_memory(tmp_path, capsys,
-                                                                           cpus, meminfo):
-    cpus(2)
+def test_run_warns_when_its_processes_may_exceed_the_available_memory(tmp_path, capsys,
+                                                                       monkeypatch):
     estimate = sum(harness.memory_estimate(tiny_darcy(tmp_path, "run")).values())
+    meminfo = tmp_path / "meminfo"
+    meminfo.write_text(f"MemTotal: {10 * estimate // 1024} kB\n"
+                       f"MemAvailable: {estimate * 3 // 2 // 1024} kB\n", encoding="ascii")
+    monkeypatch.setattr("ekinv.cli.MEMINFO", str(meminfo))
     run = ["run", str(tmp_path / "run.ini"), "--max-iter", "0"]
-    meminfo(estimate * 3 // 2)
-    assert cli(run + ["--out-dir", str(tmp_path / "one")]) == 0
+    assert cli(run + ["--out-dir", str(tmp_path / "fits")]) == 0
     assert capsys.readouterr().err == ""
-    assert manifest_of(tmp_path / "one")["processes"]["initializations_at_once"] == 1
-    meminfo(estimate // 2)
+    meminfo.write_text(f"MemAvailable: {estimate // 2 // 1024} kB\n", encoding="ascii")
     assert cli(run + ["--out-dir", str(tmp_path / "short")]) == 0
     err = capsys.readouterr().err
-    assert err.startswith("warning: one initialization's memory estimate is ")
+    assert err.startswith("warning: the memory estimate is ")
     assert err.endswith(" available; the run may run out of memory\n")
     assert err.count("\n") == 1
-    assert manifest_of(tmp_path / "short")["processes"]["initializations_at_once"] == 1
     assert len(manifest_of(tmp_path / "short")["initializations"]) == 2
 
 
 def test_run_warns_of_nothing_where_the_available_memory_cannot_be_read(tmp_path, capsys,
-                                                                        monkeypatch, cpus):
-    cpus(2)
+                                                                        monkeypatch):
     tiny_darcy(tmp_path, "run")
-    monkeypatch.setattr(harness, "MEMINFO", str(tmp_path / "missing"))
+    monkeypatch.setattr("ekinv.cli.MEMINFO", str(tmp_path / "missing"))
     assert cli(["run", str(tmp_path / "run.ini"), "--max-iter", "0"]) == 0
     assert capsys.readouterr().err == ""
-    assert manifest_of(tmp_path / "run")["processes"]["initializations_at_once"] == 2
-
-
-def test_a_run_opens_no_more_workers_than_it_has_initializations(tmp_path, cpus, meminfo, pools):
-    cpus(4)
-    two = tiny_darcy(tmp_path, "two")
-    two["eki"]["max_outer_iterations"] = 0
-    harness.run_experiment(two)
-    assert pools == [2]
-    one = tiny_darcy(tmp_path, "one")
-    one["eki"]["max_outer_iterations"] = 0
-    one["experiment"]["n_initializations"] = 1
-    harness.run_experiment(one)
-    assert pools == [2]   # no pool: one initialization, and one chunk to solve
 
 
 def test_cli_runs_and_validates_a_manifest_and_applies_the_seed(tmp_path, capsys):
