@@ -24,11 +24,12 @@ solve as it stands in this process, with the problem's grids, the
 observation model and anything wrapped around them: nothing is pickled but
 each task's coefficients and member indices, and nothing is imported
 again.  A spawned worker would re-import numpy and scipy, and it would need
-the solver pickled, which a nested or wrapped solver cannot be.  From
-Python 3.11 the executor forks all its workers at the first task, before
-it starts its own thread, and the process that starts it runs no other
-Python thread.  Where the platform cannot fork, the runner asks for one
-worker (:func:`ekinv.harness.solve_workers`) and no pool starts.
+the solver pickled, which a nested or wrapped solver cannot be.  Under
+fork the executor forks all its workers at the first task, before it
+starts its own thread (checked on Python 3.10.13, 3.11.7, 3.12.1 and
+3.13.0), and the process that starts it runs no other Python thread.
+Where the platform cannot fork, the runner asks for one worker
+(:func:`ekinv.harness.solve_workers`) and no pool starts.
 """
 
 from __future__ import annotations
@@ -104,16 +105,16 @@ class CompositeForward:
     ``decode_block`` decodes a (state_dim, B) block of packed members, one
     column each, into a :class:`DecodedBlock` in one batched pass.  The
     solver takes the block's (B, n_interior) coefficient array as it is and
-    returns a (B, n_interior) array of solutions.  An ensemble is
-    decoded, solved and observed one chunk of members at a time, so no more
-    than one chunk of decoded coefficients is held at once (workers + 1
-    inside :meth:`solving_in`).  A chunk holds
-    about ``CHUNK_UNKNOWNS`` grid values: many members on a small grid, one
-    member from about n = 256 on a 2D grid.  The same pass sums the members'
-    report fields in member order, so an evaluation leaves the ensemble mean
-    of the report fields in ``report_mean`` and reporting decodes nothing
-    again.  Observation stays one operator product per member: one
-    product over the whole chunk rounds differently.
+    returns a (B, n_interior) array of solutions.  An ensemble is decoded,
+    solved and observed one chunk of members at a time, so no more than one
+    chunk of decoded coefficients is held at once (workers + 1 inside
+    :meth:`solving_in`); its members are read a block of whole chunks at a
+    time.  A chunk holds about ``CHUNK_UNKNOWNS`` grid values: many members
+    on a small grid, one member from about n = 256 on a 2D grid.  The same
+    pass sums the members' report fields in member order, so an evaluation
+    leaves the ensemble mean of the report fields in ``report_mean`` and
+    reporting decodes nothing again.  Observation stays one operator product
+    per member: one product over the whole chunk rounds differently.
 
     Inside :meth:`solving_in` with more than one worker, each chunk's solve
     and observations run in a forked worker process, at most workers + 1
@@ -130,6 +131,13 @@ class CompositeForward:
     # for the grid's static data and spectral basis, which no estimate term
     # counts.
     CHUNK_ARRAYS = 32
+    # Fewest members an evaluation reads, and so forms from U_0 A, at once.
+    # At n = 600, J = 200 forming every member took 15.6 s one column at a
+    # time, 5.1 s in blocks of 8, 2.3 s in blocks of 16 and 1.5 s at once (one
+    # BLAS thread), against a 50 s solve.  On the benchmark workloads 130
+    # (source1d-field's 65-member chunks two at a time) gave the same
+    # iteration time as 16 and 1.2 MB more peak RSS.
+    BLOCK_MEMBERS = 16
 
     def __init__(self, decode_block: Callable[[np.ndarray], DecodedBlock],
                  solver: Callable[[np.ndarray], np.ndarray],
@@ -146,6 +154,18 @@ class CompositeForward:
     def chunk_members(cls, n_grid: int) -> int:
         """Members per chunk on a grid of ``n_grid`` values."""
         return max(1, cls.CHUNK_UNKNOWNS // n_grid)
+
+    @classmethod
+    def chunks(cls, n_grid: int, n_members: int) -> int:
+        """Chunks of an evaluation of ``n_members`` on ``n_grid`` values."""
+        return -(-n_members // cls.chunk_members(n_grid))
+
+    @classmethod
+    def block_members(cls, chunk: int, n_members: int) -> int:
+        """Members an evaluation in chunks of ``chunk`` reads at once: the
+        fewest whole chunks that hold ``BLOCK_MEMBERS``, so no chunk
+        straddles two blocks."""
+        return min(n_members, chunk * -(-cls.BLOCK_MEMBERS // chunk))
 
     @classmethod
     def chunk_bytes(cls, domain: Domain, n_members: int) -> int:
@@ -168,21 +188,28 @@ class CompositeForward:
         """(member indices, decoded block) of each chunk of a (state_dim, J)
         ensemble, in member order.
 
+        ``members`` is read one block of :meth:`block_members` columns at a
+        time, each dropped before the next is read.
+
         Raises :class:`ForwardError` naming the first member that fails to
         decode."""
         J = members.shape[1]
-        for start in range(0, J, self.chunk):
-            cols = range(start, min(start + self.chunk, J))
-            yield cols, self._decode_chunk(members, cols)
+        width = self.block_members(self.chunk, J)
+        for first in range(0, J, width):
+            block = members[:, first:first + width]
+            for start in range(0, block.shape[1], self.chunk):
+                cols = range(first + start, first + min(start + self.chunk, block.shape[1]))
+                yield cols, self._decode_chunk(block[:, start:start + self.chunk], cols)
+            del block   # before the next is formed
 
     def _decode_chunk(self, members: np.ndarray, cols: range) -> DecodedBlock:
         try:
-            return self.decode(members[:, cols.start:cols.stop])
+            return self.decode(members)
         except MemberError as exc:
             # the block ran each check over all members before the next, so
             # a member ahead of this one may still fail a later check
             if exc.index:
-                self._decode_chunk(members, cols[:exc.index])
+                self._decode_chunk(members[:, :exc.index], cols[:exc.index])
             raise ForwardError(f"member {cols[exc.index]}, decode: {exc}") from exc
         except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
             raise ForwardError(f"members {cols[0]}-{cols[-1]}, decode: {exc}") from exc

@@ -99,6 +99,7 @@ class Ensemble:
 
 
 NONFINITE_UPDATE = "ensemble update produced non-finite members"
+SCAN_MEMBERS = 16   # members an overflow scan forms at once; only finiteness is read
 
 
 @dataclass(frozen=True)
@@ -147,30 +148,21 @@ class SpanEnsemble:
         U0 = self.initial.members
         for sl, top in zip(self.layout.slices().values(), self.block_max):
             if reach > np.finfo(float).max / 2 / max(top, 1.0):
-                for start in range(0, A.shape[1], SpanMembers.BLOCK_MEMBERS):
-                    cols = slice(start, start + SpanMembers.BLOCK_MEMBERS)
+                for start in range(0, A.shape[1], SCAN_MEMBERS):
+                    cols = slice(start, start + SCAN_MEMBERS)
                     if not np.all(np.isfinite(U0[sl] @ A[:, cols])):
                         raise RuntimeError(NONFINITE_UPDATE)
         return replace(self, coefficients=A)
 
 
 class SpanMembers:
-    """The (dim, J) members U_0 A, formed where they are read.
+    """The (dim, J) members U_0 A, formed each time they are read.
 
-    A column slice ``[:, a:b]`` forms a block of at least ``BLOCK_MEMBERS``
-    members (:meth:`block_members`), each block of the packed layout with
-    its own product U_0[block] A[:, cols], and keeps the last block it
-    formed, so a forward map that walks the ensemble in narrow chunks forms
-    each member once.  Any other index forms U_0[rows] A[:, cols], and
-    ``np.asarray`` forms every member, block by block of the layout.
+    A column slice ``[:, a:b]`` forms each block of the packed layout with
+    its own product U_0[block] A[:, a:b]; the forward map picks the slices
+    (:meth:`ekinv.composite.CompositeForward.decoded_chunks`).  Any other
+    index forms U_0[rows] A[:, cols]; ``np.asarray`` is the slice ``[:, :]``.
     """
-
-    # Fewest members a column slice forms.  At n = 600, J = 200 forming every
-    # member took 15.6 s one column at a time, 5.1 s in blocks of 8, 2.3 s in
-    # blocks of 16 and 1.5 s at once (one BLAS thread), against a 50 s solve.
-    # On the benchmark workloads 130 (source1d-field's 65-member chunks two at
-    # a time) gave the same iteration time as 16 and 1.2 MB more peak RSS.
-    BLOCK_MEMBERS = 16
 
     def __init__(self, initial: np.ndarray, coefficients: np.ndarray,
                  layout: PackingLayout):
@@ -178,20 +170,11 @@ class SpanMembers:
         self._coefficients = coefficients
         self._slices = list(layout.slices().values())
         self.shape = initial.shape
-        self._block: tuple[int, np.ndarray] | None = None   # (first column, members)
 
     @property
     def nbytes(self) -> int:
         """Bytes of the formed (dim, J) members."""
         return self.shape[0] * self.shape[1] * 8
-
-    @classmethod
-    def block_members(cls, width: int, n_members: int) -> int:
-        """Members of the block formed for column slices ``width`` wide: the
-        fewest whole slices that hold ``BLOCK_MEMBERS``, so slices walked in
-        order never straddle two blocks."""
-        width = max(width, 1)
-        return min(n_members, width * -(-cls.BLOCK_MEMBERS // width))
 
     def __array__(self, dtype=None, copy=None):
         X = self._form(0, self.shape[1])
@@ -202,17 +185,8 @@ class SpanMembers:
         if isinstance(rows, slice) and rows == slice(None) and isinstance(cols, slice):
             start, stop, step = cols.indices(self.shape[1])
             if step == 1:
-                return self._columns(start, max(start, stop))
+                return self._form(start, max(start, stop))
         return self._initial[rows] @ self._coefficients[:, cols]
-
-    def _columns(self, start: int, stop: int) -> np.ndarray:
-        first, block = self._block or (start, None)
-        if block is None or start < first or stop > first + block.shape[1]:
-            self._block = block = None   # freed before the next one is formed
-            width = self.block_members(stop - start, self.shape[1])
-            first, block = self._block = (
-                start, self._form(start, min(start + width, self.shape[1])))
-        return block[:, start - first:stop - first]
 
     def _form(self, start: int, stop: int) -> np.ndarray:
         out = np.empty((self.shape[0], stop - start))
@@ -378,7 +352,6 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
             rel_error=None if error_fn is None else float(error_fn(members)),
             hyper_means={} if hyper_means_fn is None else dict(hyper_means_fn(members)),
         )
-        del members   # and the block it formed last
         records.append(record)
         if misfit <= threshold:
             stop_reason = "discrepancy"

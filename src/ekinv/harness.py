@@ -32,7 +32,7 @@ from .config import (  # noqa: F401
     snapshot_iterations,
 )
 from .composite import CompositeForward, usable_cpus
-from .eki import Ensemble, SpanMembers, run_inversion
+from .eki import Ensemble, run_inversion
 from .forward import ObservationModel, synthesize_data
 from .grid import Domain, dirichlet_spectrum, white_noise
 # the runner calls these through this module's namespace, where the
@@ -185,15 +185,15 @@ def _attach_data(setup: ModelSetup, truth: TruthBundle,
 
 def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     """Bytes one initialization is expected to hold at its peak, by term.
-    Its own process holds the initial ensemble, its (J, J) coefficients and
-    the members last formed for the forward map
-    (:func:`ekinv.eki.run_inversion`), one forward chunk and every recorded
-    mean field.  Each of its solve workers (:func:`solve_workers`), if it has
+    Its own process holds the initial ensemble, its (J, J) coefficients,
+    the block of members the forward map forms at once
+    (:meth:`CompositeForward.decoded_chunks`), one forward chunk and every
+    recorded mean field.  Each of its solve workers (:func:`solve_workers`), if it has
     more than one, holds a forward chunk of its own."""
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain))
-    block = SpanMembers.block_members(CompositeForward.chunk_members(domain.n_interior), J)
+    block = CompositeForward.block_members(CompositeForward.chunk_members(domain.n_interior), J)
     terms = {"initial ensemble": layout.dim * J * 8,
             "formed block": layout.dim * block * 8,
             "coefficients": J * J * 8,
@@ -217,8 +217,7 @@ def solve_workers(config: ExperimentConfig) -> int:
     if exp["model_problem"] != "darcy" or "fork" not in multiprocessing.get_all_start_methods():
         return 1
     n_interior = model_domain("darcy", config["grid"]["n_cells"]).n_interior
-    chunks = -(-exp["n_ensemble"] // CompositeForward.chunk_members(n_interior))
-    return max(1, min(usable_cpus(), chunks))
+    return max(1, min(usable_cpus(), CompositeForward.chunks(n_interior, exp["n_ensemble"])))
 
 
 def run_experiment(config: ExperimentConfig) -> dict:

@@ -10,6 +10,7 @@ from ekinv import harness, multigrid
 from ekinv.cli import cli
 from ekinv.composite import CompositeForward, DecodedBlock, ForwardError
 from ekinv.config import load_config
+from ekinv.eki import Ensemble, PackingLayout, SpanEnsemble, SpanMembers
 from ekinv.forward import DarcyProblem, mollified_observations
 from ekinv.grid import build_domain
 from ekinv.param_maps import exp_values
@@ -184,6 +185,36 @@ def constant_forward(solver=None, to_kappa=lambda values: values):
         obs=mollified_observations(domain, 2, sigma=0.5))
     fwd.chunk = 3
     return fwd
+
+
+@pytest.mark.parametrize("J, chunk, blocks", [
+    (50, 4, [(0, 16), (16, 32), (32, 48), (48, 50)]),
+    (50, 16, [(0, 16), (16, 32), (32, 48), (48, 50)]),
+    (200, 65, [(0, 65), (65, 130), (130, 195), (195, 200)]),
+])
+def test_an_evaluation_forms_each_block_of_whole_chunks_once(J, chunk, blocks, monkeypatch):
+    rng = np.random.default_rng(J + chunk)
+    layout = PackingLayout(blocks=(("a", 11), ("b", 3)))
+    U0, A = rng.standard_normal((layout.dim, J)), rng.standard_normal((J, J))
+    members = SpanEnsemble(Ensemble(U0, layout), A, (1.0, 1.0)).members
+    formed = []
+    form = SpanMembers._form
+
+    def spy(self, start, stop):
+        formed.append((start, stop))
+        return form(self, start, stop)
+
+    monkeypatch.setattr(SpanMembers, "_form", spy)
+    fwd = constant_forward()
+    fwd.decode_block = lambda M: DecodedBlock(None, M.T, M.T)
+    fwd.chunk = chunk
+    for cols, block in fwd.decoded_chunks(members):
+        first, stop = next(b for b in blocks if b[0] <= cols[0] and cols[-1] < b[1])
+        # a block's members are its own product, not a chunk's
+        formed_block = np.vstack([U0[:11] @ A[:, first:stop], U0[11:] @ A[:, first:stop]])
+        assert block.report.T.tobytes() == \
+            formed_block[:, cols.start - first:cols.stop - first].tobytes()
+    assert formed == blocks
 
 
 def error_of(fwd, members, workers):

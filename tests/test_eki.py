@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from ekinv.composite import CompositeForward
 from ekinv.eki import (
     MAX_DOUBLINGS,
     EkiControls,
@@ -484,8 +485,7 @@ def test_inversion_and_step_leave_the_callers_ensemble_unwritten():
 
 
 def chunked(fn, width):
-    """A forward map that reads the members ``width`` columns at a time, as
-    CompositeForward does."""
+    """A forward map that reads the members ``width`` columns at a time."""
     def forward(M):
         return np.hstack([fn(M[:, a:a + width]) for a in range(0, M.shape[1], width)])
     return forward
@@ -598,7 +598,7 @@ def test_the_span_coefficients_follow_the_explicit_update():
     assert 0 < error < 1e-12
 
 
-def test_span_members_form_each_layout_block_with_its_own_product(monkeypatch):
+def test_span_members_form_each_layout_block_with_its_own_product():
     rng = np.random.default_rng(2)
     J = 40
     layout = PackingLayout(blocks=(("a", 11), ("b", 3)))
@@ -611,10 +611,17 @@ def test_span_members_form_each_layout_block_with_its_own_product(monkeypatch):
 
     every = slice(None)
     assert np.asarray(span.members).tobytes() == product(every, every).tobytes()
+    assert span.members[:, 5:21].tobytes() == product(every, slice(5, 21)).tobytes()
     assert span.members[11:].tobytes() == (U0[11:] @ A).tobytes()
     assert span.members[3].tobytes() == (U0[3] @ A).tobytes()
     assert span.members[:, 7].tobytes() == (U0 @ A[:, 7]).tobytes()
 
+
+def test_span_members_form_a_column_slice_each_time_it_is_read(monkeypatch):
+    rng = np.random.default_rng(3)
+    layout = PackingLayout(blocks=(("a", 5), ("b", 2)))
+    U0, A = rng.standard_normal((layout.dim, 10)), rng.standard_normal((10, 10))
+    members = SpanEnsemble(Ensemble(U0, layout), A, (1.0, 1.0)).members
     formed = []
     form = SpanMembers._form
 
@@ -623,17 +630,10 @@ def test_span_members_form_each_layout_block_with_its_own_product(monkeypatch):
         return form(self, start, stop)
 
     monkeypatch.setattr(SpanMembers, "_form", spy)
-    for width, blocks in ((4, [(0, 16), (16, 32), (32, 40)]),
-                          (20, [(0, 20), (20, 40)]),
-                          (6, [(0, 18), (18, 36), (36, 40)])):
-        members, formed[:] = span.members, []
-        for start in range(0, J, width):
-            chunk = members[:, start:start + width]
-            first, stop = next(b for b in blocks
-                               if b[0] <= start and min(start + width, J) <= b[1])
-            assert chunk.tobytes() == product(every, slice(first, stop))[
-                :, start - first:start - first + width].tobytes()
-        assert formed == blocks
+    assert members[:, 2:6].tobytes() == members[:, 2:6].tobytes()
+    assert formed == [(2, 6), (2, 6)]
+    arrays = [v for v in vars(members).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 2 and arrays[0] is U0 and arrays[1] is A
 
 
 def test_an_update_forms_only_the_blocks_that_may_overflow(monkeypatch):
@@ -676,9 +676,10 @@ def test_an_iteration_holds_the_initial_ensemble_and_one_formed_block_at_its_pea
     finally:
         tracemalloc.stop()
     assert result.stop_reason == "max-iterations"
-    # U_0, one formed block of 16 members, and 256 KiB for A, the outputs
-    # and the update's other (n_obs, J) and (J, J) arrays: no second ensemble
-    block = 2 * rows * SpanMembers.BLOCK_MEMBERS * 8
+    # U_0, one formed block of at most 16 members, and 256 KiB for A, the
+    # outputs and the update's other (n_obs, J) and (J, J) arrays: no second
+    # ensemble
+    block = 2 * rows * CompositeForward.BLOCK_MEMBERS * 8
     assert peak < ens.members.nbytes + block + 256 * 1024
 
 
