@@ -83,7 +83,6 @@ def _submit(pool: ProcessPoolExecutor, *args):
         return failed.result
 
 
-
 class ForwardError(RuntimeError):
     """A forward evaluation failed; the message names the member(s) and the
     phase (decode, solve or observe)."""
@@ -168,12 +167,13 @@ class CompositeForward:
         return min(n_members, chunk * -(-cls.BLOCK_MEMBERS // chunk))
 
     @classmethod
-    def chunk_bytes(cls, domain: Domain, n_members: int) -> int:
-        """Peak bytes of evaluating ``n_members`` members on ``domain`` one
-        chunk at a time; the solvers work on every node of the grid."""
+    def evaluation_bytes(cls, domain: Domain, n_members: int, dim: int) -> tuple[int, int]:
+        """Bytes an evaluation of ``n_members`` of ``dim`` values on ``domain``
+        holds: the block of members it reads at once, and one chunk's grids."""
+        chunk = min(n_members, cls.chunk_members(domain.n_interior))
         nodes = int(np.prod([n + 1 for n in domain.n_cells]))
-        return (cls.CHUNK_ARRAYS * min(n_members, cls.chunk_members(domain.n_interior))
-                * nodes * 8)
+        return (dim * cls.block_members(chunk, n_members) * 8,
+                cls.CHUNK_ARRAYS * chunk * nodes * 8)
 
     def decode(self, members: np.ndarray) -> DecodedBlock | Field:
         """The :class:`DecodedBlock` of a (state_dim, B) block; a single

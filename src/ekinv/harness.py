@@ -193,12 +193,12 @@ def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain))
-    block = CompositeForward.block_members(CompositeForward.chunk_members(domain.n_interior), J)
+    block, chunk = CompositeForward.evaluation_bytes(domain, J, layout.dim)
     terms = {"initial ensemble": layout.dim * J * 8,
-            "formed block": layout.dim * block * 8,
+            "formed block": block,
             "coefficients": J * J * 8,
             "observation operator": observation_model(config, domain).matrix.nbytes,
-            "forward chunk": CompositeForward.chunk_bytes(domain, J),
+            "forward chunk": chunk,
             "mean fields": (config["eki"]["max_outer_iterations"] + 1) * domain.n_interior * 8}
     workers = solve_workers(config)
     if workers > 1:

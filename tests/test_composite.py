@@ -190,6 +190,7 @@ def constant_forward(solver=None, to_kappa=lambda values: values):
 @pytest.mark.parametrize("J, chunk, blocks", [
     (50, 4, [(0, 16), (16, 32), (32, 48), (48, 50)]),
     (50, 16, [(0, 16), (16, 32), (32, 48), (48, 50)]),
+    (50, 6, [(0, 18), (18, 36), (36, 50)]),   # 6 does not divide 16: three whole chunks
     (200, 65, [(0, 65), (65, 130), (130, 195), (195, 200)]),
 ])
 def test_an_evaluation_forms_each_block_of_whole_chunks_once(J, chunk, blocks, monkeypatch):
