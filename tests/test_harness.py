@@ -918,6 +918,37 @@ GOLDEN_FILES = {
 }
 
 
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["inline", "pooled"])
+def test_a_multi_chunk_evaluation_writes_its_golden_files(tmp_path, cpus, n_cpus):
+    # n = 64 holds 16 members a chunk, and an evaluation forms its members 16
+    # at a time: J = 40 makes chunks and blocks of 16, 16 and 8, the last
+    # ragged.  On the channel map the members of a chunk stop at different
+    # PCG iterations (16, 15, 11 and 3 members still running in the first
+    # chunk's last V-cycles).  Solved in this process and in two workers,
+    # against the same pins
+    cpus(n_cpus)
+    config = tiny_darcy(tmp_path, "run")
+    config["experiment"]["n_ensemble"] = 40
+    config["experiment"]["n_initializations"] = 1
+    config["experiment"]["coefficient_map"] = "channel"
+    config["grid"]["n_cells"] = 64
+    manifest = harness.run_experiment(config)
+    assert manifest["processes"] == {"solve_workers": n_cpus}
+    assert [init["stop_reason"] for init in manifest["initializations"]] == ["max-iterations"]
+    assert manifest["files"] == MULTI_CHUNK_FILES
+
+
+MULTI_CHUNK_FILES = {
+    "init_00/mean_field.bin": "aebb56b533fcc16f25917b6622f393fa2900f06620fc46cd22cf5ff5115eaf34",
+    "init_00/records.csv": "2fe3e851ce113580574008c475a21b21598788dbcadeb81439c6088a9996df20",
+    "init_00/snapshot_iter_000.bin": "7b8b42a69363fe1a1d1e276d3b9c385494a7379f487a71ed44183e3bdc14be17",
+    "init_00/snapshot_iter_001.bin": "adb95a72674b533b75d38fa3229b80c5da333064ea757662a4237ee7a0dba1bd",
+    "init_00/snapshot_iter_002.bin": "aebb56b533fcc16f25917b6622f393fa2900f06620fc46cd22cf5ff5115eaf34",
+    "observations.csv": "7b40183de0626893136d3b431a302df042da813bb483bbe116ecb432615c4304",
+    "truth_field.bin": "8235ac488c34b01927c0161c5d49d37e5c97a8c6538c2ff252d68fafd97701f4",
+}
+
+
 SAMPLE_PRIOR = """
 [experiment]
 model_problem = source1d
