@@ -24,7 +24,12 @@ solve as it stands in this process, with the problem's grids, the
 observation model and anything wrapped around them: nothing is pickled but
 each task's coefficients and member indices, and nothing is imported
 again.  A spawned worker would re-import numpy and scipy, and it would need
-the solver pickled, which a nested or wrapped solver cannot be.  Under
+the solver pickled, which a nested or wrapped solver cannot be.  Each
+worker's copy of the Darcy problem builds its solve plan at the worker's
+first chunk and reuses it for every later chunk
+(:class:`ekinv.forward.DarcyProblem`), so a chunk solve allocates no work
+buffers; the process that forks the workers solves no chunk and keeps no
+plan.  Under
 fork the executor forks all its workers at the first task, before it
 starts its own thread (checked on Python 3.10.13, 3.11.7, 3.12.1 and
 3.13.0), and the process that starts it runs no other Python thread.
@@ -125,11 +130,12 @@ class CompositeForward:
     # 2^16 ran 10-25 % faster per iteration than 2^14.
     CHUNK_UNKNOWNS = 1 << 16
     # Float64 arrays of one chunk's node grids that an evaluation holds at
-    # its peak, the outputs included (tracemalloc): 19-23 on darcy grids of
-    # 16-256 cells per axis, 1-5 on the 1000-cell source1d grid.  Rounded up
-    # for the grid's static data and spectral basis, which no estimate term
-    # counts.
-    CHUNK_ARRAYS = 32
+    # its peak beside the solver's plan, the outputs included (tracemalloc):
+    # 2-6 on darcy grids of 32-128 cells per axis with 50 members, 1-4 on
+    # the 40- and 1000-cell source1d grids.  A run of 6 members on 16 cells
+    # per axis peaks at 13.4, most of them the grid's static data and
+    # spectral basis, which no estimate term counts; rounded up from that.
+    CHUNK_ARRAYS = 16
     # Fewest members an evaluation reads, and so forms from U_0 A, at once.
     # At n = 600, J = 200 forming every member took 15.6 s one column at a
     # time, 5.1 s in blocks of 8, 2.3 s in blocks of 16 and 1.5 s at once (one
@@ -167,13 +173,15 @@ class CompositeForward:
         return min(n_members, chunk * -(-cls.BLOCK_MEMBERS // chunk))
 
     @classmethod
-    def evaluation_bytes(cls, domain: Domain, n_members: int, dim: int) -> tuple[int, int]:
+    def evaluation_bytes(cls, domain: Domain, n_members: int, dim: int,
+                         plan_bytes: Callable[[int], int]) -> tuple[int, int]:
         """Bytes an evaluation of ``n_members`` of ``dim`` values on ``domain``
-        holds: the block of members it reads at once, and one chunk's grids."""
+        holds: the block of members it reads at once, and one chunk's grids
+        with the ``plan_bytes(members)`` its solver keeps for a chunk."""
         chunk = min(n_members, cls.chunk_members(domain.n_interior))
         nodes = int(np.prod([n + 1 for n in domain.n_cells]))
         return (dim * cls.block_members(chunk, n_members) * 8,
-                cls.CHUNK_ARRAYS * chunk * nodes * 8)
+                plan_bytes(chunk) + cls.CHUNK_ARRAYS * chunk * nodes * 8)
 
     def decode(self, members: np.ndarray) -> DecodedBlock | Field:
         """The :class:`DecodedBlock` of a (state_dim, B) block; a single

@@ -19,8 +19,10 @@ combine the fine ones in series along the flow and in parallel across it,
 bilinear prolongation with its transpose as restriction, and a dense solve
 on the coarsest grid.  The V-cycle runs in float32; the conjugate-gradient
 vectors, the stopping test and the returned pressure are float64.  The
-stacks are C-ordered, and a solve allocates one set of work buffers that
-every iteration writes into, rounding as whole-array expressions would.
+stacks are C-ordered, and every array of a solve lives in one plan
+(:class:`ekinv.multigrid.Plan`) that a problem keeps for the widest stack it
+has solved, so a later stack allocates no work buffers; every step rounds
+as whole-array expressions would.
 Each member stops on its own.  A problem built with its observation model
 hands the solver the observation functionals: a member then stops once its
 observations have settled to a thousandth of the smallest noise standard
@@ -97,6 +99,14 @@ class DarcyProblem:
     A member's pressure does not depend on what it is batched with, apart
     from the last bits of a one-member stack on the finer grids (see
     :mod:`ekinv.multigrid`).
+
+    The problem keeps the :class:`ekinv.multigrid.Plan` of the widest stack
+    it has solved: the faces, the right-hand side and every work array are
+    written into it, and a narrower stack works in its leading views.  So a
+    process that solves chunk after chunk allocates the plan at its first
+    chunk and reuses it for every later one.  A single field is solved
+    through a plan of its own that is not kept, so a process that solves
+    only its truth keeps none.
     :meth:`assemble` builds the same system as a sparse matrix.
     """
 
@@ -118,6 +128,7 @@ class DarcyProblem:
         self.dirichlet_fn = dirichlet_fn
         self.source_fn = source_fn
         self._build_static()
+        self._kept = None   # the plan of the widest stack solved so far
         # the interior factors, zero on the boundary nodes, and the smallest
         # noise standard deviation
         self._observed = None if observations is None else multigrid.Observed(
@@ -220,29 +231,53 @@ class DarcyProblem:
         A = rows[:, self._unknown.ravel()].tocsc()
         return A, self._rhs_nodes[self._unknown] - rows @ self._boundary.ravel()
 
-    def _faces(self, knode: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x- and y-face transmissibilities of a (B, n1+1, n2+1) conductivity stack."""
-        return (_harmonic(knode[:, :-1], knode[:, 1:]) * self._face_x,
-                _harmonic(knode[:, :, :-1], knode[:, :, 1:]) * self._face_y)
+    def _system(self, knode: np.ndarray, plan: multigrid.Plan
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Write the x- and y-face transmissibilities and the right-hand side of
+        a (B, n1+1, n2+1) conductivity stack into ``plan``'s inputs, and return
+        those views, in the order of the whole-array expressions
+        2 a b / (a + b) * geometry and rhs - (A boundary) * unknown."""
+        tx, ty, b = plan.inputs(len(knode))
+        for faces, lo, hi, geometry in ((tx, knode[:, :-1], knode[:, 1:], self._face_x),
+                                        (ty, knode[:, :, :-1], knode[:, :, 1:], self._face_y)):
+            # b is free until the lift below: it holds the sums a + b
+            sums = b.reshape(len(b), -1)[:, :faces[0].size].reshape(faces.shape)
+            np.multiply(2.0, lo, out=faces)
+            faces *= hi
+            faces /= np.add(lo, hi, out=sums)
+            faces *= geometry
+        lift = plan.apply(np.broadcast_to(self._boundary, knode.shape))
+        lift *= self._unknown
+        np.subtract(self._rhs_nodes, lift, out=b)
+        return tx, ty, b
 
-    def _pressure(self, knode: np.ndarray) -> np.ndarray:
-        """Full-node-grid pressures of a (B, n1+1, n2+1) conductivity stack."""
-        tx, ty = self._faces(knode)
-        boundary = np.broadcast_to(self._boundary, knode.shape)
-        b = self._rhs_nodes - multigrid.apply(tx, ty, boundary) * self._unknown
-        return multigrid.solve(tx, ty, b, self._unknown, self._observed) + self._boundary
+    def _plan(self, members: int) -> multigrid.Plan:
+        """The plan of the widest stack solved so far, widened to ``members``."""
+        if self._kept is None or self._kept.members < members:
+            self._kept = None   # freed before its successor is allocated
+            self._kept = multigrid.Plan(self._unknown, members)
+        return self._kept
+
+    def _pressure(self, knode: np.ndarray, plan: multigrid.Plan) -> np.ndarray:
+        """Full-node-grid pressures of a (B, n1+1, n2+1) conductivity stack, as
+        a view of ``plan``."""
+        self._system(knode, plan)
+        p = plan.solve(len(knode), self._observed)
+        p += self._boundary
+        return p
 
     def solve_full(self, kappa: Field) -> np.ndarray:
         """Pressure on the full node grid, Dirichlet values filled in."""
-        return self._pressure(self.node_kappa(kappa)[None])[0]
+        knode = self.node_kappa(kappa)[None]
+        return self._pressure(knode, multigrid.Plan(self._unknown, 1))[0].copy()
 
     def solve(self, kappa: Field | np.ndarray) -> Field | np.ndarray:
         """Pressure restricted to the interior nodes: a field for a field, a
         (B, n_interior) array for a (B, n_interior) array."""
         if isinstance(kappa, Field):
             return Field(self.domain, self.solve_full(kappa)[1:-1, 1:-1])
-        p = self._pressure(self.node_kappa(kappa))[:, 1:-1, 1:-1]
-        return p.reshape(len(p), -1)
+        p = self._pressure(self.node_kappa(kappa), self._plan(len(kappa)))[:, 1:-1, 1:-1]
+        return p.reshape(len(p), -1)   # a copy: the plan's views are overwritten by the next solve
 
     def boundary_flux_balance(self, kappa: Field) -> tuple[float, float]:
         """(outflux through Dirichlet faces, total source + prescribed influx).

@@ -7,7 +7,8 @@ inversion from several independent initial ensembles, writing
 per-iteration records with the hyperparameter means (CSV), decoded mean
 fields (flat binary with a 3-integer shape header), and a JSON manifest that
 can be re-run verbatim and also holds what is not deterministic: the wall
-time of every iteration, and the solve workers it ran with.
+time of every iteration, the solve workers it ran with, and their minor page
+faults and system time in each initialization.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import resource
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, multigrid
 # load_config is re-exported: the benchmark loads its configurations through
 # this module
 from .config import (  # noqa: F401
@@ -143,9 +145,12 @@ def _run_single_initialization(config: ExperimentConfig, prepared, workers: int,
         mean_history.append(param.forward.report_mean)
         return setup.domain.norm(mean_history[-1] - truth.field.values) / truth.field.norm()
 
+    # the workers are reaped when the pool shuts down, at the end of the block
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     with param.forward.solving_in(workers):
         result = run_inversion(ensemble, param.forward, obs, controls, rng,
                                error_fn=error_fn, hyper_means_fn=param.hyper_means)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
 
     out_dir = Path(config["experiment"]["out_dir"]) / f"init_{index:02d}"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -173,6 +178,9 @@ def _run_single_initialization(config: ExperimentConfig, prepared, workers: int,
         "final_misfit": final.misfit if final else None,
         "final_rel_error": final.rel_error if final else None,
         "wall_ms": [r.wall_ms for r in records],
+        # of its solve workers, none when it solves its chunks itself
+        "worker_minor_faults": after.ru_minflt - before.ru_minflt,
+        "worker_system_s": after.ru_stime - before.ru_stime,
         "files": files,
     }
 
@@ -188,12 +196,17 @@ def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     Its own process holds the initial ensemble, its (J, J) coefficients,
     the block of members the forward map forms at once
     (:meth:`CompositeForward.decoded_chunks`), one forward chunk and every
-    recorded mean field.  Each of its solve workers (:func:`solve_workers`), if it has
+    recorded mean field.  A forward chunk counts the Darcy solve's plan
+    (:class:`ekinv.multigrid.Plan`), which the process that solves the chunks
+    keeps.  Each of its solve workers (:func:`solve_workers`), if it has
     more than one, holds a forward chunk of its own."""
     exp, grid, J = config["experiment"], config["grid"], config["experiment"]["n_ensemble"]
     domain = model_domain(exp["model_problem"], grid["n_cells"])
     layout = packing_layout(config, dirichlet_spectrum(domain))
-    block, chunk = CompositeForward.evaluation_bytes(domain, J, layout.dim)
+    nodes = tuple(n + 1 for n in domain.n_cells)
+    block, chunk = CompositeForward.evaluation_bytes(
+        domain, J, layout.dim,
+        lambda members: multigrid.plan_bytes(nodes, members) if domain.dim == 2 else 0)
     terms = {"initial ensemble": layout.dim * J * 8,
             "formed block": block,
             "coefficients": J * J * 8,

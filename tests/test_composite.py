@@ -73,6 +73,20 @@ def test_a_pooled_run_writes_the_inline_files_and_leaves_no_worker(tmp_path, cpu
     assert pooled["files"] == inline["files"]
 
 
+def test_a_pooled_run_records_its_workers_page_faults_and_system_time(tmp_path, cpus):
+    # outside the SHA-256 inventory, beside the wall times; the system time
+    # may read zero where the kernel samples it per tick
+    manifests = {}
+    for n in (1, 2):
+        cpus(n)
+        manifests[n] = harness.run_experiment(chunked_darcy(tmp_path, f"cpus{n}"))
+    (inline,), (pooled,) = (m["initializations"] for m in manifests.values())
+    assert (inline["worker_minor_faults"], inline["worker_system_s"]) == (0, 0.0)
+    assert pooled["worker_minor_faults"] > 0
+    assert isinstance(pooled["worker_system_s"], float) and pooled["worker_system_s"] >= 0
+    assert manifests[1]["files"] == manifests[2]["files"]
+
+
 def two_initializations(tmp_path, name):
     config = chunked_darcy(tmp_path, name)
     config["experiment"]["n_initializations"] = 2
@@ -168,6 +182,18 @@ def test_the_estimate_counts_a_chunk_per_solve_worker(tmp_path, cpus):
     cpus(2)
     two = harness.memory_estimate(config)
     assert two == dict(one, **{"solve workers": 2 * one["forward chunk"]})
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_the_forward_chunk_counts_the_plan_a_chunk_solve_keeps(tmp_path, n):
+    config = chunked_darcy(tmp_path, "run")
+    config["grid"]["n_cells"] = n
+    setup, _, obs, seqs = harness._prepare(config)
+    param = harness.build_parameterization(config, setup, obs)
+    param.forward(param.sample_initial(np.random.default_rng(seqs[0])))
+    plan = setup.solver._plan(1)
+    assert plan.members == min(9, param.forward.chunk)
+    assert harness.memory_estimate(config)["forward chunk"] >= plan.nbytes
 
 
 def constant_forward(solver=None, to_kappa=lambda values: values):

@@ -1,4 +1,5 @@
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,18 +124,36 @@ def test_mg_pcg_true_residual_meets_the_tolerance_at_contrast_e26():
 
 def darcy_stack(darcy, kappas):
     """Faces and right-hand side of a list of conductivities, as DarcyProblem
-    hands them to the solver."""
+    writes them into the plan that solves them."""
     knode = darcy.node_kappa(np.stack([kappa.values for kappa in kappas]))
-    tx, ty = darcy._faces(knode)
-    boundary = np.broadcast_to(darcy._boundary, knode.shape)
-    return tx, ty, darcy._rhs_nodes - multigrid.apply(tx, ty, boundary) * darcy._unknown
+    return darcy._system(knode, multigrid.Plan(darcy._unknown, len(knode)))
+
+
+def plan_of(tx, ty, unknown):
+    """A plan of its own that holds a stack's faces."""
+    plan = multigrid.Plan(unknown, len(tx))
+    plan_tx, plan_ty, _ = plan.inputs(len(tx))
+    plan_tx[...], plan_ty[...] = tx, ty
+    return plan
+
+
+def hierarchy(tx, ty, unknown, scale=1.0):
+    """The levels, the coarsest grid and the float32 V-cycle buffers of a
+    stack's faces times ``scale``."""
+    return plan_of(tx, ty, unknown)._hierarchy(len(tx), scale)
+
+
+def apply(tx, ty, x):
+    """A x on a (B, N1, N2) stack, every node included."""
+    return plan_of(tx, ty, np.ones(x.shape[1:], bool)).apply(x)
 
 
 @pytest.mark.parametrize("bc", ["paper", "dirichlet"])
 def test_a_stack_solves_as_its_rows_alone_through_c_ordered_node_stacks(bc, monkeypatch):
     # a (B, n_interior) array in, one row of interior pressures per member
-    # out; the node stack and the faces the solver gets are C-ordered, the
-    # layout it is tuned for
+    # out; the node stack, the x-faces and the right-hand side the solver
+    # gets are C-ordered, the layout it is tuned for, and the y-faces lie in
+    # the row layout of its flat faces
     domain = build_domain(2, [6.0, 6.0], [32, 24])
     darcy = problem(domain, bc)
     kappas = np.stack([coefficient(domain, kind, seed).values for seed, kind in enumerate(
@@ -144,16 +163,17 @@ def test_a_stack_solves_as_its_rows_alone_through_c_ordered_node_stacks(bc, monk
     for kappa, grid in zip(kappas, knode):
         np.testing.assert_array_equal(grid, darcy.node_kappa(Field(domain, kappa)))
     handed = []
-    solve = multigrid.solve
+    solve = multigrid.Plan.solve
 
-    def spy(tx, ty, b, *rest):
-        handed.append((tx, ty))
-        return solve(tx, ty, b, *rest)
+    def spy(plan, B, *rest):
+        handed.append(plan.inputs(B))
+        return solve(plan, B, *rest)
 
-    monkeypatch.setattr(multigrid, "solve", spy)
+    monkeypatch.setattr(multigrid.Plan, "solve", spy)
     pressures = darcy.solve(kappas)
-    (tx, ty), = handed
-    assert tx.flags.c_contiguous and ty.flags.c_contiguous
+    (tx, ty, b), = handed
+    assert tx.flags.c_contiguous and b.flags.c_contiguous
+    assert ty.shape == (6, 33, 24) and ty.strides[1:] == (25 * 8, 8)
     assert pressures.shape == kappas.shape
     for kappa, p in zip(kappas, pressures):
         assert darcy.solve(Field(domain, kappa)).values.tobytes() == p.tobytes()
@@ -231,7 +251,7 @@ def whole_array_solve(tx, ty, b, unknown):
     largest = np.maximum(tx.max(axis=(1, 2)), ty.max(axis=(1, 2)))
     scale = np.ldexp(1.0, -np.frexp(largest)[1])[:, None, None]
     size = np.ldexp(1.0, np.frexp(bnorm)[1])[:, None, None]
-    levels, coarsest = multigrid._hierarchy(scale * tx, scale * ty, unknown)
+    levels, coarsest, work = hierarchy(tx, ty, unknown, scale)
     out, active = np.zeros_like(b), np.arange(len(b))
     x, r, d = np.zeros_like(b), b.copy(), np.zeros_like(b)
     rz = np.ones(len(b))
@@ -243,20 +263,72 @@ def whole_array_solve(tx, ty, b, unknown):
             keep = ~done
             active, bnorm, rz, scale, size, tx, ty, x, r, d = (
                 a[keep] for a in (active, bnorm, rz, scale, size, tx, ty, x, r, d))
-            levels = [level.take(keep) for level in levels]
-            coarsest = coarsest.take(keep)
             if active.size == 0:
                 return out
-        work = multigrid._workspace(levels, coarsest, np.float32)
+            # each member's levels are its own: those of the members left
+            levels, coarsest, work = hierarchy(tx, ty, unknown, scale)
         z = scale * size * multigrid._vcycle(levels, coarsest, (r / size).astype(np.float32),
                                              work)
         rz_new = dot(r, z)
         d = z + (rz_new / rz)[:, None, None] * d
         rz = rz_new
-        q = multigrid.apply(tx, ty, d) * unknown
+        q = apply(tx, ty, d) * unknown
         alpha = (rz / dot(d, q))[:, None, None]
         x += alpha * d
         r -= alpha * q
+
+
+def nine_members(domain):
+    """Three conductivities of each kind: their solves stop at 9, 13 and 14
+    PCG iterations at n = 64."""
+    return np.stack([coefficient(domain, kind, seed).values for seed, kind in enumerate(
+        ["lognormal", "level-set", "channel"] * 3)])
+
+
+def test_a_reused_plan_gives_the_bits_of_a_fresh_solve(monkeypatch):
+    # the full stack, ragged stacks in the leading views of a plan that a
+    # wider stack wrote, and a single member; in each, members leave the
+    # stack at different iterations and the rest move to its front
+    domain = build_domain(2, [6.0, 6.0], [64, 64])
+    darcy = DarcyProblem(domain, observations=paper_observations(domain))
+    kappas = nine_members(domain)
+    running = []   # members in each finest-level V-cycle
+    vcycle = multigrid._vcycle
+
+    def spy(levels, coarsest, rhs, work):
+        if rhs.shape[1] == 65:
+            running.append(len(rhs))
+        return vcycle(levels, coarsest, rhs, work)
+
+    monkeypatch.setattr(multigrid, "_vcycle", spy)
+    plan = multigrid.Plan(darcy._unknown, 9)
+    for rows in (slice(0, 9), slice(3, 8), slice(2, 4), slice(4, 5), slice(0, 9)):
+        knode = darcy.node_kappa(kappas[rows])
+        running.clear()
+        reused = darcy._pressure(knode, plan).copy()
+        assert len(set(running)) == min(len(knode), 3)
+        fresh = darcy._pressure(knode, multigrid.Plan(darcy._unknown, len(knode)))
+        assert reused.tobytes() == fresh.tobytes()
+
+
+def test_a_second_chunk_solve_allocates_less_than_one_node_grid():
+    # the plan holds every array of the solve, so a second stack of the same
+    # width allocates only the observations and the coarsest grid's arrays
+    domain = build_domain(2, [6.0, 6.0], [64, 64])
+    darcy = DarcyProblem(domain, observations=paper_observations(domain))
+    kappas = nine_members(domain)
+    first = darcy.solve(kappas)
+    plan = darcy._plan(len(kappas))
+    knode = darcy.node_kappa(kappas)
+    tracemalloc.start()
+    try:
+        pressure = darcy._pressure(knode, plan)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert darcy._plan(len(kappas)) is plan
+    assert peak < knode.nbytes
+    assert pressure[:, 1:-1, 1:-1].reshape(len(kappas), -1).tobytes() == first.tobytes()
 
 
 LAYOUTS = {"darcy": lambda b: b, "C": np.ascontiguousarray,
@@ -286,10 +358,10 @@ def test_stencil_matches_assembled_matrix():
     darcy = DarcyProblem(domain)
     kappa = coefficient(domain, "level-set")
     knode = darcy.node_kappa(kappa)[None]
-    tx, ty = darcy._faces(knode)
+    tx, ty, _ = darcy._system(knode, multigrid.Plan(darcy._unknown, 1))
     x = np.random.default_rng(1).standard_normal(knode.shape) * darcy._unknown
     A, _ = darcy.assemble(kappa)
-    np.testing.assert_allclose(multigrid.apply(tx, ty, x)[0][darcy._unknown],
+    np.testing.assert_allclose(apply(tx, ty, x)[0][darcy._unknown],
                                A @ x[0][darcy._unknown], rtol=1e-13, atol=1e-12)
 
 
@@ -306,11 +378,11 @@ def test_vcycle_is_symmetric_positive_definite(shape, dtype, rtol):
     ty = np.exp(rng.standard_normal((1, n1 + 1, n2)))
     unknown = np.ones((n1 + 1, n2 + 1), dtype=bool)
     unknown[:, 0] = False
-    levels, coarsest = multigrid._hierarchy(tx, ty, unknown)
+    levels, coarsest, work = hierarchy(tx, ty, unknown)
     assert levels
     assert {a.dtype for level in levels for a in level} | {coarsest.inverse.dtype} == {
         np.dtype(np.float32)}
-    work = multigrid._workspace(levels, coarsest, dtype)
+    work = [multigrid._Work(*(np.zeros(a.shape, dtype) for a in w)) for w in work]
     ids = np.flatnonzero(unknown)
     M = np.empty((ids.size, ids.size))
     for col, k in enumerate(ids):
@@ -330,7 +402,7 @@ def test_solution_does_not_depend_on_the_units_of_the_coefficient(power):
     domain = build_domain(2, [6.0, 6.0], [16, 16])
     darcy = DarcyProblem(domain)
     knode = darcy.node_kappa(coefficient(domain, "level-set"))[None]
-    tx, ty = darcy._faces(knode)
+    tx, ty, _ = darcy._system(knode, multigrid.Plan(darcy._unknown, 1))
     b = darcy._rhs_nodes[None] * darcy._unknown
     x = multigrid.solve(tx, ty, b, darcy._unknown)
     scale = 2.0 ** power
