@@ -227,8 +227,8 @@ def _restrict(fine: np.ndarray, axis: int, out: np.ndarray, mid: np.ndarray) -> 
     return out
 
 
-def _midpoints(shape: tuple[int, ...], axis: int) -> tuple[int, ...]:
-    """Shape of the midpoint entries of a transfer along ``axis`` of a node stack."""
+def _midpoints(shape: tuple[int, int], axis: int) -> tuple[int, int]:
+    """Shape of the midpoint entries of a transfer along ``axis`` of a node grid."""
     return shape[:axis] + ((shape[axis] - 1) // 2,) + shape[axis + 1:]
 
 
@@ -239,8 +239,9 @@ def _series(t: np.ndarray, axis: int, scratch: np.ndarray) -> np.ndarray:
     n = t.shape[axis]
     a = t[_along(axis, slice(0, n - 1, 2))]
     b = t[_along(axis, slice(1, n, 2))]
-    out = _part(scratch, tuple(n - n // 2 if i == axis else size
-                               for i, size in enumerate(t.shape))[1:])
+    shape = list(a.shape[1:])
+    shape[axis - 1] += n % 2   # an odd count keeps its last face
+    out = _part(scratch, tuple(shape))
     s = np.multiply(a, b, out=out[_along(axis, slice(0, n // 2))])
     s /= np.add(a, b, out=_part(scratch, a.shape[1:], out[0].size))
     if n % 2:
@@ -409,8 +410,7 @@ class Plan:
         self._levels, self._work = [], []
         for level, mask in enumerate(masks[:-1]):
             N1, N2 = mask.shape
-            K1, K2 = masks[level + 1].shape
-            k1, k2 = (N1 - 1) // 2 + 1, (N2 - 1) // 2 + 1
+            K1 = masks[level + 1].shape[0]
             self._levels.append(_Level(a[f"tx{level}"], a[f"ty{level}"].reshape(members, -1)[:, :-1],
                                        a[f"red{level}"], a[f"black{level}"]))
             # the midpoints live only inside a transfer and the fluxes only
@@ -418,9 +418,8 @@ class Plan:
             # member's fluxes
             flux = a[f"flux{level}"]
             self._work.append(_Work(a[f"x{level}"], a[f"r{level}"], flux, a[f"half{level}"],
-                                    flux[:, :(k1 - 1) * N2].reshape(members, k1 - 1, N2),
-                                    flux[:, :K1 * (k2 - 1)].reshape(members, K1, k2 - 1),
-                                    a[f"b{level}"]))
+                                    _part(flux, _midpoints((N1, N2), 0)),
+                                    _part(flux, _midpoints((K1, N2), 1)), a[f"b{level}"]))
 
     def inputs(self, B: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Views of the faces, (B, N1 - 1, N2) and (B, N1, N2 - 1), and of the
@@ -456,7 +455,7 @@ class Plan:
             for faces, axis, out in zip((fx, fy), (1, 2), coarse):
                 series = _series(faces, axis, scratch)
                 _restrict(series, 3 - axis, out,
-                          _part(scratch, _midpoints(series.shape, 3 - axis)[1:], series[0].size))
+                          _part(scratch, _midpoints(series.shape[1:], 2 - axis), series[0].size))
             fx, fy = coarse
         np.copyto(a["inverse"][:B], np.linalg.inv(_dense(fx, fy, self._coarsest)))
         return ([level.narrow(B) for level in self._levels],
