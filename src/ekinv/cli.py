@@ -20,19 +20,20 @@ import argparse
 import json
 import sys
 
-from .config import ConfigError, config_from_manifest, controls_from, load_config, parse_seed
+from .config import (ConfigError, config_from_manifest, controls_from, echo, load_config,
+                     parse_seed)
 from .harness import memory_estimate, run_experiment, sample_prior_fields, summarize_run
 
 MEMINFO = "/proc/meminfo"
 
 
-def _load(path: str):
+def _load(path: str) -> dict:
     if path.endswith(".json"):
         return config_from_manifest(path)
     return load_config(path)
 
 
-def _apply_overrides(config, args) -> None:
+def _apply_overrides(config: dict, args) -> None:
     if getattr(args, "seed", None) is not None:
         try:
             config["experiment"]["master_seed"] = parse_seed(args.seed)
@@ -52,7 +53,7 @@ def _mib(n_bytes: float) -> str:
     return f"{n_bytes / 2**20:,.1f} MiB"
 
 
-def _memory_line(config) -> str:
+def _memory_line(config: dict) -> str:
     """The memory estimate as an INI comment line."""
     terms = memory_estimate(config)
     parts = " + ".join(f"{name} {_mib(size)}" for name, size in terms.items())
@@ -69,7 +70,7 @@ def _mem_available() -> int | None:
         return None
 
 
-def _warn_if_short_of_memory(config) -> None:
+def _warn_if_short_of_memory(config: dict) -> None:
     need, available = sum(memory_estimate(config).values()), _mem_available()
     if available is not None and need > available:
         print(f"warning: the memory estimate is {_mib(need)}, more than the "
@@ -113,7 +114,7 @@ def cli(argv=None) -> int:
     try:
         if args.command == "validate":
             config = _load(args.config)
-            print(config.echo())
+            print(echo(config))
             print(_memory_line(config))
             return 0
 

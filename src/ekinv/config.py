@@ -1,17 +1,17 @@
 """Experiment configuration: the INI schema, its parsers and validation.
 
 Configuration files are INI-style (one section per module, ``key = value``),
-parsed strictly: duplicate or unknown keys are fatal, every default is
-materialized into the resolved configuration, and the resolved configuration
-plus the master seed determine every file a run inventories.  A run manifest
-stores the resolved configuration and is parsed back through the same checks.
+parsed strictly: duplicate or unknown keys are fatal.  A configuration
+resolves to a plain ``{section: {key: value}}`` dict with every default
+materialized and every ``auto`` replaced by its value; that dict plus the
+master seed determine every file a run inventories.  A run manifest stores
+the dict as it is, and is parsed back through the same checks.
 """
 
 from __future__ import annotations
 
 import configparser
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,30 +129,7 @@ SCHEMA = {
 }
 
 
-@dataclass
-class ExperimentConfig:
-    """Fully resolved configuration (every default materialized)."""
-
-    sections: dict
-
-    def __getitem__(self, section: str) -> dict:
-        return self.sections[section]
-
-    def to_dict(self) -> dict:
-        return {sec: dict(keys) for sec, keys in self.sections.items()}
-
-    def echo(self) -> str:
-        """The configuration as a configuration file that loads back to it."""
-        lines = []
-        for sec in sorted(self.sections):
-            lines.append(f"[{sec}]")
-            lines += [f"{key} = {_as_text(value)}"
-                      for key, value in sorted(self.sections[sec].items())]
-            lines.append("")
-        return "\n".join(lines)
-
-
-def controls_from(config) -> EkiControls:
+def controls_from(config: dict) -> EkiControls:
     """The EKI controls of a configuration's ``[eki]`` section.  Raises
     ValueError naming the key whose value EkiControls rejects."""
     eki = config["eki"]
@@ -170,7 +147,7 @@ def model_domain(model: str, n_cells) -> Domain:
 TAU_SWEEP_ALPHA, ALPHA_SWEEP_TAU = 1.6, 15.0
 
 
-def sample_prior_grid(config) -> tuple[Domain, list[tuple[float, float]]]:
+def sample_prior_grid(config: dict) -> tuple[Domain, list[tuple[float, float]]]:
     """The grid ``sample-prior`` draws on and the (alpha, tau) pairs of its
     Matern sweep: the unit square, or the source1d box in the field modes,
     which sweep nothing."""
@@ -186,7 +163,7 @@ def sample_prior_grid(config) -> tuple[Domain, list[tuple[float, float]]]:
 MOLLIFIER_SIGMA_FRAC = 0.06
 
 
-def observation_model(config, domain: Domain) -> ObservationModel:
+def observation_model(config: dict, domain: Domain) -> ObservationModel:
     """The observation functionals of a configuration's [observations]
     section on ``domain``: point values on the 1D box, a square lattice of
     mollifiers on the 2D one."""
@@ -279,7 +256,7 @@ def _resolve(sections: dict) -> dict:
     return sections
 
 
-def _parse_sections(raw: dict) -> ExperimentConfig:
+def _parse_sections(raw: dict) -> dict:
     """Parse ``{section: {key: text}}``, materialize the defaults and resolve."""
     sections = {}
     for sec, keys in SCHEMA.items():
@@ -299,11 +276,12 @@ def _parse_sections(raw: dict) -> ExperimentConfig:
                 raise ConfigError(f"[{sec}] {key}: {exc}") from exc
     if sections["experiment"]["model_problem"] is None:
         raise ConfigError("experiment.model_problem is required")
-    return ExperimentConfig(_resolve(sections))
+    return _resolve(sections)
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a configuration file, materializing all defaults."""
+def load_config(path) -> dict:
+    """Parse and validate a configuration file into its resolved
+    ``{section: {key: value}}`` dict, every default materialized."""
     parser = configparser.ConfigParser(strict=True, interpolation=None,
                                        inline_comment_prefixes=("#",))
     try:
@@ -324,7 +302,17 @@ def _as_text(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def config_from_manifest(path) -> ExperimentConfig:
+def echo(config: dict) -> str:
+    """The configuration as a configuration file that loads back to it."""
+    lines = []
+    for sec in sorted(config):
+        lines.append(f"[{sec}]")
+        lines += [f"{key} = {_as_text(value)}" for key, value in sorted(config[sec].items())]
+        lines.append("")
+    return "\n".join(lines)
+
+
+def config_from_manifest(path) -> dict:
     """Rebuild the resolved configuration stored in a run manifest.
 
     The stored values go through the same parsing and validation as a

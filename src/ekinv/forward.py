@@ -89,7 +89,7 @@ class DarcyProblem:
     are harmonic means of the node conductivities, the Dirichlet data enter
     the right-hand side through the same stencil, and multigrid-preconditioned
     conjugate gradients run on the stack until every member has stopped
-    (:func:`ekinv.multigrid.solve`, which raises
+    (:meth:`ekinv.multigrid.Plan.solve`, which raises
     :class:`ekinv.multigrid.ConvergenceError` naming the member that does not
     and the stop test it failed).  Given ``observations``, a member stops once
     its observations, laid on the node grid, have settled to within

@@ -25,7 +25,6 @@ from . import __version__, multigrid
 # load_config is re-exported: the benchmark loads its configurations through
 # this module
 from .config import (  # noqa: F401
-    ExperimentConfig,
     controls_from,
     load_config,
     model_domain,
@@ -112,7 +111,7 @@ def _sha256(path: Path) -> str:
 # experiment runner
 
 
-def _prepare(config: ExperimentConfig):
+def _prepare(config: dict):
     """(model setup, truth, observations with data, per-initialization seeds):
     everything the initializations of one experiment share."""
     exp = config["experiment"]
@@ -123,7 +122,7 @@ def _prepare(config: ExperimentConfig):
     return setup, truth, obs, seqs[2:]
 
 
-def _run_single_initialization(config: ExperimentConfig, prepared, workers: int,
+def _run_single_initialization(config: dict, prepared, workers: int,
                                index: int) -> dict:
     """Run one initialization on what :func:`_prepare` returned for
     ``config``, its Darcy chunks solved in ``workers`` processes
@@ -191,7 +190,7 @@ def _attach_data(setup: ModelSetup, truth: TruthBundle,
     return synthesize_data(setup.obs_template, clean, rng)
 
 
-def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
+def memory_estimate(config: dict) -> dict[str, int]:
     """Bytes one initialization is expected to hold at its peak, by term.
     Its own process holds the initial ensemble, its (J, J) coefficients,
     the block of members the forward map forms at once
@@ -219,7 +218,7 @@ def memory_estimate(config: ExperimentConfig) -> dict[str, int]:
     return terms
 
 
-def solve_workers(config: ExperimentConfig) -> int:
+def solve_workers(config: dict) -> int:
     """Processes that solve the Darcy chunks of each initialization: the
     CPUs this process may run on, no more than the chunks of one evaluation,
     and one where the platform cannot fork them.  With one, the
@@ -233,7 +232,7 @@ def solve_workers(config: ExperimentConfig) -> int:
     return max(1, min(usable_cpus(), CompositeForward.chunks(n_interior, exp["n_ensemble"])))
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
+def run_experiment(config: dict) -> dict:
     """Run all initializations and write outputs plus a manifest.
 
     The initializations run one at a time in this process, on its prepared
@@ -271,7 +270,7 @@ def run_experiment(config: ExperimentConfig) -> dict:
             inventory[rel] = _sha256(Path(f))
 
     manifest = {
-        "config": config.to_dict(),
+        "config": config,
         "version": __version__,
         "noise_level": obs.noise_level,
         "truth_hypers": truth.hypers,
@@ -315,7 +314,7 @@ def summarize_run(run_dir) -> dict:
     return summary
 
 
-def sample_prior_fields(config: ExperimentConfig, out_dir) -> list[str]:
+def sample_prior_fields(config: dict, out_dir) -> list[str]:
     """Write prior field realizations as gridded CSV files."""
     sp = config["sample_prior"]
     out_dir = Path(out_dir)

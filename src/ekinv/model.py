@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ExperimentConfig, model_domain, observation_model
+from .config import model_domain, observation_model
 from .composite import CompositeForward, DecodedBlock, add_rows
 from .eki import PackingLayout
 from .forward import DarcyProblem, ObservationModel, SourceProblem1D
@@ -66,7 +66,7 @@ class ModelSetup:
     obs_template: ObservationModel
 
 
-def build_model_setup(config: ExperimentConfig) -> ModelSetup:
+def build_model_setup(config: dict) -> ModelSetup:
     model = config["experiment"]["model_problem"]
     domain = model_domain(model, config["grid"]["n_cells"])
     obs = observation_model(config, domain)
@@ -75,7 +75,7 @@ def build_model_setup(config: ExperimentConfig) -> ModelSetup:
     return ModelSetup(domain, dirichlet_spectrum(domain), solver, obs)
 
 
-def make_truth(config: ExperimentConfig, setup: ModelSetup,
+def make_truth(config: dict, setup: ModelSetup,
                rng: np.random.Generator) -> TruthBundle:
     """Synthesize the truth of the configured coefficient map, deterministic
     per seed: the step profile, a channel of two Matern fields, or one Matern field."""
@@ -146,7 +146,7 @@ class LatentField:
     hyper_names: tuple
 
 
-def _latent_fields(config: ExperimentConfig) -> list[LatentField]:
+def _latent_fields(config: dict) -> list[LatentField]:
     if config["experiment"]["coefficient_map"] != "channel":
         p = config["prior"]
         return [LatentField("u", p["mean"], p["sigma2"],
@@ -157,7 +157,7 @@ def _latent_fields(config: ExperimentConfig) -> list[LatentField]:
                         ("alpha2", "tau2"))]
 
 
-def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLayout:
+def packing_layout(config: dict, basis: SpectralBasis) -> PackingLayout:
     """The blocks of a packed member of :func:`build_parameterization`."""
     par = config["experiment"]["parameterization"]
     if par.startswith("noncentered-field"):
@@ -172,7 +172,7 @@ def packing_layout(config: ExperimentConfig, basis: SpectralBasis) -> PackingLay
     return PackingLayout(blocks=tuple(blocks))
 
 
-def build_parameterization(config: ExperimentConfig, setup: ModelSetup,
+def build_parameterization(config: dict, setup: ModelSetup,
                            obs: ObservationModel) -> Parameterization:
     """The configured parameterization, followed by its coefficient map.
 

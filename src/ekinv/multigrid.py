@@ -463,8 +463,10 @@ class Plan:
 
     def solve(self, B: int, observed: Observed | None = None) -> np.ndarray:
         """x with A x = b for the first B members written into :meth:`inputs`,
-        zero off ``unknown``, as a view of the plan that the next solve
-        overwrites.  See :func:`solve`."""
+        zero off ``unknown``, as a C-ordered float64 view of the plan that the
+        next solve overwrites.  Each member stops as the module docstring says;
+        :class:`ConvergenceError` names the first not stopped within
+        ``MAX_ITERATIONS`` iterations or whose residual is not finite."""
         a = self._a
         r = a["b"][:B]   # the right-hand side is not read again once its norm is taken
         bnorm = _norm(r)
@@ -574,22 +576,3 @@ def _vcycle(levels: list[_Level], coarsest: _Coarsest, b: np.ndarray,
 
 def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("bij,bij->b", x, x))
-
-
-def solve(tx: np.ndarray, ty: np.ndarray, b: np.ndarray, unknown: np.ndarray,
-          observed: Observed | None = None) -> np.ndarray:
-    """x with A x = b for every member of the stack, zero off ``unknown``,
-    through a :class:`Plan` of its own.
-
-    Without ``observed`` each member stops at |r| <= TOLERANCE |b|; with it,
-    once its observations have settled and |r| <= SETTLED_RESIDUAL |b| (see
-    the module docstring).  ``b``, in any memory layout, must vanish off
-    ``unknown``; the result is C-ordered float64, and only the preconditioner
-    works in float32.  Raises :class:`ConvergenceError` for the first member
-    still short of its stop after ``MAX_ITERATIONS`` iterations, or whose
-    residual stops being finite.
-    """
-    plan = Plan(unknown, len(b))
-    for view, given in zip(plan.inputs(len(b)), (tx, ty, b)):
-        view[...] = given
-    return plan.solve(len(b), observed)

@@ -15,8 +15,8 @@ from ekinv import harness, multigrid
 from ekinv.cli import cli
 from ekinv.config import (
     ConfigError,
-    ExperimentConfig,
     config_from_manifest,
+    echo,
     load_config,
     snapshot_iterations,
 )
@@ -125,10 +125,10 @@ def test_validate_appends_a_memory_estimate_that_bounds_the_run(tmp_path, capsys
     cpus(1)   # tracemalloc counts this process only: solve the chunks here
     config = tiny_darcy(tmp_path, "run")
     assert cli(["validate", str(tmp_path / "run.ini")]) == 0
-    echo = capsys.readouterr().out
-    assert echo.splitlines()[-1].startswith("# memory estimate: ")
-    (tmp_path / "echo.ini").write_text(echo, encoding="utf-8")
-    assert load_config(tmp_path / "echo.ini").to_dict() == config.to_dict()
+    echoed = capsys.readouterr().out
+    assert echoed.splitlines()[-1].startswith("# memory estimate: ")
+    (tmp_path / "echo.ini").write_text(echoed, encoding="utf-8")
+    assert load_config(tmp_path / "echo.ini") == config
     tracemalloc.start()
     try:
         harness.run_experiment(config)
@@ -146,7 +146,7 @@ def test_validate_echoes_every_digit_of_a_bound(tmp_path, capsys):
     assert config["prior"]["alpha_bounds"] == (1.23456789, 4.0)
     assert cli(["validate", str(path)]) == 0
     (tmp_path / "echo.ini").write_text(capsys.readouterr().out, encoding="utf-8")
-    assert load_config(tmp_path / "echo.ini").to_dict() == config.to_dict()
+    assert load_config(tmp_path / "echo.ini") == config
 
 
 def run_module(*args):
@@ -163,7 +163,7 @@ def test_the_module_entry_point_exits_with_the_cli_codes(tmp_path):
     config = tiny_darcy(tmp_path, "valid")
     done = run_module("validate", str(tmp_path / "valid.ini"))
     assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout.startswith(config.echo() + "\n# memory estimate: ")
+    assert done.stdout.startswith(echo(config) + "\n# memory estimate: ")
     (tmp_path / "bad.ini").write_text("[experiment]\nmodel_problem = darcy\n"
                                       "model_problem = source1d\n", encoding="utf-8")
     done = run_module("validate", str(tmp_path / "bad.ini"))
@@ -246,8 +246,7 @@ def test_cli_runs_and_validates_a_manifest_and_applies_the_seed(tmp_path, capsys
 
     assert cli(["validate", str(manifest_path)]) == 0
     (tmp_path / "echo.ini").write_text(capsys.readouterr().out, encoding="utf-8")
-    assert load_config(tmp_path / "echo.ini").to_dict() == \
-        config_from_manifest(manifest_path).to_dict()
+    assert load_config(tmp_path / "echo.ini") == config_from_manifest(manifest_path)
 
     assert cli(["run", str(manifest_path), "--out-dir", str(tmp_path / "again")]) == 0
     again = json.loads((tmp_path / "again" / "manifest.json").read_text(encoding="utf-8"))
@@ -261,11 +260,10 @@ def test_report_of_a_missing_run_directory_fails(tmp_path, capsys):
 
 
 def test_manifest_from_another_schema_fails_loudly(tmp_path):
-    config = tiny_darcy(tmp_path, "folded").to_dict()
+    config = tiny_darcy(tmp_path, "folded")
     manifest = tmp_path / "manifest.json"
     manifest.write_text(json.dumps({"config": config}), encoding="utf-8")
-    assert config_from_manifest(manifest).to_dict() == \
-        ExperimentConfig(config).to_dict()
+    assert config_from_manifest(manifest) == config
 
     config["experiment"]["parameterization"] = "level-set"
     manifest.write_text(json.dumps({"config": config}), encoding="utf-8")

@@ -108,7 +108,7 @@ def contrast_e26():
 
 @pytest.mark.xfail(strict=True, reason=(
     "CHANGES FOUND, ROADMAP item 4: this pins the path without observation functionals, "
-    "where multigrid.solve stops on the recursively updated residual at TOLERANCE = 1e-10; "
+    "where multigrid.Plan.solve stops on the recursively updated residual at TOLERANCE = 1e-10; "
     "here the true |b - A p| / |b| is 4.0e-8. A direct solve reads 2.2e-8 on this case, "
     "against a float64 floor eps |A||p| / |b| of 7.6e-8, so no float64 solution can keep "
     "this promise. A DarcyProblem given its observations stops once they have settled "
@@ -129,11 +129,14 @@ def darcy_stack(darcy, kappas):
     return darcy._system(knode, multigrid.Plan(darcy._unknown, len(knode)))
 
 
-def plan_of(tx, ty, unknown):
-    """A plan of its own that holds a stack's faces."""
+def plan_of(tx, ty, unknown, b=None):
+    """A plan of its own that holds a stack's faces, and its right-hand side
+    if given, in any memory layout."""
     plan = multigrid.Plan(unknown, len(tx))
-    plan_tx, plan_ty, _ = plan.inputs(len(tx))
+    plan_tx, plan_ty, plan_b = plan.inputs(len(tx))
     plan_tx[...], plan_ty[...] = tx, ty
+    if b is not None:
+        plan_b[...] = b
     return plan
 
 
@@ -204,12 +207,12 @@ def test_member_alone_equals_member_in_a_chunk(bc, n, watched, monkeypatch):
         return vcycle(levels, coarsest, rhs, work)
 
     monkeypatch.setattr(multigrid, "_vcycle", spy)
-    together = multigrid.solve(tx, ty, b, darcy._unknown, darcy._observed)
+    together = plan_of(tx, ty, darcy._unknown, b).solve(len(b), darcy._observed)
     assert len(set(running)) > 1
     np.testing.assert_array_equal(together[2], 0.0)
     for k in range(len(b)):
-        alone = multigrid.solve(tx[k:k + 1], ty[k:k + 1], b[k:k + 1], darcy._unknown,
-                                darcy._observed)
+        alone = plan_of(tx[k:k + 1], ty[k:k + 1], darcy._unknown, b[k:k + 1]).solve(
+            1, darcy._observed)
         np.testing.assert_array_equal(together[k], alone[0])
 
 
@@ -242,7 +245,7 @@ def test_observed_stop_ends_at_contrast_e26():
 
 def whole_array_solve(tx, ty, b, unknown):
     """MG-PCG as whole-array expressions, a fresh array per step: the
-    reference that the buffered :func:`ekinv.multigrid.solve` matches bit
+    reference that the buffered :meth:`ekinv.multigrid.Plan.solve` matches bit
     for bit on a C-ordered b, the sums np.einsum takes included."""
     def dot(u, v):
         return np.einsum("bij,bij->b", u, v)
@@ -347,7 +350,7 @@ def test_solve_matches_the_whole_array_loop_bit_for_bit(layout):
                                     enumerate(["lognormal", "level-set", "channel"] * 3)])
     given = LAYOUTS[layout](b)
     assert given.flags.c_contiguous == (layout != "member-fastest")
-    x = multigrid.solve(tx, ty, given, darcy._unknown)
+    x = plan_of(tx, ty, darcy._unknown, given).solve(len(b))
     reference = whole_array_solve(tx, ty, np.ascontiguousarray(b), darcy._unknown)
     assert x.flags.c_contiguous
     assert x.tobytes() == reference.tobytes()
@@ -404,10 +407,10 @@ def test_solution_does_not_depend_on_the_units_of_the_coefficient(power):
     knode = darcy.node_kappa(coefficient(domain, "level-set"))[None]
     tx, ty, _ = darcy._system(knode, multigrid.Plan(darcy._unknown, 1))
     b = darcy._rhs_nodes[None] * darcy._unknown
-    x = multigrid.solve(tx, ty, b, darcy._unknown)
+    x = plan_of(tx, ty, darcy._unknown, b).solve(1)
     scale = 2.0 ** power
     np.testing.assert_array_equal(
-        multigrid.solve(scale * tx, scale * ty, scale * b, darcy._unknown), x)
+        plan_of(scale * tx, scale * ty, darcy._unknown, scale * b).solve(1), x)
 
 
 def test_zero_right_hand_side_returns_zero():
@@ -417,7 +420,7 @@ def test_zero_right_hand_side_returns_zero():
     unknown[:, 0] = False
     b = np.zeros((2, 7, 7))
     b[1, 3, 3] = 1.0
-    x = multigrid.solve(tx, ty, b, unknown)
+    x = plan_of(tx, ty, unknown, b).solve(2)
     np.testing.assert_array_equal(x[0], 0.0)
     assert np.abs(x[1]).max() > 0
 
@@ -431,7 +434,7 @@ def test_nonconvergence_names_member_iterations_and_residual(monkeypatch):
     b = np.zeros((3, 17, 17))
     b[1, 8, 8] = 1.0    # members 0 and 2 are solved before the first iteration
     with pytest.raises(multigrid.ConvergenceError) as info:
-        multigrid.solve(tx, ty, b, unknown)
+        plan_of(tx, ty, unknown, b).solve(3)
     assert (info.value.index, info.value.iterations) == (1, 1)
     assert info.value.residual > multigrid.TOLERANCE
     assert info.value.change is None
@@ -449,10 +452,10 @@ def test_member_alone_equals_member_in_a_chunk_at_n128():
     darcy = problem(domain, "paper", paper_observations(domain))
     tx, ty, b = darcy_stack(darcy, [coefficient(domain, kind, seed) for seed, kind in enumerate(
         ["lognormal", "level-set", "channel"])])
-    together = multigrid.solve(tx, ty, b, darcy._unknown, darcy._observed)
+    together = plan_of(tx, ty, darcy._unknown, b).solve(len(b), darcy._observed)
     for k in range(len(b)):
-        alone = multigrid.solve(tx[k:k + 1], ty[k:k + 1], b[k:k + 1], darcy._unknown,
-                                darcy._observed)
+        alone = plan_of(tx[k:k + 1], ty[k:k + 1], darcy._unknown, b[k:k + 1]).solve(
+            1, darcy._observed)
         np.testing.assert_array_equal(together[k], alone[0])
 
 
