@@ -18,11 +18,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .config import (ConfigError, config_from_manifest, controls_from, echo, load_config,
-                     parse_seed)
-from .harness import memory_estimate, run_experiment, sample_prior_fields, summarize_run
+# one BLAS thread in this process and in the solve workers it forks, unless
+# the user set a count: OpenBLAS splits long dot products over its threads,
+# so the last bits of a run's files would follow the CPU count, and idle
+# BLAS threads spin on the CPUs the solve workers need.  This must run before
+# the first import that loads numpy.
+for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(variable, "1")
+
+from .config import (ConfigError, config_from_manifest, controls_from, echo,  # noqa: E402
+                     load_config, parse_seed)
+from .harness import (memory_estimate, run_experiment, sample_prior_fields,  # noqa: E402
+                      summarize_run)
 
 MEMINFO = "/proc/meminfo"
 

@@ -149,10 +149,14 @@ def test_validate_echoes_every_digit_of_a_bound(tmp_path, capsys):
     assert load_config(tmp_path / "echo.ini") == config
 
 
-def run_module(*args):
-    """``python -m ekinv.cli`` with ``args`` in a fresh interpreter."""
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_module(*args, env=os.environ):
+    """``python -m ekinv.cli`` with ``args`` in a fresh interpreter, in the
+    environment ``env``."""
     src = str(Path(ekinv.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(env, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     env.pop("OPENBLAS_VERBOSE", None)   # it would print the BLAS core to stdout
     return subprocess.run([sys.executable, "-m", "ekinv.cli", *args], capture_output=True,
@@ -233,6 +237,25 @@ def test_run_warns_of_nothing_where_the_available_memory_cannot_be_read(tmp_path
     monkeypatch.setattr("ekinv.cli.MEMINFO", str(tmp_path / "missing"))
     assert cli(["run", str(tmp_path / "run.ini"), "--max-iter", "0"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_cli_run_writes_the_files_of_a_run_with_one_blas_thread(tmp_path):
+    # two chunks of 16,641 nodes, above the length from which OpenBLAS
+    # splits a dot product over its threads: a run left at the default
+    # threads would give the relative error other last bits than a run with
+    # one, on a machine with more than one CPU
+    path = tmp_path / "split.ini"
+    path.write_text(TINY_DARCY.format(out=tmp_path / "unused").replace(
+        "n_ensemble = 6", "n_ensemble = 8").replace("n_cells = 16", "n_cells = 128"),
+        encoding="utf-8")
+    default = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    files = []
+    for name, env in (("default", default), ("one", dict(default, OPENBLAS_NUM_THREADS="1"))):
+        done = run_module("run", str(path), "--out-dir", str(tmp_path / name), env=env)
+        assert done.returncode == 0, done.stderr
+        files.append(json.loads((tmp_path / name / "manifest.json").read_text("utf-8"))["files"])
+    assert len(files[0]) > 2
+    assert files[0] == files[1]
 
 
 def test_cli_runs_and_validates_a_manifest_and_applies_the_seed(tmp_path, capsys):
