@@ -9,7 +9,8 @@ Subcommands:
                          CPUs; warns when the memory estimate exceeds the
                          memory available
   sample-prior <config>  write prior field realizations as gridded CSV
-  report <run-dir>       aggregate a finished run into a summary table
+  report <run-dir>       aggregate a finished run into a summary table, and
+                         print why each initialization stopped short
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error.
 """
@@ -158,6 +159,9 @@ def cli(argv=None) -> int:
                                 ("median_iter_ms", ".1f")))
             print(f"{row['index']:>4} {row['stop_reason']:>14} {row['iterations']:>6} "
                   f"{misfit:>12} {err:>12} {ms:>14}")
+        for row in summary["rows"]:
+            if row["message"]:
+                print(f"init {row['index']}: {row['message']}")
         stats = {k: summary[k] for k in
                  ("n_discrepancy", "rel_error_min", "rel_error_median", "rel_error_max",
                   "processes")}

@@ -327,6 +327,12 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
     :class:`SpanMembers`, which form members where they are read.  An
     update that aborts on non-finite members leaves ``result.ensemble`` at
     the last iterate, the one ``records[-1]`` describes.
+
+    A run that ends at ``max_outer_iterations`` says why in its message:
+    its last misfit as a multiple of the threshold zeta eta, and the
+    iterations its first misfit m_0 needs at the rate rho,
+    ceil(log(m_0 / (zeta eta)) / log(1 / rho)), since an update shrinks
+    the misfit by about rho at best.
     """
     if obs.y is None or obs.noise_level is None:
         raise ValueError("observation model carries no data; synthesize it first")
@@ -366,5 +372,12 @@ def run_inversion(ensemble: Ensemble, forward_map, obs, controls: EkiControls,
         if record.upsilon is None:   # no update: the run ends at this iterate
             break
         n += 1
+    if stop_reason == "max-iterations":
+        first, last = records[0].misfit, records[-1].misfit
+        needed = int(np.ceil(np.log(first / threshold) / np.log(1.0 / controls.rho)))
+        message = (f"stopped at the cap of {controls.max_outer_iterations} iterations with the "
+                   f"misfit {last / threshold:.4g} times the threshold zeta eta = "
+                   f"{threshold:.4g}; the first misfit, {first:.4g}, needs at least {needed} "
+                   f"iterations at the rate rho = {controls.rho:g}")
     return InversionResult(ensemble=current, records=records,
                            stop_reason=stop_reason, message=message)

@@ -297,7 +297,8 @@ def summarize_run(run_dir) -> dict:
     rows = [{"index": init["index"], "stop_reason": init["stop_reason"],
              "iterations": max(init["n_records"] - 1, 0), "final_misfit": init["final_misfit"],
              "final_rel_error": init["final_rel_error"],
-             "median_iter_ms": float(np.median(init["wall_ms"])) if init.get("wall_ms") else None}
+             "median_iter_ms": float(np.median(init["wall_ms"])) if init.get("wall_ms") else None,
+             "message": init["message"]}
             for init in manifest["initializations"]]
     errors = [r["final_rel_error"] for r in rows if r["final_rel_error"] is not None]
     summary = {

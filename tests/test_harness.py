@@ -591,6 +591,33 @@ def test_report_writes_the_manifest_values_exactly(tmp_path, capsys):
     assert "max-iterations" in capsys.readouterr().out
 
 
+def test_a_run_at_its_cap_says_how_far_its_misfit_is_from_the_threshold(tmp_path, capsys):
+    # the message lives in the manifest, outside the inventory that the
+    # golden rows pin; a golden row stops at its cap of 2 iterations
+    config = matrix_config(tmp_path, *MATRIX[0])
+    manifest = harness.run_experiment(config)
+    threshold = config["eki"]["zeta"] * manifest["noise_level"]
+    pattern = re.compile(
+        r"stopped at the cap of 2 iterations with the misfit (\S+) times the threshold "
+        r"zeta eta = (\S+); the first misfit, (\S+), needs at least (\d+) iterations at the "
+        r"rate rho = 0\.8")
+    for init in manifest["initializations"]:
+        misfits = [float(m) for m in csv_columns(
+            tmp_path / "run" / f"init_{init['index']:02d}" / "records.csv")["misfit"]]
+        ratio, stated, first, needed = pattern.fullmatch(init["message"]).groups()
+        assert float(ratio) == pytest.approx(misfits[-1] / threshold, rel=1e-3)
+        assert float(stated) == pytest.approx(threshold, rel=1e-3)
+        assert float(first) == pytest.approx(misfits[0], rel=1e-3)
+        assert int(needed) == int(np.ceil(np.log(misfits[0] / threshold) / np.log(1 / 0.8)))
+        assert int(needed) > 2
+    assert cli(["report", str(tmp_path / "run")]) == 0
+    out = capsys.readouterr().out
+    table, stats = out[:out.index("{")].splitlines(), json.loads(out[out.index("{"):])
+    assert table[-2:] == [f"init {init['index']}: {init['message']}"
+                          for init in manifest["initializations"]]
+    assert stats["n_discrepancy"] == 0
+
+
 # the golden rows stop at 3 records; 31 is a run at the default cap of 30
 @pytest.mark.parametrize("n_records,kept", [
     (0, []), (1, [0]), (5, [0, 1, 2, 3, 4]), (6, [0, 1, 2, 4, 5]), (7, [0, 2, 3, 4, 6]),
