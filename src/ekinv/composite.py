@@ -3,13 +3,13 @@
 The map works one chunk of about 64 k grid values at a time (one member per
 chunk on large grids, many on small ones).  It decodes a chunk of packed
 members in one batched pass into a (B, n_interior) array, hands that array
-to the solver as it is, and observes each row of the (B, n_interior)
-solution array the solver returns (:mod:`ekinv.forward`).  A chunk
-amortises the per-call array overhead on small grids and keeps the working
-set small on large ones.  The decoding pass also yields each member's
-report-scale field; the map sums these in member order, so one evaluation
-also gives the ensemble mean that reporting needs, and each member is
-decoded once per evaluation.
+to the solver as it is, and observes the (B, n_interior) solution array the
+solver returns in one call (:mod:`ekinv.forward`), each row to the bits it
+would have on its own.  A chunk amortises the per-call array overhead on
+small grids and keeps the working set small on large ones.  The decoding
+pass also yields each member's report-scale field; the map sums these in
+member order, so one evaluation also gives the ensemble mean that reporting
+needs, and each member is decoded once per evaluation.
 
 No chunk's solve depends on another's.  So an initialization may hand its
 Darcy chunk solves, with their observations, to worker processes on the
@@ -22,19 +22,21 @@ outputs keep their bits.
 The workers are forked, not spawned.  A forked worker inherits the chunk
 solve as it stands in this process, with the problem's grids, the
 observation model and anything wrapped around them: nothing is pickled but
-each task's coefficients and member indices, and nothing is imported
-again.  A spawned worker would re-import numpy and scipy, and it would need
-the solver pickled, which a nested or wrapped solver cannot be.  Each
-worker's copy of the Darcy problem builds its solve plan at the worker's
-first chunk and reuses it for every later chunk
+each task's coefficients and its (B, n_obs) outputs, and nothing is
+imported again.  A spawned worker would re-import numpy and scipy, and it
+would need the solver pickled, which a nested or wrapped solver cannot be.
+Each worker's copy of the Darcy problem builds its solve plan at the
+worker's first chunk and reuses it for every later chunk
 (:class:`ekinv.forward.DarcyProblem`), so a chunk solve allocates no work
 buffers; the process that forks the workers solves no chunk and keeps no
-plan.  Under
-fork the executor forks all its workers at the first task, before it
-starts its own thread (checked on Python 3.10.13, 3.11.7, 3.12.1 and
-3.13.0), and the process that starts it runs no other Python thread.
+plan.  Under fork the executor forks all its workers at the first task,
+before it starts its own thread (checked on Python 3.10.13, 3.11.7, 3.12.1
+and 3.13.0), and the process that starts it runs no other Python thread.
 Where the platform cannot fork, the runner asks for one worker
 (:func:`ekinv.harness.solve_workers`) and no pool starts.
+
+A chunk fails in its decode or its solve: the solvers return finite
+pressures or raise, and observing finite pressures cannot fail.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -83,14 +85,14 @@ def _submit(pool: ProcessPoolExecutor, *args):
     try:
         return pool.submit(_run, *args).result
     except BrokenProcessPool as exc:
-        failed = Future()
-        failed.set_exception(exc)
-        return failed.result
+        def result(broken=exc):
+            raise broken
+        return result
 
 
 class ForwardError(RuntimeError):
     """A forward evaluation failed; the message names the member(s) and the
-    phase (decode, solve or observe)."""
+    phase, decode or solve (observing finite pressures cannot fail)."""
 
 
 @dataclass
@@ -117,11 +119,11 @@ class CompositeForward:
     on a small grid, one member from about n = 256 on a 2D grid.  The same
     pass sums the members' report fields in member order, so an evaluation
     leaves the ensemble mean of the report fields in ``report_mean`` and
-    reporting decodes nothing again.  Observation stays one operator product
-    per member: one product over the whole chunk rounds differently.
+    reporting decodes nothing again.  A chunk's solutions are observed in
+    one call, each row to the bits it has alone.
 
     Inside :meth:`solving_in` with more than one worker, each chunk's solve
-    and observations run in a forked worker process, at most workers + 1
+    and observation run in a forked worker process, at most workers + 1
     chunks in flight, and this process writes the outputs back in member
     order.
     """
@@ -153,7 +155,7 @@ class CompositeForward:
         self.chunk = self.chunk_members(obs.matrix.shape[1])
         self.report_mean: np.ndarray | None = None
         self._workers = 1
-        self._pool = None
+        self._pool = None   # of self._workers, inside solving_in with more than one
 
     @classmethod
     def chunk_members(cls, n_grid: int) -> int:
@@ -225,14 +227,17 @@ class CompositeForward:
     @contextmanager
     def solving_in(self, workers: int):
         """Solve the chunks of every evaluation inside the block in
-        ``workers`` processes; with one, in this process.  The pool starts at
-        the first evaluation and is shut down when the block ends, however
-        it ends."""
-        self._workers = workers
+        ``workers`` processes; with one, in this process.  The pool forks its
+        workers at the first chunk and is shut down when the block ends,
+        however it ends."""
+        if workers > 1:
+            # fork: the workers inherit this map as it stands (module docstring)
+            self._workers, self._pool = workers, ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("fork"),
+                initializer=_install, initargs=(self._solve_chunk,))
         try:
             yield self
         finally:
-            self._workers = 1
             if self._pool is not None:
                 self._pool.shutdown(cancel_futures=True)
                 self._pool = None
@@ -247,11 +252,6 @@ class CompositeForward:
         out = np.empty((self.obs.n_obs, J))
         self.report_mean = None
         report_sum = np.zeros(self.obs.matrix.shape[1])
-        if self._workers > 1 and self._pool is None:
-            # fork: the workers inherit this map as it stands (module docstring)
-            self._pool = ProcessPoolExecutor(
-                self._workers, mp_context=multiprocessing.get_context("fork"),
-                initializer=_install, initargs=(self._solve_chunk,))
         in_flight = 0 if self._pool is None else self._workers   # while the next decodes
         pending = deque()   # (member indices, outputs callable) of unwritten chunks
         chunks = self.decoded_chunks(members)
@@ -264,19 +264,18 @@ class CompositeForward:
                 self._write(out, pending, 0)   # the members ahead fail first, as inline
                 raise
             add_rows(report_sum, block.report)
-            pending.append((cols, partial(self._solve_chunk, block.coefficients, cols)
+            pending.append((cols, partial(self._solve_chunk, block.coefficients)
                             if self._pool is None else
-                            _submit(self._pool, block.coefficients, cols)))
+                            _submit(self._pool, block.coefficients)))
             self._write(out, pending, in_flight)
         self._write(out, pending, 0)
         self.report_mean = report_sum / J
         return out
 
-    def _solve_chunk(self, coefficients: np.ndarray, cols: range) -> list[np.ndarray]:
-        solutions = self.solver(coefficients)
+    def _solve_chunk(self, coefficients: np.ndarray) -> np.ndarray:
+        """The (B, n_obs) outputs of a chunk's (B, n_interior) coefficients."""
         # through the module, where the benchmark's tracer replaces it
-        return [_in_phase("observe", j, forward.observe, p, self.obs)
-                for j, p in zip(cols, solutions)]
+        return forward.observe(self.solver(coefficients), self.obs)
 
     @staticmethod
     def _write(out: np.ndarray, pending: deque, keep: int) -> None:
@@ -285,15 +284,12 @@ class CompositeForward:
             cols, outputs = pending.popleft()
             try:
                 outputs = outputs()
-            except ForwardError:   # an observation failed
-                raise
             except (multigrid.ConvergenceError, MemberError) as exc:
                 raise ForwardError(f"member {cols[exc.index]}, solve: {exc}") from exc
             except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
                 # a worker that died raises BrokenProcessPool, a RuntimeError
                 raise ForwardError(f"members {cols[0]}-{cols[-1]}, solve: {exc}") from exc
-            for j, output in zip(cols, outputs):
-                out[:, j] = output
+            out[:, cols.start:cols.stop] = outputs.T
 
 
 def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
@@ -301,10 +297,3 @@ def add_rows(total: np.ndarray, rows: np.ndarray) -> None:
     which ``np.mean(axis=0)`` sums a stack of fields."""
     for row in rows:
         total += row
-
-
-def _in_phase(phase: str, member: int, fn, *args):
-    try:
-        return fn(*args)
-    except (RuntimeError, ValueError, np.linalg.LinAlgError) as exc:
-        raise ForwardError(f"member {member}, {phase}: {exc}") from exc

@@ -336,7 +336,8 @@ class SeparableOperator:
     """Observation functionals held as one factor per grid axis: the
     operator is the Kronecker product of the factors (a single factor is
     the operator itself).  One interior vector, P as its node grid, is
-    observed as K1 P K2^T without forming that product."""
+    observed as K1 P K2^T without forming that product; a (B, n) stack of
+    them is observed row by row in one call, each row to its own bits."""
 
     factors: tuple[np.ndarray, ...]
 
@@ -350,10 +351,13 @@ class SeparableOperator:
         return sum(f.nbytes for f in self.factors)
 
     def __matmul__(self, values: np.ndarray) -> np.ndarray:
+        # a stacked matmul makes each row's own BLAS calls; values @ k.T and
+        # (k @ values.T).T would round a 1D stack differently
         if len(self.factors) == 1:
-            return self.factors[0] @ values
+            return np.matmul(self.factors[0], values[..., None])[..., 0]
         k1, k2 = self.factors
-        return (k1 @ values.reshape(k1.shape[1], k2.shape[1]) @ k2.T).ravel()
+        grids = values.reshape(*values.shape[:-1], k1.shape[1], k2.shape[1])
+        return np.matmul(np.matmul(k1, grids), k2.T).reshape(*values.shape[:-1], -1)
 
 
 @dataclass(frozen=True)
@@ -448,7 +452,8 @@ def mollified_observations(domain: Domain, n_per_axis: int, sigma: float,
 
 
 def observe(p: Field | np.ndarray, model: ObservationModel) -> np.ndarray:
-    """Evaluate the observation functionals on a field."""
+    """Evaluate the observation functionals on a field, an interior vector
+    or a (B, n_interior) stack of them, one row of outputs each."""
     values = p.values if isinstance(p, Field) else np.asarray(p, dtype=float)
     return model.matrix @ values
 

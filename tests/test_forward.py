@@ -285,6 +285,28 @@ def test_point_observations_are_the_hat_weight_rows_product_bit_for_bit():
     assert model.matrix.shape == (9, 136) and model.matrix.nbytes == 9 * 136 * 8
 
 
+@pytest.mark.parametrize("dim, n", [(2, 33), (2, 64), (2, 128), (1, 40), (1, 1000)])
+def test_a_stack_observes_each_row_to_its_own_bits(dim, n):
+    # a chunk's solutions are observed in one call; each row must round as
+    # the one-member products K P and K1 P K2^T do
+    if dim == 1:
+        domain = build_domain(1, [10.0], n)
+        model = point_observations(domain, 50)
+        (k,) = model.matrix.factors
+        alone = lambda p: k @ p
+    else:
+        domain = build_domain(2, [6.0, 6.0], [n, n])
+        model = mollified_observations(domain, 8, sigma=0.36)
+        k1, k2 = model.matrix.factors
+        alone = lambda p: (k1 @ p.reshape(n - 1, n - 1) @ k2.T).ravel()
+    stack = np.random.default_rng(n).standard_normal((5, domain.n_interior))
+    rows = [alone(p).tobytes() for p in stack]
+    for together in (model.matrix @ stack, observe(stack, model)):
+        assert together.shape == (5, model.n_obs)
+        assert [r.tobytes() for r in together] == rows
+    assert [observe(p, model).tobytes() for p in stack] == rows
+
+
 @pytest.mark.parametrize("n", [64, 128])
 def test_separable_observations_stay_close_to_the_dense_disk_cut_kernels(n):
     # the per-axis cut keeps a square around the old disk, and its corners

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ekinv
-from ekinv import harness, multigrid
+from ekinv import forward, harness, multigrid
 from ekinv.cli import cli
 from ekinv.config import (
     ConfigError,
@@ -966,21 +966,42 @@ GOLDEN_FILES = {
 }
 
 
-@pytest.mark.parametrize("n_cpus", [1, 2], ids=["inline", "pooled"])
-def test_a_multi_chunk_evaluation_writes_its_golden_files(tmp_path, cpus, n_cpus):
+def multi_chunk(tmp_path):
     # n = 64 holds 16 members a chunk, and an evaluation forms its members 16
     # at a time: J = 40 makes chunks and blocks of 16, 16 and 8, the last
     # ragged.  On the channel map the members of a chunk stop at different
     # PCG iterations (16, 15, 11 and 3 members still running in the first
-    # chunk's last V-cycles).  Solved in this process and in two workers,
-    # against the same pins
-    cpus(n_cpus)
+    # chunk's last V-cycles)
     config = tiny_darcy(tmp_path, "run")
     config["experiment"]["n_ensemble"] = 40
     config["experiment"]["n_initializations"] = 1
     config["experiment"]["coefficient_map"] = "channel"
     config["grid"]["n_cells"] = 64
-    manifest = harness.run_experiment(config)
+    return config
+
+
+def test_an_evaluation_observes_each_chunk_in_one_call(tmp_path, monkeypatch):
+    config = multi_chunk(tmp_path)
+    setup, _, obs, seqs = harness._prepare(config)
+    param = harness.build_parameterization(config, setup, obs)
+    members = param.sample_initial(np.random.default_rng(seqs[0]))
+    stacks = []
+    observe = forward.observe
+
+    def spy(p, model):
+        stacks.append(p.shape)
+        return observe(p, model)
+
+    monkeypatch.setattr(forward, "observe", spy)
+    assert param.forward(members).shape == (16, 40)
+    assert stacks == [(16, 63 * 63), (16, 63 * 63), (8, 63 * 63)]
+
+
+@pytest.mark.parametrize("n_cpus", [1, 2], ids=["inline", "pooled"])
+def test_a_multi_chunk_evaluation_writes_its_golden_files(tmp_path, cpus, n_cpus):
+    # solved in this process and in two workers, against the same pins
+    cpus(n_cpus)
+    manifest = harness.run_experiment(multi_chunk(tmp_path))
     assert manifest["processes"] == {"solve_workers": n_cpus}
     assert [init["stop_reason"] for init in manifest["initializations"]] == ["max-iterations"]
     assert manifest["files"] == MULTI_CHUNK_FILES
