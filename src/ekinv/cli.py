@@ -25,10 +25,12 @@ import sys
 # one BLAS thread in this process and in the solve workers it forks, unless
 # the user set a count: OpenBLAS splits long dot products over its threads,
 # so the last bits of a run's files would follow the CPU count, and idle
-# BLAS threads spin on the CPUs the solve workers need.  This must run before
-# the first import that loads numpy.
-for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(variable, "1")
+# BLAS threads spin on the CPUs the solve workers need.  It takes effect only
+# before the first import that loads numpy; in a process that loaded numpy
+# first it would change only the processes started later, so it is skipped.
+if "numpy" not in sys.modules:
+    for variable in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(variable, "1")
 
 from .config import (ConfigError, config_from_manifest, controls_from, echo,  # noqa: E402
                      load_config, parse_seed)

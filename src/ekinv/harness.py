@@ -241,6 +241,11 @@ def run_experiment(config: dict) -> dict:
     however it ends.  Returns the manifest dictionary, which records the
     solve workers under "processes".  Individual initialization failures
     are recorded with stop_reason "aborted"; the run continues.
+
+    ``ekinv run`` uses one BLAS thread (:mod:`ekinv.cli`); a Python caller
+    sets ``OPENBLAS_NUM_THREADS=1`` before numpy loads to write the same
+    files.  Otherwise the files of a grid of more than about 10,000
+    interior nodes follow the CPU count, through BLAS dots split over threads.
     """
     exp = config["experiment"]
     prepared = _prepare(config)

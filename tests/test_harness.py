@@ -258,6 +258,19 @@ def test_a_cli_run_writes_the_files_of_a_run_with_one_blas_thread(tmp_path):
     assert files[0] == files[1]
 
 
+@pytest.mark.parametrize("imports, threads", [("import numpy, os, ekinv.cli", "None"),
+                                              ("import ekinv.cli, os", "1")])
+def test_the_cli_sets_the_blas_threads_only_before_numpy_loads(imports, threads):
+    # set after numpy loaded, the count would hold only for later processes
+    env = {key: value for key, value in os.environ.items() if key not in BLAS_THREADS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(Path(ekinv.__file__).parents[1]),
+                                                      env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", f"{imports}; "
+                           "print(os.environ.get('OPENBLAS_NUM_THREADS'))"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout) == (0, threads + "\n"), done.stderr
+
+
 def test_cli_runs_and_validates_a_manifest_and_applies_the_seed(tmp_path, capsys):
     tiny_darcy(tmp_path, "first")
     assert cli(["run", str(tmp_path / "first.ini"), "--seed", "7", "--max-iter", "1"]) == 0
