@@ -739,162 +739,162 @@ def test_a_forward_evaluation_builds_no_field(tmp_path, monkeypatch, case):
 # synthetic data by at most 6.6e-6, with the same Upsilon, trials and stops.
 GOLDEN_FILES = {
     "source1d-plain-identity-scalar": {
-        "init_00/mean_field.bin": "ffc54406f3322c74c808a815ecab6d1f466e20a38412dd9a669c30505b21a459",
-        "init_00/records.csv": "1b91c4dfd58f9782743de906223acb20815828b0c76287b7670c6d1cb46ded9e",
+        "init_00/mean_field.bin": "7b7dd9a028f9458e489f10cd363deb9c688f9a93a5ce322f905e1a76fc73d573",
+        "init_00/records.csv": "fe7a71f9ce8c08fed8274ad5f3d9485c8b6520f5b82fe1140f566b1ccb0cddbb",
         "init_00/snapshot_iter_000.bin": "b92e3d36e495708165742e744971c904789e7b33420bc0e97347d9a445f3f987",
-        "init_00/snapshot_iter_001.bin": "2298eb3fc044ffc5166f23e53f5520fd8aa1d23a714048bb7d63185214b413ad",
-        "init_00/snapshot_iter_002.bin": "ffc54406f3322c74c808a815ecab6d1f466e20a38412dd9a669c30505b21a459",
-        "init_01/mean_field.bin": "382c4990365019b003745ea1d4d3980d689d64516443a872f2b073e2e5800da0",
-        "init_01/records.csv": "54928dba8f4acd06fe2e20c5302fad854d0c4e7391a5c55bcd08f37e42d94aee",
+        "init_00/snapshot_iter_001.bin": "832e8f7b25fffc2cf9e58ff2577dda636fd466368b94ce0c957c6bc70b9de761",
+        "init_00/snapshot_iter_002.bin": "7b7dd9a028f9458e489f10cd363deb9c688f9a93a5ce322f905e1a76fc73d573",
+        "init_01/mean_field.bin": "4890c0d1fc5f67f010e4921d301583d2ff56022b48b46a4ae03602fe3a1f1d8e",
+        "init_01/records.csv": "0e67c9c0daf52669dd966bf118b3fb72e39186cab88b09f914d4e4a4934e7c31",
         "init_01/snapshot_iter_000.bin": "667f7f0c3fe4bb07044e5df0782d648f31dadb1a2f6413cface8a29afaba1bea",
-        "init_01/snapshot_iter_001.bin": "b4028a8837f0813ffce63571e55a69edf885db81ad8b21e3b01905ca0a3e29f7",
-        "init_01/snapshot_iter_002.bin": "382c4990365019b003745ea1d4d3980d689d64516443a872f2b073e2e5800da0",
+        "init_01/snapshot_iter_001.bin": "688a346ec6db6e2a4ed6b716151b8c8ca7b7fb1933ec4fb081ea7505caa87434",
+        "init_01/snapshot_iter_002.bin": "4890c0d1fc5f67f010e4921d301583d2ff56022b48b46a4ae03602fe3a1f1d8e",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-plain-identity-field-gauss": {
-        "init_00/mean_field.bin": "a5941cea8e6c3edd643b3f6320a0cc9da076316ac5e991bbffe43fe6421544f7",
+        "init_00/mean_field.bin": "fcd61b8404280a7e03ce2777ae5c9e5d3e8550d2b744d8ca2dc36303e2675e4f",
         "init_00/records.csv": "0eccde9fe9fb9be64fafc520cd789167b507af8d6b44df53ccc5151b69fc2b78",
         "init_00/snapshot_iter_000.bin": "01b551505e04d2916b0b693a23bf7077eb513dcfb80c524813075adb8adb7bb4",
-        "init_00/snapshot_iter_001.bin": "875f47ed69787d1c4dc637c3d317cb7a8b42e4b891ba86ca555d630e597919ea",
-        "init_00/snapshot_iter_002.bin": "a5941cea8e6c3edd643b3f6320a0cc9da076316ac5e991bbffe43fe6421544f7",
-        "init_01/mean_field.bin": "6550e494bb0a4cde4adb27fa48d98b87895b9ee29408beea3344d6c59c48eef3",
-        "init_01/records.csv": "05495ea4031467756efa7e935b97c0667d0abfdc0fd4a9b6ab0fdba012d9639b",
+        "init_00/snapshot_iter_001.bin": "fd7d07f8091f9e9daa84fa763faedac9dedd3f22faf2ad6a3677c0231218796c",
+        "init_00/snapshot_iter_002.bin": "fcd61b8404280a7e03ce2777ae5c9e5d3e8550d2b744d8ca2dc36303e2675e4f",
+        "init_01/mean_field.bin": "adacabc055acea97854e2a71aadc0a0e74a59d811ee751ef1d9c1b572ba3f4f0",
+        "init_01/records.csv": "ab30847548dd62c373aed46a7f7ab16fcd942d571067bd38e3fb155cbfde9396",
         "init_01/snapshot_iter_000.bin": "ab570158c1000e6d2657102e22cd5e3b61ae445932850b33985c101fa621b5e1",
-        "init_01/snapshot_iter_001.bin": "368d4821351905e3190d90a951a6ae2481f5ee784915cfcfbf7a14b1572f5c86",
-        "init_01/snapshot_iter_002.bin": "6550e494bb0a4cde4adb27fa48d98b87895b9ee29408beea3344d6c59c48eef3",
+        "init_01/snapshot_iter_001.bin": "6eb9080d16937bb271b38cb983798f41b2c3c1103ff90650909e15202a63589d",
+        "init_01/snapshot_iter_002.bin": "adacabc055acea97854e2a71aadc0a0e74a59d811ee751ef1d9c1b572ba3f4f0",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-plain-identity-field-cauchy": {
-        "init_00/mean_field.bin": "bed820b8ea27ca2c0cd381fb0451468934b2a515fa68601ab771f1617362a5d9",
-        "init_00/records.csv": "2e3b2da280afba8b208f17e6d091077521636a0a0430bfea85de062d2e8a4634",
+        "init_00/mean_field.bin": "5c45057a034a489498c3db60d3ade7719d74877c31a4845835c3414b1ca84d6b",
+        "init_00/records.csv": "6f5c062baeb65d1d800196cb926f2a5ed7d7dcf839a8cf3ac3c65e61c9c2da7c",
         "init_00/snapshot_iter_000.bin": "89f7fd2e8aedf33fce903c1947f7220bc1f67770ade9a4aaf0c6ddc72c855531",
-        "init_00/snapshot_iter_001.bin": "7c832c14836f4d3de275c2c7776b21bf1f2f9419a27310e8e7eb76ec3ff5e6d0",
-        "init_00/snapshot_iter_002.bin": "bed820b8ea27ca2c0cd381fb0451468934b2a515fa68601ab771f1617362a5d9",
-        "init_01/mean_field.bin": "3dd909090f822d7b64830aa6d1a2964c9ec39937e97d6c2c2ca3844ba92b034f",
-        "init_01/records.csv": "6736363ae316f9f114ca3b8dbbffed420d17c3abbdbe645102c07a1486e9c0da",
+        "init_00/snapshot_iter_001.bin": "8647426a2b8ac022d7866af1fdbe5a98a678d70636c00676987db14d5e7dfacc",
+        "init_00/snapshot_iter_002.bin": "5c45057a034a489498c3db60d3ade7719d74877c31a4845835c3414b1ca84d6b",
+        "init_01/mean_field.bin": "72f386765cfa0756a2bbd06355f1097a4513b376ae9d7bfba9571e7a3b2dc198",
+        "init_01/records.csv": "6b96b241798bb166483f25a59941900fb3bbf6d65bae26cb4814d03e1dd25efd",
         "init_01/snapshot_iter_000.bin": "ac18124a2c06e857bad314db5c73b50943d7af3b31dedd3b8ad9ebc0c4b2d342",
-        "init_01/snapshot_iter_001.bin": "28c6258d43adf8f244c7385e100a3ccac0024eacd3e8a0d001216bbbd53cb19f",
-        "init_01/snapshot_iter_002.bin": "3dd909090f822d7b64830aa6d1a2964c9ec39937e97d6c2c2ca3844ba92b034f",
+        "init_01/snapshot_iter_001.bin": "66e73c41a330926c844b47f69da8c1e6e008764338bbc83694ae3571e1f6f953",
+        "init_01/snapshot_iter_002.bin": "72f386765cfa0756a2bbd06355f1097a4513b376ae9d7bfba9571e7a3b2dc198",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-centered-hier-identity": {
-        "init_00/mean_field.bin": "08da3f5aa1bd9690cc722a17fd9398a8d51ff70e0f2d576cb64217a6223928e9",
-        "init_00/records.csv": "4fa91f17bf54feda08c56d38cfa40c40edb1cae5b983423ff834106dd205d97c",
+        "init_00/mean_field.bin": "3cf0fbf8703190798b35aafc17d73ba0ff895e8addbad47ec50820dad450e599",
+        "init_00/records.csv": "c976190cee3314772d546d45c3b2131e1fcd114a1e551906e8862616da4e4e73",
         "init_00/snapshot_iter_000.bin": "f11860aac6e4c3097afbd835c5e475a8854154d756964f30a3f9235052a11d9a",
-        "init_00/snapshot_iter_001.bin": "d13436b58f1148a0f88197084e3476a0e9fb4b8b9ecfb890f0339cc96ee03c31",
-        "init_00/snapshot_iter_002.bin": "08da3f5aa1bd9690cc722a17fd9398a8d51ff70e0f2d576cb64217a6223928e9",
-        "init_01/mean_field.bin": "affdee9d289098f913b61904a7492e7604d04be8186a1690219c35e68ef5fc61",
-        "init_01/records.csv": "4b14a32ceafd44aa94d0c61c979211fcfd5dbe7f5f8f804388b033006b5c3acc",
+        "init_00/snapshot_iter_001.bin": "fec39cfbb4b6196e3f268f17d3c6fe97248c80222c1b2b8b9e3e92ea8012737f",
+        "init_00/snapshot_iter_002.bin": "3cf0fbf8703190798b35aafc17d73ba0ff895e8addbad47ec50820dad450e599",
+        "init_01/mean_field.bin": "410b465000f34251d3d0293b50ebae86591387d55600a56cc087c255c2735960",
+        "init_01/records.csv": "6285351bf30724ecafcd19f5485d2a5bb5148c59c6dfe211472d18e9d239b439",
         "init_01/snapshot_iter_000.bin": "d483cc8483be8a17ebc06e32c22526c8548e070e2c3c8b48e3fdb4f5e21932a3",
-        "init_01/snapshot_iter_001.bin": "92950dbb0acb9a063f764e9599527c7294c628e9dbd744143a40a457386ffa9a",
-        "init_01/snapshot_iter_002.bin": "affdee9d289098f913b61904a7492e7604d04be8186a1690219c35e68ef5fc61",
+        "init_01/snapshot_iter_001.bin": "534d6ca888353b92e5852040a7fb471be8e32628413c7361c5cebfb614a65eef",
+        "init_01/snapshot_iter_002.bin": "410b465000f34251d3d0293b50ebae86591387d55600a56cc087c255c2735960",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-hier-identity": {
-        "init_00/mean_field.bin": "ec175d6a9b3cb49865016b01f6372ba34be772214c1312391155261bfa4e639c",
-        "init_00/records.csv": "41a496708c1b1b3e5e3b1182f5c0250b38eb6020cb494faf9bac23fe896e4e68",
+        "init_00/mean_field.bin": "78dadbdc1c329a2493a8abadfb509d88494ef2820aa4ce822151901b6863fe27",
+        "init_00/records.csv": "570711b947c142449c22e77f12e45e27ba19eac5e71c79c4f4c36e10a1bd5d55",
         "init_00/snapshot_iter_000.bin": "880aa3c2b8de613426d8dcb0e730cf632a1c856182798adf47d15c51392d2cbc",
-        "init_00/snapshot_iter_001.bin": "e7f8559e0b3c81122697dacc0686c1e56f07e9c61e1facbb99bb3f7da7e8e5fb",
-        "init_00/snapshot_iter_002.bin": "ec175d6a9b3cb49865016b01f6372ba34be772214c1312391155261bfa4e639c",
-        "init_01/mean_field.bin": "5ce181b91773b9cf8eb5dc28c1b10e46aa4f0e6d0f6fed72c38cf46124fca331",
+        "init_00/snapshot_iter_001.bin": "67e58398c64e6414a52630c42184db4f22cf15f3b2599b15f733c03bfc479c45",
+        "init_00/snapshot_iter_002.bin": "78dadbdc1c329a2493a8abadfb509d88494ef2820aa4ce822151901b6863fe27",
+        "init_01/mean_field.bin": "e2a5a2da07acc17eb7f36a6b19d5dc95371a9c7882827b3bf133e7c0b0e3f134",
         "init_01/records.csv": "6524866f29142e09949326640863929073a64346cdf59bff104c3026cbaeda66",
         "init_01/snapshot_iter_000.bin": "44afc73e02d8714ca52a006498674edef40e297b84c5b9eb7a5d8f99e1e7efd5",
-        "init_01/snapshot_iter_001.bin": "5732e66aa2508848c5d1c874d29a57e3c2b09d82fa733f57670ff640920406ae",
-        "init_01/snapshot_iter_002.bin": "5ce181b91773b9cf8eb5dc28c1b10e46aa4f0e6d0f6fed72c38cf46124fca331",
+        "init_01/snapshot_iter_001.bin": "4b331bcbde38aa3f701edd95a9bf0ac42eee3f4673b0dcfeade3f78ffdf2326a",
+        "init_01/snapshot_iter_002.bin": "e2a5a2da07acc17eb7f36a6b19d5dc95371a9c7882827b3bf133e7c0b0e3f134",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-field-gauss-identity": {
-        "init_00/mean_field.bin": "b084d2c72642ee3150dfeccfcefc3368c6bf8d14906c1861c72e47824ba3c9a6",
-        "init_00/records.csv": "4334753e9a13cb2341cf4d82127346cd1905df4b2cb788120ed46f0a18095816",
+        "init_00/mean_field.bin": "c5785d0cfcd2c238fc11e1077fe2931336485b6337ee847b4a824850e7b7d6d9",
+        "init_00/records.csv": "ba0e2fca691af00082c8567916234f359378bd30f044419f8ed241e278a4bba0",
         "init_00/snapshot_iter_000.bin": "42486f68f563a850f28f26ad06d21efcad31258afb400760170b6f1d55e0500a",
-        "init_00/snapshot_iter_001.bin": "fa4e941366e5edf7d110665717d1143c10c19a4516877e7e3571ae9584c47c9c",
-        "init_00/snapshot_iter_002.bin": "b084d2c72642ee3150dfeccfcefc3368c6bf8d14906c1861c72e47824ba3c9a6",
-        "init_01/mean_field.bin": "67659d984fa9e79229ad98fc25aebd1976df73df9bd59730ad8bef49798b0248",
-        "init_01/records.csv": "36bc08fee6e483644d4996a3780438581c7bcd4f99944af5fdc13d88dd3d12e4",
+        "init_00/snapshot_iter_001.bin": "86a74cc396ba619ac8995805aa8ea114b83bc167032e6118a849dd536ce90a90",
+        "init_00/snapshot_iter_002.bin": "c5785d0cfcd2c238fc11e1077fe2931336485b6337ee847b4a824850e7b7d6d9",
+        "init_01/mean_field.bin": "0aa174adf9ee7b582c1ea3bde6cd3147b457ccfd68941ac1c5f526ebe8fa60dd",
+        "init_01/records.csv": "277ef5375f206540f03406c94d23560f81f41b2e1057f387a8dce0e26708370c",
         "init_01/snapshot_iter_000.bin": "be8ceb3ee3a70c60f53429871930d4d70972fe68aeddeb327e7975f7ae75a3bb",
-        "init_01/snapshot_iter_001.bin": "afcd63f0218f1267619cf0e2396db0c788e27ab1b5f897fcd232a4f1d4c25ee7",
-        "init_01/snapshot_iter_002.bin": "67659d984fa9e79229ad98fc25aebd1976df73df9bd59730ad8bef49798b0248",
+        "init_01/snapshot_iter_001.bin": "cf6507952d3c073f9dee08439e054b10315bdcb7631522bd3a748f078a14b333",
+        "init_01/snapshot_iter_002.bin": "0aa174adf9ee7b582c1ea3bde6cd3147b457ccfd68941ac1c5f526ebe8fa60dd",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "source1d-noncentered-field-cauchy-identity": {
-        "init_00/mean_field.bin": "0800972d14f100826ce565ff0e8350cc9d20233889a52b9c4a17cebf1a5eb362",
-        "init_00/records.csv": "cee008e5361a40832809eeae2e3f4c47b43f12c04bb1778a32f91b7d0d6af963",
+        "init_00/mean_field.bin": "760a1405e9139bbcbccb40ff515fca6621352c1049bc64730c40e9571b556783",
+        "init_00/records.csv": "4e01e68c5e172dda71c802c70808f44daa1aae66f2d0fda93948ede82608fcc5",
         "init_00/snapshot_iter_000.bin": "2d3706f92db6a7d251a741864e6c78702a2cdd2da263428ee1bc7c3f02e9ef77",
-        "init_00/snapshot_iter_001.bin": "2a8332c07b2cdee26725f45ce0a3fc5132808b2e4174b9149ca7ceeeeff55011",
-        "init_00/snapshot_iter_002.bin": "0800972d14f100826ce565ff0e8350cc9d20233889a52b9c4a17cebf1a5eb362",
-        "init_01/mean_field.bin": "86414c7b6b2135bfc186bc01343d30d659167be08d7616892843eb83106fd5e2",
-        "init_01/records.csv": "50717fb6987210398ec65bf18c1cff2968a47e29f9a7af53d52e6eee9c0eba01",
+        "init_00/snapshot_iter_001.bin": "7a3ef162cdd09826c9d448b832e326dfa0cae2bb2aa9ad08cc1088a844c4775e",
+        "init_00/snapshot_iter_002.bin": "760a1405e9139bbcbccb40ff515fca6621352c1049bc64730c40e9571b556783",
+        "init_01/mean_field.bin": "c358398be8c4eef59c1ca790818d84119ff95d4cd74601e4e21e3410c0cbbd55",
+        "init_01/records.csv": "bc0e8094b51c182b311ba9ee9961aceb0e7181d44ac88a11548cdc2f62f2fe06",
         "init_01/snapshot_iter_000.bin": "60083ec0123f40997c2a87a679be424842405e3d4c85ef7d582e22b48a15d5c0",
-        "init_01/snapshot_iter_001.bin": "f47d3320c2f9fd703b02e978b3a8a91abe10f2dfbe9603d0f23eaaf0d870a307",
-        "init_01/snapshot_iter_002.bin": "86414c7b6b2135bfc186bc01343d30d659167be08d7616892843eb83106fd5e2",
+        "init_01/snapshot_iter_001.bin": "b0653c84c97940c61b792e0513369590aa6f1b7762d1e1ef53ae395d8679e715",
+        "init_01/snapshot_iter_002.bin": "c358398be8c4eef59c1ca790818d84119ff95d4cd74601e4e21e3410c0cbbd55",
         "observations.csv": "b121cbe4085c0bce61ad820e9dd942c387facfeaf36657dffd9951d59ed7e941",
         "truth_field.bin": "b9d32deaf809c063ae0f4c9de34bc8feaaf6cef726d242ff52b306a5166a3350",
     },
     "darcy-plain-exp": {
-        "init_00/mean_field.bin": "0bcc7ed188465e72e73be382b56dc60b317883d7368223c940c2ba41e137313e",
-        "init_00/records.csv": "fd5276557a0e62e88542a1b2d74f335a1f04887a4c681244bce1a9b732ce618f",
+        "init_00/mean_field.bin": "aecd8502ae39196b63075b46c1c6ab4834f72ae73078124886431cec1d759eea",
+        "init_00/records.csv": "117381f2d1a9ef30fbc00ecbc4b0e7ff3972b8ad9d927dfb59864d37266c8a24",
         "init_00/snapshot_iter_000.bin": "9f1cecfa218e000a927625b6551cc271742b53112f82d59ddfa6ee7305d0beef",
-        "init_00/snapshot_iter_001.bin": "4dbb6ef90199a3d8aa5087260b8b612f00a73b35c72c6f226185ed6bbe8e21ef",
-        "init_00/snapshot_iter_002.bin": "0bcc7ed188465e72e73be382b56dc60b317883d7368223c940c2ba41e137313e",
-        "init_01/mean_field.bin": "a878937641fd8a1e4309a0ed9d16a6f35de50ce6ba8e13f76f62f42a9573ff38",
-        "init_01/records.csv": "cc3125b46d4c039c8f2c7038e9166850a7fbbc77105647c14b51a1f1814d6169",
+        "init_00/snapshot_iter_001.bin": "7a6c179ec53320df86a7f4c061b44b3b1afcdd98d671bf4e6f150ebf3bf12a8c",
+        "init_00/snapshot_iter_002.bin": "aecd8502ae39196b63075b46c1c6ab4834f72ae73078124886431cec1d759eea",
+        "init_01/mean_field.bin": "b8abb8f54a61c79808a0aad0535950208553d9bb5056eaf61a361e2e8b1e668a",
+        "init_01/records.csv": "8ec713b20a5b492d9650c5ace1f215713adfbb7e1026e1c89b1248c6b1a044c7",
         "init_01/snapshot_iter_000.bin": "c67182c20ade0048beda934731837e520a85013ab1f3de1f9f235777e9c72fc1",
-        "init_01/snapshot_iter_001.bin": "4ab19929077ce5b6d48211ae0a7ae05072424e801713c77a788425c121d5641f",
-        "init_01/snapshot_iter_002.bin": "a878937641fd8a1e4309a0ed9d16a6f35de50ce6ba8e13f76f62f42a9573ff38",
+        "init_01/snapshot_iter_001.bin": "eca7b07f15f5cd163f2f7992bcd1415c77790e0c6ddfc060fa95991a7001f0b3",
+        "init_01/snapshot_iter_002.bin": "b8abb8f54a61c79808a0aad0535950208553d9bb5056eaf61a361e2e8b1e668a",
         "observations.csv": "631f29bf85b99653242312f9f61ed0fa831902b026493eb29871dbe3377ffaa8",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-plain-exp-field-gauss": {
-        "init_00/mean_field.bin": "4aa61f1202ca12121acbe5b3914c13f53bac60b7347aa61785613c1f61ff503f",
-        "init_00/records.csv": "af03e9b9d37aab541d8225f8436bffc7b5e2d091453b1d0870d8cba266d5b981",
-        "init_00/snapshot_iter_000.bin": "7560ebc32d15ab3532876c00a6752f73950bc558b811d0d6e6368d614bc137bd",
-        "init_00/snapshot_iter_001.bin": "1109f83a11d9efa88c0955c2cf3119dbdd30648cf6a9fe41678a14665e516992",
-        "init_00/snapshot_iter_002.bin": "4aa61f1202ca12121acbe5b3914c13f53bac60b7347aa61785613c1f61ff503f",
-        "init_01/mean_field.bin": "4cd00775254c411f106cab519a467f3f812ddd9fcd6dce912199691772254ede",
-        "init_01/records.csv": "bcad86ab3e08dd483ee018df6d27c94f26de721e6d88c9b5a96befa51d41b2e3",
-        "init_01/snapshot_iter_000.bin": "8ab6723a8d8dcbad341ad7c50258358e17b06dd4e5bd01923b8fbaf08955df21",
-        "init_01/snapshot_iter_001.bin": "a3d5b348222280a4bb4665ed9029706a0acc6ee98db96619dbeba8f3096a61d6",
-        "init_01/snapshot_iter_002.bin": "4cd00775254c411f106cab519a467f3f812ddd9fcd6dce912199691772254ede",
+        "init_00/mean_field.bin": "557f00e9ae5bb614e7ef0a9827f8a010d2863ab73fe805c64625e8b95ba9af61",
+        "init_00/records.csv": "eb21608cd119421577121a870c88d4f860cdff4cbbba9a9353ed658b933b8640",
+        "init_00/snapshot_iter_000.bin": "7b85bb48b024e1842e55d94e02ecaa1853b147fdab6e2ea252740c9aa7d1b938",
+        "init_00/snapshot_iter_001.bin": "24e187365a2358d5187347b6225687283c49cdeecd3167c83b3b9a12ba50ea5f",
+        "init_00/snapshot_iter_002.bin": "557f00e9ae5bb614e7ef0a9827f8a010d2863ab73fe805c64625e8b95ba9af61",
+        "init_01/mean_field.bin": "85b249fdaba7bac3fb88a3e966e73952c08b014dac9a3c185eae8e2470eb4874",
+        "init_01/records.csv": "700fe727c50be281fe94f5e4e8e22ee7637e957313df81172f4316faf5769aa5",
+        "init_01/snapshot_iter_000.bin": "6d12986037eb9ad1c58f8a7df58e578f571a209d01af777e94d645051ef5437a",
+        "init_01/snapshot_iter_001.bin": "2386984b7c4c366cb2f0bc5a8b7ab10f4135911dbd6b90099ee9f9cb0b11320d",
+        "init_01/snapshot_iter_002.bin": "85b249fdaba7bac3fb88a3e966e73952c08b014dac9a3c185eae8e2470eb4874",
         "observations.csv": "631f29bf85b99653242312f9f61ed0fa831902b026493eb29871dbe3377ffaa8",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-centered-hier-exp": {
-        "init_00/mean_field.bin": "3fb12f393ac9423853686255f9dd2fc84fa68f192b0b52a799aab3096d0f9a11",
-        "init_00/records.csv": "0f7ef39a373ba9d4e3187ac7d36932e7cfb93439d8485181cab4101589f1d534",
+        "init_00/mean_field.bin": "51f9bef7611cc84ed007c193e9428806e1eeb51ba52831c41025844e3182b623",
+        "init_00/records.csv": "bf02daa4fa4055e3b30dd4e2f955bc3d6707ab4eda28ecded2d89f88942bf0e5",
         "init_00/snapshot_iter_000.bin": "4ddbc7bf6da5566e575ec71ffc0cf065c1a83f1099bb05609811463148b1e81e",
-        "init_00/snapshot_iter_001.bin": "02470ef921776a678b27ff427c56803ad20a3449fdb154e4d0205c33e94b8afb",
-        "init_00/snapshot_iter_002.bin": "3fb12f393ac9423853686255f9dd2fc84fa68f192b0b52a799aab3096d0f9a11",
-        "init_01/mean_field.bin": "721414ab40e4ce05bcb47dc67a7d50a80578b5fe03381ab619ca3874b71924b6",
-        "init_01/records.csv": "9b4716264a6ff7e0bbecb0cee676e5286417d5d1da98573c04ec0ff27490d6f9",
+        "init_00/snapshot_iter_001.bin": "e85c7ee9dce3a9dbb795f7a864b6059fc0e4581b1aac27b4223d47191461fb78",
+        "init_00/snapshot_iter_002.bin": "51f9bef7611cc84ed007c193e9428806e1eeb51ba52831c41025844e3182b623",
+        "init_01/mean_field.bin": "0f708f09786ba293c2412ab8140c87dfd1891a74f87428cd14df06aac06a9e7e",
+        "init_01/records.csv": "9b845c53c4ca49127e3f6b5e5dae370aba51faa0e2180d9afa229ac4266ffee9",
         "init_01/snapshot_iter_000.bin": "cda2820f0789f89f49ac665a6deb454f9b7c7a31888cb524d040b15e383ca100",
-        "init_01/snapshot_iter_001.bin": "17d56449734537123aec032203d3bb0f6c74309c63cd43435b017000523a0f78",
-        "init_01/snapshot_iter_002.bin": "721414ab40e4ce05bcb47dc67a7d50a80578b5fe03381ab619ca3874b71924b6",
+        "init_01/snapshot_iter_001.bin": "0642bf42b7f92bc681b70d771bd23bbff709ebfeea42e4ede21cacb362c8b18d",
+        "init_01/snapshot_iter_002.bin": "0f708f09786ba293c2412ab8140c87dfd1891a74f87428cd14df06aac06a9e7e",
         "observations.csv": "631f29bf85b99653242312f9f61ed0fa831902b026493eb29871dbe3377ffaa8",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-noncentered-hier-exp": {
-        "init_00/mean_field.bin": "49b0b2d8cf05c5c3f0880567dbd8d53f249f79d54d3370bc87472d91962647a0",
-        "init_00/records.csv": "a2ef315585accf0608ae9bbe38243a860ff3c9087042ead203e07378b32054b5",
+        "init_00/mean_field.bin": "d068e23e80833b0b0747decb08361c76efe1bf5c6231bb4b372b5847f4025825",
+        "init_00/records.csv": "19d4be927907a3f28e1ee26b7263362b71d3d8aa6671b5917c63247617b394ee",
         "init_00/snapshot_iter_000.bin": "c2b938e164daed70c57770096a9464c9dab6f1439ccf84ea1918a3b7d5d1a867",
-        "init_00/snapshot_iter_001.bin": "3ba3e50bb1296af14dd9d7f512429cc68728bd4f9f81d3bd81ac5f1cce0f9fdb",
-        "init_00/snapshot_iter_002.bin": "49b0b2d8cf05c5c3f0880567dbd8d53f249f79d54d3370bc87472d91962647a0",
-        "init_01/mean_field.bin": "29d4a798c001bbf1f79c4e7d1826b573f3af9ad8782a739a0546e90178531fd1",
-        "init_01/records.csv": "87574e1b36f0c812f6488febc5943fcdd7388100fbfb57bf3de0d0c69da56bbe",
+        "init_00/snapshot_iter_001.bin": "a60776d28c212039879599ae403886f2c0babbec64fb878727f20927e7808c79",
+        "init_00/snapshot_iter_002.bin": "d068e23e80833b0b0747decb08361c76efe1bf5c6231bb4b372b5847f4025825",
+        "init_01/mean_field.bin": "8c8b5a5fa0bbc417999f9b367872b6d6bc1c3da3631bc5d2ed5fd5e2f10ec8b2",
+        "init_01/records.csv": "6b8995d9d67b17d33b8c88b270383d7867cd6f7142445f3f2ad9e55c8f1915a9",
         "init_01/snapshot_iter_000.bin": "229df3099742af594a6d78239d1d3b668951692a1068fc9bc9a7a5ce86458f36",
-        "init_01/snapshot_iter_001.bin": "9bfb985321d75dc7e041fc2568f29e9971af9e64c4995ffb0f65ccbac86a71a4",
-        "init_01/snapshot_iter_002.bin": "29d4a798c001bbf1f79c4e7d1826b573f3af9ad8782a739a0546e90178531fd1",
+        "init_01/snapshot_iter_001.bin": "51c6075a34cdf00256f014a625f6f37bc214849c33773031a0bc72a84c476cde",
+        "init_01/snapshot_iter_002.bin": "8c8b5a5fa0bbc417999f9b367872b6d6bc1c3da3631bc5d2ed5fd5e2f10ec8b2",
         "observations.csv": "631f29bf85b99653242312f9f61ed0fa831902b026493eb29871dbe3377ffaa8",
         "truth_field.bin": "64ccfc3392dc1e665c5027cc3e70a3cb01c4f0149bd1d27476f2ee3968213450",
     },
     "darcy-plain-level-set": {
         "init_00/mean_field.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
-        "init_00/records.csv": "d9bcd41029c2f49e5df7781cac82d894763ec43957e0a61f8f3263cec7f210c4",
+        "init_00/records.csv": "34103ca9290efe3b2fe7e8e1a31cce2ba6d4f8dce1c535baefeac300169184e0",
         "init_00/snapshot_iter_000.bin": "f474d56b848c34dafbcfd181e41644a7f1fc97fc6c2aee30896e90e271126203",
         "init_00/snapshot_iter_001.bin": "8a79fc02bc4c7a32909330d3aaee67b088329e65c95f733f86631e39b6dc63e7",
         "init_00/snapshot_iter_002.bin": "38d4af87f6f4e3022473d57c8cc9fb08f3797fd007142bab1d7c0dc4369afae4",
@@ -913,7 +913,7 @@ GOLDEN_FILES = {
         "init_00/snapshot_iter_001.bin": "ae1f717d1f06dff54e75912bb6686084b1fadd3074b105f6ef0a01f86f948d62",
         "init_00/snapshot_iter_002.bin": "894d72535bd0e30ea86dffd31c580593f9e0ff1ee7fb537242e8988c819a3f1b",
         "init_01/mean_field.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
-        "init_01/records.csv": "7683d27a16b96674daa442683983feb38c1900a9799f3b059b12eb4655d0a3ab",
+        "init_01/records.csv": "fa96c5f6ba9a1992020ef5e45846390d0687ca95e0c25a70e7791cc81f62ce2a",
         "init_01/snapshot_iter_000.bin": "1c5c673b855e563be4271e10798e0121c1e124d918dc3ea51bfff7743b573996",
         "init_01/snapshot_iter_001.bin": "7aa36c001df667faacaa4425fbc481341a5562f82d23c66947d529754c674ed8",
         "init_01/snapshot_iter_002.bin": "3c8cb89cf9b9360278456fcb40254f73d5d640a95d1827adbbffbfbc634a0ed5",
@@ -927,7 +927,7 @@ GOLDEN_FILES = {
         "init_00/snapshot_iter_001.bin": "105461c58f4716dcba2990c4651f11bee9a17cd2123b002ea77741e04ba29bad",
         "init_00/snapshot_iter_002.bin": "05f93b03ce96ee72a829cdc74d7dbf3c62c2395cb8d3cb40482ca156634152da",
         "init_01/mean_field.bin": "0b334cf3bcfdde92fd660a7b1b5031328128be3c54a9c25806ab9bdee93484d5",
-        "init_01/records.csv": "1b40f856b822caa2c8a3ded87728a79670d973f6b5a5654917c10490a1e38a2e",
+        "init_01/records.csv": "de09db899f0d5b8842a221855b98e23bcf72a3e2bfc9210d04515b8b7fbb3e78",
         "init_01/snapshot_iter_000.bin": "3523705427d32734945f45e1b09596b35ef5330cf94284c8da8edeb9b4ddf812",
         "init_01/snapshot_iter_001.bin": "7452a4e6b1bac0b78ad125192d739389938ea90dd5b6b19522efcc31f0fd4c46",
         "init_01/snapshot_iter_002.bin": "0b334cf3bcfdde92fd660a7b1b5031328128be3c54a9c25806ab9bdee93484d5",
@@ -935,44 +935,44 @@ GOLDEN_FILES = {
         "truth_field.bin": "44bf406e7d2fc577d15af6ea26ea415b6070b292a171cc479be0c71aac2ec7c1",
     },
     "darcy-plain-channel": {
-        "init_00/mean_field.bin": "e5bf19bb2f2cfd88823eb7e4d39c3d8e2b14e30e1242269b8c7a0943760aa766",
-        "init_00/records.csv": "a7106cb86cef69b6cd4ae3eb21c3be7e0115446e13fafafd7de9636d5872bd47",
+        "init_00/mean_field.bin": "bc37e4da98152ac32f3f115cece7d8a209da387937f8fbb510d93d8724f7676d",
+        "init_00/records.csv": "33d72b9652a92d6b59221ba70e8350e79e3c3737c64fe72eff80737b3283d340",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
-        "init_00/snapshot_iter_001.bin": "1236dd4aadafdb72175b0e87c8660cd1ce6ce49878a9afd4313a88feef8065ce",
-        "init_00/snapshot_iter_002.bin": "e5bf19bb2f2cfd88823eb7e4d39c3d8e2b14e30e1242269b8c7a0943760aa766",
-        "init_01/mean_field.bin": "d921486b5766ee03372c3684dcc401eb364d43b873271d00300fdc1839bd7fac",
-        "init_01/records.csv": "daa1dac645483b686d6da2489bae8cba171c72a26196a10533cb81e864cc6747",
+        "init_00/snapshot_iter_001.bin": "2553f08e7dd492ea563a391aad0f2ced428c916b544aedc34681086493c4ffd5",
+        "init_00/snapshot_iter_002.bin": "bc37e4da98152ac32f3f115cece7d8a209da387937f8fbb510d93d8724f7676d",
+        "init_01/mean_field.bin": "8f31e795d8d8d01b89decf648ce7c182933d3b1e71326d63f707c0d79aea26d9",
+        "init_01/records.csv": "a4566d093e4def0d30c5da087c8baca082952a5597adf60ded34489dde6b9a81",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
-        "init_01/snapshot_iter_001.bin": "a74f1eb6a899454ed2f51b76a973262809a39f6fcc1072ddfac1fc16b4f1ea1a",
-        "init_01/snapshot_iter_002.bin": "d921486b5766ee03372c3684dcc401eb364d43b873271d00300fdc1839bd7fac",
+        "init_01/snapshot_iter_001.bin": "e76cfd4d8fe5c832e44cf5acbf49b4cfba60677997cdffc6910771390848f1cd",
+        "init_01/snapshot_iter_002.bin": "8f31e795d8d8d01b89decf648ce7c182933d3b1e71326d63f707c0d79aea26d9",
         "observations.csv": "aa08f6a647a8d56a4590b1f5a95314893f316cf3c089d7a997ac4f207a3094df",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-centered-hier-channel": {
-        "init_00/mean_field.bin": "e5bf19bb2f2cfd88823eb7e4d39c3d8e2b14e30e1242269b8c7a0943760aa766",
-        "init_00/records.csv": "845884bfb9c3045335054bd1fe096b1159dc0aee7f5bff9d87e91114c737988c",
+        "init_00/mean_field.bin": "bc37e4da98152ac32f3f115cece7d8a209da387937f8fbb510d93d8724f7676d",
+        "init_00/records.csv": "9edb9c61a6c41bf1398a127451dac8153940adf4dac92382e341cfa07c45bc04",
         "init_00/snapshot_iter_000.bin": "1ae4f19957b838faf5c8ba3240f969eb4308064dbcaec92c4d12ef107d8942a2",
-        "init_00/snapshot_iter_001.bin": "1236dd4aadafdb72175b0e87c8660cd1ce6ce49878a9afd4313a88feef8065ce",
-        "init_00/snapshot_iter_002.bin": "e5bf19bb2f2cfd88823eb7e4d39c3d8e2b14e30e1242269b8c7a0943760aa766",
-        "init_01/mean_field.bin": "d921486b5766ee03372c3684dcc401eb364d43b873271d00300fdc1839bd7fac",
-        "init_01/records.csv": "3d14dd0be3be143c0ddc481f505a5ee71b7d5ee8b9be38d781724af77f38f039",
+        "init_00/snapshot_iter_001.bin": "2553f08e7dd492ea563a391aad0f2ced428c916b544aedc34681086493c4ffd5",
+        "init_00/snapshot_iter_002.bin": "bc37e4da98152ac32f3f115cece7d8a209da387937f8fbb510d93d8724f7676d",
+        "init_01/mean_field.bin": "8f31e795d8d8d01b89decf648ce7c182933d3b1e71326d63f707c0d79aea26d9",
+        "init_01/records.csv": "4bdec0303875662119276d9b55dc256ce1cbbc32decdf729b744b081afd1fda1",
         "init_01/snapshot_iter_000.bin": "2f022475cd33e3d14d46e0388218a5af3b32272142cb46254f15146b45581b9a",
-        "init_01/snapshot_iter_001.bin": "a74f1eb6a899454ed2f51b76a973262809a39f6fcc1072ddfac1fc16b4f1ea1a",
-        "init_01/snapshot_iter_002.bin": "d921486b5766ee03372c3684dcc401eb364d43b873271d00300fdc1839bd7fac",
+        "init_01/snapshot_iter_001.bin": "e76cfd4d8fe5c832e44cf5acbf49b4cfba60677997cdffc6910771390848f1cd",
+        "init_01/snapshot_iter_002.bin": "8f31e795d8d8d01b89decf648ce7c182933d3b1e71326d63f707c0d79aea26d9",
         "observations.csv": "aa08f6a647a8d56a4590b1f5a95314893f316cf3c089d7a997ac4f207a3094df",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
     "darcy-noncentered-hier-channel": {
-        "init_00/mean_field.bin": "5190e175798e87eed024f2d09763f90980ba86effdb181a2afd7306c0edf441f",
-        "init_00/records.csv": "e1716c456fecab5c2888a15fdad0eba3d408c4956dc951b77eeb4c60899ae4ea",
+        "init_00/mean_field.bin": "abbb6b10606310a672998a28410eb3d3c38a1a5d5f98d0f8602bdb3e8898ea05",
+        "init_00/records.csv": "3a01ab37885e5ce67653845edc3c9564ca4bfe6360ef88a201f1629f47be4d11",
         "init_00/snapshot_iter_000.bin": "ba7bc8deb275a7b6454399ba4b0601cd0610221ead048839ab82d96be7072d2a",
         "init_00/snapshot_iter_001.bin": "98e628cd5be37b8654642108fccf4e8d9ef8b05f2ee15d2fdf373ef1c26fa7d3",
-        "init_00/snapshot_iter_002.bin": "5190e175798e87eed024f2d09763f90980ba86effdb181a2afd7306c0edf441f",
-        "init_01/mean_field.bin": "72a5e80499d2b147a1b91892484b7105d68b0c65fe536ca0f4afde2cc78810b9",
-        "init_01/records.csv": "f224ae1d507223130df227be6734d5490b5035c73774a461a9db21e9dd0a7037",
+        "init_00/snapshot_iter_002.bin": "abbb6b10606310a672998a28410eb3d3c38a1a5d5f98d0f8602bdb3e8898ea05",
+        "init_01/mean_field.bin": "427de54f4e0aeae0c4c9a549c352a4387ce78049a37521c6f4d214ba8f567cb6",
+        "init_01/records.csv": "ccea6eb843595fc6c3f21c437012b2392f56aed5da6f42a4f70f18e99846777b",
         "init_01/snapshot_iter_000.bin": "7501032850cfc713e832502bffa0a4685554cfba384c52348f60bdcf040b3ca6",
-        "init_01/snapshot_iter_001.bin": "f9a7f741b459d6a99f02f5346247b7ac31134d342a350d27f5459cdf7787ccbd",
-        "init_01/snapshot_iter_002.bin": "72a5e80499d2b147a1b91892484b7105d68b0c65fe536ca0f4afde2cc78810b9",
+        "init_01/snapshot_iter_001.bin": "24f1eea245d63a54b044441e221a8f88e6fbff9689d76b3372f397ea186c3cf2",
+        "init_01/snapshot_iter_002.bin": "427de54f4e0aeae0c4c9a549c352a4387ce78049a37521c6f4d214ba8f567cb6",
         "observations.csv": "aa08f6a647a8d56a4590b1f5a95314893f316cf3c089d7a997ac4f207a3094df",
         "truth_field.bin": "83b8ae84489d6cb8c3486aa7836b2986e7f855670d3722d5ac8ed5d77cdeb3d5",
     },
@@ -1021,12 +1021,12 @@ def test_a_multi_chunk_evaluation_writes_its_golden_files(tmp_path, cpus, n_cpus
 
 
 MULTI_CHUNK_FILES = {
-    "init_00/mean_field.bin": "aebb56b533fcc16f25917b6622f393fa2900f06620fc46cd22cf5ff5115eaf34",
-    "init_00/records.csv": "2fe3e851ce113580574008c475a21b21598788dbcadeb81439c6088a9996df20",
+    "init_00/mean_field.bin": "3fe220e741741f787b9d93690a84a1f612e5511b9754e7153f0fb4d89050ab54",
+    "init_00/records.csv": "d3d086e6881d4b4399661678fe4e81c92db51eb9815fe765455a02d542ac2462",
     "init_00/snapshot_iter_000.bin": "7b8b42a69363fe1a1d1e276d3b9c385494a7379f487a71ed44183e3bdc14be17",
-    "init_00/snapshot_iter_001.bin": "adb95a72674b533b75d38fa3229b80c5da333064ea757662a4237ee7a0dba1bd",
-    "init_00/snapshot_iter_002.bin": "aebb56b533fcc16f25917b6622f393fa2900f06620fc46cd22cf5ff5115eaf34",
-    "observations.csv": "7b40183de0626893136d3b431a302df042da813bb483bbe116ecb432615c4304",
+    "init_00/snapshot_iter_001.bin": "8993213ace8e4f2a3af087cd7ce00a015fe1644d608c0fc9f6b0050247cba1be",
+    "init_00/snapshot_iter_002.bin": "3fe220e741741f787b9d93690a84a1f612e5511b9754e7153f0fb4d89050ab54",
+    "observations.csv": "b1c17db681897c661daed9268d3a4d0819d8956bd8ecb54192e51de079f1d64c",
     "truth_field.bin": "8235ac488c34b01927c0161c5d49d37e5c97a8c6538c2ff252d68fafd97701f4",
 }
 
